@@ -1,11 +1,13 @@
 //! Real HTTP server throughput: requests/second through the actual
-//! `std::net` server with keep-alive clients — the live counterpart of
-//! the Figure 2 Rust-server result.
+//! `std::net` reactor (and, for predictions, the continuous batcher)
+//! with keep-alive clients — the live counterpart of the Figure 2
+//! Rust-server result.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use etude_serve::client::HttpClient;
 use etude_serve::http::{Method, Request, Response};
-use etude_serve::rustserver::{start, Handler, ServerConfig};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::Handler;
 use std::sync::Arc;
 
 fn static_handler() -> Handler {
@@ -19,7 +21,7 @@ fn static_handler() -> Handler {
 }
 
 fn bench_static_requests(c: &mut Criterion) {
-    let server = start(ServerConfig { workers: 2 }, static_handler()).expect("server");
+    let server = start(ReactorConfig::default(), static_handler()).expect("server");
     let mut client = HttpClient::connect(server.addr()).expect("client");
     let req = Request::get("/static");
 
@@ -38,15 +40,22 @@ fn bench_static_requests(c: &mut Criterion) {
 
 fn bench_model_requests(c: &mut Criterion) {
     use etude_models::{ModelConfig, ModelKind, SbrModel};
-    use etude_serve::rustserver::model_routes;
+    use etude_serve::{model_routes_continuous, ContinuousConfig};
     use etude_tensor::Device;
 
     let cfg = ModelConfig::new(10_000)
         .with_max_session_len(20)
         .with_seed(1);
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
-    let handler = model_routes(model, Device::cpu(), true);
-    let server = start(ServerConfig { workers: 2 }, handler).expect("server");
+    let handler = model_routes_continuous(
+        model,
+        Device::cpu(),
+        true,
+        ContinuousConfig::default(),
+        Arc::new(etude_obs::Recorder::new()),
+        None,
+    );
+    let server = start(ReactorConfig::default(), handler).expect("server");
     let mut client = HttpClient::connect(server.addr()).expect("client");
     let req = Request::post("/predictions", "1,2,3,4");
 

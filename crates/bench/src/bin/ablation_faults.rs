@@ -22,7 +22,8 @@ use etude_faults::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 use etude_loadgen::{LoadConfig, RealLoadGen};
 use etude_models::{ModelConfig, ModelKind, SbrModel};
 use etude_obs::{Recorder, Stage, StatsSnapshot};
-use etude_serve::rustserver::{inject_faults, model_routes_observed, start, ServerConfig};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::{inject_faults, model_routes_observed};
 use etude_tensor::Device;
 use etude_workload::{SessionLog, SyntheticWorkload, WorkloadConfig};
 use std::sync::Arc;
@@ -138,7 +139,7 @@ fn drive(plan: &BenchPlan, log: &SessionLog, rate: f64, policy_name: &'static st
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
     let routes = model_routes_observed(model, Device::cpu(), true, Arc::clone(&recorder));
     let handler = inject_faults(routes, injector.clone(), Arc::clone(&recorder));
-    let server = start(ServerConfig { workers: 2 }, handler).ok()?;
+    let server = start(ReactorConfig::default(), handler).ok()?;
 
     // Minimum total span with jitter halving every delay:
     // (10+20+40+80*9)/2 = 395 ms > the 250 ms burst length.

@@ -1,6 +1,7 @@
 //! **latency_breakdown** — Where a prediction's milliseconds go.
 //!
-//! Starts live HTTP servers (plain JIT route and the batched route),
+//! Starts live HTTP servers (the inline JIT route and the continuously
+//! batched route, both on the reactor),
 //! drives real POST `/predictions` traffic at them, then scrapes each
 //! server's `/stats` endpoint and reports the per-stage latency
 //! breakdown recorded by `etude-obs` (parse → queue → inference →
@@ -13,11 +14,12 @@
 //! seconds-long single-model pass (used by `scripts/verify.sh`).
 
 use etude_models::{ModelConfig, ModelKind, SbrModel};
-use etude_obs::{parse_stats_json, Stage, StatsSnapshot};
-use etude_serve::batching::BatchConfig;
+use etude_obs::{parse_stats_json, Recorder, Stage, StatsSnapshot};
 use etude_serve::client::HttpClient;
 use etude_serve::http::{self, Request};
-use etude_serve::rustserver::{model_routes, model_routes_batched, start, Handler, ServerConfig};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::{model_routes, Handler};
+use etude_serve::{model_routes_continuous, ContinuousConfig};
 use etude_tensor::Device;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,15 +68,13 @@ fn main() {
             let shared: Arc<dyn SbrModel> = Arc::from(model.build(&cfg));
             let handler: Handler = match route {
                 "plain_jit" => model_routes(shared, Device::cpu(), true),
-                _ => model_routes_batched(
+                _ => model_routes_continuous(
                     shared,
                     Device::cpu(),
                     true,
-                    BatchConfig {
-                        max_batch: 8,
-                        flush_every: Duration::from_millis(1),
-                        ..Default::default()
-                    },
+                    ContinuousConfig::default(),
+                    Arc::new(Recorder::new()),
+                    None,
                 ),
             };
             match drive(handler, &plan, model.name()) {
@@ -99,7 +99,7 @@ fn main() {
 /// Starts a server around `handler`, fires the plan's requests at it and
 /// returns `(ok count, scraped /stats snapshot)`.
 fn drive(handler: Handler, plan: &BenchPlan, model: &str) -> Option<(usize, StatsSnapshot)> {
-    let server = start(ServerConfig { workers: 2 }, handler).ok()?;
+    let server = start(ReactorConfig::default(), handler).ok()?;
     let mut client =
         HttpClient::connect_with_timeout(server.addr(), Duration::from_secs(5)).ok()?;
     let mut rng = SmallRng::seed_from_u64(7);

@@ -1,35 +1,29 @@
-//! **saturation** — open-connection capacity of the two serving tiers.
+//! **saturation** — open-connection capacity of the serving tier.
 //!
 //! Production session-based recommenders hold tens of thousands of
 //! mostly-idle keep-alive connections; the request rate is modest but
 //! every client keeps its socket open. This bench measures what that
-//! costs each serving architecture:
-//!
-//! * **blocking + fixed**: the thread-pool server whose workers scan
-//!   their connection list once per pass (`O(open conns)` work per
-//!   sweep, served or not) feeding the fixed-window batcher,
-//! * **reactor + continuous**: the epoll event-loop server (idle
-//!   connections cost one registration) feeding the continuous batcher.
+//! costs the epoll event-loop server (idle connections cost one
+//! registration) feeding the continuous batcher.
 //!
 //! Each cell parks N open connections and drives a fixed low request
 //! rate through them via the coordinated-omission-corrected
 //! open-connection driver ([`etude_loadgen::openconn`]): latency is
 //! measured from *intended* send time, so a server that stalls the
 //! load generator cannot hide its tail. The headline is the largest N
-//! each tier sustains with p99 within the SLO and zero errors — the
-//! acceptance bar is reactor ≥ 5× blocking. A machine-readable summary
+//! sustained with p99 within the SLO and zero errors. (The blocking
+//! accept/worker server this sweep used to include lost every cell;
+//! its last numbers are in DESIGN §14.) A machine-readable summary
 //! goes to `results/BENCH_saturation.json`. Run with `--smoke` for a
-//! scaled-down grid (used by `scripts/verify.sh --reactor`).
+//! scaled-down grid (used by `scripts/verify.sh`).
 
-use etude_core::ServingMode;
 use etude_loadgen::openconn::{run_open_conn, OpenConnConfig};
 use etude_models::{ModelConfig, ModelKind, SbrModel};
 use etude_obs::Recorder;
-use etude_serve::batching::BatchConfig;
 use etude_serve::contbatch::ContinuousConfig;
 use etude_serve::model_routes_continuous;
 use etude_serve::reactor::{self, raise_nofile_limit, ReactorConfig};
-use etude_serve::rustserver::{self, model_routes_batched, Handler, ServerConfig, ServerHandle};
+use etude_serve::rustserver::ServerHandle;
 use etude_tensor::Device;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,23 +32,16 @@ const CATALOG: usize = 1_000;
 /// "Equal p99" bar for the headline: a cell is sustained when its
 /// CO-corrected p99 stays inside this and nothing errored. 10ms is the
 /// serving budget the paper's end-to-end scenarios leave the serving
-/// tier after model time; the blocking server's per-sweep connection
-/// scan eats through it as the pool grows, the reactor's does not.
+/// tier after model time.
 const SLO_P99_US: u64 = 10_000;
 /// Steady-state only: requests in the first half second warm caches and
 /// absorb the connect burst, and are excluded from the histogram.
 const WARMUP_SECS: f64 = 0.5;
 
-/// Stable label used in the JSON artifact and logs.
-fn mode_label(mode: ServingMode) -> &'static str {
-    match mode {
-        ServingMode::BlockingFixed => "blocking+fixed",
-        ServingMode::ReactorContinuous => "reactor+continuous",
-    }
-}
+/// Tier label of every cell in the JSON artifact and logs.
+const TIER: &str = "reactor+continuous";
 
 struct Cell {
-    mode: &'static str,
     connections: usize,
     rps: f64,
     duration: Duration,
@@ -66,8 +53,7 @@ struct Cell {
     p99_us: u64,
     max_us: u64,
     /// Reactor busy / (busy + poll wait) over the run, scraped from the
-    /// server's own `/stats` after the schedule drains. `None` for the
-    /// blocking tier (no reactor, no telemetry block).
+    /// server's own `/stats` after the schedule drains.
     loop_utilization: Option<f64>,
     /// p99 microseconds a parsed request waited in the dispatch queue
     /// before a worker picked it up — queueing delay the latency
@@ -90,35 +76,25 @@ fn model() -> Arc<dyn SbrModel> {
     Arc::from(ModelKind::Core.build(&cfg))
 }
 
-fn start_server(mode: ServingMode) -> ServerHandle {
-    match mode {
-        ServingMode::BlockingFixed => {
-            let handler: Handler =
-                model_routes_batched(model(), Device::cpu(), false, BatchConfig::default());
-            rustserver::start(ServerConfig::default(), handler).unwrap()
-        }
-        ServingMode::ReactorContinuous => {
-            // One recorder serves both roles: the handler renders it at
-            // /stats, and `start_observed` installs the reactor's
-            // telemetry probe on it — so the loop-utilization and
-            // dispatch-wait columns come from the same snapshot the
-            // load driver scrapes.
-            let recorder = Arc::new(Recorder::new());
-            let handler = model_routes_continuous(
-                model(),
-                Device::cpu(),
-                false,
-                ContinuousConfig::default(),
-                Arc::clone(&recorder),
-                None,
-            );
-            reactor::start_observed(ReactorConfig::default(), handler, recorder).unwrap()
-        }
-    }
+fn start_server() -> ServerHandle {
+    // One recorder serves both roles: the handler renders it at /stats,
+    // and `start_observed` installs the reactor's telemetry probe on it
+    // — so the loop-utilization and dispatch-wait columns come from the
+    // same snapshot the load driver scrapes.
+    let recorder = Arc::new(Recorder::new());
+    let handler = model_routes_continuous(
+        model(),
+        Device::cpu(),
+        false,
+        ContinuousConfig::default(),
+        Arc::clone(&recorder),
+        None,
+    );
+    reactor::start_observed(ReactorConfig::default(), handler, recorder).unwrap()
 }
 
-fn run_cell(mode: ServingMode, connections: usize, rps: f64, duration: Duration) -> Cell {
-    let server = start_server(mode);
+fn run_cell(connections: usize, rps: f64, duration: Duration) -> Cell {
+    let server = start_server();
     let config = OpenConnConfig {
         connections,
         rps,
@@ -129,10 +105,8 @@ fn run_cell(mode: ServingMode, connections: usize, rps: f64, duration: Duration)
     };
     let result = run_open_conn(server.addr(), &config).expect("open-conn run failed");
     server.shutdown();
-    let label = mode_label(mode);
     let reactor_stats = result.server_stats.as_ref().and_then(|s| s.reactor.clone());
     let cell = Cell {
-        mode: label,
         connections: result.connections,
         rps,
         duration,
@@ -149,7 +123,7 @@ fn run_cell(mode: ServingMode, connections: usize, rps: f64, duration: Duration)
             .map(|r| r.dispatch_wait_histogram().p99()),
     };
     println!(
-        "  {label:>18} @ {:>6} conns: {:>4} ok, {} shed, {} errors, \
+        "  {TIER} @ {:>6} conns: {:>4} ok, {} shed, {} errors, \
          p50 {}us, p99 {}us{} [{}]",
         cell.connections,
         cell.ok,
@@ -178,12 +152,11 @@ fn cell_json(c: &Cell) -> String {
         .dispatch_wait_p99_us
         .map_or("null".to_string(), |w| w.to_string());
     format!(
-        "    {{\"mode\": \"{}\", \"connections\": {}, \"rps\": {:.0}, \
+        "    {{\"mode\": \"{TIER}\", \"connections\": {}, \"rps\": {:.0}, \
          \"duration_s\": {:.1}, \"sent\": {}, \"ok\": {}, \"shed\": {}, \
          \"errors\": {}, \"co_corrected\": true, \"p50_us\": {}, \
          \"p99_us\": {}, \"max_us\": {}, \"loop_utilization\": {util}, \
          \"dispatch_wait_p99_us\": {wait}, \"sustained\": {}}}",
-        c.mode,
         c.connections,
         c.rps,
         c.duration.as_secs_f64(),
@@ -199,34 +172,20 @@ fn cell_json(c: &Cell) -> String {
 }
 
 fn write_summary(cells: &[Cell], smoke: bool) {
-    let max_sustained = |mode: &str| -> usize {
-        cells
-            .iter()
-            .filter(|c| c.mode == mode && c.sustained())
-            .map(|c| c.connections)
-            .max()
-            .unwrap_or(0)
-    };
-    let blocking_max = max_sustained("blocking+fixed");
-    let reactor_max = max_sustained("reactor+continuous");
-    let ratio = if blocking_max > 0 {
-        reactor_max as f64 / blocking_max as f64
-    } else {
-        f64::from(reactor_max as u32)
-    };
-    println!(
-        "\nheadline: blocking+fixed sustains {blocking_max} open conns, \
-         reactor+continuous sustains {reactor_max} ({ratio:.1}x) at p99 <= {SLO_P99_US}us"
-    );
+    let max_conns = cells
+        .iter()
+        .filter(|c| c.sustained())
+        .map(|c| c.connections)
+        .max()
+        .unwrap_or(0);
+    println!("\nheadline: {TIER} sustains {max_conns} open conns at p99 <= {SLO_P99_US}us");
 
     let body: Vec<String> = cells.iter().map(cell_json).collect();
     let json = format!(
         "{{\n  \"bench\": \"saturation\",\n  \"mode\": \"{}\",\n  \
          \"poller\": \"{}\",\n  \"event_loops\": {},\n  \"simd_isa\": \"{}\",\n  \
          \"slo_p99_us\": {SLO_P99_US},\n  \"headline\": {{\
-         \"blocking_fixed_max_conns\": {blocking_max}, \
-         \"reactor_continuous_max_conns\": {reactor_max}, \
-         \"ratio\": {ratio:.1}}},\n  \"cells\": [\n{}\n  ]\n}}\n",
+         \"reactor_continuous_max_conns\": {max_conns}}},\n  \"cells\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         reactor::poller_backend_name(),
         ReactorConfig::default().event_loops,
@@ -313,8 +272,7 @@ fn profiler_overhead_check() {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     println!(
-        "== saturation: open-connection capacity, blocking+fixed vs \
-         reactor+continuous ({} mode) ==\n",
+        "== saturation: open-connection capacity of {TIER} ({} mode) ==\n",
         if smoke { "smoke" } else { "full" }
     );
     if smoke {
@@ -346,9 +304,7 @@ fn main() {
 
     let mut cells = Vec::new();
     for &connections in &grid {
-        for mode in [ServingMode::BlockingFixed, ServingMode::ReactorContinuous] {
-            cells.push(run_cell(mode, connections, rps, duration));
-        }
+        cells.push(run_cell(connections, rps, duration));
     }
     write_summary(&cells, smoke);
 }

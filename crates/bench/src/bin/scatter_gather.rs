@@ -23,7 +23,8 @@ use etude_cluster::{DeploymentSpec, InstanceType, ShardPlan};
 use etude_models::retrieval::CatalogShard;
 use etude_obs::Recorder;
 use etude_serve::http::Request;
-use etude_serve::rustserver::{start, ServerConfig, ServerHandle, DEGRADED_HEADER};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::{ServerHandle, DEGRADED_HEADER};
 use etude_serve::{router_routes, shard_backend_routes, HttpClient, RouterConfig, ShardTopology};
 use etude_tensor::rng::Initializer;
 use std::sync::Arc;
@@ -125,7 +126,7 @@ fn spawn_backend(shard: CatalogShard, catalog: usize, pod: u32) -> ServerHandle 
         K,
         Arc::new(Recorder::with_pod(pod)),
     );
-    start(ServerConfig { workers: 2 }, handler).unwrap()
+    start(ReactorConfig::default(), handler).unwrap()
 }
 
 fn run_cell(plan: &CellPlan, smoke: bool) -> Cell {
@@ -200,7 +201,7 @@ fn run_cell(plan: &CellPlan, smoke: bool) -> Cell {
         ..Default::default()
     };
     let router = start(
-        ServerConfig { workers: 2 },
+        ReactorConfig::default(),
         router_routes(topo, config, Arc::new(Recorder::new())),
     )
     .unwrap();

@@ -38,4 +38,4 @@ pub use planner::{plan_deployment, DeploymentPlan};
 pub use results::ExperimentResult;
 pub use runner::{run_experiment, run_serial_microbenchmark, SerialBreakdown, SerialResult};
 pub use scenario::Scenario;
-pub use spec::{ExecutionMode, ExperimentSpec, ServingMode};
+pub use spec::{ExecutionMode, ExperimentSpec};

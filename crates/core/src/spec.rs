@@ -21,19 +21,6 @@ pub enum ExecutionMode {
     Jit,
 }
 
-/// Which serving tier a live deployment runs (both are kept: the
-/// blocking thread-pool server with the fixed-window batcher is the
-/// measured baseline, the epoll reactor with the continuous batcher is
-/// the scalable path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServingMode {
-    /// Thread-pool accept/read/write loop + fixed-window batching.
-    BlockingFixed,
-    /// Event-loop (epoll/poll) server + continuous deadline-aware
-    /// batching.
-    ReactorContinuous,
-}
-
 /// A complete declarative experiment description.
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
@@ -73,10 +60,6 @@ pub struct ExperimentSpec {
     /// count fixed for the whole run, as every pre-control-plane spec
     /// did.
     pub autoscaler: Option<AutoscalerConfig>,
-    /// Serving tier for live (socket-backed) deployments. Defaults to
-    /// [`ServingMode::BlockingFixed`], the architecture every
-    /// pre-reactor spec measured; simulated runs ignore it.
-    pub serving: ServingMode,
 }
 
 impl ExperimentSpec {
@@ -98,7 +81,6 @@ impl ExperimentSpec {
             seed: 42,
             faults: FaultPlan::calm(),
             autoscaler: None,
-            serving: ServingMode::BlockingFixed,
         }
     }
 
@@ -147,12 +129,6 @@ impl ExperimentSpec {
     /// Enables SLO-driven autoscaling for the run.
     pub fn with_autoscaler(mut self, config: AutoscalerConfig) -> Self {
         self.autoscaler = Some(config);
-        self
-    }
-
-    /// Overrides the serving tier for live deployments.
-    pub fn with_serving_mode(mut self, serving: ServingMode) -> Self {
-        self.serving = serving;
         self
     }
 

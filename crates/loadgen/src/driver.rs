@@ -380,7 +380,8 @@ fn record_outcome(
 mod tests {
     use super::*;
     use etude_serve::http::{Method, Response};
-    use etude_serve::rustserver::{start, Handler, ServerConfig};
+    use etude_serve::reactor::{start, ReactorConfig};
+    use etude_serve::rustserver::Handler;
     use etude_workload::{SyntheticWorkload, WorkloadConfig};
     use std::sync::Arc as StdArc;
 
@@ -396,7 +397,7 @@ mod tests {
 
     #[test]
     fn real_loadgen_drives_a_real_server() {
-        let server = start(ServerConfig { workers: 2 }, echo_handler()).unwrap();
+        let server = start(ReactorConfig::default(), echo_handler()).unwrap();
         let log = SyntheticWorkload::new(WorkloadConfig {
             catalog_size: 100,
             alpha_length: 2.0,
@@ -448,7 +449,7 @@ mod tests {
                 Response::error(404, "nope")
             }
         });
-        let server = start(ServerConfig { workers: 2 }, handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let log = SyntheticWorkload::new(WorkloadConfig {
             catalog_size: 100,
             alpha_length: 2.0,
@@ -487,7 +488,7 @@ mod tests {
         let cfg = ModelConfig::new(200).with_max_session_len(8).with_seed(3);
         let model: StdArc<dyn SbrModel> = StdArc::from(ModelKind::Core.build(&cfg));
         let handler = model_routes(model, Device::cpu(), true);
-        let server = start(ServerConfig { workers: 2 }, handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let log = SyntheticWorkload::new(WorkloadConfig {
             catalog_size: 200,
             alpha_length: 2.0,

@@ -17,7 +17,7 @@
 //! Two drivers share this logic: [`simdriver::SimLoadGen`] runs against
 //! the queueing servers of [`etude_serve::simserver`] under virtual time
 //! (used for every figure reproduction), and [`driver::RealLoadGen`]
-//! fires real HTTP requests at a live [`etude_serve::rustserver`] (used
+//! fires real HTTP requests at a live [`etude_serve::reactor`] server (used
 //! in integration tests and examples).
 
 pub mod driver;

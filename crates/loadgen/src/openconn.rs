@@ -375,7 +375,8 @@ fn pump_write(poller: &mut Box<dyn Poller>, conn: &mut ClientConn, slot: usize) 
 mod tests {
     use super::*;
     use etude_serve::http::{Method, Response};
-    use etude_serve::rustserver::{start, Handler, ServerConfig};
+    use etude_serve::reactor::{start, ReactorConfig};
+    use etude_serve::rustserver::Handler;
     use std::sync::Arc;
 
     #[test]
@@ -384,7 +385,7 @@ mod tests {
             (Method::Post, "/predictions") => Response::ok("0:1.0"),
             _ => Response::error(404, "nope"),
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let config = OpenConnConfig {
             connections: 8,
             rps: 200.0,
@@ -418,7 +419,7 @@ mod tests {
                 (Method::Get, "/stats") => Response::ok(snap_src.snapshot().render_json()),
                 _ => Response::error(404, "nope"),
             });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let config = OpenConnConfig {
             connections: 2,
             rps: 50.0,
@@ -439,7 +440,7 @@ mod tests {
         let handler: Handler = Arc::new(|_req: &Request| {
             Response::error(503, "overloaded").with_header("retry-after", "1".to_string())
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let config = OpenConnConfig {
             connections: 4,
             rps: 100.0,
@@ -475,7 +476,7 @@ mod tests {
                 _ => Response::ok("0:1.0").with_header("x-brownout-level", "0".to_string()),
             }
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let config = OpenConnConfig {
             connections: 1, // serialize: the cycle is deterministic
             rps: 100.0,

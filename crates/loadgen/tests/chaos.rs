@@ -1,5 +1,5 @@
 //! Chaos integration tests: seeded fault schedules against the live
-//! `rustserver`, exercised through the resilient client.
+//! server, exercised through the resilient client.
 //!
 //! Three claims are checked end to end over real sockets:
 //! 1. with retries enabled, a fault window loses zero requests,
@@ -11,10 +11,9 @@ use etude_loadgen::{LoadConfig, RealLoadGen};
 use etude_obs::Recorder;
 use etude_serve::client::{HttpClient, ResilientClient};
 use etude_serve::http::{self, Method, Request, Response};
-use etude_serve::rustserver::{
-    inject_faults, model_routes_batched_resilient, start, DegradationPolicy, Handler, ServerConfig,
-    DEGRADED_HEADER,
-};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::{inject_faults, DegradationPolicy, Handler, DEGRADED_HEADER};
+use etude_serve::{model_routes_continuous, ContinuousConfig};
 use etude_workload::{SessionLog, SyntheticWorkload, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +55,7 @@ fn retries_ride_out_a_fault_window_with_zero_loss() {
     let injector = FaultInjector::new(plan);
     let recorder = Arc::new(Recorder::new());
     let handler = inject_faults(predictions_handler(), injector.clone(), recorder);
-    let server = start(ServerConfig { workers: 2 }, handler).unwrap();
+    let server = start(ReactorConfig::default(), handler).unwrap();
 
     // Enough retries that a request arriving at t=0 outlasts the whole
     // 600 ms window even when jitter halves every delay:
@@ -110,7 +109,7 @@ fn seeded_chaos_runs_replay_identical_retry_counts() {
         let injector = FaultInjector::new(plan);
         let recorder = Arc::new(Recorder::new());
         let handler = inject_faults(predictions_handler(), injector.clone(), recorder);
-        let server = start(ServerConfig { workers: 2 }, handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(2),
@@ -157,7 +156,6 @@ fn seeded_chaos_runs_replay_identical_retry_counts() {
 #[test]
 fn degraded_responses_are_well_formed_and_flagged() {
     use etude_models::{ModelConfig, ModelKind, SbrModel};
-    use etude_serve::batching::BatchConfig;
     use etude_tensor::Device;
 
     const CATALOG: usize = 300_000;
@@ -168,14 +166,17 @@ fn degraded_responses_are_well_formed_and_flagged() {
         .with_seed(3);
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
     let recorder = Arc::new(Recorder::new());
-    let handler = model_routes_batched_resilient(
+    let handler = model_routes_continuous(
         model,
         Device::cpu(),
         true,
-        BatchConfig {
-            max_batch: 1,
-            flush_every: Duration::from_millis(1),
+        // One slot, one queued request: everything else overlapping
+        // them finds the queue full. The budget is generous so nothing
+        // queued expires into a 503 on a slow host.
+        ContinuousConfig {
+            slots: 1,
             max_queue: 1,
+            default_deadline: Duration::from_secs(30),
         },
         Arc::clone(&recorder),
         Some(DegradationPolicy {
@@ -184,14 +185,19 @@ fn degraded_responses_are_well_formed_and_flagged() {
             top_k: TOP_K,
         }),
     );
-    let server = start(ServerConfig { workers: 8 }, handler).unwrap();
+    let server = start(
+        ReactorConfig {
+            dispatch_threads: 8,
+            ..ReactorConfig::default()
+        },
+        handler,
+    )
+    .unwrap();
     let addr = server.addr();
 
-    // Eight senders against a serial single-slot batcher grinding
-    // ~60 ms MIPS scans. Connects are staggered: the reactor worker
-    // owning connection k is still blocked inside inference when
-    // connection k+1 arrives, so connections spread across workers and
-    // `try_call`s overlap — most find the one-slot queue full.
+    // Eight senders, one dispatch thread each, against a single-slot
+    // batcher grinding ~60 ms MIPS scans: their `try_call`s overlap and
+    // most find the one-deep queue full.
     let mut handles = Vec::new();
     for t in 0..8u64 {
         handles.push(std::thread::spawn(move || {

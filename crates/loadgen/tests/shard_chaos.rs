@@ -24,7 +24,8 @@ use etude_faults::{FaultPlan, RetryPolicy};
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
 use etude_obs::Recorder;
 use etude_serve::http::{decode_recommendations, encode_recommendations, Request};
-use etude_serve::rustserver::{start, start_on, ServerConfig, ServerHandle, DEGRADED_HEADER};
+use etude_serve::reactor::{start, start_on, ReactorConfig};
+use etude_serve::rustserver::{ServerHandle, DEGRADED_HEADER};
 use etude_serve::{router_routes, shard_backend_routes, HttpClient, RouterConfig, ShardTopology};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,7 +68,7 @@ fn session(i: usize, seed: u64) -> String {
 
 fn spawn_backend(shard: CatalogShard, pod: u32) -> ServerHandle {
     let handler = shard_backend_routes(shard, C, QUERY_SEED, K, Arc::new(Recorder::with_pod(pod)));
-    start(ServerConfig::default(), handler).unwrap()
+    start(ReactorConfig::default(), handler).unwrap()
 }
 
 /// One observed response: everything the client can see.
@@ -118,7 +119,7 @@ fn chaos_run(seed: u64) -> (Vec<Observed>, u64) {
         ..RouterConfig::default()
     };
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo.clone(), config, Arc::clone(&recorder)),
     )
     .unwrap();
@@ -147,7 +148,7 @@ fn chaos_run(seed: u64) -> (Vec<Observed>, u64) {
                     K,
                     Arc::new(Recorder::with_pod(1)),
                 );
-                group1.push(start_on(*addr, ServerConfig::default(), handler).unwrap());
+                group1.push(start_on(*addr, ReactorConfig::default(), handler).unwrap());
             }
             down = false;
         }

@@ -7,7 +7,8 @@ use etude_faults::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 use etude_loadgen::{LoadConfig, RealLoadGen};
 use etude_models::{ModelConfig, ModelKind, SbrModel};
 use etude_obs::{Recorder, TraceCollector};
-use etude_serve::rustserver::{inject_faults, model_routes_observed, start, ServerConfig};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::{inject_faults, model_routes_observed};
 use etude_tensor::Device;
 use etude_workload::{SessionLog, SyntheticWorkload, WorkloadConfig};
 use std::sync::Arc;
@@ -55,7 +56,7 @@ fn chaos_run_reassembles_complete_span_trees() {
         injector.clone(),
         Arc::clone(&recorder),
     );
-    let server = start(ServerConfig { workers: 4 }, handler).unwrap();
+    let server = start(ReactorConfig::default(), handler).unwrap();
 
     let policy = RetryPolicy {
         base: Duration::from_millis(5),
@@ -106,11 +107,12 @@ fn chaos_run_reassembles_complete_span_trees() {
         fraction
     );
 
-    // Export lands in results/ so chrome://tracing can load the run.
+    // Export lands in cargo's per-test scratch directory
+    // (`target/tmp/`) so chrome://tracing can load the run; tests write
+    // no tracked file.
     let json = collector.to_chrome_json();
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("client (loadgen)"));
-    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(out_dir).unwrap();
-    std::fs::write(format!("{out_dir}/trace_chaos.json"), &json).unwrap();
+    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/trace_chaos.json");
+    std::fs::write(out, &json).unwrap();
 }

@@ -867,7 +867,8 @@ impl ResilientClient {
 mod tests {
     use super::*;
     use crate::http::Method;
-    use crate::rustserver::{start, Handler, ServerConfig};
+    use crate::reactor::{start, ReactorConfig};
+    use crate::rustserver::Handler;
     use std::sync::Arc;
 
     fn slow_handler(delay: Duration) -> Handler {
@@ -882,7 +883,7 @@ mod tests {
     #[test]
     fn timeouts_are_reported() {
         let server = start(
-            ServerConfig::default(),
+            ReactorConfig::default(),
             slow_handler(Duration::from_millis(300)),
         )
         .unwrap();
@@ -987,7 +988,7 @@ mod tests {
             let id = req.headers.get("x-request-id").cloned().unwrap_or_default();
             crate::http::Response::ok(id)
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let a = client.request(&Request::get("/")).unwrap();
         let b = client.request(&Request::get("/")).unwrap();
@@ -1014,7 +1015,7 @@ mod tests {
                 crate::http::Response::ok("finally")
             }
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
@@ -1035,7 +1036,7 @@ mod tests {
     #[test]
     fn resilient_client_gives_up_inside_the_budget() {
         let handler: Handler = Arc::new(|_| crate::http::Response::error(500, "always"));
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(2),
@@ -1071,7 +1072,7 @@ mod tests {
                 resp
             }
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
@@ -1100,7 +1101,7 @@ mod tests {
         let handler: Handler = Arc::new(|_| {
             crate::http::Response::ok("0:1,1:0.5").with_header(DEGRADED_HEADER, "1".to_string())
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = ResilientClient::new(server.addr(), RetryPolicy::none(), 0);
         let out = client
             .request_within(&Request::get("/degraded"), Duration::from_secs(1))
@@ -1158,7 +1159,7 @@ mod tests {
                 .with_header("retry-after", "Wed, 21 Oct 2015 07:28:00 GMT".to_string()),
             _ => crate::http::Response::ok("done"),
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
@@ -1184,7 +1185,7 @@ mod tests {
             crate::http::Response::error(503, "busy")
                 .with_header("retry-after", "999999999".to_string())
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
@@ -1229,7 +1230,7 @@ mod tests {
                 crate::http::Response::ok("finally")
             }
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
@@ -1290,7 +1291,7 @@ mod tests {
                 resp
             }
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
@@ -1314,7 +1315,7 @@ mod tests {
 
     #[test]
     fn fast_requests_succeed_within_timeout() {
-        let server = start(ServerConfig::default(), slow_handler(Duration::ZERO)).unwrap();
+        let server = start(ReactorConfig::default(), slow_handler(Duration::ZERO)).unwrap();
         let mut client =
             HttpClient::connect_with_timeout(server.addr(), Duration::from_secs(1)).unwrap();
         let resp = client.request(&Request::get("/fast")).unwrap();
@@ -1331,7 +1332,7 @@ mod tests {
 
     #[test]
     fn connection_refused_during_a_restart_window_is_ridden_out() {
-        use crate::rustserver::start_on;
+        use crate::reactor::start_on;
 
         // A pod restart window: nothing listens on the port for ~300 ms,
         // then the replacement binds. The old client burned its whole
@@ -1341,7 +1342,7 @@ mod tests {
         let addr = vacant_addr();
         let replacement = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(300));
-            start_on(addr, ServerConfig::default(), slow_handler(Duration::ZERO)).unwrap()
+            start_on(addr, ReactorConfig::default(), slow_handler(Duration::ZERO)).unwrap()
         });
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
@@ -1394,8 +1395,8 @@ mod tests {
 
         let sick: Handler = Arc::new(|_| crate::http::Response::error(500, "sick"));
         let healthy: Handler = Arc::new(|_| crate::http::Response::ok("fine"));
-        let bad = start(ServerConfig::default(), sick).unwrap();
-        let good = start(ServerConfig::default(), healthy).unwrap();
+        let bad = start(ReactorConfig::default(), sick).unwrap();
+        let good = start(ReactorConfig::default(), healthy).unwrap();
         let policy = RetryPolicy {
             base: Duration::from_millis(1),
             cap: Duration::from_millis(4),
@@ -1435,11 +1436,11 @@ mod tests {
     fn hedged_requests_race_a_slow_backend() {
         let fast: Handler = Arc::new(|_| crate::http::Response::ok("quick"));
         let slow = start(
-            ServerConfig::default(),
+            ReactorConfig::default(),
             slow_handler(Duration::from_millis(400)),
         )
         .unwrap();
-        let good = start(ServerConfig::default(), fast).unwrap();
+        let good = start(ReactorConfig::default(), fast).unwrap();
         let mut client =
             ResilientClient::new_multi(vec![slow.addr(), good.addr()], RetryPolicy::none(), 17)
                 .with_hedging(HedgePolicy::fixed(Duration::from_millis(50)));
@@ -1482,8 +1483,8 @@ mod tests {
     #[test]
     fn hedging_is_dormant_while_the_primary_is_fast() {
         let fast: Handler = Arc::new(|_| crate::http::Response::ok("quick"));
-        let a = start(ServerConfig::default(), Arc::clone(&fast)).unwrap();
-        let b = start(ServerConfig::default(), fast).unwrap();
+        let a = start(ReactorConfig::default(), Arc::clone(&fast)).unwrap();
+        let b = start(ReactorConfig::default(), fast).unwrap();
         let mut client =
             ResilientClient::new_multi(vec![a.addr(), b.addr()], RetryPolicy::none(), 19)
                 .with_hedging(HedgePolicy::fixed(Duration::from_millis(500)));

@@ -1,12 +1,12 @@
 //! Continuous batching with deadline-aware admission.
 //!
-//! The fixed batcher ([`crate::batching`]) gathers requests into a
-//! window (up to 1,024 / 2 ms) and runs the whole batch before touching
-//! the queue again — the TorchServe-style queueing model. Under bursty
-//! arrivals that shape taxes the tail twice: a request pays the flush
-//! window *and* head-of-line blocking behind the whole batch in front
-//! of it, and requests whose latency budget already expired in the
-//! queue still occupy compute.
+//! A fixed-window batcher (the paper's `batched-fn` shape: gather up to
+//! 1,024 requests or 2 ms, run the whole batch, repeat) taxes the tail
+//! twice under bursty arrivals: a request pays the flush window *and*
+//! head-of-line blocking behind the whole batch in front of it, and
+//! requests whose latency budget already expired in the queue still
+//! occupy compute. That shape lives on only as the virtual-time model
+//! in [`crate::simserver`]; the real server batches continuously.
 //!
 //! Continuous batching dissolves the window: the in-flight "batch" is
 //! simply the set of inference slots ([`ContinuousConfig::slots`]
@@ -27,23 +27,23 @@
 //! deadline budget is exhausted**, and therefore the queue-wait span of
 //! every *served* request is bounded by its budget.
 //!
-//! Per-request results are identical to the fixed batcher's — both run
-//! the same deterministic per-session inference, so at any load where
-//! neither sheds, responses are byte-identical (also pinned by the
-//! equivalence suite). The fixed batcher stays available behind the
-//! serving-mode config flag as the baseline for the saturation bench.
+//! Batching is an execution strategy, never a semantic: every slot runs
+//! the same deterministic per-session inference as the inline
+//! [`crate::rustserver::model_routes`] handler, so at any load where
+//! nothing sheds, responses are byte-identical to it (also pinned by
+//! the equivalence suite).
 
-use crate::http::{self, Method, Request, Response};
+use crate::http::Request;
 use crate::rustserver::{
-    correlation_id, echo_request_id, nanos, note_trace, parse_prediction, shared_routes, trace_ctx,
-    BatchReply, Degradation, DegradationPolicy, Handler, DEGRADED_HEADER,
+    deploy, prediction_routes, Degradation, DegradationPolicy, Handler, Inferred, Refused, Served,
+    EXPIRED, OVERLOADED,
 };
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use etude_control::Criticality;
 use etude_faults::Deadline;
-use etude_models::{traits, SbrModel};
-use etude_obs::{Recorder, Stage};
-use etude_tensor::{CompiledGraph, Device, JitOptions};
+use etude_models::SbrModel;
+use etude_obs::Recorder;
+use etude_tensor::Device;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -241,24 +241,29 @@ impl<T, R> Drop for ContinuousBatcher<T, R> {
     }
 }
 
+/// No budget outlives a day: a hostile `x-deadline-ms` must not overflow
+/// the deadline `Instant`. Also what "unbudgeted" means on tiers whose
+/// callers set no default.
+pub(crate) const MAX_BUDGET: Duration = Duration::from_secs(86_400);
+
 /// Extracts the request's deadline budget: [`DEADLINE_HEADER`] in
 /// milliseconds when present and parseable, else the configured
-/// default.
+/// default; either way at most [`MAX_BUDGET`].
 pub(crate) fn request_budget(req: &Request, default: Duration) -> Duration {
     req.headers
         .get(DEADLINE_HEADER)
         .and_then(|v| v.trim().parse::<u64>().ok())
         .map(Duration::from_millis)
         .unwrap_or(default)
+        .min(MAX_BUDGET)
 }
 
-/// Builds the model-serving routes on a continuous batcher: the same
-/// route table and observability as the fixed-batch path
-/// (`model_routes_batched_resilient`), with per-request deadline-aware
-/// admission instead of a flush window. `policy: Some(_)` serves the
-/// popularity fallback under sustained queue-full overload; deadline
-/// expiries always shed with 503 — serving a fallback late would still
-/// be late.
+/// Builds the model-serving routes on a continuous batcher: the inline
+/// tier's route table and observability, with per-request
+/// deadline-aware admission into [`ContinuousConfig::slots`] inference
+/// slots. `policy: Some(_)` serves the popularity fallback under
+/// sustained queue-full overload; deadline expiries always shed with
+/// 503 — serving a fallback late would still be late.
 pub fn model_routes_continuous(
     model: Arc<dyn SbrModel>,
     device: Device,
@@ -267,43 +272,17 @@ pub fn model_routes_continuous(
     recorder: Arc<Recorder>,
     policy: Option<DegradationPolicy>,
 ) -> Handler {
-    let compiled: Option<Arc<CompiledGraph>> = if jit {
-        traits::compile(model.as_ref(), JitOptions::default())
-            .ok()
-            .map(Arc::new)
-    } else {
-        None
-    };
     let catalog_size = model.config().catalog_size;
-    let infer_model = Arc::clone(&model);
-    let infer_device = device.clone();
     let default_deadline = config.default_deadline;
+    let infer = deploy(model, device, jit);
     // The continuous path is the production-shaped server, so it owns
     // starting the always-on sampling profiler (idempotent; feeds
     // `/debug/profile` and the exemplar leaf deltas on `/debug/slow`).
     etude_obs::profile::start_ticker(etude_obs::profile::DEFAULT_TICK);
-    let batcher: Arc<ContinuousBatcher<Vec<u32>, BatchReply>> =
-        Arc::new(ContinuousBatcher::spawn(config, move |items: Vec<u32>| {
-            etude_obs::profile_scope!("contbatch::slot");
-            let timed = match &compiled {
-                Some(graph) => {
-                    traits::recommend_compiled_timed(infer_model.as_ref(), graph, &items)
-                }
-                None => traits::recommend_eager_timed(infer_model.as_ref(), &infer_device, &items),
-            };
-            match timed {
-                Ok((rec, st)) => BatchReply {
-                    rec: Ok(rec),
-                    inference: st.inference,
-                    topk: st.topk,
-                },
-                Err(e) => BatchReply {
-                    rec: Err(e.to_string()),
-                    inference: Duration::ZERO,
-                    topk: Duration::ZERO,
-                },
-            }
-        }));
+    let batcher = Arc::new(ContinuousBatcher::spawn(config, move |items: Vec<u32>| {
+        etude_obs::profile_scope!("contbatch::slot");
+        infer(&items)
+    }));
     let degradation = policy.map(|p| Arc::new(Degradation::new(p, catalog_size)));
     continuous_routes(
         batcher,
@@ -318,166 +297,55 @@ pub fn model_routes_continuous(
 /// [`model_routes_continuous`] so tests can drive a batcher whose
 /// handler they control (e.g. gated, to force overload or queue aging).
 pub(crate) fn continuous_routes(
-    batcher: Arc<ContinuousBatcher<Vec<u32>, BatchReply>>,
+    batcher: Arc<ContinuousBatcher<Vec<u32>, Inferred>>,
     catalog_size: usize,
     default_deadline: Duration,
     recorder: Arc<Recorder>,
     degradation: Option<Arc<Degradation>>,
 ) -> Handler {
-    Arc::new(move |req: &Request| -> Response {
-        if let Some(resp) = shared_routes(req, &recorder) {
-            return resp;
-        }
-        match (req.method, req.path.as_str()) {
-            (Method::Post, "/predictions") => {
-                let t_total = Instant::now();
-                let (rid, echo) = correlation_id(req);
-                // Forensics: snapshot the profiler's leaf counts so a
-                // retained slow exemplar can say where CPU went *during
-                // this request* (delta at offer time).
-                let mark = recorder.exemplars().begin();
-                let t_parse = Instant::now();
-                let items = match parse_prediction(&req.body, catalog_size) {
-                    Ok(items) => items,
-                    Err(resp) => return echo_request_id(resp, echo),
-                };
-                let parse = t_parse.elapsed();
-                // Anchor the budget at the instant the request was
-                // parsed off the wire, not at handler entry: the
-                // reactor runs route handlers on a dispatch pool, and
-                // time spent waiting for a dispatch thread must be
-                // charged against the deadline (and shed when blown),
-                // or overload would serve requests arbitrarily past
-                // their end-to-end budget. The budget is capped at a
-                // day so a hostile header can't overflow the Instant.
-                let budget = request_budget(req, default_deadline).min(Duration::from_secs(86_400));
-                let deadline = Deadline::at(req.arrival + budget);
-                let dispatch_wait = t_total.saturating_duration_since(req.arrival);
-                recorder.set_queue_depth(batcher.queue_depth() as u64);
-                match batcher.try_call(items, deadline) {
-                    Ok(Admitted {
-                        result:
-                            BatchReply {
-                                rec: Ok(rec),
-                                inference,
-                                topk,
-                            },
-                        queue_wait,
-                    }) => {
-                        if let Some(d) = &degradation {
-                            d.note_success();
-                        }
-                        let t_ser = Instant::now();
-                        let body = http::encode_recommendations(&rec.items, &rec.scores);
-                        let resp = echo_request_id(
-                            Response::ok(body).with_header(
-                                "x-inference-duration-micros",
-                                (inference + topk).as_micros().to_string(),
-                            ),
-                            echo,
-                        );
-                        let serialize = t_ser.elapsed();
-                        // End-to-end from the wire, and a queue span
-                        // covering both waits a request can suffer
-                        // before compute: dispatch-pool pickup and
-                        // batcher-slot pickup. For served requests the
-                        // sum is bounded by the budget by construction.
-                        let total = req.arrival.elapsed();
-                        let queued = dispatch_wait + queue_wait;
-                        let stages = [
-                            (Stage::Parse, nanos(parse)),
-                            (Stage::Queue, nanos(queued)),
-                            (Stage::Inference, nanos(inference)),
-                            (Stage::TopK, nanos(topk)),
-                            (Stage::Serialize, nanos(serialize)),
-                            (Stage::Total, nanos(total)),
-                        ];
-                        for &(stage, ns) in &stages {
-                            recorder.record(rid, stage, ns);
-                        }
-                        // Offer the complete span tree to the slowest-N
-                        // store; only tail outliers are retained.
-                        match echo {
-                            Some(id) => {
-                                recorder.exemplars().offer(id, &stages, nanos(total), &mark)
-                            }
-                            None => recorder.exemplars().offer(
-                                &format!("{rid:016x}"),
-                                &stages,
-                                nanos(total),
-                                &mark,
-                            ),
-                        }
-                        note_trace(&recorder, trace_ctx(req), resp, &stages)
+    prediction_routes(
+        recorder,
+        catalog_size,
+        default_deadline,
+        move |ctx, items| {
+            // Export the batcher backlog as a gauge: the fleet view
+            // reads it off `/stats` to spot queueing pods.
+            ctx.recorder.set_queue_depth(batcher.queue_depth() as u64);
+            match batcher.try_call(items, ctx.deadline) {
+                Ok(Admitted { result, queue_wait }) => {
+                    // The submission succeeded, whatever the model said.
+                    if let Some(d) = &degradation {
+                        d.note_success();
                     }
-                    Ok(Admitted {
-                        result: BatchReply { rec: Err(_), .. },
-                        ..
-                    }) => {
-                        if let Some(d) = &degradation {
-                            d.note_success();
-                        }
-                        echo_request_id(Response::error(500, "inference failed"), echo)
-                    }
-                    Err(AdmitError::Expired) => {
-                        // The budget died in (or before) the queue; 503
-                        // so the client retries against a server that
-                        // can still make the deadline.
-                        recorder.note_shed();
-                        echo_request_id(
-                            Response::error(503, "deadline exhausted before inference")
-                                .with_header("retry-after", "1".to_string()),
-                            echo,
-                        )
-                    }
-                    Err(AdmitError::Overloaded) => {
-                        // Shedding is criticality-ordered, not FIFO:
-                        // `critical` traffic takes the popularity
-                        // fallback immediately (a browned-out 200
-                        // always beats a 503), `normal` rides the
-                        // hysteresis state machine, and `shed-first`
-                        // never gets the fallback at all.
-                        let crit = Criticality::from_header(
-                            req.headers.get(Criticality::HEADER).map(String::as_str),
-                        );
-                        if let Some(d) = &degradation {
-                            let degraded_mode = d.note_overload();
-                            let fallback = match crit {
-                                Criticality::Critical => true,
-                                Criticality::Normal => degraded_mode,
-                                Criticality::ShedFirst => false,
-                            };
-                            if fallback {
-                                recorder.note_degraded();
-                                recorder.note_brownout(
-                                    crate::overload::BrownoutLevel::Fallback.as_u8(),
-                                );
-                                return echo_request_id(
-                                    Response::ok(d.fallback_body.clone())
-                                        .with_header(DEGRADED_HEADER, "1".to_string())
-                                        .with_header(
-                                            crate::overload::BROWNOUT_HEADER,
-                                            "3".to_string(),
-                                        ),
-                                    echo,
-                                );
-                            }
-                        }
-                        recorder.note_shed();
-                        echo_request_id(
-                            Response::error(503, "server overloaded, retry later")
-                                .with_header("retry-after", "1".to_string()),
-                            echo,
-                        )
-                    }
-                    Err(AdmitError::Closed) => {
-                        echo_request_id(Response::error(503, "batcher unavailable"), echo)
-                    }
+                    Served::by_model(result, Some(queue_wait))
                 }
+                // The budget died in (or before) the queue; 503 so the
+                // client retries against a server that can still make
+                // the deadline.
+                Err(AdmitError::Expired) => Err(Refused::Shed(EXPIRED)),
+                Err(AdmitError::Overloaded) => {
+                    // Shedding is criticality-ordered, not FIFO:
+                    // `critical` traffic takes the popularity fallback
+                    // immediately (a browned-out 200 always beats a
+                    // 503), `normal` rides the hysteresis state machine,
+                    // and `shed-first` never gets the fallback at all.
+                    if let Some(d) = &degradation {
+                        let degraded_mode = d.note_overload();
+                        let fallback = match ctx.criticality() {
+                            Criticality::Critical => true,
+                            Criticality::Normal => degraded_mode,
+                            Criticality::ShedFirst => false,
+                        };
+                        if fallback {
+                            return Err(Refused::Fallback(d.fallback_body.clone()));
+                        }
+                    }
+                    Err(Refused::Shed(OVERLOADED))
+                }
+                Err(AdmitError::Closed) => Err(Refused::BatcherUnavailable),
             }
-            _ => Response::error(404, "no such route"),
-        }
-    })
+        },
+    )
 }
 
 #[cfg(test)]

@@ -181,8 +181,22 @@ impl fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+/// Upper bound on a message head (request or status line plus headers,
+/// terminator included). Without it a peer dripping a head that never
+/// ends would be buffered — and rescanned on every read — up to the
+/// connection-level cap, on a server whose point is tens of thousands
+/// of connections.
+pub const MAX_HEAD_BYTES: usize = 16 << 10;
+
+/// Offset just past the head's `\r\n\r\n`, which must fall within the
+/// first [`MAX_HEAD_BYTES`].
+fn find_header_end(buf: &[u8]) -> Result<usize, HttpError> {
+    let head = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+    match head.windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(p) => Ok(p + 4),
+        None if buf.len() >= MAX_HEAD_BYTES => Err(HttpError::Malformed("head too large")),
+        None => Err(HttpError::Incomplete),
+    }
 }
 
 fn parse_headers(block: &str) -> Result<BTreeMap<String, String>, HttpError> {
@@ -222,7 +236,7 @@ fn content_length(headers: &BTreeMap<String, String>) -> Result<usize, HttpError
 /// Attempts to parse one request from the front of `buf`, consuming it on
 /// success. Returns `Err(Incomplete)` when more bytes are needed.
 pub fn parse_request(buf: &mut BytesMut) -> Result<Request, HttpError> {
-    let header_end = find_header_end(buf).ok_or(HttpError::Incomplete)?;
+    let header_end = find_header_end(buf)?;
     let head = std::str::from_utf8(&buf[..header_end - 4])
         .map_err(|_| HttpError::Malformed("non-utf8 head"))?;
     let mut lines = head.splitn(2, "\r\n");
@@ -253,7 +267,7 @@ pub fn parse_request(buf: &mut BytesMut) -> Result<Request, HttpError> {
 /// Attempts to parse one response from the front of `buf`, consuming it on
 /// success.
 pub fn parse_response(buf: &mut BytesMut) -> Result<Response, HttpError> {
-    let header_end = find_header_end(buf).ok_or(HttpError::Incomplete)?;
+    let header_end = find_header_end(buf)?;
     let head = std::str::from_utf8(&buf[..header_end - 4])
         .map_err(|_| HttpError::Malformed("non-utf8 head"))?;
     let mut lines = head.splitn(2, "\r\n");
@@ -402,6 +416,88 @@ mod tests {
         assert_eq!(first.path, "/a");
         assert_eq!(second.path, "/b");
         assert!(buf.is_empty());
+    }
+
+    /// Parses every complete request at the front of `buf`, reduced to
+    /// what the wire carries (`arrival` is the parser's own stamp).
+    type Parsed = (Method, String, BTreeMap<String, String>, Vec<u8>);
+    fn drain(buf: &mut BytesMut, into: &mut Vec<Parsed>) -> Result<(), HttpError> {
+        loop {
+            match parse_request(buf) {
+                Ok(r) => into.push((r.method, r.path, r.headers, r.body.to_vec())),
+                Err(HttpError::Incomplete) => return Ok(()),
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// However the network slices a pipelined byte stream, the
+        /// incremental parser yields the request sequence one write
+        /// would have — bodies that contain `\r\n\r\n` included.
+        #[test]
+        fn any_chunking_of_a_pipelined_stream_parses_identically(
+            bodies in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+                1..6,
+            ),
+            cuts in proptest::collection::vec(1usize..40, 1..32),
+        ) {
+            let mut wire = Vec::new();
+            for (i, body) in bodies.iter().enumerate() {
+                let mut body = body.clone();
+                if i % 2 == 1 {
+                    body.extend_from_slice(b"\r\n\r\n");
+                }
+                let req = Request::post(&format!("/p{i}"), body)
+                    .with_header("x-request-id", format!("r{i}"));
+                wire.extend_from_slice(&req.encode());
+                if i % 3 == 2 {
+                    wire.extend_from_slice(&Request::get("/ping").encode());
+                }
+            }
+            let mut whole = Vec::new();
+            drain(&mut BytesMut::from(&wire[..]), &mut whole).unwrap();
+            proptest::prop_assert!(whole.len() >= bodies.len());
+
+            let (mut buf, mut chunked) = (BytesMut::new(), Vec::new());
+            let mut rest = &wire[..];
+            for cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (now, later) = rest.split_at((*cut).min(rest.len()));
+                buf.extend_from_slice(now);
+                rest = later;
+                drain(&mut buf, &mut chunked).unwrap();
+            }
+            proptest::prop_assert!(buf.is_empty(), "bytes left unparsed");
+            proptest::prop_assert_eq!(chunked, whole);
+        }
+    }
+
+    #[test]
+    fn heads_without_a_terminator_are_rejected_at_the_cap() {
+        let mut head = b"POST /p HTTP/1.1\r\nx-filler: ".to_vec();
+        head.resize(MAX_HEAD_BYTES - 1, b'a');
+        let mut buf = BytesMut::from(&head[..]);
+        assert_eq!(parse_request(&mut buf).unwrap_err(), HttpError::Incomplete);
+        buf.extend_from_slice(b"a");
+        assert_eq!(
+            parse_request(&mut buf).unwrap_err(),
+            HttpError::Malformed("head too large")
+        );
+        assert_eq!(
+            parse_response(&mut buf).unwrap_err(),
+            HttpError::Malformed("head too large")
+        );
+        // A head that ends exactly at the cap is still a request, and
+        // its body does not count against the head.
+        let mut head = b"POST /p HTTP/1.1\r\ncontent-length: 3\r\nx-filler: ".to_vec();
+        head.resize(MAX_HEAD_BYTES - 4, b'a');
+        head.extend_from_slice(b"\r\n\r\nxyz");
+        let parsed = parse_request(&mut BytesMut::from(&head[..])).unwrap();
+        assert_eq!(&parsed.body[..], b"xyz");
     }
 
     #[test]

@@ -9,18 +9,18 @@
 //! This crate contains both sides of that comparison:
 //!
 //! * [`http`] — a from-scratch HTTP/1.1 parser/writer,
-//! * [`rustserver`] — a real, thread-pooled HTTP inference server on
-//!   `std::net` (the reproduction of the paper's Actix server), usable
-//!   over real sockets in integration tests and examples,
+//! * [`reactor`] — the real HTTP inference server on `std::net` (the
+//!   reproduction of the paper's Actix server), usable over real
+//!   sockets in integration tests and examples: a portable poller
+//!   trait, single-digit event-loop threads, per-connection state
+//!   machines, and a dispatch pool — tens of thousands of open
+//!   keep-alive connections without a thread per connection,
+//! * [`rustserver`] — the route tables it serves, and the one
+//!   `POST /predictions` pipeline (parse → deadline → execute →
+//!   serialize → record, or refuse) every tier below plugs its
+//!   executor into,
 //! * [`client`] — a blocking keep-alive HTTP client for the load
 //!   generator's real-time mode,
-//! * [`reactor`] — the non-blocking epoll-style event-loop rewrite of
-//!   the accept/read/write path: a portable poller trait, single-digit
-//!   event-loop threads, per-connection state machines, and a dispatch
-//!   pool — tens of thousands of open keep-alive connections without a
-//!   thread per connection,
-//! * [`batching`] — the `batched-fn`-style request batcher (buffer up to
-//!   1,024 requests, flush every 2 ms) used for GPU inference,
 //! * [`contbatch`] — continuous batching: requests admit into the
 //!   in-flight batch as inference threads free up, with deadline-aware
 //!   admission (blown budgets shed before compute),
@@ -37,12 +37,13 @@
 //!   gracefully on shard-group loss,
 //! * [`service`] — [`service::ServiceProfile`], the bridge between model
 //!   costs and service times,
-//! * [`simserver`] — the same two server architectures as queueing models
+//! * [`simserver`] — both sides of the comparison as queueing models
 //!   under the [`etude_simnet`] virtual clock: [`simserver::SimRustServer`]
-//!   and [`simserver::SimTorchServe`] (frontend dispatch, Python worker
-//!   overhead, GIL-style serialisation, 100 ms internal timeout).
+//!   (including the paper's 1,024 / 2 ms `batched-fn` window for GPU
+//!   deployments) and [`simserver::SimTorchServe`] (frontend dispatch,
+//!   Python worker overhead, GIL-style serialisation, 100 ms internal
+//!   timeout).
 
-pub mod batching;
 pub mod client;
 pub mod contbatch;
 pub mod fleet;
@@ -60,8 +61,8 @@ pub use contbatch::{
 };
 pub use fleet::{fleet_routes, scrape_fleet, FleetScraper};
 pub use overload::{
-    overload_routes, overload_routes_with_state, BrownoutLevel, LadderConfig, OverloadConfig,
-    OverloadState, BROWNOUT_HEADER,
+    overload_routes_with_state, BrownoutLevel, LadderConfig, OverloadConfig, OverloadState,
+    BROWNOUT_HEADER,
 };
 pub use reactor::{new_poller, raise_nofile_limit, Interest, Poller, ReactorConfig};
 pub use router::{

@@ -32,16 +32,14 @@
 //! are anchored at wire-parse time and re-checked at dequeue, so *no
 //! inference starts past its budget* regardless of brownout level.
 
-use crate::contbatch::{request_budget, AdmitError, Admitted, ContinuousBatcher, ContinuousConfig};
-use crate::http::{self, Method, Request, Response};
+use crate::contbatch::{AdmitError, Admitted, ContinuousBatcher, ContinuousConfig};
+use crate::http::Request;
 use crate::rustserver::{
-    correlation_id, echo_request_id, nanos, note_trace, parse_prediction, shared_routes, trace_ctx,
-    Degradation, DegradationPolicy, Handler, DEGRADED_HEADER,
+    popularity_fallback, prediction_routes, Handler, Refused, Served, EXPIRED, OVERLOADED,
 };
 use etude_control::{AdmissionConfig, AdmissionController, Criticality};
-use etude_faults::Deadline;
 use etude_models::retrieval::{encode_session_query, ExactIndex, MipsIndex, QuantizedIndex};
-use etude_obs::{Recorder, Stage};
+use etude_obs::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -287,221 +285,103 @@ pub fn overload_routes_with_state(
             }
         }),
     );
-    // The fallback body is PR 3's popularity fallback, shared with the
-    // model-serving tier via `Degradation`.
-    let degradation = Degradation::new(
-        DegradationPolicy {
-            top_k: k,
-            ..DegradationPolicy::default()
-        },
-        catalog_size,
-    );
-    let fallback_body = degradation.fallback_body.clone();
-    let default_deadline = config.batch.default_deadline;
+    // The fallback rung is PR 3's popularity fallback, shared with the
+    // model-serving tier.
+    let fallback_body = popularity_fallback(catalog_size, k);
     let route_state = Arc::clone(&state);
-    let handler: Handler = Arc::new(move |req: &Request| -> Response {
-        if let Some(resp) = shared_routes(req, &recorder) {
-            return resp;
-        }
-        match (req.method, req.path.as_str()) {
-            (Method::Post, "/predictions") => {
-                let t_total = Instant::now();
-                let (rid, echo) = correlation_id(req);
-                let mark = recorder.exemplars().begin();
-                let t_parse = Instant::now();
-                let items = match parse_prediction(&req.body, catalog_size) {
-                    Ok(items) => items,
-                    Err(resp) => return echo_request_id(resp, echo),
-                };
-                let parse = t_parse.elapsed();
-                let crit = Criticality::from_header(
-                    req.headers.get(Criticality::HEADER).map(String::as_str),
-                );
-                // Same anchoring as the model tier: the budget starts
-                // at wire-parse time, capped so a hostile header can't
-                // overflow the deadline instant.
-                let budget = request_budget(req, default_deadline).min(Duration::from_secs(86_400));
-                let deadline = Deadline::at(req.arrival + budget);
-                let dispatch_wait = t_total.saturating_duration_since(req.arrival);
-                recorder.set_queue_depth(batcher.queue_depth() as u64);
-                if deadline.expired() {
-                    // Dead on arrival: a fallback would still be late.
-                    recorder.note_shed();
-                    if let Some(a) = route_state.admission() {
-                        a.on_shed(route_state.now());
-                    }
-                    return echo_request_id(
-                        Response::error(503, "deadline exhausted before inference")
-                            .with_header("retry-after", "1".to_string()),
-                        echo,
-                    );
+    let handler = prediction_routes(
+        recorder,
+        catalog_size,
+        config.batch.default_deadline,
+        move |ctx, items| {
+            let crit = ctx.criticality();
+            let admission = route_state.admission();
+            // A browned-out 200 beats a 503: normal/critical traffic
+            // that cannot be served exactly gets the fallback, which
+            // costs no inference slot.
+            let fallback = || Err(Refused::Fallback(fallback_body.clone()));
+            ctx.recorder.set_queue_depth(batcher.queue_depth() as u64);
+            if ctx.deadline.expired() {
+                // Dead on arrival: a fallback would still be late.
+                if let Some(a) = admission {
+                    a.on_shed(route_state.now());
                 }
-                // ── Admission ───────────────────────────────────────
-                let admitted = match route_state.admission() {
-                    Some(a) => {
-                        recorder.set_admission_limit_milli(a.limit_milli());
-                        a.try_acquire(crit)
-                    }
-                    None => true,
-                };
-                if !admitted {
+                return Err(Refused::Shed(EXPIRED));
+            }
+            // ── Admission ───────────────────────────────────────────
+            if let Some(a) = admission {
+                ctx.recorder.set_admission_limit_milli(a.limit_milli());
+                if !a.try_acquire(crit) {
                     return match crit {
                         // The class that opted into shedding is turned
                         // away outright — 429, not 503: refusal happened
                         // *before* queueing and is retryable elsewhere.
-                        Criticality::ShedFirst => {
-                            recorder.note_refused();
-                            echo_request_id(
-                                Response::error(429, "admission refused, retry later")
-                                    .with_header("retry-after", "1".to_string()),
-                                echo,
-                            )
-                        }
-                        // A browned-out 200 beats a 503: over-limit
-                        // normal/critical traffic gets the fallback,
-                        // which costs no inference slot.
-                        _ => {
-                            recorder.note_brownout(BrownoutLevel::Fallback.as_u8());
-                            recorder.note_degraded();
-                            serve_fallback(&fallback_body, echo)
-                        }
+                        Criticality::ShedFirst => Err(Refused::OverLimit),
+                        _ => fallback(),
                     };
                 }
-                let admission_t0 = Instant::now();
-                // ── Ladder ──────────────────────────────────────────
-                let level = route_state.level_for(deadline.remaining());
-                if level == BrownoutLevel::Fallback {
-                    // The ladder says queueing would burn the budget:
-                    // serve the fallback inline, return the token
-                    // unused (no service-latency signal to feed back).
-                    if let Some(a) = route_state.admission() {
+            }
+            let admission_t0 = Instant::now();
+            // ── Ladder ──────────────────────────────────────────────
+            let level = route_state.level_for(ctx.deadline.remaining());
+            if level == BrownoutLevel::Fallback {
+                // The ladder says queueing would burn the budget: serve
+                // the fallback inline, return the token unused (no
+                // service-latency signal to feed back).
+                if let Some(a) = admission {
+                    a.abandon();
+                }
+                return fallback();
+            }
+            match batcher.try_call((items, level), ctx.deadline) {
+                Ok(Admitted {
+                    result: reply,
+                    queue_wait,
+                }) => {
+                    if let Some(a) = admission {
+                        a.release(route_state.now(), admission_t0.elapsed());
+                        ctx.recorder.set_admission_limit_milli(a.limit_milli());
+                    }
+                    route_state.observe_wait(ctx.dispatch_wait + queue_wait);
+                    Ok(Served {
+                        queue_wait: Some(queue_wait),
+                        level: Some(level.as_u8()),
+                        ..Served::new(reply.ids, reply.scores, reply.inference)
+                    })
+                }
+                Err(AdmitError::Expired) => {
+                    // The budget died in the queue; the wait was at
+                    // least the remaining budget — feed that back so
+                    // the ladder reacts even while nothing is being
+                    // served.
+                    if let Some(a) = admission {
+                        a.abandon();
+                        a.on_shed(route_state.now());
+                    }
+                    route_state.observe_wait(ctx.deadline.remaining().max(ctx.budget));
+                    Err(Refused::Shed(EXPIRED))
+                }
+                Err(AdmitError::Overloaded) => {
+                    if let Some(a) = admission {
+                        a.abandon();
+                        a.on_shed(route_state.now());
+                    }
+                    match crit {
+                        Criticality::ShedFirst => Err(Refused::Shed(OVERLOADED)),
+                        // Queue full, budget alive.
+                        _ => fallback(),
+                    }
+                }
+                Err(AdmitError::Closed) => {
+                    if let Some(a) = admission {
                         a.abandon();
                     }
-                    recorder.note_brownout(BrownoutLevel::Fallback.as_u8());
-                    recorder.note_degraded();
-                    return serve_fallback(&fallback_body, echo);
-                }
-                match batcher.try_call((items, level), deadline) {
-                    Ok(Admitted {
-                        result: reply,
-                        queue_wait,
-                    }) => {
-                        if let Some(a) = route_state.admission() {
-                            a.release(route_state.now(), admission_t0.elapsed());
-                            recorder.set_admission_limit_milli(a.limit_milli());
-                        }
-                        let queued = dispatch_wait + queue_wait;
-                        route_state.observe_wait(queued);
-                        recorder.note_brownout(level.as_u8());
-                        let t_ser = Instant::now();
-                        let body = http::encode_recommendations(&reply.ids, &reply.scores);
-                        let resp = echo_request_id(
-                            Response::ok(body)
-                                .with_header(BROWNOUT_HEADER, level.as_u8().to_string())
-                                .with_header(
-                                    "x-inference-duration-micros",
-                                    reply.inference.as_micros().to_string(),
-                                ),
-                            echo,
-                        );
-                        let serialize = t_ser.elapsed();
-                        let total = req.arrival.elapsed();
-                        let stages = [
-                            (Stage::Parse, nanos(parse)),
-                            (Stage::Queue, nanos(queued)),
-                            (Stage::Inference, nanos(reply.inference)),
-                            (Stage::Serialize, nanos(serialize)),
-                            (Stage::Total, nanos(total)),
-                        ];
-                        for &(stage, ns) in &stages {
-                            recorder.record(rid, stage, ns);
-                        }
-                        match echo {
-                            Some(id) => {
-                                recorder.exemplars().offer(id, &stages, nanos(total), &mark)
-                            }
-                            None => recorder.exemplars().offer(
-                                &format!("{rid:016x}"),
-                                &stages,
-                                nanos(total),
-                                &mark,
-                            ),
-                        }
-                        note_trace(&recorder, trace_ctx(req), resp, &stages)
-                    }
-                    Err(AdmitError::Expired) => {
-                        // The budget died in the queue; the wait was at
-                        // least the remaining budget — feed that back so
-                        // the ladder reacts even while nothing is being
-                        // served.
-                        if let Some(a) = route_state.admission() {
-                            a.abandon();
-                            a.on_shed(route_state.now());
-                        }
-                        route_state.observe_wait(deadline.remaining().max(budget));
-                        recorder.note_shed();
-                        echo_request_id(
-                            Response::error(503, "deadline exhausted before inference")
-                                .with_header("retry-after", "1".to_string()),
-                            echo,
-                        )
-                    }
-                    Err(AdmitError::Overloaded) => {
-                        if let Some(a) = route_state.admission() {
-                            a.abandon();
-                            a.on_shed(route_state.now());
-                        }
-                        match crit {
-                            Criticality::ShedFirst => {
-                                recorder.note_shed();
-                                echo_request_id(
-                                    Response::error(503, "server overloaded, retry later")
-                                        .with_header("retry-after", "1".to_string()),
-                                    echo,
-                                )
-                            }
-                            // Queue full, budget alive: the browned-out
-                            // 200 still beats the 503.
-                            _ => {
-                                recorder.note_brownout(BrownoutLevel::Fallback.as_u8());
-                                recorder.note_degraded();
-                                serve_fallback(&fallback_body, echo)
-                            }
-                        }
-                    }
-                    Err(AdmitError::Closed) => {
-                        if let Some(a) = route_state.admission() {
-                            a.abandon();
-                        }
-                        echo_request_id(Response::error(503, "batcher unavailable"), echo)
-                    }
+                    Err(Refused::BatcherUnavailable)
                 }
             }
-            _ => Response::error(404, "no such route"),
-        }
-    });
+        },
+    );
     (handler, state)
-}
-
-/// [`overload_routes_with_state`] without the state handle.
-pub fn overload_routes(
-    table: Vec<f32>,
-    catalog_size: usize,
-    dim: usize,
-    query_seed: u64,
-    config: OverloadConfig,
-    recorder: Arc<Recorder>,
-) -> Handler {
-    overload_routes_with_state(table, catalog_size, dim, query_seed, config, recorder).0
-}
-
-fn serve_fallback(body: &str, echo: Option<&str>) -> Response {
-    echo_request_id(
-        Response::ok(body.to_string())
-            .with_header(DEGRADED_HEADER, "1".to_string())
-            .with_header(BROWNOUT_HEADER, BrownoutLevel::Fallback.as_u8().to_string()),
-        echo,
-    )
 }
 
 #[cfg(test)]

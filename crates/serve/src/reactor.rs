@@ -1,11 +1,10 @@
-//! A non-blocking, epoll-style event-loop server — the 100k-connection
-//! rewrite of [`crate::rustserver`]'s accept/read/write path.
+//! The server: a non-blocking, epoll-style event loop that accepts,
+//! reads, dispatches and writes for every route table in this crate.
 //!
-//! The thread-per-connection baseline (kept, selected by
-//! `etude_core::ServingMode`, as the architectural comparison point)
-//! spends one OS thread scanning every connection it owns; at tens of
-//! thousands of open keep-alive connections the scan itself saturates
-//! the host. This module replaces it with the classic reactor shape:
+//! A thread that scans the connections it owns (the shape this server
+//! replaced; DESIGN §14 keeps its last measurements) saturates the host
+//! at tens of thousands of open keep-alive connections on the scan
+//! alone. The reactor shape does not:
 //!
 //! * a **portable poller trait** ([`Poller`]) over readiness APIs, with
 //!   an edge-free level-triggered epoll backend on Linux
@@ -13,24 +12,23 @@
 //!   and a `poll(2)` fallback ([`PollPoller`]) everywhere else
 //!   (selectable via `ETUDE_POLLER=poll` for A/B testing),
 //! * **single-digit event-loop threads** ([`ReactorConfig::event_loops`])
-//!   owning per-connection state machines that reuse the incremental
-//!   [`crate::http`] parser and the blocking server's buffering caps
-//!   verbatim — idle connections cost one registration, not a thread or
-//!   a scan,
+//!   owning per-connection state machines over the incremental
+//!   [`crate::http`] parser — idle connections cost one registration,
+//!   not a thread or a scan,
 //! * a small **dispatch pool** ([`ReactorConfig::dispatch_threads`])
 //!   running the (possibly blocking, e.g. continuous-batched) route
 //!   [`Handler`]s off-loop, with per-connection response sequencing so
 //!   pipelined requests answer in order even when handlers finish out
 //!   of order.
 //!
-//! Behavior is bit-compatible with the blocking server — same routes,
-//! same malformed-request 500s, same oversized-body rejection, same
-//! [`crate::rustserver::RESET_MARKER`] chaos semantics, same write-stall
-//! eviction — which the `reactor_protocol` test suite locks in by
-//! running every scenario against both flavours.
+//! The protocol contract — pipelining order, malformed-request 500s,
+//! oversized-head and oversized-body rejection, EOF handling,
+//! [`crate::rustserver::RESET_MARKER`] chaos semantics, write-stall
+//! eviction — is pinned scenario by scenario in the `reactor_protocol`
+//! test suite.
 
 use crate::http::{self, Response};
-use crate::rustserver::{assemble_handle, Handler, ServerHandle, RESET_MARKER};
+use crate::rustserver::{Handler, RESET_MARKER};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use etude_metrics::hdr::Histogram;
@@ -38,11 +36,12 @@ use etude_obs::{profile_scope, ReactorTelemetry, Recorder};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Raw bindings to the handful of poller syscalls the reactor needs.
@@ -561,7 +560,8 @@ fn duration_micros(d: Duration) -> u64 {
 }
 
 /// How long a write may stall on a peer that stopped draining before
-/// the connection is evicted — the same budget as the blocking server.
+/// the connection is evicted: a client that stops reading its socket
+/// must cost a bounded amount of buffer, not hold it forever.
 const WRITE_STALL_BUDGET: Duration = Duration::from_secs(1);
 
 /// Poll tick: the upper bound on shutdown/stall-check latency.
@@ -844,10 +844,9 @@ impl EventLoop {
     }
 
     /// Reads everything available, then parses and dispatches complete
-    /// requests. Mirrors the blocking server: EOF closes immediately
-    /// (pending work is abandoned), runaway unparsed buffers are capped
-    /// at `2 * MAX_BODY_BYTES`, malformed requests answer 500 and
-    /// close.
+    /// requests. EOF closes immediately (pending work is abandoned),
+    /// runaway unparsed buffers are capped at `2 * MAX_BODY_BYTES`,
+    /// malformed requests answer 500 and close.
     fn on_readable(&mut self, slot: usize) {
         let Some(conn) = self.slab.get_mut(slot).and_then(Option::as_mut) else {
             return;
@@ -910,9 +909,8 @@ impl EventLoop {
                 }
                 Err(http::HttpError::Incomplete) => break,
                 Err(http::HttpError::Malformed(_)) => {
-                    // Same contract as the blocking server: earlier
-                    // pipelined responses flush first, then a 500, then
-                    // teardown.
+                    // Earlier pipelined responses flush first, then a
+                    // 500, then teardown.
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     conn.inflight += 1;
@@ -1081,9 +1079,49 @@ fn dispatch_worker(
     }
 }
 
+/// A running server; dropping the handle shuts it down.
+pub struct ServerHandle {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    /// Dispatch workers, then event loops. The loops see `shutdown`
+    /// within one [`TICK`] and drop the dispatch channel on exit, which
+    /// is what ends the workers.
+    threads: Vec<JoinHandle<()>>,
+    requests_served: Arc<AtomicU64>,
+}
+
+impl ServerHandle {
+    /// The bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Requests served so far.
+    pub fn requests_served(&self) -> u64 {
+        self.requests_served.load(Ordering::Relaxed)
+    }
+
+    /// Stops the server and joins its threads.
+    pub fn shutdown(mut self) {
+        self.stop();
+    }
+
+    fn stop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 /// Starts a reactor server with the given route handler on an
-/// OS-assigned port. The returned handle is interchangeable with the
-/// blocking server's.
+/// OS-assigned port.
 pub fn start(config: ReactorConfig, handler: Handler) -> std::io::Result<ServerHandle> {
     start_bound(TcpListener::bind(("127.0.0.1", 0))?, config, handler, None)
 }
@@ -1105,9 +1143,12 @@ pub fn start_observed(
     )
 }
 
-/// Starts a reactor server on an explicit address (restart scenarios).
+/// Starts a reactor server on an explicit address. Used by restart
+/// scenarios (and their tests): a replacement server can come back on
+/// the same port its predecessor vacated, so clients holding that
+/// address reconnect instead of being re-pointed.
 pub fn start_on(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     config: ReactorConfig,
     handler: Handler,
 ) -> std::io::Result<ServerHandle> {
@@ -1120,8 +1161,10 @@ fn start_bound(
     handler: Handler,
     recorder: Option<Arc<Recorder>>,
 ) -> std::io::Result<ServerHandle> {
-    // Same warm-up as the blocking server: the shared kernel pool must
-    // exist before the first prediction.
+    // Build the process-wide intra-op kernel pool before the first
+    // request arrives: handler threads share this one pool (instead of
+    // each racing to create it under load), so the first prediction
+    // does not pay the thread-spawn cost.
     etude_tensor::pool::global();
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
@@ -1196,7 +1239,12 @@ fn start_bound(
     }
     drop(dispatch_tx);
 
-    Ok(assemble_handle(addr, shutdown, threads, served))
+    Ok(ServerHandle {
+        addr,
+        shutdown,
+        threads,
+        requests_served: served,
+    })
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //!   ([`etude_tensor::topk::merge_shard_topk`]) equals the kernel's.
 //! * **Partial health**: when every replica of a group is unreachable,
 //!   the router serves the exact top-k of the *surviving* slices —
-//!   a `200` tagged [`DEGRADED_HEADER`], counted as `degraded` on
+//!   a `200` tagged [`crate::DEGRADED_HEADER`], counted as `degraded` on
 //!   `/stats` — instead of failing the request. Only the loss of every
 //!   group yields an error (`503`).
 //!
@@ -29,17 +29,14 @@
 //! show the legs as sibling child spans under the router span.
 
 use crate::client::ResilientClient;
-use crate::contbatch::{request_budget, DEADLINE_HEADER};
+use crate::contbatch::{DEADLINE_HEADER, MAX_BUDGET};
 use crate::http::{self, Method, Request, Response};
 use crate::overload::{BrownoutLevel, LadderConfig, BROWNOUT_HEADER};
-use crate::rustserver::{
-    correlation_id, echo_request_id, nanos, note_trace, parse_prediction, shared_routes, trace_ctx,
-    Handler, DEGRADED_HEADER,
-};
+use crate::rustserver::{popularity_fallback, prediction_routes, Handler, Refused, Served};
 use etude_control::{BreakerConfig, Criticality, HedgePolicy};
-use etude_faults::{Deadline, RetryPolicy};
-use etude_models::retrieval::{encode_session_query, CatalogShard};
-use etude_obs::{Recorder, Stage, TRACE_HEADER};
+use etude_faults::RetryPolicy;
+use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
+use etude_obs::{Recorder, TRACE_HEADER};
 use etude_tensor::topk::merge_shard_topk;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -188,99 +185,43 @@ pub fn shard_backend_routes(
     let quantized = shard.quantize();
     let base = shard.base();
     let reduced_k = (k / 4).max(1);
-    Arc::new(move |req: &Request| -> Response {
-        if let Some(resp) = shared_routes(req, &recorder) {
-            return resp;
+    // Ids validate against the *full* catalog: a shard serves a slice
+    // but speaks the global id space. Absent the router's decremented
+    // `x-deadline-ms`, a leg is effectively unbudgeted.
+    prediction_routes(recorder, catalog_size, MAX_BUDGET, move |ctx, items| {
+        // Propagated deadline: a leg whose budget died in transit (or
+        // in the dispatch queue) is shed before its scan starts — the
+        // no-late-inference invariant, extended to the fan-out tier.
+        if ctx.deadline.expired() {
+            return Err(Refused::Shed("leg budget exhausted before scan"));
         }
-        match (req.method, req.path.as_str()) {
-            (Method::Post, "/predictions") => {
-                let t_total = Instant::now();
-                let (rid, echo) = correlation_id(req);
-                let t_parse = Instant::now();
-                // Ids validate against the *full* catalog: a shard serves
-                // a slice but speaks the global id space.
-                let items = match parse_prediction(&req.body, catalog_size) {
-                    Ok(items) => items,
-                    Err(resp) => return echo_request_id(resp, echo),
+        // Inherited brownout level: ≥ 1 scans int8, ≥ 2 also drops to
+        // the reduced k. Level 3 never reaches a shard (the router
+        // serves its popularity fallback locally), but a stray
+        // inherited 3 degrades to the cheapest scan rather than
+        // poisoning the merge.
+        let level = BrownoutLevel::from_request(ctx.req);
+        let t_inf = Instant::now();
+        let query = encode_session_query(&items, dim, query_seed);
+        let (ids, scores) = match level {
+            BrownoutLevel::Exact => shard.search(&query, k),
+            other => {
+                let kk = if other >= BrownoutLevel::ReducedK {
+                    reduced_k
+                } else {
+                    k
                 };
-                let parse = t_parse.elapsed();
-                // Propagated deadline: the router decremented the
-                // remaining budget into `x-deadline-ms`, so a leg whose
-                // budget died in transit (or in the dispatch queue) is
-                // shed before its scan starts — the no-late-inference
-                // invariant, extended to the fan-out tier. Absent the
-                // header, the leg is effectively unbudgeted.
-                let budget = request_budget(req, Duration::from_secs(86_400))
-                    .min(Duration::from_secs(86_400));
-                if Deadline::at(req.arrival + budget).expired() {
-                    recorder.note_shed();
-                    return echo_request_id(
-                        Response::error(503, "leg budget exhausted before scan")
-                            .with_header("retry-after", "1".to_string()),
-                        echo,
-                    );
+                let (mut ids, scores) = quantized.search(&query, kk);
+                for id in ids.iter_mut() {
+                    *id += base;
                 }
-                // Inherited brownout level: ≥ 1 scans int8, ≥ 2 also
-                // drops to the reduced k. Level 3 never reaches a shard
-                // (the router serves its popularity fallback locally),
-                // but a stray inherited 3 degrades to the cheapest
-                // scan rather than poisoning the merge.
-                let level = BrownoutLevel::from_request(req);
-                let t_inf = Instant::now();
-                let query = encode_session_query(&items, dim, query_seed);
-                let (ids, scores) = match level {
-                    BrownoutLevel::Exact => {
-                        etude_models::retrieval::MipsIndex::search(&shard, &query, k)
-                    }
-                    other => {
-                        let kk = if other >= BrownoutLevel::ReducedK {
-                            reduced_k
-                        } else {
-                            k
-                        };
-                        let (mut ids, scores) =
-                            etude_models::retrieval::MipsIndex::search(&quantized, &query, kk);
-                        for id in ids.iter_mut() {
-                            *id += base;
-                        }
-                        (ids, scores)
-                    }
-                };
-                let inference = t_inf.elapsed();
-                if level > BrownoutLevel::Exact {
-                    recorder.note_brownout(level.as_u8().min(2));
-                }
-                let t_ser = Instant::now();
-                let body = http::encode_recommendations(&ids, &scores);
-                let resp = echo_request_id(
-                    Response::ok(body)
-                        .with_header(BROWNOUT_HEADER, level.as_u8().min(2).to_string())
-                        .with_header(
-                            "x-inference-duration-micros",
-                            inference.as_micros().to_string(),
-                        ),
-                    echo,
-                );
-                let serialize = t_ser.elapsed();
-                let total = t_total.elapsed();
-                recorder.record(rid, Stage::Parse, nanos(parse));
-                recorder.record(rid, Stage::Inference, nanos(inference));
-                recorder.record(rid, Stage::Serialize, nanos(serialize));
-                recorder.record(rid, Stage::Total, nanos(total));
-                note_trace(
-                    &recorder,
-                    trace_ctx(req),
-                    resp,
-                    &[
-                        (Stage::Parse, nanos(parse)),
-                        (Stage::Inference, nanos(inference)),
-                        (Stage::Serialize, nanos(serialize)),
-                        (Stage::Total, nanos(total)),
-                    ],
-                )
+                (ids, scores)
             }
-            _ => Response::error(404, "no such route"),
-        }
+        };
+        Ok(Served {
+            level: Some(level.as_u8().min(2)),
+            ..Served::new(ids, scores, t_inf.elapsed())
+        })
     })
 }
 
@@ -343,208 +284,132 @@ pub fn router_routes(
     let topology = Arc::new(topology);
     let k = config.k;
     let leg_budget = config.leg_budget;
-    let default_deadline = config.default_deadline;
     let ladder = config.ladder.clone();
     // The router's own fallback rung: the global popularity fallback,
     // served locally when the budget is nearly burned — cheaper and
     // more useful than fanning out a scatter that cannot finish.
-    let fallback_body = crate::rustserver::Degradation::new(
-        crate::rustserver::DegradationPolicy {
-            top_k: k,
-            ..Default::default()
-        },
+    let fallback_body = popularity_fallback(topology.catalog_size, k);
+
+    // Reject at the edge (shards never see bad input), then scatter,
+    // gather, merge: the scatter is this tier's Inference stage, the
+    // merge its TopK.
+    let predict = prediction_routes(
+        recorder,
         topology.catalog_size,
-    )
-    .fallback_body
-    .clone();
-
-    Arc::new(move |req: &Request| -> Response {
-        if let Some(resp) = shared_routes(req, &recorder) {
-            return resp;
-        }
-        match (req.method, req.path.as_str()) {
-            (Method::Post, "/predictions") => {
-                let t_total = Instant::now();
-                let (rid, echo) = correlation_id(req);
-                let t_parse = Instant::now();
-                // Reject at the edge; shards never see bad input.
-                if let Err(resp) = parse_prediction(&req.body, topology.catalog_size) {
-                    return echo_request_id(resp, echo);
+        config.default_deadline,
+        move |ctx, _items| {
+            // Deadline propagation: shed before the fan-out when the
+            // budget is already burned, and decrement what remains into
+            // every leg.
+            let remaining = ctx.deadline.remaining();
+            let crit = ctx.criticality();
+            if remaining.is_zero() {
+                return Err(Refused::Shed("deadline exhausted before fan-out"));
+            }
+            // Brownout: the burned fraction of the budget picks the
+            // rung; shard legs inherit it (an upstream-set level is
+            // never lowered). Past the fallback threshold a scatter
+            // cannot finish in time, so the router serves its local
+            // popularity fallback — for traffic that did not opt into
+            // shedding.
+            let burned = 1.0 - remaining.as_secs_f64() / ctx.budget.as_secs_f64().max(1e-9);
+            let mut level = BrownoutLevel::from_request(ctx.req);
+            if ladder.enabled {
+                if burned >= ladder.fallback_at {
+                    return Err(match crit {
+                        Criticality::ShedFirst => Refused::Shed("budget too burned to fan out"),
+                        _ => Refused::Fallback(fallback_body.clone()),
+                    });
+                } else if burned >= ladder.reduced_k_at {
+                    level = level.max(BrownoutLevel::ReducedK);
+                } else if burned >= ladder.quantized_at {
+                    level = level.max(BrownoutLevel::Quantized);
                 }
-                let parse = t_parse.elapsed();
-                let ctx = trace_ctx(req);
+            }
+            let leg_deadline_ms = remaining.as_millis().max(1).to_string();
+            let leg_budget = leg_budget.min(remaining);
 
-                // Deadline propagation: anchor the budget at wire-parse
-                // time, shed before the fan-out when it is already
-                // burned, and decrement what remains into every leg.
-                let budget = request_budget(req, default_deadline).min(Duration::from_secs(86_400));
-                let deadline = Deadline::at(req.arrival + budget);
-                let remaining = deadline.remaining();
-                let crit = Criticality::from_header(
-                    req.headers.get(Criticality::HEADER).map(String::as_str),
-                );
-                if remaining.is_zero() {
-                    recorder.note_shed();
-                    return echo_request_id(
-                        Response::error(503, "deadline exhausted before fan-out")
-                            .with_header("retry-after", "1".to_string()),
-                        echo,
-                    );
-                }
-                // Brownout: the burned fraction of the budget picks the
-                // rung; shard legs inherit it (an upstream-set level is
-                // never lowered). Past the fallback threshold a scatter
-                // cannot finish in time, so the router serves its local
-                // popularity fallback — for traffic that did not opt
-                // into shedding.
-                let burned = 1.0 - remaining.as_secs_f64() / budget.as_secs_f64().max(1e-9);
-                let mut level = BrownoutLevel::from_request(req);
-                if ladder.enabled {
-                    if burned >= ladder.fallback_at {
-                        return match crit {
-                            Criticality::ShedFirst => {
-                                recorder.note_shed();
-                                echo_request_id(
-                                    Response::error(503, "budget too burned to fan out")
-                                        .with_header("retry-after", "1".to_string()),
-                                    echo,
-                                )
-                            }
-                            _ => {
-                                recorder.note_degraded();
-                                recorder.note_brownout(BrownoutLevel::Fallback.as_u8());
-                                echo_request_id(
-                                    Response::ok(fallback_body.clone())
-                                        .with_header(DEGRADED_HEADER, "1".to_string())
-                                        .with_header(
-                                            BROWNOUT_HEADER,
-                                            BrownoutLevel::Fallback.as_u8().to_string(),
-                                        ),
-                                    echo,
-                                )
-                            }
-                        };
-                    } else if burned >= ladder.reduced_k_at {
-                        level = level.max(BrownoutLevel::ReducedK);
-                    } else if burned >= ladder.quantized_at {
-                        level = level.max(BrownoutLevel::Quantized);
-                    }
-                }
-                let leg_deadline_ms = remaining.as_millis().max(1).to_string();
-                let leg_budget = leg_budget.min(remaining);
-
-                // Scatter: one leg per shard group, concurrently. Each
-                // leg forwards the session body untouched and carries a
-                // distinct child trace context, so pod spans attach as
-                // sibling children of the router span.
-                let t_scatter = Instant::now();
-                let mut partials: Vec<Option<(Vec<u32>, Vec<f32>)>> =
-                    Vec::with_capacity(clients.len());
-                partials.resize_with(clients.len(), || None);
-                std::thread::scope(|scope| {
-                    for (i, (gc, slot)) in clients.iter().zip(partials.iter_mut()).enumerate() {
-                        let mut leg = Request::post("/predictions", req.body.clone());
-                        // Always stamp the leg with a per-shard request
-                        // id — derived from the client's id when it sent
-                        // one, from the router's correlation id hash
-                        // otherwise — so shard-side `/stats` spans and
-                        // slow exemplars correlate with the router-side
-                        // request even for anonymous traffic.
-                        let leg_id = match echo {
-                            Some(id) => format!("{id}-s{i}"),
-                            None => format!("{rid:016x}-s{i}"),
-                        };
-                        leg.headers.insert("x-request-id".into(), leg_id);
-                        // Decremented budget, inherited brownout level
-                        // and criticality ride every leg.
+            // Scatter: one leg per shard group, concurrently. Each leg
+            // forwards the session body untouched and carries a
+            // distinct child trace context, so pod spans attach as
+            // sibling children of the router span.
+            let t_scatter = Instant::now();
+            let mut partials: Vec<Option<(Vec<u32>, Vec<f32>)>> = Vec::with_capacity(clients.len());
+            partials.resize_with(clients.len(), || None);
+            std::thread::scope(|scope| {
+                for (i, (gc, slot)) in clients.iter().zip(partials.iter_mut()).enumerate() {
+                    let mut leg = Request::post("/predictions", ctx.req.body.clone());
+                    // Always stamp the leg with a per-shard request id
+                    // — derived from the client's id when it sent one,
+                    // from the router's correlation id hash otherwise —
+                    // so shard-side `/stats` spans and slow exemplars
+                    // correlate with the router-side request even for
+                    // anonymous traffic.
+                    let leg_id = match ctx.echo {
+                        Some(id) => format!("{id}-s{i}"),
+                        None => format!("{:016x}-s{i}", ctx.rid),
+                    };
+                    leg.headers.insert("x-request-id".into(), leg_id);
+                    // Decremented budget, inherited brownout level and
+                    // criticality ride every leg.
+                    leg.headers
+                        .insert(DEADLINE_HEADER.into(), leg_deadline_ms.clone());
+                    if level > BrownoutLevel::Exact {
                         leg.headers
-                            .insert(DEADLINE_HEADER.into(), leg_deadline_ms.clone());
-                        if level > BrownoutLevel::Exact {
-                            leg.headers
-                                .insert(BROWNOUT_HEADER.into(), level.as_u8().to_string());
-                        }
-                        if crit != Criticality::Normal {
-                            leg.headers
-                                .insert(Criticality::HEADER.into(), crit.name().to_string());
-                        }
-                        if let Some(ctx) = &ctx {
-                            let child = ctx.child(etude_obs::trace::span_hash(
-                                ctx.trace_id,
-                                ctx.span_id,
-                                SCATTER_SPAN_SALT + i as u64,
-                            ));
-                            leg.headers.insert(TRACE_HEADER.into(), child.encode());
-                        }
-                        scope.spawn(move || {
-                            let mut client = gc.client.lock();
-                            if let Ok(r) = client.request_within(&leg, leg_budget) {
-                                if r.response.status == 200 {
-                                    if let Ok(partial) =
-                                        http::decode_recommendations(&r.response.body)
-                                    {
-                                        *slot = Some(partial);
-                                    }
+                            .insert(BROWNOUT_HEADER.into(), level.as_u8().to_string());
+                    }
+                    if crit != Criticality::Normal {
+                        leg.headers
+                            .insert(Criticality::HEADER.into(), crit.name().to_string());
+                    }
+                    if let Some(trace) = &ctx.trace {
+                        let child = trace.child(etude_obs::trace::span_hash(
+                            trace.trace_id,
+                            trace.span_id,
+                            SCATTER_SPAN_SALT + i as u64,
+                        ));
+                        leg.headers.insert(TRACE_HEADER.into(), child.encode());
+                    }
+                    scope.spawn(move || {
+                        let mut client = gc.client.lock();
+                        if let Ok(r) = client.request_within(&leg, leg_budget) {
+                            if r.response.status == 200 {
+                                if let Ok(partial) = http::decode_recommendations(&r.response.body)
+                                {
+                                    *slot = Some(partial);
                                 }
                             }
-                        });
-                    }
-                });
-                let scatter = t_scatter.elapsed();
+                        }
+                    });
+                }
+            });
+            let scatter = t_scatter.elapsed();
 
-                // Gather + merge.
-                let t_merge = Instant::now();
-                let survivors: Vec<(Vec<u32>, Vec<f32>)> = partials.into_iter().flatten().collect();
-                let lost = clients.len() - survivors.len();
-                if survivors.is_empty() {
-                    return echo_request_id(
-                        Response::error(503, "all shard groups unavailable")
-                            .with_header("retry-after", "1".to_string()),
-                        echo,
-                    );
-                }
-                let (ids, scores) = merge_shard_topk(&survivors, k);
-                let merge = t_merge.elapsed();
+            // Gather + merge.
+            let t_merge = Instant::now();
+            let survivors: Vec<(Vec<u32>, Vec<f32>)> = partials.into_iter().flatten().collect();
+            if survivors.is_empty() {
+                return Err(Refused::ShardsUnavailable);
+            }
+            let (items, scores) = merge_shard_topk(&survivors, k);
+            Ok(Served {
+                topk: Some(t_merge.elapsed()),
+                level: Some(level.as_u8()),
+                lost_groups: clients.len() - survivors.len(),
+                reports_compute: false,
+                ..Served::new(items, scores, scatter)
+            })
+        },
+    );
 
-                let t_ser = Instant::now();
-                let body = http::encode_recommendations(&ids, &scores);
-                let mut resp =
-                    Response::ok(body).with_header(BROWNOUT_HEADER, level.as_u8().to_string());
-                if level > BrownoutLevel::Exact {
-                    recorder.note_brownout(level.as_u8());
-                }
-                if lost > 0 {
-                    recorder.note_degraded();
-                    resp = resp.with_header(DEGRADED_HEADER, lost.to_string());
-                }
-                let resp = echo_request_id(resp, echo);
-                let serialize = t_ser.elapsed();
-                let total = t_total.elapsed();
-                recorder.record(rid, Stage::Parse, nanos(parse));
-                recorder.record(rid, Stage::Inference, nanos(scatter));
-                recorder.record(rid, Stage::TopK, nanos(merge));
-                recorder.record(rid, Stage::Serialize, nanos(serialize));
-                recorder.record(rid, Stage::Total, nanos(total));
-                note_trace(
-                    &recorder,
-                    ctx,
-                    resp,
-                    &[
-                        (Stage::Parse, nanos(parse)),
-                        (Stage::Inference, nanos(scatter)),
-                        (Stage::TopK, nanos(merge)),
-                        (Stage::Serialize, nanos(serialize)),
-                        (Stage::Total, nanos(total)),
-                    ],
-                )
-            }
-            (Method::Get, "/fleet") => Response::ok(scrape_shard_fleet(&topology).render_json())
-                .with_header("content-type", "application/json".to_string()),
-            (Method::Get, "/fleet/metrics") => {
-                Response::ok(scrape_shard_fleet(&topology).render_prometheus())
-                    .with_header("content-type", "text/plain; version=0.0.4".to_string())
-            }
-            _ => Response::error(404, "no such route"),
+    Arc::new(move |req: &Request| match (req.method, req.path.as_str()) {
+        (Method::Get, "/fleet") => Response::ok(scrape_shard_fleet(&topology).render_json())
+            .with_header("content-type", "application/json".to_string()),
+        (Method::Get, "/fleet/metrics") => {
+            Response::ok(scrape_shard_fleet(&topology).render_prometheus())
+                .with_header("content-type", "text/plain; version=0.0.4".to_string())
         }
+        _ => predict(req),
     })
 }
 

@@ -1,9 +1,9 @@
-//! The real Rust inference server — the reproduction of the paper's
-//! Actix-based serving engine.
+//! The route tables of the real Rust inference server — the
+//! reproduction of the paper's Actix-based serving engine — and the one
+//! request pipeline every serving tier runs its predictions through.
 //!
-//! Architecture: an accept thread feeds connections to a fixed pool of
-//! handler threads over a crossbeam channel; each handler thread owns its
-//! connections (keep-alive, pipelining-safe) and serves five routes:
+//! The sockets are [`crate::reactor`]'s; this module is what a request
+//! meets once it is parsed off the wire:
 //!
 //! * `GET /ping` — readiness probe (Kubernetes-style),
 //! * `GET /static` — the empty-response infrastructure test (Figure 2),
@@ -15,361 +15,47 @@
 //! * `GET /metrics` — Prometheus text exposition of per-stage latency
 //!   summaries (parse → queue → inference → top-k → serialize),
 //! * `GET /stats` — the same aggregation as JSON, scraped by the load
-//!   generator at end of run.
+//!   generator at end of run,
+//! * `GET /debug/profile`, `GET /debug/slow` — folded profiler stacks
+//!   and the slowest-request exemplars.
 //!
-//! Every prediction is traced into an [`etude_obs::Recorder`] keyed by
-//! the client's `X-Request-Id` (echoed back on responses; hashed to a
-//! compact correlation id for the span records).
+//! `prediction_routes` owns everything that is the same on every tier
+//! (correlation id, parse, deadline, stage recording, tracing, and the
+//! whole refusal vocabulary); a tier contributes only its executor — the
+//! inline model here ([`model_routes`]), the continuous batcher
+//! ([`crate::contbatch`]), admission and the brownout ladder
+//! ([`crate::overload`]), the slice scan and the scatter/gather
+//! ([`crate::router`]). Every prediction is traced into an
+//! [`etude_obs::Recorder`] keyed by the client's `X-Request-Id` (echoed
+//! back on responses; hashed to a compact correlation id for the span
+//! records).
 
+use crate::contbatch::{request_budget, MAX_BUDGET};
 use crate::http::{self, Method, Request, Response};
-use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::overload::{BrownoutLevel, BROWNOUT_HEADER};
+use etude_control::Criticality;
 use etude_faults::{Deadline, FaultInjector};
-use etude_models::{traits, SbrModel};
+use etude_models::traits::{self, Recommendation, StageTimings};
+use etude_models::SbrModel;
 use etude_obs::{request_id_hash, Recorder, Stage, TraceCtx, TRACE_HEADER};
-use etude_tensor::{CompiledGraph, Device, JitOptions};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use etude_tensor::{Device, JitOptions, TensorError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+pub use crate::reactor::ServerHandle;
 
 /// Internal marker header: a handler that wants the connection reset
 /// mid-response (chaos injection) tags its response with this; the
-/// connection poll loop strips it, writes a partial response and closes.
-/// Never sent on the wire.
+/// reactor strips it, writes a partial response and closes. Never sent
+/// on the wire.
 pub const RESET_MARKER: &str = "x-etude-inject-reset";
 
 /// Response header flagging a degraded (popularity-fallback) response.
 pub const DEGRADED_HEADER: &str = "x-degraded";
 
-/// How long a write may stall on a peer that stopped draining its socket
-/// before the connection is abandoned.
-const WRITE_STALL_BUDGET: Duration = Duration::from_secs(1);
-
-/// How long an idle reactor worker blocks for a new connection before
-/// re-polling the ones it owns.
-const IDLE_ACCEPT_POLL: Duration = Duration::from_micros(500);
-
 /// A request handler: route table entry.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
-
-/// Server configuration.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Handler threads (the paper's server exposes the worker-thread
-    /// count as a tunable).
-    pub workers: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig { workers: 4 }
-    }
-}
-
-/// A running server; dropping the handle shuts it down.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    worker_threads: Vec<JoinHandle<()>>,
-    requests_served: Arc<AtomicU64>,
-}
-
-impl ServerHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests served so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
-    }
-
-    /// Stops the server and joins its threads.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if !self.shutdown.load(Ordering::SeqCst) {
-            self.stop();
-        }
-    }
-}
-
-/// Assembles a [`ServerHandle`] around externally spawned threads — the
-/// seam that lets the reactor server (`crate::reactor`) hand out the
-/// same handle type as the blocking server, so every caller (tests,
-/// fleet scrapers, benches) is flavor-agnostic. All threads must exit
-/// once `shutdown` is set; `stop()` pokes `addr` once to unblock any
-/// accept path and then joins them in order.
-pub(crate) fn assemble_handle(
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    requests_served: Arc<AtomicU64>,
-) -> ServerHandle {
-    ServerHandle {
-        addr,
-        shutdown,
-        accept_thread: None,
-        worker_threads: threads,
-        requests_served,
-    }
-}
-
-/// Starts a server with the given route handler on an OS-assigned port.
-pub fn start(config: ServerConfig, handler: Handler) -> std::io::Result<ServerHandle> {
-    start_bound(TcpListener::bind(("127.0.0.1", 0))?, config, handler)
-}
-
-/// Starts a server on an explicit address. Used by restart scenarios
-/// (and their tests): a replacement server can come back on the same
-/// port its predecessor vacated, so clients holding that address
-/// reconnect instead of being re-pointed.
-pub fn start_on(
-    addr: std::net::SocketAddr,
-    config: ServerConfig,
-    handler: Handler,
-) -> std::io::Result<ServerHandle> {
-    start_bound(TcpListener::bind(addr)?, config, handler)
-}
-
-fn start_bound(
-    listener: TcpListener,
-    config: ServerConfig,
-    handler: Handler,
-) -> std::io::Result<ServerHandle> {
-    // Build the process-wide intra-op kernel pool before the first
-    // request arrives: handler threads share this one pool (instead of
-    // each racing to create it under load), so the first prediction
-    // does not pay the thread-spawn cost.
-    etude_tensor::pool::global();
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let requests_served = Arc::new(AtomicU64::new(0));
-    let (tx, rx): (Sender<TcpStream>, Receiver<TcpStream>) = unbounded();
-
-    let mut worker_threads = Vec::new();
-    for i in 0..config.workers.max(1) {
-        let rx = rx.clone();
-        let handler = Arc::clone(&handler);
-        let shutdown = Arc::clone(&shutdown);
-        let served = Arc::clone(&requests_served);
-        worker_threads.push(
-            std::thread::Builder::new()
-                .name(format!("etude-worker-{i}"))
-                .spawn(move || worker_loop(rx, handler, shutdown, served))
-                .expect("spawn worker"),
-        );
-    }
-
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept_thread = std::thread::Builder::new()
-        .name("etude-accept".into())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        if tx.send(s).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => continue,
-                }
-            }
-        })
-        .expect("spawn accept loop");
-
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        accept_thread: Some(accept_thread),
-        worker_threads,
-        requests_served,
-    })
-}
-
-struct Conn {
-    stream: TcpStream,
-    buf: BytesMut,
-}
-
-enum PollOutcome {
-    /// Connection alive; flag reports whether any request was served.
-    Alive(bool),
-    /// Connection finished (EOF or error).
-    Closed,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> std::io::Result<Conn> {
-        stream.set_nonblocking(true)?;
-        Ok(Conn {
-            stream,
-            buf: BytesMut::with_capacity(4096),
-        })
-    }
-
-    /// Reads available bytes and serves every complete request.
-    fn poll(&mut self, handler: &Handler, served: &AtomicU64) -> PollOutcome {
-        let mut chunk = [0u8; 4096];
-        let mut progressed = false;
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return PollOutcome::Closed,
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    // Cap per-connection buffering: a peer streaming bytes
-                    // that never complete a request must not grow memory
-                    // without bound.
-                    if self.buf.len() > 2 * http::MAX_BODY_BYTES {
-                        return PollOutcome::Closed;
-                    }
-                    progressed = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return PollOutcome::Closed,
-            }
-        }
-        loop {
-            match http::parse_request(&mut self.buf) {
-                Ok(req) => {
-                    let mut resp = handler(&req);
-                    served.fetch_add(1, Ordering::Relaxed);
-                    // Chaos injection: a response tagged with the reset
-                    // marker is truncated halfway through and the
-                    // connection torn down, as a crashing peer would.
-                    let inject_reset = resp.headers.remove(RESET_MARKER).is_some();
-                    let encoded = resp.encode();
-                    if inject_reset {
-                        let _ = write_all_blocking(&mut self.stream, &encoded[..encoded.len() / 2]);
-                        return PollOutcome::Closed;
-                    }
-                    if write_all_blocking(&mut self.stream, &encoded).is_err() {
-                        return PollOutcome::Closed;
-                    }
-                    progressed = true;
-                }
-                Err(http::HttpError::Incomplete) => break,
-                Err(http::HttpError::Malformed(_)) => {
-                    let _ = write_all_blocking(
-                        &mut self.stream,
-                        &Response::error(500, "bad request").encode(),
-                    );
-                    return PollOutcome::Closed;
-                }
-            }
-        }
-        PollOutcome::Alive(progressed)
-    }
-}
-
-/// Writes a full buffer on a non-blocking socket, retrying briefly on
-/// `WouldBlock`. The retry budget is bounded: a client that stops reading
-/// its socket must cost at most [`WRITE_STALL_BUDGET`], not wedge the
-/// reactor worker (and every other connection it owns) forever.
-fn write_all_blocking(stream: &mut TcpStream, mut data: &[u8]) -> std::io::Result<()> {
-    let deadline = Deadline::after(WRITE_STALL_BUDGET);
-    while !data.is_empty() {
-        match stream.write(data) {
-            Ok(0) => return Err(std::io::Error::new(ErrorKind::WriteZero, "write zero")),
-            Ok(n) => data = &data[n..],
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if deadline.expired() {
-                    return Err(std::io::Error::new(
-                        ErrorKind::TimedOut,
-                        "peer not draining its socket",
-                    ));
-                }
-                std::thread::sleep(deadline.clamp(Duration::from_micros(50)));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// A reactor-style worker: owns many connections at once (as Actix's
-/// per-core event loops do), polling each in turn.
-fn worker_loop(
-    rx: Receiver<TcpStream>,
-    handler: Handler,
-    shutdown: Arc<AtomicBool>,
-    served: Arc<AtomicU64>,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut disconnected = false;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Accept newly assigned connections without blocking.
-        loop {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
-                    }
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        if disconnected && conns.is_empty() {
-            return;
-        }
-        let mut progressed = false;
-        conns.retain_mut(|conn| match conn.poll(&handler, &served) {
-            PollOutcome::Alive(p) => {
-                progressed |= p;
-                true
-            }
-            PollOutcome::Closed => false,
-        });
-        if !progressed {
-            // Idle: block briefly for a new connection instead of spinning.
-            match rx.recv_timeout(IDLE_ACCEPT_POLL) {
-                Ok(stream) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                }
-            }
-        }
-    }
-}
 
 /// Process-local fallback ids for requests that carry no `x-request-id`.
 static FALLBACK_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
@@ -377,7 +63,7 @@ static FALLBACK_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 /// Correlation id of a request: the FNV hash of the client's
 /// `x-request-id`, or a process-local counter when the client sent none.
 /// Also returns the header value so responses can echo it.
-pub(crate) fn correlation_id(req: &Request) -> (u64, Option<&str>) {
+fn correlation_id(req: &Request) -> (u64, Option<&str>) {
     match req.headers.get("x-request-id") {
         Some(id) => (request_id_hash(id), Some(id.as_str())),
         None => (FALLBACK_REQUEST_ID.fetch_add(1, Ordering::Relaxed), None),
@@ -385,20 +71,20 @@ pub(crate) fn correlation_id(req: &Request) -> (u64, Option<&str>) {
 }
 
 /// Echoes the client's request id back, when it sent one.
-pub(crate) fn echo_request_id(resp: Response, id: Option<&str>) -> Response {
+fn echo_request_id(resp: Response, id: Option<&str>) -> Response {
     match id {
         Some(id) => resp.with_header("x-request-id", id.to_string()),
         None => resp,
     }
 }
 
-pub(crate) fn nanos(d: Duration) -> u64 {
+fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// The propagated trace context, when the client sent one (malformed
 /// headers are treated as absent — tracing must never fail a request).
-pub(crate) fn trace_ctx(req: &Request) -> Option<TraceCtx> {
+fn trace_ctx(req: &Request) -> Option<TraceCtx> {
     req.headers
         .get(TRACE_HEADER)
         .and_then(|v| TraceCtx::parse(v))
@@ -407,7 +93,7 @@ pub(crate) fn trace_ctx(req: &Request) -> Option<TraceCtx> {
 /// Retains the request's stage durations as pod-side trace spans (a
 /// no-op unless the recorder has trace retention on) and echoes the
 /// context back one hop deeper so clients can confirm propagation.
-pub(crate) fn note_trace(
+fn note_trace(
     recorder: &Recorder,
     ctx: Option<TraceCtx>,
     resp: Response,
@@ -425,9 +111,9 @@ pub(crate) fn note_trace(
     resp.with_header(TRACE_HEADER, echo.encode())
 }
 
-/// Routes every server flavour shares: readiness, the static
-/// infrastructure test and the two observability endpoints.
-pub(crate) fn shared_routes(req: &Request, recorder: &Recorder) -> Option<Response> {
+/// Routes every tier shares: readiness, the static infrastructure test
+/// and the observability endpoints.
+fn shared_routes(req: &Request, recorder: &Recorder) -> Option<Response> {
     match (req.method, req.path.as_str()) {
         (Method::Get, "/ping") => Some(Response::ok("pong")),
         (Method::Get, "/static") => Some(Response::ok("ok")),
@@ -458,7 +144,7 @@ pub(crate) fn shared_routes(req: &Request, recorder: &Recorder) -> Option<Respon
 }
 
 /// Parses and validates a prediction request body.
-pub(crate) fn parse_prediction(body: &[u8], catalog_size: usize) -> Result<Vec<u32>, Response> {
+fn parse_prediction(body: &[u8], catalog_size: usize) -> Result<Vec<u32>, Response> {
     let items = match http::decode_session(body) {
         Ok(items) => items,
         Err(_) => return Err(Response::error(400, "malformed session")),
@@ -474,11 +160,287 @@ pub(crate) fn parse_prediction(body: &[u8], catalog_size: usize) -> Result<Vec<u
     Ok(items)
 }
 
-/// Builds the model-serving route table of the paper's inference server.
+/// What [`prediction_routes`] has established about a request by the
+/// time the tier's executor runs.
+pub(crate) struct PredictCtx<'a> {
+    /// The tier's recorder, for the gauges an executor publishes.
+    pub(crate) recorder: &'a Recorder,
+    /// The request itself (inherited headers, the body a router forwards).
+    pub(crate) req: &'a Request,
+    /// Correlation id of the span records.
+    pub(crate) rid: u64,
+    /// The client's `x-request-id`, when it sent one.
+    pub(crate) echo: Option<&'a str>,
+    /// The propagated trace context, when the client sent one.
+    pub(crate) trace: Option<TraceCtx>,
+    /// The latency budget: `x-deadline-ms`, else the tier's default.
+    pub(crate) budget: Duration,
+    /// `budget` anchored at the instant the request was parsed off the
+    /// wire, not at handler entry: the reactor runs handlers on a
+    /// dispatch pool, and time spent waiting for a dispatch thread must
+    /// be charged against the deadline (and shed when blown), or
+    /// overload would serve requests arbitrarily past their end-to-end
+    /// budget.
+    pub(crate) deadline: Deadline,
+    /// Wire-parse → handler entry: the wait for a dispatch thread.
+    pub(crate) dispatch_wait: Duration,
+}
+
+impl PredictCtx<'_> {
+    /// The request's `x-criticality` class (absent or garbled → normal).
+    pub(crate) fn criticality(&self) -> Criticality {
+        Criticality::from_header(
+            self.req
+                .headers
+                .get(Criticality::HEADER)
+                .map(String::as_str),
+        )
+    }
+}
+
+/// A prediction an executor served: the answer plus what it measured.
+/// The `Option`s are the data differences between tiers — which stages
+/// are recorded and which headers are stamped.
+pub(crate) struct Served {
+    pub(crate) items: Vec<u32>,
+    pub(crate) scores: Vec<f32>,
+    /// Wait for an inference slot; `None` on tiers that run inline
+    /// (no Queue stage). The pipeline adds the dispatch wait, so for
+    /// served requests the Queue span is bounded by the budget.
+    pub(crate) queue_wait: Option<Duration>,
+    pub(crate) inference: Duration,
+    /// `None` where the top-k is fused into the scan timed as
+    /// `inference` (no TopK stage).
+    pub(crate) topk: Option<Duration>,
+    /// The brownout rung served, on tiers that sit on the ladder:
+    /// stamped as `x-brownout-level` and counted on `/stats`.
+    pub(crate) level: Option<u8>,
+    /// Shard groups missing from a gather: a non-zero count is stamped
+    /// as [`DEGRADED_HEADER`] and counted as degraded.
+    pub(crate) lost_groups: usize,
+    /// Whether `inference + topk` is compute to report as
+    /// `x-inference-duration-micros` (a router's is a network fan-out).
+    pub(crate) reports_compute: bool,
+}
+
+/// One session's inference result with its compute split.
+pub(crate) type Inferred = Result<(Recommendation, StageTimings), TensorError>;
+
+impl Served {
+    /// An answer computed inline in `inference`, with nothing else to
+    /// record or stamp; tiers override what they add.
+    pub(crate) fn new(items: Vec<u32>, scores: Vec<f32>, inference: Duration) -> Served {
+        Served {
+            items,
+            scores,
+            queue_wait: None,
+            inference,
+            topk: None,
+            level: None,
+            lost_groups: 0,
+            reports_compute: true,
+        }
+    }
+
+    /// The reply of a tier that runs the session through the model.
+    pub(crate) fn by_model(
+        inferred: Inferred,
+        queue_wait: Option<Duration>,
+    ) -> Result<Served, Refused> {
+        let (rec, st) = inferred.map_err(|_| Refused::InferenceFailed)?;
+        Ok(Served {
+            queue_wait,
+            topk: Some(st.topk),
+            ..Served::new(rec.items, rec.scores, st.inference)
+        })
+    }
+}
+
+/// Every way a tier declines to serve a parsed prediction exactly.
+pub(crate) enum Refused {
+    /// 503 + `retry-after`, counted as shed: the budget died before
+    /// compute, or there is no capacity and the request may be dropped.
+    /// The text names which, so the client can tell them apart.
+    Shed(&'static str),
+    /// 429 + `retry-after`, counted as refused: admission control turned
+    /// `shed-first` traffic away before it queued.
+    OverLimit,
+    /// 200 + [`DEGRADED_HEADER`] + `x-brownout-level: 3` with the given
+    /// popularity-fallback body, counted as degraded and as a fallback
+    /// brownout.
+    Fallback(String),
+    /// 500: the model failed on a validated session.
+    InferenceFailed,
+    /// 503 without `retry-after`: the inference slots have shut down.
+    BatcherUnavailable,
+    /// 503 + `retry-after`, not counted as shed (nothing was queued to
+    /// shed): a router lost every shard group.
+    ShardsUnavailable,
+}
+
+/// Refusal text for a budget that died before inference could start.
+pub(crate) const EXPIRED: &str = "deadline exhausted before inference";
+/// Refusal text for a full admission queue.
+pub(crate) const OVERLOADED: &str = "server overloaded, retry later";
+
+fn refuse(recorder: &Recorder, refused: Refused) -> Response {
+    let retry_later = |resp: Response| resp.with_header("retry-after", "1".to_string());
+    match refused {
+        Refused::Shed(why) => {
+            recorder.note_shed();
+            retry_later(Response::error(503, why))
+        }
+        Refused::OverLimit => {
+            recorder.note_refused();
+            retry_later(Response::error(429, "admission refused, retry later"))
+        }
+        Refused::Fallback(body) => {
+            recorder.note_degraded();
+            let level = BrownoutLevel::Fallback.as_u8();
+            recorder.note_brownout(level);
+            Response::ok(body)
+                .with_header(DEGRADED_HEADER, "1".to_string())
+                .with_header(BROWNOUT_HEADER, level.to_string())
+        }
+        Refused::InferenceFailed => Response::error(500, "inference failed"),
+        Refused::BatcherUnavailable => Response::error(503, "batcher unavailable"),
+        Refused::ShardsUnavailable => {
+            retry_later(Response::error(503, "all shard groups unavailable"))
+        }
+    }
+}
+
+/// The one `POST /predictions` sequence, around a tier's executor:
+/// shared routes → correlation id → timed parse → deadline → `exec` →
+/// serialize, stamp, record, trace — or the refusal. This is the place
+/// to add a stage, a header or a counter.
 ///
-/// When `jit` is set the model is traced and compiled at deployment time
-/// (models with dynamic control flow fall back to eager execution, as
-/// `torch.jit` would). Stage spans land in a private recorder; use
+/// Ids validate against `catalog_size`; requests without
+/// `x-deadline-ms` get `default_deadline`. `exec` receives the parsed
+/// session and decides [`Served`] or [`Refused`]; it is monomorphised
+/// into the handler, so a tier pays for nothing it does not use.
+pub(crate) fn prediction_routes<E>(
+    recorder: Arc<Recorder>,
+    catalog_size: usize,
+    default_deadline: Duration,
+    exec: E,
+) -> Handler
+where
+    E: Fn(&PredictCtx<'_>, Vec<u32>) -> Result<Served, Refused> + Send + Sync + 'static,
+{
+    Arc::new(move |req: &Request| -> Response {
+        if let Some(resp) = shared_routes(req, &recorder) {
+            return resp;
+        }
+        match (req.method, req.path.as_str()) {
+            (Method::Post, "/predictions") => {}
+            _ => return Response::error(404, "no such route"),
+        }
+        let t_entry = Instant::now();
+        let (rid, echo) = correlation_id(req);
+        // Forensics: snapshot the profiler's leaf counts so a retained
+        // slow exemplar can say where CPU went *during this request*
+        // (delta at offer time).
+        let mark = recorder.exemplars().begin();
+        let t_parse = Instant::now();
+        let items = match parse_prediction(&req.body, catalog_size) {
+            Ok(items) => items,
+            Err(resp) => return echo_request_id(resp, echo),
+        };
+        let parse = t_parse.elapsed();
+        let budget = request_budget(req, default_deadline);
+        let ctx = PredictCtx {
+            recorder: &recorder,
+            req,
+            rid,
+            echo,
+            trace: trace_ctx(req),
+            budget,
+            deadline: Deadline::at(req.arrival + budget),
+            dispatch_wait: t_entry.saturating_duration_since(req.arrival),
+        };
+        let served = match exec(&ctx, items) {
+            Ok(served) => served,
+            Err(refused) => return echo_request_id(refuse(&recorder, refused), echo),
+        };
+        let t_ser = Instant::now();
+        let mut resp = Response::ok(http::encode_recommendations(&served.items, &served.scores));
+        if served.reports_compute {
+            let compute = served.inference + served.topk.unwrap_or_default();
+            resp = resp.with_header(
+                "x-inference-duration-micros",
+                compute.as_micros().to_string(),
+            );
+        }
+        if let Some(level) = served.level {
+            recorder.note_brownout(level);
+            resp = resp.with_header(BROWNOUT_HEADER, level.to_string());
+        }
+        if served.lost_groups > 0 {
+            recorder.note_degraded();
+            resp = resp.with_header(DEGRADED_HEADER, served.lost_groups.to_string());
+        }
+        let resp = echo_request_id(resp, echo);
+        let serialize = t_ser.elapsed();
+        // End to end from the wire. Taken before the records: the first
+        // record on a thread registers its ring, which must not be
+        // billed to this request.
+        let total = req.arrival.elapsed();
+        let mut stages = [(Stage::Parse, nanos(parse)); 6];
+        let mut n = 1;
+        let mut push = |stage, took| {
+            stages[n] = (stage, nanos(took));
+            n += 1;
+        };
+        if let Some(wait) = served.queue_wait {
+            push(Stage::Queue, ctx.dispatch_wait + wait);
+        }
+        push(Stage::Inference, served.inference);
+        if let Some(topk) = served.topk {
+            push(Stage::TopK, topk);
+        }
+        push(Stage::Serialize, serialize);
+        push(Stage::Total, total);
+        let stages = &stages[..n];
+        for &(stage, ns) in stages {
+            recorder.record(rid, stage, ns);
+        }
+        // Offer the complete span tree to the slowest-N store; only
+        // tail outliers are retained.
+        match echo {
+            Some(id) => recorder.exemplars().offer(id, stages, nanos(total), &mark),
+            None => recorder
+                .exemplars()
+                .offer(&format!("{rid:016x}"), stages, nanos(total), &mark),
+        }
+        note_trace(&recorder, ctx.trace, resp, stages)
+    })
+}
+
+/// Deploys a model for serving and returns the per-session inference
+/// both model tiers run. With `jit` the model is traced and compiled
+/// here, once (models with dynamic control flow fall back to eager
+/// execution, as `torch.jit` would).
+pub(crate) fn deploy(
+    model: Arc<dyn SbrModel>,
+    device: Device,
+    jit: bool,
+) -> impl Fn(&[u32]) -> Inferred + Send + Sync + 'static {
+    let compiled = if jit {
+        traits::compile(model.as_ref(), JitOptions::default()).ok()
+    } else {
+        None
+    };
+    move |items| match &compiled {
+        Some(graph) => traits::recommend_compiled_timed(model.as_ref(), graph, items),
+        None => traits::recommend_eager_timed(model.as_ref(), &device, items),
+    }
+}
+
+/// Builds the model-serving route table of the paper's inference server:
+/// the model runs inline on the handler thread, with no queue, deadline
+/// or degradation — the reference the batched tiers are compared
+/// against. Stage spans land in a private recorder; use
 /// [`model_routes_observed`] to keep a handle on it.
 pub fn model_routes(model: Arc<dyn SbrModel>, device: Device, jit: bool) -> Handler {
     model_routes_observed(model, device, jit, Arc::new(Recorder::new()))
@@ -493,71 +455,10 @@ pub fn model_routes_observed(
     jit: bool,
     recorder: Arc<Recorder>,
 ) -> Handler {
-    let compiled: Option<Arc<CompiledGraph>> = if jit {
-        traits::compile(model.as_ref(), JitOptions::default())
-            .ok()
-            .map(Arc::new)
-    } else {
-        None
-    };
     let catalog_size = model.config().catalog_size;
-    Arc::new(move |req: &Request| -> Response {
-        if let Some(resp) = shared_routes(req, &recorder) {
-            return resp;
-        }
-        match (req.method, req.path.as_str()) {
-            (Method::Post, "/predictions") => {
-                let t_total = Instant::now();
-                let (rid, echo) = correlation_id(req);
-                let t_parse = Instant::now();
-                let items = match parse_prediction(&req.body, catalog_size) {
-                    Ok(items) => items,
-                    Err(resp) => return echo_request_id(resp, echo),
-                };
-                let parse = t_parse.elapsed();
-                let timed = match &compiled {
-                    Some(graph) => traits::recommend_compiled_timed(model.as_ref(), graph, &items),
-                    None => traits::recommend_eager_timed(model.as_ref(), &device, &items),
-                };
-                match timed {
-                    Ok((rec, st)) => {
-                        let t_ser = Instant::now();
-                        let body = http::encode_recommendations(&rec.items, &rec.scores);
-                        let resp = echo_request_id(
-                            Response::ok(body).with_header(
-                                "x-inference-duration-micros",
-                                (st.inference + st.topk).as_micros().to_string(),
-                            ),
-                            echo,
-                        );
-                        let serialize = t_ser.elapsed();
-                        // Take the total before the records: the first
-                        // record on a thread registers its ring, which
-                        // must not be billed to this request.
-                        let total = t_total.elapsed();
-                        recorder.record(rid, Stage::Parse, nanos(parse));
-                        recorder.record(rid, Stage::Inference, nanos(st.inference));
-                        recorder.record(rid, Stage::TopK, nanos(st.topk));
-                        recorder.record(rid, Stage::Serialize, nanos(serialize));
-                        recorder.record(rid, Stage::Total, nanos(total));
-                        note_trace(
-                            &recorder,
-                            trace_ctx(req),
-                            resp,
-                            &[
-                                (Stage::Parse, nanos(parse)),
-                                (Stage::Inference, nanos(st.inference)),
-                                (Stage::TopK, nanos(st.topk)),
-                                (Stage::Serialize, nanos(serialize)),
-                                (Stage::Total, nanos(total)),
-                            ],
-                        )
-                    }
-                    Err(_) => echo_request_id(Response::error(500, "inference failed"), echo),
-                }
-            }
-            _ => Response::error(404, "no such route"),
-        }
+    let infer = deploy(model, device, jit);
+    prediction_routes(recorder, catalog_size, MAX_BUDGET, move |_ctx, items| {
+        Served::by_model(infer(&items), None)
     })
 }
 
@@ -567,10 +468,10 @@ pub fn model_routes_observed(
 /// an active slow-down window stalls the handler, an error-response
 /// window answers with the configured status instead of serving, and a
 /// connection-reset window tags the response with [`RESET_MARKER`] so
-/// the connection poll loop truncates it mid-write. All decisions are
-/// pure functions of the plan seed and the request id, so two runs of
-/// the same seeded plan inject bit-identical faults. Fired faults are
-/// counted on the recorder (surfaced as `faults` in `/stats`).
+/// the reactor truncates it mid-write. All decisions are pure functions
+/// of the plan seed and the request id, so two runs of the same seeded
+/// plan inject bit-identical faults. Fired faults are counted on the
+/// recorder (surfaced as `faults` in `/stats`).
 ///
 /// Non-prediction routes (`/ping`, `/stats`, `/metrics`, `/static`)
 /// pass through untouched so probes and scrapes survive chaos runs.
@@ -599,7 +500,7 @@ pub fn inject_faults(inner: Handler, injector: FaultInjector, recorder: Arc<Reco
     })
 }
 
-/// Graceful-degradation policy for the batched server.
+/// Graceful-degradation policy for the continuous-batching server.
 ///
 /// Under sustained overload the server stops 503-ing and falls back to a
 /// precomputed popularity top-k response: a cheap, always-available
@@ -695,230 +596,21 @@ impl Degradation {
 /// head of the item distribution — our synthetic workloads put the mass
 /// on the lowest ids), scored by reciprocal rank. Stands in for the
 /// popularity cache a production recommender keeps warm.
-fn popularity_fallback(catalog_size: usize, top_k: usize) -> String {
+pub(crate) fn popularity_fallback(catalog_size: usize, top_k: usize) -> String {
     let k = top_k.min(catalog_size).max(1);
     let items: Vec<u32> = (0..k as u32).collect();
     let scores: Vec<f32> = (0..k).map(|rank| 1.0 / (rank as f32 + 1.0)).collect();
     http::encode_recommendations(&items, &scores)
 }
 
-/// One batched inference result: the recommendation plus the measured
-/// inference/top-k wall-time split, so the handler thread can derive its
-/// queue wait (submit-to-response minus actual compute).
-pub(crate) struct BatchReply {
-    pub(crate) rec: Result<etude_models::Recommendation, String>,
-    pub(crate) inference: Duration,
-    pub(crate) topk: Duration,
-}
-
-type PredictionBatcher = crate::batching::Batcher<Vec<u32>, BatchReply>;
-
-/// Builds the model-serving routes with the `batched-fn`-style request
-/// batcher in front of inference — the configuration the paper uses for
-/// GPU deployments (buffer up to 1,024 requests, flush every 2 ms).
-///
-/// Handler threads submit sessions into the [`crate::batching::Batcher`]
-/// and block on their individual results; a dedicated batcher thread
-/// drains whole batches through the (JIT-compiled when possible) model.
-/// On this CPU-only substrate batch items execute sequentially inside the
-/// batcher thread — the batching *mechanics* (queueing, flush deadline,
-/// per-request response channels) are exactly the deployed structure.
-///
-/// The batcher queue is bounded ([`crate::batching::BatchConfig::max_queue`]);
-/// when it fills, requests are shed with `503 Service Unavailable` and a
-/// `Retry-After` header instead of queueing unboundedly.
-pub fn model_routes_batched(
-    model: Arc<dyn SbrModel>,
-    device: Device,
-    jit: bool,
-    config: crate::batching::BatchConfig,
-) -> Handler {
-    model_routes_batched_observed(model, device, jit, config, Arc::new(Recorder::new()))
-}
-
-/// [`model_routes_batched`] with an externally owned span recorder.
-pub fn model_routes_batched_observed(
-    model: Arc<dyn SbrModel>,
-    device: Device,
-    jit: bool,
-    config: crate::batching::BatchConfig,
-    recorder: Arc<Recorder>,
-) -> Handler {
-    model_routes_batched_resilient(model, device, jit, config, recorder, None)
-}
-
-/// [`model_routes_batched_observed`] with graceful degradation: under
-/// sustained overload (per `policy`) the server serves the popularity
-/// fallback instead of 503-ing. `policy: None` keeps pure shedding.
-pub fn model_routes_batched_resilient(
-    model: Arc<dyn SbrModel>,
-    device: Device,
-    jit: bool,
-    config: crate::batching::BatchConfig,
-    recorder: Arc<Recorder>,
-    policy: Option<DegradationPolicy>,
-) -> Handler {
-    use crate::batching::Batcher;
-
-    let compiled: Option<Arc<CompiledGraph>> = if jit {
-        traits::compile(model.as_ref(), JitOptions::default())
-            .ok()
-            .map(Arc::new)
-    } else {
-        None
-    };
-    let catalog_size = model.config().catalog_size;
-    let infer_model = Arc::clone(&model);
-    let infer_device = device.clone();
-    let batcher: Arc<PredictionBatcher> =
-        Arc::new(Batcher::spawn(config, move |sessions: Vec<Vec<u32>>| {
-            sessions
-                .into_iter()
-                .map(|items| {
-                    let timed = match &compiled {
-                        Some(graph) => {
-                            traits::recommend_compiled_timed(infer_model.as_ref(), graph, &items)
-                        }
-                        None => traits::recommend_eager_timed(
-                            infer_model.as_ref(),
-                            &infer_device,
-                            &items,
-                        ),
-                    };
-                    match timed {
-                        Ok((rec, st)) => BatchReply {
-                            rec: Ok(rec),
-                            inference: st.inference,
-                            topk: st.topk,
-                        },
-                        Err(e) => BatchReply {
-                            rec: Err(e.to_string()),
-                            inference: Duration::ZERO,
-                            topk: Duration::ZERO,
-                        },
-                    }
-                })
-                .collect()
-        }));
-    let degradation = policy.map(|p| Arc::new(Degradation::new(p, catalog_size)));
-    batched_routes(batcher, catalog_size, recorder, degradation)
-}
-
-/// The route table around a prediction batcher. Factored out of
-/// [`model_routes_batched_observed`] so tests can drive a batcher whose
-/// batch closure they control (e.g. gated, to force overload).
-fn batched_routes(
-    batcher: Arc<PredictionBatcher>,
-    catalog_size: usize,
-    recorder: Arc<Recorder>,
-    degradation: Option<Arc<Degradation>>,
-) -> Handler {
-    use crate::batching::CallError;
-
-    Arc::new(move |req: &Request| -> Response {
-        if let Some(resp) = shared_routes(req, &recorder) {
-            return resp;
-        }
-        match (req.method, req.path.as_str()) {
-            (Method::Post, "/predictions") => {
-                let t_total = Instant::now();
-                let (rid, echo) = correlation_id(req);
-                let t_parse = Instant::now();
-                let items = match parse_prediction(&req.body, catalog_size) {
-                    Ok(items) => items,
-                    Err(resp) => return echo_request_id(resp, echo),
-                };
-                let parse = t_parse.elapsed();
-                let t_call = Instant::now();
-                // Export the batcher backlog as a gauge: the fleet view
-                // reads it off `/stats` to spot queueing pods.
-                recorder.set_queue_depth(batcher.queue_depth() as u64);
-                match batcher.try_call(items) {
-                    Ok(BatchReply {
-                        rec: Ok(rec),
-                        inference,
-                        topk,
-                    }) => {
-                        if let Some(d) = &degradation {
-                            d.note_success();
-                        }
-                        // Everything between submit and response that was
-                        // not compute is batch-queue wait (sitting in the
-                        // channel plus the flush deadline).
-                        let queue = t_call.elapsed().saturating_sub(inference + topk);
-                        let t_ser = Instant::now();
-                        let body = http::encode_recommendations(&rec.items, &rec.scores);
-                        let resp = echo_request_id(
-                            Response::ok(body).with_header(
-                                "x-inference-duration-micros",
-                                (inference + topk).as_micros().to_string(),
-                            ),
-                            echo,
-                        );
-                        let serialize = t_ser.elapsed();
-                        // Take the total before the records: the first
-                        // record on a thread registers its ring, which
-                        // must not be billed to this request.
-                        let total = t_total.elapsed();
-                        recorder.record(rid, Stage::Parse, nanos(parse));
-                        recorder.record(rid, Stage::Queue, nanos(queue));
-                        recorder.record(rid, Stage::Inference, nanos(inference));
-                        recorder.record(rid, Stage::TopK, nanos(topk));
-                        recorder.record(rid, Stage::Serialize, nanos(serialize));
-                        recorder.record(rid, Stage::Total, nanos(total));
-                        note_trace(
-                            &recorder,
-                            trace_ctx(req),
-                            resp,
-                            &[
-                                (Stage::Parse, nanos(parse)),
-                                (Stage::Queue, nanos(queue)),
-                                (Stage::Inference, nanos(inference)),
-                                (Stage::TopK, nanos(topk)),
-                                (Stage::Serialize, nanos(serialize)),
-                                (Stage::Total, nanos(total)),
-                            ],
-                        )
-                    }
-                    Ok(BatchReply { rec: Err(_), .. }) => {
-                        // The batcher submission itself succeeded.
-                        if let Some(d) = &degradation {
-                            d.note_success();
-                        }
-                        echo_request_id(Response::error(500, "inference failed"), echo)
-                    }
-                    Err(CallError::Overloaded) => {
-                        if let Some(d) = &degradation {
-                            if d.note_overload() {
-                                recorder.note_degraded();
-                                return echo_request_id(
-                                    Response::ok(d.fallback_body.clone())
-                                        .with_header(DEGRADED_HEADER, "1".to_string()),
-                                    echo,
-                                );
-                            }
-                        }
-                        recorder.note_shed();
-                        echo_request_id(
-                            Response::error(503, "server overloaded, retry later")
-                                .with_header("retry-after", "1".to_string()),
-                            echo,
-                        )
-                    }
-                    Err(CallError::Closed) => {
-                        echo_request_id(Response::error(503, "batcher unavailable"), echo)
-                    }
-                }
-            }
-            _ => Response::error(404, "no such route"),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{ClientError, HttpClient};
+    use crate::contbatch::{
+        continuous_routes, model_routes_continuous, ContinuousBatcher, ContinuousConfig,
+    };
+    use crate::reactor::{start, ReactorConfig};
     use etude_models::{ModelConfig, ModelKind};
 
     fn static_handler() -> Handler {
@@ -931,7 +623,7 @@ mod tests {
 
     #[test]
     fn serves_static_content_over_real_sockets() {
-        let server = start(ServerConfig::default(), static_handler()).unwrap();
+        let server = start(ReactorConfig::default(), static_handler()).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let resp = client.request(&Request::get("/static")).unwrap();
         assert_eq!(resp.status, 200);
@@ -941,7 +633,7 @@ mod tests {
 
     #[test]
     fn keep_alive_reuses_the_connection() {
-        let server = start(ServerConfig::default(), static_handler()).unwrap();
+        let server = start(ReactorConfig::default(), static_handler()).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         for _ in 0..50 {
             let resp = client.request(&Request::get("/ping")).unwrap();
@@ -953,7 +645,7 @@ mod tests {
 
     #[test]
     fn unknown_routes_return_404() {
-        let server = start(ServerConfig::default(), static_handler()).unwrap();
+        let server = start(ReactorConfig::default(), static_handler()).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let resp = client.request(&Request::get("/missing")).unwrap();
         assert_eq!(resp.status, 404);
@@ -965,7 +657,7 @@ mod tests {
         let cfg = ModelConfig::new(500).with_max_session_len(8).with_seed(5);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
         let handler = model_routes(model, Device::cpu(), true);
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let resp = client
             .request(&Request::post("/predictions", "1,2,3"))
@@ -984,7 +676,7 @@ mod tests {
         let cfg = ModelConfig::new(100).with_max_session_len(4);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
         let handler = model_routes(model, Device::cpu(), false);
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let resp = client
             .request(&Request::post("/predictions", "1,oops,3"))
@@ -1008,22 +700,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_model_route_serves_identical_results() {
+    fn continuous_model_route_serves_identical_results() {
         let cfg = ModelConfig::new(400).with_max_session_len(8).with_seed(6);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Narm.build(&cfg));
         let plain = model_routes(Arc::clone(&model), Device::cpu(), true);
-        let batched = model_routes_batched(
+        let batched = model_routes_continuous(
             model,
             Device::cpu(),
             true,
-            crate::batching::BatchConfig {
-                max_batch: 8,
-                flush_every: Duration::from_millis(2),
-                ..Default::default()
-            },
+            ContinuousConfig::default(),
+            Arc::new(Recorder::new()),
+            None,
         );
-        let plain_server = start(ServerConfig::default(), plain).unwrap();
-        let batched_server = start(ServerConfig::default(), batched).unwrap();
+        let plain_server = start(ReactorConfig::default(), plain).unwrap();
+        let batched_server = start(ReactorConfig::default(), batched).unwrap();
         let mut c1 = HttpClient::connect(plain_server.addr()).unwrap();
         let mut c2 = HttpClient::connect(batched_server.addr()).unwrap();
         for session in ["1,2,3", "7", "9,9,9,9", "300,2"] {
@@ -1041,13 +731,15 @@ mod tests {
     fn batched_route_survives_concurrent_load() {
         let cfg = ModelConfig::new(300).with_max_session_len(8).with_seed(8);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
-        let handler = model_routes_batched(
+        let handler = model_routes_continuous(
             model,
             Device::cpu(),
             true,
-            crate::batching::BatchConfig::default(),
+            ContinuousConfig::default(),
+            Arc::new(Recorder::new()),
+            None,
         );
-        let server = Arc::new(start(ServerConfig { workers: 4 }, handler).unwrap());
+        let server = Arc::new(start(ReactorConfig::default(), handler).unwrap());
         let addr = server.addr();
         let mut threads = Vec::new();
         for t in 0..6 {
@@ -1068,12 +760,78 @@ mod tests {
         assert_eq!(server.requests_served(), 150);
     }
 
+    /// A hostile `x-deadline-ms` — overflowing, negative, non-numeric,
+    /// empty — must neither panic the deadline arithmetic nor refuse the
+    /// request: it falls back to the cap or the tier's default budget.
+    /// (The fifth tier, the router, needs sockets: `tests/router.rs`.)
+    #[test]
+    fn hostile_deadline_headers_serve_under_the_default_budget_on_every_tier() {
+        use crate::contbatch::DEADLINE_HEADER;
+        use crate::overload::{overload_routes_with_state, OverloadConfig};
+        use etude_models::retrieval::CatalogShard;
+
+        let cfg = ModelConfig::new(64).with_max_session_len(4).with_seed(2);
+        let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
+        let table: Vec<f32> = (0..64 * 8).map(|i| (i % 97) as f32 / 97.0).collect();
+        let recorder = || Arc::new(Recorder::new());
+        let tiers: [(&str, Handler); 4] = [
+            (
+                "inline",
+                model_routes(Arc::clone(&model), Device::cpu(), false),
+            ),
+            (
+                "continuous",
+                model_routes_continuous(
+                    model,
+                    Device::cpu(),
+                    false,
+                    ContinuousConfig::default(),
+                    recorder(),
+                    None,
+                ),
+            ),
+            (
+                "overload",
+                overload_routes_with_state(
+                    table.clone(),
+                    64,
+                    8,
+                    7,
+                    OverloadConfig::default(),
+                    recorder(),
+                )
+                .0,
+            ),
+            (
+                "shard",
+                crate::router::shard_backend_routes(
+                    CatalogShard::from_table(&table, 8, 0..64),
+                    64,
+                    7,
+                    5,
+                    recorder(),
+                ),
+            ),
+        ];
+        for (tier, handler) in &tiers {
+            for budget in ["18446744073709551615", "-1", "soon", ""] {
+                let req =
+                    Request::post("/predictions", "1,2,3").with_header(DEADLINE_HEADER, budget);
+                assert_eq!(
+                    handler(&req).status,
+                    200,
+                    "{tier}: x-deadline-ms: {budget:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn request_ids_are_echoed_on_responses() {
         let cfg = ModelConfig::new(200).with_max_session_len(4).with_seed(3);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
         let server = start(
-            ServerConfig::default(),
+            ReactorConfig::default(),
             model_routes(model, Device::cpu(), false),
         )
         .unwrap();
@@ -1107,7 +865,7 @@ mod tests {
         let cfg = ModelConfig::new(300).with_max_session_len(8).with_seed(4);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
         let handler = model_routes(model, Device::cpu(), true);
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         for i in 0..5 {
             let resp = client
@@ -1147,23 +905,28 @@ mod tests {
         server.shutdown();
     }
 
-    /// The tentpole acceptance check: on the batched server, the
-    /// recorded component stages must tile each request's total within
-    /// 10%.
+    /// On the batched server the recorded component stages must tile
+    /// each request's wire-to-response total within 10% (the Queue span
+    /// carries the dispatch wait as well as the slot wait). The one
+    /// untimed segment is the slot → handler reply hop, a thread wake-up;
+    /// the catalog is sized so a scan dwarfs it even on a busy host.
     #[test]
     fn stage_components_tile_the_total_within_ten_percent() {
-        let cfg = ModelConfig::new(400).with_max_session_len(8).with_seed(11);
+        let cfg = ModelConfig::new(40_000)
+            .with_max_session_len(8)
+            .with_seed(11);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
         let recorder = Arc::new(Recorder::new());
         recorder.set_record_retention(true);
-        let handler = model_routes_batched_observed(
+        let handler = model_routes_continuous(
             model,
             Device::cpu(),
             true,
-            crate::batching::BatchConfig::default(),
+            ContinuousConfig::default(),
             Arc::clone(&recorder),
+            None,
         );
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let n = 20u32;
         for i in 0..n {
@@ -1197,43 +960,56 @@ mod tests {
         server.shutdown();
     }
 
+    /// A one-slot, one-deep continuous batcher whose slot blocks on
+    /// `gate` (counting pickups in `entered`): the fixture that lets a
+    /// test hold the server in overload for as long as it likes.
+    fn gated_batcher(
+        gate: Arc<parking_lot::Mutex<()>>,
+        entered: Arc<AtomicU64>,
+    ) -> Arc<ContinuousBatcher<Vec<u32>, Inferred>> {
+        Arc::new(ContinuousBatcher::spawn(
+            ContinuousConfig {
+                slots: 1,
+                max_queue: 1,
+                default_deadline: Duration::from_secs(60),
+            },
+            move |_session: Vec<u32>| {
+                entered.fetch_add(1, Ordering::SeqCst);
+                let _open = gate.lock();
+                Ok((
+                    Recommendation {
+                        items: vec![1],
+                        scores: vec![1.0],
+                    },
+                    StageTimings {
+                        inference: Duration::from_micros(10),
+                        topk: Duration::from_micros(5),
+                    },
+                ))
+            },
+        ))
+    }
+
     /// Drives the batched server into overload (gated batcher, full
     /// queue) and back out: shed requests get `503` + `Retry-After`,
     /// recovery restores `200`s.
     #[test]
     fn overloaded_batched_server_sheds_load_and_recovers() {
-        use crate::batching::{BatchConfig, Batcher};
-
         let gate = Arc::new(parking_lot::Mutex::new(()));
         let held = gate.lock();
         let handler_gate = Arc::clone(&gate);
         let entered = Arc::new(AtomicU64::new(0));
         let entered_in_closure = Arc::clone(&entered);
-        let batcher: Arc<PredictionBatcher> = Arc::new(Batcher::spawn(
-            BatchConfig {
-                max_batch: 1,
-                flush_every: Duration::from_micros(1),
-                max_queue: 1,
-            },
-            move |sessions: Vec<Vec<u32>>| {
-                entered_in_closure.fetch_add(1, Ordering::SeqCst);
-                let _open = handler_gate.lock();
-                sessions
-                    .into_iter()
-                    .map(|_| BatchReply {
-                        rec: Ok(etude_models::Recommendation {
-                            items: vec![1],
-                            scores: vec![1.0],
-                        }),
-                        inference: Duration::from_micros(10),
-                        topk: Duration::from_micros(5),
-                    })
-                    .collect()
-            },
-        ));
+        let batcher = gated_batcher(handler_gate, entered_in_closure);
         let probe = Arc::clone(&batcher);
-        let handler = batched_routes(batcher, 100, Arc::new(Recorder::new()), None);
-        let server = start(ServerConfig { workers: 4 }, handler).unwrap();
+        let handler = continuous_routes(
+            batcher,
+            100,
+            Duration::from_secs(60),
+            Arc::new(Recorder::new()),
+            None,
+        );
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let addr = server.addr();
 
         let spawn_request = move || {
@@ -1247,8 +1023,8 @@ mod tests {
             })
         };
         let deadline = Instant::now() + Duration::from_secs(10);
-        // First in-flight request: consumed by the batcher thread, which
-        // is now held inside the gated closure.
+        // First in-flight request: picked up by the batcher's one slot,
+        // which is now held inside the gated closure.
         let mut blocked = vec![spawn_request()];
         while entered.load(Ordering::SeqCst) == 0 {
             assert!(Instant::now() < deadline, "batcher never started");
@@ -1330,35 +1106,12 @@ mod tests {
     /// and watch it recover to full service.
     #[test]
     fn sustained_overload_degrades_gracefully_and_recovers() {
-        use crate::batching::{BatchConfig, Batcher};
-
         let gate = Arc::new(parking_lot::Mutex::new(()));
         let held = gate.lock();
         let handler_gate = Arc::clone(&gate);
         let entered = Arc::new(AtomicU64::new(0));
         let entered_in_closure = Arc::clone(&entered);
-        let batcher: Arc<PredictionBatcher> = Arc::new(Batcher::spawn(
-            BatchConfig {
-                max_batch: 1,
-                flush_every: Duration::from_micros(1),
-                max_queue: 1,
-            },
-            move |sessions: Vec<Vec<u32>>| {
-                entered_in_closure.fetch_add(1, Ordering::SeqCst);
-                let _open = handler_gate.lock();
-                sessions
-                    .into_iter()
-                    .map(|_| BatchReply {
-                        rec: Ok(etude_models::Recommendation {
-                            items: vec![1],
-                            scores: vec![1.0],
-                        }),
-                        inference: Duration::from_micros(10),
-                        topk: Duration::from_micros(5),
-                    })
-                    .collect()
-            },
-        ));
+        let batcher = gated_batcher(handler_gate, entered_in_closure);
         let probe = Arc::clone(&batcher);
         let recorder = Arc::new(Recorder::new());
         let degradation = Arc::new(Degradation::new(
@@ -1369,8 +1122,14 @@ mod tests {
             },
             100,
         ));
-        let handler = batched_routes(batcher, 100, Arc::clone(&recorder), Some(degradation));
-        let server = start(ServerConfig { workers: 4 }, handler).unwrap();
+        let handler = continuous_routes(
+            batcher,
+            100,
+            Duration::from_secs(60),
+            Arc::clone(&recorder),
+            Some(degradation),
+        );
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let addr = server.addr();
 
         let spawn_request = move || {
@@ -1443,7 +1202,7 @@ mod tests {
                 .with_header(RESET_MARKER, "1".to_string()),
             _ => Response::ok("fine"),
         });
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let resp = client.request(&Request::get("/ok")).unwrap();
         assert_eq!(resp.status, 200);
@@ -1512,7 +1271,7 @@ mod tests {
         let recorder = Arc::new(Recorder::with_pod(7));
         recorder.set_trace_retention(true);
         let handler = model_routes_observed(model, Device::cpu(), false, Arc::clone(&recorder));
-        let server = start(ServerConfig::default(), handler).unwrap();
+        let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
 
         let ctx = TraceCtx::root(request_id_hash("traced-req")).child(0xfeed);
@@ -1550,7 +1309,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_are_served() {
-        let server = Arc::new(start(ServerConfig { workers: 4 }, static_handler()).unwrap());
+        let server = Arc::new(start(ReactorConfig::default(), static_handler()).unwrap());
         let addr = server.addr();
         let mut handles = Vec::new();
         for _ in 0..8 {

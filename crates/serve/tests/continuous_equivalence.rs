@@ -1,14 +1,15 @@
 //! Equivalence and admission-invariant proptests for continuous
 //! batching.
 //!
-//! Two contracts lock the new batcher to the fixed one it replaces:
+//! Two contracts lock the batcher down:
 //!
 //! 1. **Payload equivalence** — for any arrival schedule (sessions,
 //!    concurrency, ordering), the recommendation payloads served by the
-//!    continuous path are byte-identical to the fixed batcher's for the
-//!    same model and sessions. Batching is an execution strategy, never
-//!    a semantic: per-session inference is deterministic, so how
-//!    requests were grouped must be invisible in the bytes.
+//!    continuous path are byte-identical to the inline `model_routes`
+//!    handler's for the same model and sessions. Batching is an
+//!    execution strategy, never a semantic: per-session inference is
+//!    deterministic, so how requests were grouped must be invisible in
+//!    the bytes.
 //! 2. **Deadline admission** — no admitted request's inference ever
 //!    starts after its deadline budget is exhausted: a blown budget is
 //!    shed at the queue (before compute), and every *served* request's
@@ -16,10 +17,9 @@
 
 use etude_faults::Deadline;
 use etude_models::{ModelConfig, ModelKind, SbrModel};
-use etude_serve::batching::BatchConfig;
 use etude_serve::contbatch::{AdmitError, ContinuousBatcher, ContinuousConfig};
 use etude_serve::http::Request;
-use etude_serve::rustserver::{model_routes_batched, Handler};
+use etude_serve::rustserver::{model_routes, Handler};
 use etude_serve::{model_routes_continuous, ContinuousConfig as PublicContinuousConfig};
 use etude_tensor::Device;
 use proptest::prelude::*;
@@ -42,8 +42,8 @@ fn shared_model() -> Arc<dyn SbrModel> {
     }))
 }
 
-fn fixed_handler() -> Handler {
-    model_routes_batched(shared_model(), Device::cpu(), false, BatchConfig::default())
+fn inline_handler() -> Handler {
+    model_routes(shared_model(), Device::cpu(), false)
 }
 
 fn continuous_handler() -> Handler {
@@ -82,23 +82,23 @@ fn drive(handler: &Handler, sessions: &[Vec<u32>]) -> Vec<(u16, Vec<u8>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any arrival schedule: fixed-window and continuous batching serve
-    /// byte-identical recommendation payloads.
+    /// Any arrival schedule: inline execution and continuous batching
+    /// serve byte-identical recommendation payloads.
     #[test]
-    fn payloads_match_fixed_batcher_for_any_schedule(
+    fn payloads_match_inline_execution_for_any_schedule(
         sessions in proptest::collection::vec(
             proptest::collection::vec(0u32..CATALOG as u32, 1..8),
             1..10,
         ),
     ) {
-        let fixed = drive(&fixed_handler(), &sessions);
+        let inline = drive(&inline_handler(), &sessions);
         let continuous = drive(&continuous_handler(), &sessions);
-        for (i, (f, c)) in fixed.iter().zip(&continuous).enumerate() {
-            prop_assert_eq!(f.0, 200u16, "fixed batcher failed session {}", i);
+        for (i, (f, c)) in inline.iter().zip(&continuous).enumerate() {
+            prop_assert_eq!(f.0, 200u16, "inline handler failed session {}", i);
             prop_assert_eq!(c.0, 200u16, "continuous batcher failed session {}", i);
             prop_assert_eq!(
                 &f.1, &c.1,
-                "payload for session {} diverged between batchers", i
+                "payload for session {} diverged from inline execution", i
             );
         }
     }
@@ -182,36 +182,33 @@ proptest! {
     }
 }
 
-/// Low-load byte-identity across the full HTTP stack: the acceptance
-/// criterion's "byte-identical recommendation payloads between the two
-/// servers at low load", checked end-to-end over real sockets — the
-/// blocking server with the fixed batcher vs the reactor server with
-/// the continuous batcher.
+/// Low-load byte-identity across the full HTTP stack, checked
+/// end-to-end over real sockets: the reactor serving the inline handler
+/// vs the reactor serving the continuous batcher.
 #[test]
 fn servers_agree_byte_for_byte_at_low_load() {
     use etude_serve::client::HttpClient;
     use etude_serve::reactor::{self, ReactorConfig};
-    use etude_serve::rustserver::{self, ServerConfig};
 
-    let blocking = rustserver::start(ServerConfig::default(), fixed_handler()).unwrap();
-    let reactor = reactor::start(ReactorConfig::default(), continuous_handler()).unwrap();
-    let mut blocking_client = HttpClient::connect(blocking.addr()).unwrap();
-    let mut reactor_client = HttpClient::connect(reactor.addr()).unwrap();
+    let inline = reactor::start(ReactorConfig::default(), inline_handler()).unwrap();
+    let batched = reactor::start(ReactorConfig::default(), continuous_handler()).unwrap();
+    let mut inline_client = HttpClient::connect(inline.addr()).unwrap();
+    let mut batched_client = HttpClient::connect(batched.addr()).unwrap();
 
     let sessions = ["1", "5,2,9", "10,20,30,40", "299", "0,0,7", "42,17,42,17,8"];
     for session in sessions {
         let req = Request::post("/predictions", session);
-        let a = blocking_client.request(&req).unwrap();
-        let b = reactor_client.request(&req).unwrap();
-        assert_eq!(a.status, 200, "blocking+fixed failed {session}");
+        let a = inline_client.request(&req).unwrap();
+        let b = batched_client.request(&req).unwrap();
+        assert_eq!(a.status, 200, "reactor+inline failed {session}");
         assert_eq!(b.status, 200, "reactor+continuous failed {session}");
         assert_eq!(
             a.body, b.body,
             "recommendation payload diverged for session {session}"
         );
     }
-    blocking.shutdown();
-    reactor.shutdown();
+    inline.shutdown();
+    batched.shutdown();
 }
 
 /// In-queue expiry sheds with the standard overload contract (503 +

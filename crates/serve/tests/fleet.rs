@@ -8,7 +8,8 @@ use etude_models::{ModelConfig, ModelKind, SbrModel};
 use etude_obs::fleet::{parse_fleet_merged, parse_fleet_pods};
 use etude_obs::{parse_stats_json, FleetSnapshot, Recorder, StatsSnapshot};
 use etude_serve::http::Request;
-use etude_serve::rustserver::{model_routes_observed, start, ServerConfig, ServerHandle};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::{model_routes_observed, ServerHandle};
 use etude_serve::{fleet_routes, HttpClient};
 use etude_tensor::Device;
 use std::net::{SocketAddr, TcpListener};
@@ -22,7 +23,7 @@ fn pod(id: u32, n: u32) -> ServerHandle {
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
     let recorder = Arc::new(Recorder::with_pod(id));
     let handler = model_routes_observed(model, Device::cpu(), false, recorder);
-    let server = start(ServerConfig::default(), handler).unwrap();
+    let server = start(ReactorConfig::default(), handler).unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();
     for i in 0..n {
         let resp = client
@@ -62,7 +63,7 @@ fn fleet_endpoint_merges_pods_bit_identically() {
     // Aggregator over the three live pods plus one dead peer.
     let mut peers = peer_addrs.clone();
     peers.push(dead_addr());
-    let agg = start(ServerConfig::default(), fleet_routes(peers)).unwrap();
+    let agg = start(ReactorConfig::default(), fleet_routes(peers)).unwrap();
     let mut client = HttpClient::connect(agg.addr()).unwrap();
 
     let body = get(&mut client, "/fleet");
@@ -130,7 +131,7 @@ fn fleet_endpoint_merges_pods_bit_identically() {
 #[test]
 fn consecutive_scrape_failures_mark_a_pod_unhealthy_until_it_recovers() {
     use etude_obs::parse_fleet_health;
-    use etude_serve::rustserver::start_on;
+    use etude_serve::reactor::start_on;
     use etude_serve::FleetScraper;
 
     let live = pod(7, 3);
@@ -154,7 +155,7 @@ fn consecutive_scrape_failures_mark_a_pod_unhealthy_until_it_recovers() {
     // The pod comes back on its old address: one good scrape recovers it.
     let replacement = start_on(
         flaky,
-        ServerConfig::default(),
+        ReactorConfig::default(),
         Arc::new(|req: &Request| {
             if req.path == "/stats" {
                 etude_serve::http::Response::ok(StatsSnapshot::default().render_json())
@@ -182,7 +183,7 @@ fn consecutive_scrape_failures_mark_a_pod_unhealthy_until_it_recovers() {
 #[test]
 fn fleet_endpoint_survives_a_fully_dead_fleet() {
     let agg = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         fleet_routes(vec![dead_addr(), dead_addr()]),
     )
     .unwrap();

@@ -1,25 +1,26 @@
-//! Concurrency/protocol suite locking the reactor server to the
-//! blocking server's observable behavior.
-//!
-//! Every scenario runs against BOTH server flavors with the same route
-//! handler and asserts an identical transcript: the reactor rewrite is
-//! only allowed to change *capacity*, never protocol semantics. Covered
-//! hostile-client shapes:
+//! Concurrency/protocol suite pinning the server's observable behavior
+//! under hostile client shapes. The reactor is allowed to change
+//! *capacity*, never protocol semantics, so every scenario asserts its
+//! literal transcript — statuses, bodies, and whether the connection
+//! was closed:
 //!
 //! * keep-alive pipelining (many requests in one write, answers in
 //!   order),
-//! * slowloris (headers dripped one byte at a time — neither flavor
-//!   times the client out; it is eventually served),
+//! * slowloris (headers dripped one byte at a time — the client is not
+//!   timed out; it is eventually served),
 //! * mid-request disconnect (half a request then FIN — dropped without
 //!   a response, server stays healthy),
 //! * oversized body rejection (`Content-Length` past the cap → 500 and
 //!   close, without buffering the body),
-//! * a 10k-idle-connections smoke test on the reactor (the scenario
-//!   the thread-per-connection baseline exists to lose).
+//! * oversized head rejection (no blank line within the head cap → 500
+//!   and close, without buffering further),
+//! * requests pipelined behind a malformed one die with the connection,
+//! * a 10k-idle-connections smoke test (the scenario a server that
+//!   scans its connections exists to lose).
 
 use etude_serve::http::{self, Method, Request, Response};
 use etude_serve::reactor::{self, raise_nofile_limit, ReactorConfig};
-use etude_serve::rustserver::{self, Handler, ServerConfig, ServerHandle};
+use etude_serve::rustserver::{Handler, ServerHandle};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -33,19 +34,8 @@ fn echo_handler() -> Handler {
     })
 }
 
-/// Both server flavors behind one seam, so every scenario is written
-/// once and asserted twice.
-fn both_servers() -> Vec<(&'static str, ServerHandle)> {
-    vec![
-        (
-            "blocking",
-            rustserver::start(ServerConfig::default(), echo_handler()).unwrap(),
-        ),
-        (
-            "reactor",
-            reactor::start(ReactorConfig::default(), echo_handler()).unwrap(),
-        ),
-    ]
+fn server() -> ServerHandle {
+    reactor::start(ReactorConfig::default(), echo_handler()).unwrap()
 }
 
 /// Reads exactly `n` responses off a raw socket, returning parsed
@@ -101,149 +91,142 @@ fn read_responses(stream: &mut TcpStream, n: usize) -> (Vec<Response>, bool) {
     (out, closed)
 }
 
-/// Normalizes a transcript for cross-flavor comparison.
-fn transcript(responses: &[Response], closed: bool) -> Vec<(u16, Vec<u8>, bool)> {
-    responses
-        .iter()
-        .map(|r| (r.status, r.body.to_vec(), closed))
-        .collect()
-}
-
 #[test]
-fn pipelined_requests_answer_in_order_on_both_servers() {
-    let mut transcripts = Vec::new();
-    for (flavor, server) in both_servers() {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // Six requests in a single write: interleaved GETs and POSTs
-        // whose bodies disambiguate ordering.
-        let mut wire = Vec::new();
-        for i in 0..3 {
-            wire.extend_from_slice(&Request::get("/ping").encode());
-            wire.extend_from_slice(&Request::post("/echo", format!("body-{i}")).encode());
-        }
-        stream.write_all(&wire).unwrap();
-        let (responses, closed) = read_responses(&mut stream, 6);
-        assert_eq!(responses.len(), 6, "{flavor}: lost pipelined responses");
-        assert!(!closed, "{flavor}: keep-alive connection was closed");
-        for (i, pair) in responses.chunks(2).enumerate() {
-            assert_eq!(&pair[0].body[..], b"pong", "{flavor}");
-            assert_eq!(pair[1].body, format!("body-{i}").as_bytes(), "{flavor}");
-        }
-        // The connection stays usable afterwards.
-        stream
-            .write_all(&Request::post("/echo", "after").encode())
-            .unwrap();
-        let (more, _) = read_responses(&mut stream, 1);
-        assert_eq!(&more[0].body[..], b"after", "{flavor}");
-        assert_eq!(server.requests_served(), 7, "{flavor}");
-        transcripts.push(transcript(&responses, closed));
-        server.shutdown();
+fn pipelined_requests_answer_in_order() {
+    let server = server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    // Six requests in a single write: interleaved GETs and POSTs
+    // whose bodies disambiguate ordering.
+    let mut wire = Vec::new();
+    for i in 0..3 {
+        wire.extend_from_slice(&Request::get("/ping").encode());
+        wire.extend_from_slice(&Request::post("/echo", format!("body-{i}")).encode());
     }
-    assert_eq!(
-        transcripts[0], transcripts[1],
-        "blocking and reactor transcripts diverged"
-    );
-}
-
-#[test]
-fn slowloris_headers_are_eventually_served_on_both_servers() {
-    let mut transcripts = Vec::new();
-    for (flavor, server) in both_servers() {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let wire = Request::post("/echo", "drip").encode();
-        // One byte at a time, with a pause every few bytes: the classic
-        // slowloris shape. Neither flavor imposes a header deadline, so
-        // the request must eventually complete.
-        for (i, b) in wire.iter().enumerate() {
-            stream.write_all(std::slice::from_ref(b)).unwrap();
-            if i % 8 == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        let (responses, closed) = read_responses(&mut stream, 1);
-        assert_eq!(responses.len(), 1, "{flavor}: slowloris never served");
-        assert_eq!(&responses[0].body[..], b"drip", "{flavor}");
-        assert!(!closed, "{flavor}: keep-alive closed after slowloris");
-        transcripts.push(transcript(&responses, closed));
-        server.shutdown();
+    stream.write_all(&wire).unwrap();
+    let (responses, closed) = read_responses(&mut stream, 6);
+    assert_eq!(responses.len(), 6, "lost pipelined responses");
+    assert!(!closed, "keep-alive connection was closed");
+    for (i, pair) in responses.chunks(2).enumerate() {
+        assert_eq!(pair[0].status, 200);
+        assert_eq!(&pair[0].body[..], b"pong");
+        assert_eq!(pair[1].status, 200);
+        assert_eq!(pair[1].body, format!("body-{i}").as_bytes());
     }
-    assert_eq!(transcripts[0], transcripts[1]);
+    // The connection stays usable afterwards.
+    stream
+        .write_all(&Request::post("/echo", "after").encode())
+        .unwrap();
+    let (more, _) = read_responses(&mut stream, 1);
+    assert_eq!(&more[0].body[..], b"after");
+    assert_eq!(server.requests_served(), 7);
+    server.shutdown();
 }
 
 #[test]
-fn mid_request_disconnect_is_dropped_without_wedging_either_server() {
-    for (flavor, server) in both_servers() {
-        let addr = server.addr();
-        {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let wire = Request::post("/echo", "never finished").encode();
-            // Half the request, then FIN.
-            stream.write_all(&wire[..wire.len() / 2]).unwrap();
+fn slowloris_headers_are_eventually_served() {
+    let server = server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let wire = Request::post("/echo", "drip").encode();
+    // One byte at a time, with a pause every few bytes: the classic
+    // slowloris shape. The server imposes no header deadline, so the
+    // request must eventually complete.
+    for (i, b) in wire.iter().enumerate() {
+        stream.write_all(std::slice::from_ref(b)).unwrap();
+        if i % 8 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        // The partial request must not be served, and the server must
-        // keep serving fresh connections promptly.
+    }
+    let (responses, closed) = read_responses(&mut stream, 1);
+    assert_eq!(responses.len(), 1, "slowloris never served");
+    assert_eq!(responses[0].status, 200);
+    assert_eq!(&responses[0].body[..], b"drip");
+    assert!(!closed, "keep-alive closed after slowloris");
+    server.shutdown();
+}
+
+#[test]
+fn mid_request_disconnect_is_dropped_without_wedging_the_server() {
+    let server = server();
+    let addr = server.addr();
+    {
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(&Request::post("/echo", "alive").encode())
-            .unwrap();
-        let (responses, _) = read_responses(&mut stream, 1);
-        assert_eq!(&responses[0].body[..], b"alive", "{flavor}");
-        assert_eq!(
-            server.requests_served(),
-            1,
-            "{flavor}: the aborted request must not count as served"
-        );
-        server.shutdown();
+        let wire = Request::post("/echo", "never finished").encode();
+        // Half the request, then FIN.
+        stream.write_all(&wire[..wire.len() / 2]).unwrap();
     }
+    // The partial request must not be served, and the server must
+    // keep serving fresh connections promptly.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(&Request::post("/echo", "alive").encode())
+        .unwrap();
+    let (responses, _) = read_responses(&mut stream, 1);
+    assert_eq!(&responses[0].body[..], b"alive");
+    assert_eq!(
+        server.requests_served(),
+        1,
+        "the aborted request must not count as served"
+    );
+    server.shutdown();
 }
 
 #[test]
-fn oversized_bodies_are_rejected_identically() {
-    let mut transcripts = Vec::new();
-    for (flavor, server) in both_servers() {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // Headers declaring a body one byte past the cap; the server
-        // must reject on the declaration without waiting for the bytes.
-        let head = format!(
-            "POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            http::MAX_BODY_BYTES + 1
-        );
-        stream.write_all(head.as_bytes()).unwrap();
-        let (responses, closed) = read_responses(&mut stream, 1);
-        assert_eq!(responses.len(), 1, "{flavor}: no rejection response");
-        assert_eq!(responses[0].status, 500, "{flavor}");
-        assert_eq!(&responses[0].body[..], b"bad request", "{flavor}");
-        assert!(
-            closed,
-            "{flavor}: connection must close after a bad request"
-        );
-        transcripts.push(transcript(&responses, closed));
-        server.shutdown();
-    }
-    assert_eq!(transcripts[0], transcripts[1]);
+fn oversized_bodies_are_rejected() {
+    let server = server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    // Headers declaring a body one byte past the cap; the server
+    // must reject on the declaration without waiting for the bytes.
+    let head = format!(
+        "POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        http::MAX_BODY_BYTES + 1
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    let (responses, closed) = read_responses(&mut stream, 1);
+    assert_eq!(responses.len(), 1, "no rejection response");
+    assert_eq!(responses[0].status, 500);
+    assert_eq!(&responses[0].body[..], b"bad request");
+    assert!(closed, "connection must close after a bad request");
+    server.shutdown();
+}
+
+#[test]
+fn never_terminated_heads_are_rejected_at_the_head_cap() {
+    let server = server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    // A request line and then header bytes without end: exactly the cap
+    // and not one blank line. The server must answer on what it has
+    // instead of buffering toward the connection-level cap.
+    let mut wire = b"POST /echo HTTP/1.1\r\nx-filler: ".to_vec();
+    wire.resize(http::MAX_HEAD_BYTES, b'a');
+    stream.write_all(&wire).unwrap();
+    let (responses, closed) = read_responses(&mut stream, 1);
+    assert_eq!(responses.len(), 1, "no rejection response");
+    assert_eq!(responses[0].status, 500);
+    assert_eq!(&responses[0].body[..], b"bad request");
+    assert!(closed, "connection must close after a bad request");
+    assert_eq!(server.requests_served(), 0);
+    server.shutdown();
 }
 
 #[test]
 fn requests_pipelined_behind_a_malformed_one_die_with_the_connection() {
-    let mut transcripts = Vec::new();
-    for (flavor, server) in both_servers() {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&Request::post("/echo", "first").encode());
-        wire.extend_from_slice(b"NONSENSE /x HTTP/9.9\r\n\r\n");
-        wire.extend_from_slice(&Request::post("/echo", "doomed").encode());
-        stream.write_all(&wire).unwrap();
-        // The good request answers, the malformed one gets the 500, the
-        // one behind it is never served — on both flavors.
-        let (responses, closed) = read_responses(&mut stream, 2);
-        assert_eq!(responses.len(), 2, "{flavor}");
-        assert_eq!(&responses[0].body[..], b"first", "{flavor}");
-        assert_eq!(responses[1].status, 500, "{flavor}");
-        assert!(closed, "{flavor}: connection must close after the 500");
-        transcripts.push(transcript(&responses, closed));
-        server.shutdown();
-    }
-    assert_eq!(transcripts[0], transcripts[1]);
+    let server = server();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&Request::post("/echo", "first").encode());
+    wire.extend_from_slice(b"NONSENSE /x HTTP/9.9\r\n\r\n");
+    wire.extend_from_slice(&Request::post("/echo", "doomed").encode());
+    stream.write_all(&wire).unwrap();
+    // The good request answers, the malformed one gets the 500, the
+    // one behind it is never served.
+    let (responses, closed) = read_responses(&mut stream, 2);
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0].status, 200);
+    assert_eq!(&responses[0].body[..], b"first");
+    assert_eq!(responses[1].status, 500);
+    assert_eq!(&responses[1].body[..], b"bad request");
+    assert!(closed, "connection must close after the 500");
+    server.shutdown();
 }
 
 #[test]
@@ -257,7 +240,7 @@ fn ten_thousand_idle_connections_smoke() {
         "fd limit {limit} too low for a meaningful idle-connection smoke"
     );
 
-    let server = reactor::start(ReactorConfig::default(), echo_handler()).unwrap();
+    let server = server();
     let addr = server.addr();
     let mut idle = Vec::with_capacity(target);
     for i in 0..target {

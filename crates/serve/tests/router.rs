@@ -12,7 +12,8 @@ use etude_obs::{
     parse_fleet_shards, parse_stats_json, request_id_hash, Recorder, TraceCtx, TRACE_HEADER,
 };
 use etude_serve::http::{encode_recommendations, Request};
-use etude_serve::rustserver::{start, ServerConfig, ServerHandle, DEGRADED_HEADER};
+use etude_serve::reactor::{start, ReactorConfig};
+use etude_serve::rustserver::{ServerHandle, DEGRADED_HEADER};
 use etude_serve::{router_routes, shard_backend_routes, HttpClient, RouterConfig, ShardTopology};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -41,7 +42,7 @@ fn table() -> Vec<f32> {
 fn backend(shard: CatalogShard, pod: u32) -> (ServerHandle, Arc<Recorder>) {
     let recorder = Arc::new(Recorder::with_pod(pod));
     let handler = shard_backend_routes(shard, C, QUERY_SEED, K, Arc::clone(&recorder));
-    let server = start(ServerConfig::default(), handler).unwrap();
+    let server = start(ReactorConfig::default(), handler).unwrap();
     (server, recorder)
 }
 
@@ -77,6 +78,39 @@ fn sessions() -> Vec<String> {
         .collect()
 }
 
+/// The router leg of the hostile-`x-deadline-ms` table (the other four
+/// tiers are covered at handler level in `rustserver.rs`): overflowing,
+/// negative, non-numeric and empty budgets fall back to the cap or the
+/// default, and the scatter serves.
+#[test]
+fn hostile_deadline_headers_serve_under_the_default_budget() {
+    let table = table();
+    let mut topo = ShardTopology::partition(C, D, QUERY_SEED, 2);
+    let mut servers = Vec::new();
+    for i in 0..topo.groups.len() {
+        let (server, _) = backend(topo.shard_of(&table, i), topo.groups[i].id);
+        topo.groups[i].replicas.push(server.addr());
+        servers.push(server);
+    }
+    let router = start(
+        ReactorConfig::default(),
+        router_routes(topo, quick_config(), Arc::new(Recorder::new())),
+    )
+    .unwrap();
+    let mut client = HttpClient::connect(router.addr()).unwrap();
+    for budget in ["18446744073709551615", "-1", "soon", ""] {
+        let req = Request::post("/predictions", "1,2,3")
+            .with_header(etude_serve::DEADLINE_HEADER, budget);
+        let resp = client.request(&req).unwrap();
+        assert_eq!(resp.status, 200, "x-deadline-ms: {budget:?}");
+        assert!(!resp.headers.contains_key(DEGRADED_HEADER), "{budget:?}");
+    }
+    router.shutdown();
+    for s in servers {
+        s.shutdown();
+    }
+}
+
 #[test]
 fn full_health_router_matches_unsharded_reference_byte_for_byte() {
     let table = table();
@@ -94,7 +128,7 @@ fn full_health_router_matches_unsharded_reference_byte_for_byte() {
     let (reference, _) = backend(CatalogShard::from_table(&table, D, 0..C), 99);
 
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo, quick_config(), Arc::new(Recorder::new())),
     )
     .unwrap();
@@ -146,7 +180,7 @@ fn losing_a_shard_group_degrades_without_failing() {
     let survivor = topo.shard_of(&table, 0);
     let router_recorder = Arc::new(Recorder::new());
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo, quick_config(), Arc::clone(&router_recorder)),
     )
     .unwrap();
@@ -208,7 +242,7 @@ fn fleet_view_reports_per_group_health_and_resident_bytes() {
     let expected_bytes: Vec<u64> = topo.groups.iter().map(|g| g.resident_bytes).collect();
 
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo, quick_config(), Arc::new(Recorder::new())),
     )
     .unwrap();
@@ -254,7 +288,7 @@ fn scatter_legs_trace_as_sibling_child_spans() {
         recorders.push(recorder);
     }
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo, quick_config(), Arc::new(Recorder::new())),
     )
     .unwrap();
@@ -311,7 +345,7 @@ fn scatter_legs_carry_request_ids_even_for_anonymous_traffic() {
         recorders.push(recorder);
     }
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo, quick_config(), Arc::new(Recorder::new())),
     )
     .unwrap();
@@ -375,7 +409,7 @@ fn expired_deadline_sheds_before_fanout_and_at_the_leg() {
     }
     let recorder = Arc::new(Recorder::new());
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo, quick_config(), Arc::clone(&recorder)),
     )
     .unwrap();
@@ -423,7 +457,7 @@ fn inherited_brownout_level_switches_legs_to_the_quantized_rung() {
 
     let recorder = Arc::new(Recorder::new());
     let router = start(
-        ServerConfig::default(),
+        ReactorConfig::default(),
         router_routes(topo, quick_config(), Arc::clone(&recorder)),
     )
     .unwrap();

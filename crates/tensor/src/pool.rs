@@ -108,7 +108,7 @@ impl ThreadPool {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("etude-intraop-{i}"))
-                    .spawn(move || worker_loop(rx, shared))
+                    .spawn(move || run_worker(rx, shared))
                     .expect("spawn intra-op worker"),
             );
         }
@@ -219,7 +219,7 @@ fn run_claimed_shards(shared: &Shared) {
     }
 }
 
-fn worker_loop(rx: Receiver<Wake>, shared: std::sync::Arc<Shared>) {
+fn run_worker(rx: Receiver<Wake>, shared: std::sync::Arc<Shared>) {
     loop {
         match rx.recv() {
             Ok(Wake::Work) => run_claimed_shards(&shared),

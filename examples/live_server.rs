@@ -14,7 +14,8 @@ use etude::loadgen::driver::RealLoadGen;
 use etude::loadgen::LoadConfig;
 use etude::metrics::report::fmt_duration;
 use etude::models::{ModelConfig, ModelKind, SbrModel};
-use etude::serve::rustserver::{model_routes, start, ServerConfig};
+use etude::serve::reactor::{start, ReactorConfig};
+use etude::serve::rustserver::model_routes;
 use etude::tensor::Device;
 use etude::workload::{SyntheticWorkload, WorkloadConfig};
 use std::sync::Arc;
@@ -28,7 +29,7 @@ fn main() {
         .with_seed(7);
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
     let handler = model_routes(model, Device::cpu(), true);
-    let server = start(ServerConfig { workers: 4 }, handler).expect("server starts");
+    let server = start(ReactorConfig::default(), handler).expect("server starts");
     println!("inference server listening on {}", server.addr());
 
     // Generate a synthetic workload (Algorithm 1) for the catalog.

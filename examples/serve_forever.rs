@@ -16,7 +16,8 @@
 //! ```
 
 use etude::models::{ModelConfig, ModelKind, SbrModel};
-use etude::serve::rustserver::{model_routes, start, ServerConfig};
+use etude::serve::reactor::{start, ReactorConfig};
+use etude::serve::rustserver::model_routes;
 use etude::tensor::Device;
 use std::sync::Arc;
 
@@ -30,7 +31,7 @@ fn main() {
         .with_seed(1);
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
     let handler = model_routes(model, Device::cpu(), true);
-    let server = start(ServerConfig { workers: 4 }, handler).expect("server starts");
+    let server = start(ReactorConfig::default(), handler).expect("server starts");
     println!(
         "serving {} items on http://{} (GET /ping, /static, /stats, /metrics; POST /predictions)",
         catalog,

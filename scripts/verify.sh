@@ -1,47 +1,18 @@
 #!/usr/bin/env bash
-# Full verification gate: build, tests, formatting, lints.
+# Full verification gate, one sequence: release build, every test in the
+# workspace, the SIMD-equivalence suite again on the forced-scalar
+# backend (the one configuration the workspace run cannot cover), every
+# bench binary's --smoke mode, the p99 regression guard over what the
+# smoke runs wrote, doc warnings, formatting, lints.
 # Run from anywhere; operates on the workspace root.
-# Pass --chaos to add the seeded fault-injection smoke stage.
-# Pass --fleet to add the fleet observability smoke stage (tracing,
-# fleet aggregation, SLO timeline).
-# Pass --selfheal to add the control-plane smoke stage (autoscaler
-# timeline, rolling-restart chaos acceptance, breaker/ejection props).
-# Pass --simd to add the SIMD kernel-layer stage (backend equivalence
-# property suite on both backends, fused-scan smoke bench).
-# Pass --scatter to add the scatter/gather sharding stage (partial
-# top-k merge proptests, router integration tests, shard-loss chaos
-# acceptance, smoke bench).
-# Pass --reactor to add the reactor/continuous-batching stage (protocol
-# parity suite, batching equivalence proptests, saturation shed
-# regression, smoke saturation bench).
-# Pass --overload to add the overload-control stage (flash-crowd chaos
-# acceptance + bit-identical replay, admission/ladder unit suites,
-# smoke brownout-ladder sweep, bench_diff regression guard).
-# The --profile stage (continuous profiler, reactor telemetry, tail
-# forensics: reactor under load, /debug/profile + /debug/slow scrapes,
-# loop utilization in (0,1], zero-allocation gates) runs as part of the
-# default sequence; pass --profile to request it explicitly.
+# Pass --quick to skip the smoke benches (and the guard that judges them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CHAOS=0
-FLEET=0
-SELFHEAL=0
-SIMD=0
-SCATTER=0
-REACTOR=0
-OVERLOAD=0
-PROFILE=1
+QUICK=0
 for arg in "$@"; do
     case "$arg" in
-        --chaos) CHAOS=1 ;;
-        --fleet) FLEET=1 ;;
-        --selfheal) SELFHEAL=1 ;;
-        --simd) SIMD=1 ;;
-        --scatter) SCATTER=1 ;;
-        --reactor) REACTOR=1 ;;
-        --overload) OVERLOAD=1 ;;
-        --profile) PROFILE=1 ;;
+        --quick) QUICK=1 ;;
         *) echo "unknown flag: $arg" >&2; exit 2 ;;
     esac
 done
@@ -52,92 +23,19 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> latency_breakdown --smoke (live observability loop)"
-cargo run --release -q -p etude-bench --bin latency_breakdown -- --smoke
+echo "==> SIMD equivalence property suite (forced scalar backend)"
+ETUDE_SIMD=scalar cargo test -q --release -p etude-tensor --test simd_equivalence
 
-if [ "$CHAOS" = "1" ]; then
-    echo "==> ablation_faults --smoke (seeded 2 s fault-injection run)"
-    cargo run --release -q -p etude-bench --bin ablation_faults -- --smoke
-    echo "==> chaos integration tests (live server + resilient client)"
-    cargo test -q -p etude-loadgen --test chaos
-fi
-
-if [ "$FLEET" = "1" ]; then
-    echo "==> fleet_timeline --smoke (SLO burn-rate timeline under chaos)"
-    cargo run --release -q -p etude-bench --bin fleet_timeline -- --smoke
-    echo "==> fleet aggregation tests (multi-pod /fleet over sockets)"
-    cargo test -q -p etude-serve --test fleet
-    echo "==> chaos tracing test (span trees + Chrome trace export)"
-    cargo test -q -p etude-loadgen --test tracing
-    echo "==> checking results/trace_chaos.json is a trace_event file"
-    grep -q '"traceEvents"' results/trace_chaos.json
-fi
-
-if [ "$SIMD" = "1" ]; then
-    echo "==> SIMD equivalence property suite (dispatched backend)"
-    cargo test -q --release -p etude-tensor --test simd_equivalence
-    echo "==> SIMD equivalence property suite (forced scalar backend)"
-    ETUDE_SIMD=scalar cargo test -q --release -p etude-tensor --test simd_equivalence
+if [ "$QUICK" = "0" ]; then
+    for bin in latency_breakdown ablation_faults fleet_timeline autoscale_timeline \
+        scatter_gather saturation overload_brownout futurework_tradeoffs; do
+        echo "==> $bin --smoke"
+        cargo run --release -q -p etude-bench --bin "$bin" -- --smoke
+    done
     echo "==> parallel_mips --smoke (fused-scan cross-check bench)"
     cargo bench -q -p etude-bench --bench parallel_mips -- --smoke
-fi
-
-if [ "$SELFHEAL" = "1" ]; then
-    echo "==> autoscale_timeline --smoke (SLO-driven autoscaler vs fixed fleet)"
-    cargo run --release -q -p etude-bench --bin autoscale_timeline -- --smoke
-    echo "==> rolling-restart chaos acceptance (zero client-visible failures)"
-    cargo test -q -p etude-cluster --test selfheal
-    echo "==> control-plane property tests (ejection floor, breaker transitions)"
-    cargo test -q -p etude-control
-    echo "==> checking results/BENCH_autoscale.json was produced"
-    grep -q '"bench": "autoscale_timeline"' results/BENCH_autoscale.json
-fi
-
-if [ "$SCATTER" = "1" ]; then
-    echo "==> partial top-k merge equivalence proptests"
-    cargo test -q --release -p etude-tensor --test merge_equivalence
-    echo "==> scatter/gather router integration tests (sockets, tracing)"
-    cargo test -q -p etude-serve --test router
-    echo "==> shard-loss chaos acceptance (zero client-visible failures)"
-    cargo test -q -p etude-loadgen --test shard_chaos
-    echo "==> scatter_gather --smoke (replicated vs sharded bench)"
-    cargo run --release -q -p etude-bench --bin scatter_gather -- --smoke
-    echo "==> checking results/BENCH_scatter_gather.json was produced"
-    grep -q '"bench": "scatter_gather"' results/BENCH_scatter_gather.json
-fi
-
-if [ "$REACTOR" = "1" ]; then
-    echo "==> reactor protocol parity suite (blocking vs reactor transcripts)"
-    cargo test -q --release -p etude-serve --test reactor_protocol
-    echo "==> continuous-batching equivalence proptests"
-    cargo test -q --release -p etude-serve --test continuous_equivalence
-    echo "==> saturation shed regression (deadline admission under overload)"
-    cargo test -q --release -p etude-loadgen --test saturation
-    echo "==> saturation --smoke (open-connection capacity bench)"
-    cargo run --release -q -p etude-bench --bin saturation -- --smoke
-    echo "==> checking results/BENCH_saturation.json was produced"
-    grep -q '"bench": "saturation"' results/BENCH_saturation.json
-fi
-
-if [ "$OVERLOAD" = "1" ]; then
-    echo "==> admission controller + brownout ladder unit suites"
-    cargo test -q -p etude-control admission
-    cargo test -q -p etude-serve overload
-    echo "==> flash-crowd chaos acceptance (critical goodput, priority sheds, replay)"
-    cargo test -q --release -p etude-loadgen --test overload
-    echo "==> overload_brownout --smoke (off / admission / full-ladder sweep)"
-    cargo run --release -q -p etude-bench --bin overload_brownout -- --smoke
-    echo "==> checking results/BENCH_overload.json was produced"
-    grep -q '"bench": "overload_brownout"' results/BENCH_overload.json
     echo "==> bench_diff (p99 regression guard vs committed results)"
     scripts/bench_diff.sh
-fi
-
-if [ "$PROFILE" = "1" ]; then
-    echo "==> profiling & tail forensics (reactor under load: folded stacks name the fused kernel, loop utilization in (0,1], /debug/slow serves complete span trees as Chrome JSON)"
-    cargo test -q --release -p etude-serve --test forensics
-    echo "==> profiler + exemplar zero-steady-state-allocation gate"
-    cargo test -q --release -p etude-obs --test zero_alloc_profile
 fi
 
 echo "==> cargo doc --no-deps (warnings are errors)"

@@ -6,7 +6,8 @@ use etude::core::{run_experiment, ExecutionMode, ExperimentSpec};
 use etude::loadgen::driver::RealLoadGen;
 use etude::loadgen::LoadConfig;
 use etude::models::{ModelConfig, ModelKind, SbrModel};
-use etude::serve::rustserver::{model_routes, start, ServerConfig};
+use etude::serve::reactor::{start, ReactorConfig};
+use etude::serve::rustserver::model_routes;
 use etude::tensor::Device;
 use etude::workload::{SyntheticWorkload, WorkloadConfig};
 use std::sync::Arc;
@@ -73,7 +74,7 @@ fn real_server_and_real_loadgen_serve_a_real_model() {
         .with_seed(5);
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
     let handler = model_routes(model, Device::cpu(), true);
-    let server = start(ServerConfig { workers: 3 }, handler).unwrap();
+    let server = start(ReactorConfig::default(), handler).unwrap();
 
     let workload = SyntheticWorkload::new(WorkloadConfig::bolcom_like(5_000));
     let log = workload.generate(5_000);
@@ -120,7 +121,7 @@ fn real_and_simulated_servers_agree_on_feasibility_direction() {
         .with_seed(5);
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
     let handler = model_routes(model, Device::cpu(), true);
-    let server = start(ServerConfig { workers: 3 }, handler).unwrap();
+    let server = start(ReactorConfig::default(), handler).unwrap();
     let workload = SyntheticWorkload::new(WorkloadConfig::bolcom_like(catalog));
     let log = workload.generate(2_000);
     let result = RealLoadGen::run(
