@@ -254,11 +254,5 @@ fn write_summary(cells: &[Cell], smoke: bool) {
          \"plan_seed\": 1787,\n  \"client_seed\": 9,\n  \"cells\": [\n{body}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" }
     );
-    // Binaries may run from any cwd; anchor on the workspace root.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let path = dir.join("BENCH_faults.json");
-    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json)) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    etude_bench::write_result("faults", smoke, &json);
 }

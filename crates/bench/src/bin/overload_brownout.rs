@@ -370,7 +370,5 @@ fn main() {
         headline.join(", "),
         cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n"),
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_overload.json", &json).expect("write results");
-    println!("wrote results/BENCH_overload.json");
+    etude_bench::write_result("overload", smoke, &json);
 }

@@ -24,7 +24,7 @@
 //! aligned tables and are also written as CSV under `results/`.
 
 use etude_metrics::report::Table;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Harness-wide execution options parsed from the command line.
 #[derive(Debug, Clone)]
@@ -85,6 +85,7 @@ impl HarnessOptions {
                     i += 1;
                     opts.threads = args.get(i).and_then(|v| v.parse().ok());
                 }
+                "--smoke" => opts.results_dir = results_dir(true),
                 other => {
                     eprintln!("ignoring unknown argument: {other}");
                 }
@@ -116,6 +117,26 @@ impl HarnessOptions {
             Ok(()) => println!("wrote {}\n", path.display()),
             Err(e) => eprintln!("could not write {}: {e}\n", path.display()),
         }
+    }
+}
+
+/// Where a run's artifacts go: the tracked `results/` directory for a
+/// full run, `target/tmp/` for a `--smoke` run — a smoke pass is a gate,
+/// not a measurement, and must not overwrite committed full-mode
+/// numbers. Anchored on the workspace root, so any cwd works.
+pub fn results_dir(smoke: bool) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    root.join(if smoke { "target/tmp" } else { "results" })
+}
+
+/// Writes a bench's machine-readable summary as `BENCH_<name>.json`
+/// under [`results_dir`] and says where it went.
+pub fn write_result(name: &str, smoke: bool, json: &str) {
+    let dir = results_dir(smoke);
+    let path = dir.join(format!("BENCH_{name}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 

@@ -22,7 +22,7 @@
 
 use etude_faults::{FaultPlan, RetryPolicy};
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
-use etude_obs::Recorder;
+use etude_obs::{Metric, Recorder};
 use etude_serve::http::{decode_recommendations, encode_recommendations, Request};
 use etude_serve::reactor::{start, start_on, ReactorConfig};
 use etude_serve::rustserver::{ServerHandle, DEGRADED_HEADER};
@@ -163,7 +163,7 @@ fn chaos_run(seed: u64) -> (Vec<Observed>, u64) {
         });
     }
 
-    let degraded_total = recorder.degraded_count();
+    let degraded_total = recorder.get(Metric::Degraded);
     router.shutdown();
     for s in group0.into_iter().chain(group1) {
         s.shutdown();

@@ -9,7 +9,11 @@
 //! histograms together, in any scrape order — an acceptance criterion,
 //! verified end-to-end by `etude-serve`'s fleet test.
 
-use crate::stats::{parse_stats_json, ReactorTelemetry, StageCounts, StatsSnapshot};
+use crate::metric::{per_pod_order, prom_header, prom_order, render_families, Metric, TABLE};
+use crate::stats::{
+    array_after, encode_pairs, flat_objects, num_field, parse_stage_counts, parse_stats_json,
+    push_objects, push_quantiles, ReactorTelemetry, StageCounts, StatsSnapshot,
+};
 use crate::Stage;
 use etude_metrics::hdr::Histogram;
 
@@ -86,9 +90,9 @@ impl FleetSnapshot {
         self
     }
 
-    /// Sum of a counter over the fleet.
-    fn sum(&self, f: impl Fn(&StatsSnapshot) -> u64) -> u64 {
-        self.pods.iter().map(f).sum()
+    /// Sum of a metric over the fleet.
+    fn sum(&self, metric: Metric) -> u64 {
+        self.pods.iter().map(|pod| pod.get(metric)).sum()
     }
 
     /// Merges one stage's histogram across every pod from the exact
@@ -172,116 +176,78 @@ impl FleetSnapshot {
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str(&format!(
-            "{{\n  \"pods\": {},\n  \"unreachable\": {},\n  \"unhealthy\": {},\n  \
-             \"requests\": {},\n  \
-             \"shed\": {},\n  \"degraded\": {},\n  \"faults\": {},\n",
+            "{{\n  \"pods\": {},\n  \"unreachable\": {},\n  \"unhealthy\": {},\n",
             self.pods.len(),
             self.unreachable,
             self.unhealthy,
-            self.sum(|p| p.requests),
-            self.sum(|p| p.shed),
-            self.sum(|p| p.degraded),
-            self.sum(|p| p.faults),
         ));
-        out.push_str(&format!(
-            "  \"refused\": {},\n  \"brownout_quantized\": {},\n  \
-             \"brownout_reduced\": {},\n  \"brownout_fallback\": {},\n",
-            self.sum(|p| p.refused),
-            self.sum(|p| p.brownout[0]),
-            self.sum(|p| p.brownout[1]),
-            self.sum(|p| p.brownout[2]),
-        ));
-        // Reactor keys stay flat (and their histograms are quoted pair
-        // strings), so they sit safely in the pre-array head that
-        // [`parse_fleet_health`] scans.
+        for def in TABLE.iter().filter(|def| def.summed) {
+            out.push_str(&format!("  \"{}\": {},\n", def.json, self.sum(def.metric)));
+        }
         if let Some(r) = self.merged_reactor() {
-            out.push_str(&format!(
-                "  \"reactor_loops\": {},\n  \"reactor_busy_nanos\": {},\n  \
-                 \"reactor_wait_nanos\": {},\n  \"reactor_accepts\": {},\n  \
-                 \"reactor_conns\": {},\n  \"reactor_write_stalls\": {},\n  \
-                 \"reactor_evictions\": {},\n",
-                r.loops,
-                r.busy_nanos,
-                r.wait_nanos,
-                r.accepts,
-                r.conns,
-                r.write_stalls,
-                r.evictions,
-            ));
-            out.push_str(&format!(
-                "  \"reactor_poll_batch\": \"{}\",\n  \"reactor_wake_us\": \"{}\",\n  \
-                 \"reactor_dispatch_wait_us\": \"{}\",\n",
-                crate::stats::encode_pairs(&r.poll_batch),
-                crate::stats::encode_pairs(&r.wake_us),
-                crate::stats::encode_pairs(&r.dispatch_wait_us),
-            ));
+            out.push_str(&r.render_json_block());
         }
         if !self.shards.is_empty() {
-            out.push_str("  \"shards\": [");
-            for (i, s) in self.shards.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"group\": {}, \"base\": {}, \"rows\": {}, \
-                     \"resident_bytes\": {}, \"replicas\": {}, \"healthy\": {}}}",
-                    s.group, s.base, s.rows, s.resident_bytes, s.replicas, s.healthy
-                ));
-            }
-            out.push_str("\n  ],\n");
+            out.push_str("  \"shards\": ");
+            push_objects(
+                &mut out,
+                self.shards.iter().map(|s| {
+                    format!(
+                        "{{\"group\": {}, \"base\": {}, \"rows\": {}, \
+                         \"resident_bytes\": {}, \"replicas\": {}, \"healthy\": {}}}",
+                        s.group, s.base, s.rows, s.resident_bytes, s.replicas, s.healthy
+                    )
+                }),
+            );
+            out.push_str(",\n");
         }
-        out.push_str("  \"skew\": [");
-        for (i, s) in self.skew().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"stage\": \"{}\", \"p50_min_us\": {}, \"p50_max_us\": {}, \
-                 \"p99_min_us\": {}, \"p99_max_us\": {}}}",
-                s.stage, s.p50_min_us, s.p50_max_us, s.p99_min_us, s.p99_max_us
-            ));
-        }
-        out.push_str("\n  ],\n  \"merged\": [");
-        for (i, counts) in self.merged_counts().iter().enumerate() {
-            let h = counts.to_histogram();
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"stage\": \"{}\", \"count\": {}, \"p50_us\": {}, \
-                 \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}, \"counts\": \"{}\"}}",
-                counts.stage,
-                h.count(),
-                h.p50(),
-                h.p90(),
-                h.p99(),
-                h.max(),
-                counts.encode_counts()
-            ));
-        }
-        out.push_str("\n  ],\n  \"per_pod\": [");
-        for (i, p) in self.pods.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (p50, p99) = p
-                .stage("total")
-                .map(|s| (s.p50_us, s.p99_us))
-                .unwrap_or((0, 0));
-            out.push_str(&format!(
-                "\n    {{\"pod\": {}, \"requests\": {}, \"queue_depth\": {}, \
-                 \"shed\": {}, \"degraded\": {}, \"faults\": {}, \
-                 \"refused\": {}, \"p50_us\": {p50}, \"p99_us\": {p99}}}",
-                p.pod.map(i64::from).unwrap_or(-1),
-                p.requests,
-                p.queue_depth,
-                p.shed,
-                p.degraded,
-                p.faults,
-                p.refused,
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("  \"skew\": ");
+        push_objects(
+            &mut out,
+            self.skew().iter().map(|s| {
+                format!(
+                    "{{\"stage\": \"{}\", \"p50_min_us\": {}, \"p50_max_us\": {}, \
+                     \"p99_min_us\": {}, \"p99_max_us\": {}}}",
+                    s.stage, s.p50_min_us, s.p50_max_us, s.p99_min_us, s.p99_max_us
+                )
+            }),
+        );
+        out.push_str(",\n  \"merged\": ");
+        push_objects(
+            &mut out,
+            self.merged_counts().iter().map(|counts| {
+                let h = counts.to_histogram();
+                format!(
+                    "{{\"stage\": \"{}\", \"count\": {}, \"p50_us\": {}, \
+                     \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}, \"counts\": \"{}\"}}",
+                    counts.stage,
+                    h.count(),
+                    h.p50(),
+                    h.p90(),
+                    h.p99(),
+                    h.max(),
+                    encode_pairs(&counts.counts)
+                )
+            }),
+        );
+        out.push_str(",\n  \"per_pod\": ");
+        let per_pod = per_pod_order();
+        push_objects(
+            &mut out,
+            self.pods.iter().map(|p| {
+                let (p50, p99) = p
+                    .stage("total")
+                    .map(|s| (s.p50_us, s.p99_us))
+                    .unwrap_or((0, 0));
+                let pod = p.pod.map(i64::from).unwrap_or(-1);
+                let metrics: String = per_pod
+                    .iter()
+                    .map(|def| format!(", \"{}\": {}", def.json, def.get(p)))
+                    .collect();
+                format!("{{\"pod\": {pod}{metrics}, \"p50_us\": {p50}, \"p99_us\": {p99}}}")
+            }),
+        );
+        out.push_str("\n}\n");
         out
     }
 
@@ -290,92 +256,63 @@ impl FleetSnapshot {
     /// labelled so per-replica skew graphs directly.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
-        out.push_str(
-            "# HELP etude_fleet_pods Pods reached by the last fleet scrape.\n\
-             # TYPE etude_fleet_pods gauge\n",
-        );
-        out.push_str(&format!("etude_fleet_pods {}\n", self.pods.len()));
-        out.push_str(
-            "# HELP etude_fleet_unreachable Pods that failed the last fleet scrape.\n\
-             # TYPE etude_fleet_unreachable gauge\n",
-        );
-        out.push_str(&format!("etude_fleet_unreachable {}\n", self.unreachable));
-        out.push_str(
-            "# HELP etude_fleet_unhealthy Pods past the consecutive-failure threshold.\n\
-             # TYPE etude_fleet_unhealthy gauge\n",
-        );
-        out.push_str(&format!("etude_fleet_unhealthy {}\n", self.unhealthy));
-        out.push_str(
-            "# HELP etude_fleet_requests_total Requests served across the fleet.\n\
-             # TYPE etude_fleet_requests_total counter\n",
-        );
-        out.push_str(&format!(
-            "etude_fleet_requests_total {}\n",
-            self.sum(|p| p.requests)
-        ));
-        out.push_str(
-            "# HELP etude_fleet_requests_refused_total Admission refusals (429) across the fleet.\n\
-             # TYPE etude_fleet_requests_refused_total counter\n",
-        );
-        out.push_str(&format!(
-            "etude_fleet_requests_refused_total {}\n",
-            self.sum(|p| p.refused)
-        ));
-        out.push_str(
-            "# HELP etude_fleet_brownout_responses_total Browned-out 200s across the fleet per ladder level.\n\
-             # TYPE etude_fleet_brownout_responses_total counter\n",
-        );
-        for (label, i) in [("quantized", 0), ("reduced-k", 1), ("fallback", 2)] {
-            out.push_str(&format!(
-                "etude_fleet_brownout_responses_total{{level=\"{label}\"}} {}\n",
-                self.sum(|p| p.brownout[i])
-            ));
+        for (name, help, value) in [
+            (
+                "etude_fleet_pods",
+                "Pods reached by the last fleet scrape.",
+                self.pods.len(),
+            ),
+            (
+                "etude_fleet_unreachable",
+                "Pods that failed the last fleet scrape.",
+                self.unreachable,
+            ),
+            (
+                "etude_fleet_unhealthy",
+                "Pods past the consecutive-failure threshold.",
+                self.unhealthy,
+            ),
+        ] {
+            prom_header(&mut out, name, "gauge", help);
+            out.push_str(&format!("{name} {value}\n"));
         }
-        out.push_str(
-            "# HELP etude_fleet_stage_latency_microseconds Merged fleet stage quantiles.\n\
-             # TYPE etude_fleet_stage_latency_microseconds summary\n",
-        );
+        let rows = prom_order();
+        let sums = rows.iter().filter_map(|&def| {
+            let help = def.prom.fleet_help?;
+            Some((def, help, self.sum(def.metric)))
+        });
+        render_families(&mut out, "fleet_", sums);
+        let name = "etude_fleet_stage_latency_microseconds";
+        prom_header(&mut out, name, "summary", "Merged fleet stage quantiles.");
         for counts in self.merged_counts() {
             let h = counts.to_histogram();
-            for (q, v) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
-                out.push_str(&format!(
-                    "etude_fleet_stage_latency_microseconds{{stage=\"{}\",quantile=\"{q}\"}} {v}\n",
-                    counts.stage
-                ));
-            }
-            out.push_str(&format!(
-                "etude_fleet_stage_latency_microseconds_count{{stage=\"{}\"}} {}\n",
-                counts.stage,
-                h.count()
-            ));
+            let stage = format!("stage=\"{}\"", counts.stage);
+            let quantiles = [h.p50(), h.p90(), h.p99()];
+            push_quantiles(&mut out, name, &format!("{stage},"), quantiles);
+            out.push_str(&format!("{name}_count{{{stage}}} {}\n", h.count()));
         }
-        out.push_str(
-            "# HELP etude_pod_requests_total Requests served per pod.\n\
-             # TYPE etude_pod_requests_total counter\n\
-             # HELP etude_pod_queue_depth Batcher queue depth per pod.\n\
-             # TYPE etude_pod_queue_depth gauge\n\
-             # HELP etude_pod_latency_p99_microseconds Per-pod total-stage p99.\n\
-             # TYPE etude_pod_latency_p99_microseconds gauge\n",
-        );
+        let per_pod: Vec<_> = per_pod_order()
+            .into_iter()
+            .filter_map(|def| Some((def, def.prom.pod_help?)))
+            .collect();
+        for (def, help) in &per_pod {
+            let name = format!("etude_pod_{}", def.prom.stem);
+            prom_header(&mut out, &name, def.kind.prom_type(), help);
+        }
+        let p99 = "etude_pod_latency_p99_microseconds";
+        prom_header(&mut out, p99, "gauge", "Per-pod total-stage p99.");
         for (i, p) in self.pods.iter().enumerate() {
             let pod = p.pod.map(i64::from).unwrap_or(i as i64);
-            out.push_str(&format!(
-                "etude_pod_requests_total{{pod=\"{pod}\"}} {}\n",
-                p.requests
-            ));
-            out.push_str(&format!(
-                "etude_pod_queue_depth{{pod=\"{pod}\"}} {}\n",
-                p.queue_depth
-            ));
+            for (def, _) in &per_pod {
+                let (stem, value) = (def.prom.stem, def.get(p));
+                out.push_str(&format!("etude_pod_{stem}{{pod=\"{pod}\"}} {value}\n"));
+            }
             if let Some(total) = p.stage("total") {
-                out.push_str(&format!(
-                    "etude_pod_latency_p99_microseconds{{pod=\"{pod}\"}} {}\n",
-                    total.p99_us
-                ));
+                out.push_str(&format!("{p99}{{pod=\"{pod}\"}} {}\n", total.p99_us));
             }
         }
         if let Some(r) = self.merged_reactor() {
-            out.push_str(&crate::stats::render_reactor_prometheus(&r, "fleet_"));
+            out.push_str(&r.render_prometheus("fleet_"));
         }
         if !self.shards.is_empty() {
             out.push_str(
@@ -403,52 +340,19 @@ impl FleetSnapshot {
 /// sparse stage counts — what verification harnesses compare against
 /// their own per-pod merge.
 pub fn parse_fleet_merged(body: &str) -> Option<Vec<StageCounts>> {
-    let at = body.find("\"merged\"")?;
-    let rest = &body[at..];
-    // Merged entries are flat objects; the array ends at the first `]`.
-    let end = rest.find(']')?;
-    let mut scan = &rest[..end];
-    let mut merged = Vec::new();
-    while let Some(open) = scan.find('{') {
-        let close = scan[open..].find('}')? + open;
-        let obj = &scan[open..=close];
-        merged.push(StageCounts {
-            stage: crate::stats::str_field(obj, "stage")?,
-            counts: StageCounts::decode_counts(&crate::stats::str_field(obj, "counts")?),
-        });
-        scan = &scan[close + 1..];
-    }
-    Some(merged)
+    flat_objects(array_after(body, "merged")?, parse_stage_counts)
 }
 
 /// Parses the `per_pod` section of a `/fleet` JSON document into
 /// `(pod, requests, queue_depth)` rows.
 pub fn parse_fleet_pods(body: &str) -> Option<Vec<(i64, u64, u64)>> {
-    let at = body.find("\"per_pod\"")?;
-    let rest = &body[at..];
-    let end = rest.find(']')?;
-    let mut scan = &rest[..end];
-    let mut rows = Vec::new();
-    while let Some(open) = scan.find('{') {
-        let close = scan[open..].find('}')? + open;
-        let obj = &scan[open..=close];
-        rows.push((
-            crate::stats::num_field(obj, "pod")?,
-            crate::stats::num_field(obj, "requests")?,
-            crate::stats::num_field(obj, "queue_depth")?,
-        ));
-        scan = &scan[close + 1..];
-    }
-    Some(rows)
-}
-
-/// Parses the merged reactor telemetry block of a `/fleet` (or
-/// `/stats`) JSON document. `None` when the fleet runs no reactor tier.
-pub fn parse_fleet_reactor(body: &str) -> Option<ReactorTelemetry> {
-    // The flat reactor keys lead the document, before any array whose
-    // nested objects could shadow their names.
-    let head = &body[..body.find('[').unwrap_or(body.len())];
-    crate::stats::parse_reactor_block(head)
+    flat_objects(array_after(body, "per_pod")?, |obj| {
+        Some((
+            num_field(obj, "pod")?,
+            num_field(obj, Metric::Requests.def().json)?,
+            num_field(obj, Metric::QueueDepth.def().json)?,
+        ))
+    })
 }
 
 /// Parses the health header of a `/fleet` JSON document:
@@ -458,36 +362,28 @@ pub fn parse_fleet_health(body: &str) -> Option<(u64, u64, u64)> {
     // shadow their names.
     let head = &body[..body.find('[').unwrap_or(body.len())];
     Some((
-        crate::stats::num_field(head, "pods")?,
-        crate::stats::num_field(head, "unreachable")?,
-        crate::stats::num_field(head, "unhealthy")?,
+        num_field(head, "pods")?,
+        num_field(head, "unreachable")?,
+        num_field(head, "unhealthy")?,
     ))
 }
 
 /// Parses the `shards` section of a `/fleet` JSON document. `Some([])`
 /// when the document has no shard section (replicated fleets).
 pub fn parse_fleet_shards(body: &str) -> Option<Vec<ShardGroupHealth>> {
-    let Some(at) = body.find("\"shards\"") else {
+    if !body.contains("\"shards\"") {
         return Some(Vec::new());
-    };
-    let rest = &body[at..];
-    let end = rest.find(']')?;
-    let mut scan = &rest[..end];
-    let mut rows = Vec::new();
-    while let Some(open) = scan.find('{') {
-        let close = scan[open..].find('}')? + open;
-        let obj = &scan[open..=close];
-        rows.push(ShardGroupHealth {
-            group: crate::stats::num_field(obj, "group")?,
-            base: crate::stats::num_field(obj, "base")?,
-            rows: crate::stats::num_field(obj, "rows")?,
-            resident_bytes: crate::stats::num_field(obj, "resident_bytes")?,
-            replicas: crate::stats::num_field(obj, "replicas")?,
-            healthy: crate::stats::num_field(obj, "healthy")?,
-        });
-        scan = &scan[close + 1..];
     }
-    Some(rows)
+    flat_objects(array_after(body, "shards")?, |obj| {
+        Some(ShardGroupHealth {
+            group: num_field(obj, "group")?,
+            base: num_field(obj, "base")?,
+            rows: num_field(obj, "rows")?,
+            resident_bytes: num_field(obj, "resident_bytes")?,
+            replicas: num_field(obj, "replicas")?,
+            healthy: num_field(obj, "healthy")?,
+        })
+    })
 }
 
 /// Builds a fleet snapshot from raw `/stats` bodies; unparseable or
@@ -677,7 +573,8 @@ mod tests {
         // The JSON round-trip carries the merged block, and the
         // pre-reactor head parsers still work around it.
         let json = fleet.render_json();
-        assert_eq!(parse_fleet_reactor(&json).as_ref(), Some(&merged));
+        let parsed = ReactorTelemetry::parse_json_block(&json);
+        assert_eq!(parsed.as_ref(), Some(&merged));
         assert_eq!(parse_fleet_health(&json), Some((2, 0, 0)));
         assert_eq!(parse_fleet_merged(&json), Some(fleet.merged_counts()));
         let text = fleet.render_prometheus();
@@ -685,7 +582,8 @@ mod tests {
         assert!(text.contains("etude_fleet_dispatch_queue_wait_us_count 6"));
         // Fleets without a reactor tier omit the block entirely.
         let plain = FleetSnapshot::new(vec![pod_snapshot(0, &[10])], 0);
-        assert_eq!(parse_fleet_reactor(&plain.render_json()), None);
+        let plain_json = plain.render_json();
+        assert_eq!(ReactorTelemetry::parse_json_block(&plain_json), None);
         assert!(!plain.render_prometheus().contains("reactor"));
     }
 

@@ -19,6 +19,9 @@
 //! * [`recorder::Recorder`] — the per-server registry of thread rings,
 //!   hands out RAII [`recorder::SpanGuard`]s and aggregates ring
 //!   contents into per-stage [`etude_metrics::hdr::Histogram`]s,
+//! * [`metric`] — the one table that defines every scalar metric: its
+//!   recorder slot, JSON key, Prometheus family, fleet rule and whether
+//!   it is windowed,
 //! * [`stats`] — snapshot aggregation plus rendering to the Prometheus
 //!   text exposition format (`/metrics`) and a JSON document (`/stats`),
 //!   and the matching parser the load generator uses to merge
@@ -54,6 +57,7 @@
 
 pub mod exemplar;
 pub mod fleet;
+pub mod metric;
 pub mod profile;
 pub mod recorder;
 pub mod ring;
@@ -67,6 +71,7 @@ pub use exemplar::{ExemplarMark, ExemplarStore};
 pub use fleet::{
     parse_fleet_health, parse_fleet_shards, FleetSnapshot, ShardGroupHealth, StageSkew,
 };
+pub use metric::Metric;
 pub use profile::{ProfileStats, ScopeGuard, Site};
 pub use recorder::{Recorder, SpanGuard};
 pub use ring::SpanRing;

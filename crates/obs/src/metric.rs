@@ -1,0 +1,399 @@
+//! The one definition of every scalar metric.
+//!
+//! [`TABLE`] has one row per scalar a server reports, and everything
+//! that touches a scalar loops over it: the recorder's atomics
+//! ([`crate::Recorder::bump`]/`set`/`get`), the `/stats` JSON renderer
+//! and its parser, the `/metrics` exposition, the `/fleet` sums and
+//! per-pod rows, `/fleet/metrics`, and the rolling-window deltas.
+//! Adding a counter is one row here plus a `bump` at its call site.
+//! Two short lists below, `REACTOR_SCALARS` and `REACTOR_HISTS`, do the
+//! same for the reactor telemetry block.
+//!
+//! The wire is frozen — every surface stays byte-identical to the
+//! goldens in `tests/golden/` — and three columns fix an emission order
+//! besides what they say about the metric; change one and a wire moves:
+//!
+//! * the row's position in [`TABLE`]: `/stats` and the `/fleet` head.
+//! * [`MetricDef::since`]: `/metrics` and `/fleet/metrics` run oldest
+//!   format version first, then table order (the exposition grew by
+//!   appending, so a new row takes the newest version and lands last).
+//! * [`MetricDef::per_pod`]: the column's position in a `/fleet`
+//!   `per_pod` row, written out.
+//!
+//! The pod id is no metric (it is optional and never summed), so
+//! `StatsSnapshot::render_json` names the one row it precedes. The
+//! reactor Prometheus block runs gauges, counters, summaries.
+
+use crate::stats::{ReactorTelemetry, StatsSnapshot};
+
+/// A scalar metric: the key of [`TABLE`] and of the recorder's
+/// `bump`/`set`/`get`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum Metric {
+    /// Requests with a recorded `total` span. Derived: the recorder
+    /// overwrites it from the total-stage histogram at every fold.
+    Requests,
+    /// Span records lost to ring lapping. Derived at every fold too.
+    Dropped,
+    /// Requests shed with a 503 (queue full or budget dead).
+    Shed,
+    /// Requests answered from a degraded path.
+    Degraded,
+    /// Server-side injected faults fired.
+    Faults,
+    /// Requests refused with a 429 by admission control.
+    Refused,
+    /// Browned-out 200s at ladder level 1 (quantized scan).
+    BrownoutQuantized,
+    /// Browned-out 200s at ladder level 2 (reduced k).
+    BrownoutReduced,
+    /// Browned-out 200s at ladder level 3 (popularity fallback).
+    BrownoutFallback,
+    /// The admission controller's learned limit, in thousandths.
+    AdmissionLimitMilli,
+    /// Batcher queue depth.
+    QueueDepth,
+}
+
+impl Metric {
+    /// Rows in [`TABLE`].
+    pub const COUNT: usize = 11;
+
+    /// This metric's table row.
+    pub fn def(self) -> &'static MetricDef {
+        &TABLE[self as usize]
+    }
+
+    /// The counter of brownout ladder level 1 (quantized), 2
+    /// (reduced-k) or 3 (popularity fallback). Level 0 (exact) is an
+    /// ordinary request and out-of-range levels count nowhere.
+    pub fn brownout(level: u8) -> Option<Metric> {
+        match level {
+            1 => Some(Metric::BrownoutQuantized),
+            2 => Some(Metric::BrownoutReduced),
+            3 => Some(Metric::BrownoutFallback),
+            _ => None,
+        }
+    }
+}
+
+/// How a scalar behaves over time, which is also its Prometheus type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonic since server start.
+    Counter,
+    /// A level sampled at snapshot time.
+    Gauge,
+    /// A gauge stored in thousandths; `/metrics` shows it in units.
+    MilliGauge,
+}
+
+impl Kind {
+    /// The `# TYPE` keyword.
+    pub fn prom_type(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge | Kind::MilliGauge => "gauge",
+        }
+    }
+
+    fn prom_value(self, value: u64) -> String {
+        match self {
+            Kind::MilliGauge => format!("{:.3}", value as f64 / 1000.0),
+            Kind::Counter | Kind::Gauge => value.to_string(),
+        }
+    }
+}
+
+/// A metric's Prometheus family: the name stem (`etude_`, `etude_fleet_`
+/// or `etude_pod_` is prefixed to it) and one help text per surface it
+/// is exposed on.
+#[derive(Debug, Clone, Copy)]
+pub struct Prom {
+    /// Family name without the `etude_` prefix.
+    pub stem: &'static str,
+    /// `# HELP` text on `/metrics`.
+    pub help: &'static str,
+    /// `# HELP` text of the summed `etude_fleet_` series on
+    /// `/fleet/metrics`; `None` keeps the sum off that surface.
+    pub fleet_help: Option<&'static str>,
+    /// `# HELP` text of the `pod`-labelled `etude_pod_` series on
+    /// `/fleet/metrics`; `None` for no per-pod series.
+    pub pod_help: Option<&'static str>,
+}
+
+impl Prom {
+    /// A family exposed on `/metrics` only.
+    const fn plain(stem: &'static str, help: &'static str) -> Prom {
+        Prom {
+            stem,
+            help,
+            fleet_help: None,
+            pod_help: None,
+        }
+    }
+}
+
+/// A read and a write accessor for one `u64` field of `S`.
+type ScalarField<S> = (fn(&S) -> u64, fn(&mut S) -> &mut u64);
+
+/// The [`ScalarField`] of the named snapshot field.
+macro_rules! field {
+    ($($path:tt)+) => {
+        (|s| s.$($path)+, |s| &mut s.$($path)+)
+    };
+}
+
+/// One row of [`TABLE`].
+pub struct MetricDef {
+    /// The row's key; equals its position in the table.
+    pub metric: Metric,
+    /// Key in the `/stats` and `/fleet` JSON documents.
+    pub json: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// `/stats` format version that introduced the key. Version-1 keys
+    /// are required by the parser, later ones default to 0 so documents
+    /// from older servers still parse. Also the `/metrics` sort key:
+    /// families are exposed oldest version first.
+    pub since: u8,
+    /// Prometheus family.
+    pub prom: Prom,
+    /// `level` label value, for rows that share a family.
+    pub level: Option<&'static str>,
+    /// Whether the `/fleet` head carries the sum over pods.
+    pub summed: bool,
+    /// Position of the pod's own value in each `/fleet` `per_pod` row;
+    /// `None` keeps the metric out of those rows.
+    pub per_pod: Option<u8>,
+    /// Whether per-fold deltas are attributed to rolling-window buckets.
+    pub windowed: bool,
+    field: ScalarField<StatsSnapshot>,
+}
+
+/// The `level`-labelled brownout family its three rows share.
+const BROWNOUT: Prom = Prom {
+    stem: "brownout_responses_total",
+    help: "Browned-out 200s per ladder level.",
+    fleet_help: Some("Browned-out 200s across the fleet per ladder level."),
+    pod_help: None,
+};
+
+/// Every scalar metric, in `/stats` emission order. Laid out by hand,
+/// a few lines per row, so columns can be compared down the table.
+#[rustfmt::skip]
+pub static TABLE: [MetricDef; Metric::COUNT] = [
+    MetricDef {
+        metric: Metric::Requests, json: "requests", kind: Kind::Counter, since: 1, level: None,
+        summed: true, per_pod: Some(0), windowed: true, field: field!(requests),
+        prom: Prom {
+            stem: "requests_total",
+            help: "Requests with a recorded total span.",
+            fleet_help: Some("Requests served across the fleet."),
+            pod_help: Some("Requests served per pod."),
+        },
+    },
+    MetricDef {
+        metric: Metric::Dropped, json: "dropped", kind: Kind::Counter, since: 1, level: None,
+        summed: false, per_pod: None, windowed: false, field: field!(dropped),
+        prom: Prom::plain("spans_dropped_total", "Span records overwritten before aggregation."),
+    },
+    MetricDef {
+        metric: Metric::Shed, json: "shed", kind: Kind::Counter, since: 2, level: None,
+        summed: true, per_pod: Some(2), windowed: true, field: field!(shed),
+        prom: Prom::plain("requests_shed_total", "Requests shed with a 503 under overload."),
+    },
+    MetricDef {
+        metric: Metric::Degraded, json: "degraded", kind: Kind::Counter, since: 2, level: None,
+        summed: true, per_pod: Some(3), windowed: true, field: field!(degraded),
+        prom: Prom::plain(
+            "requests_degraded_total",
+            "Requests answered from the degraded fallback path.",
+        ),
+    },
+    MetricDef {
+        metric: Metric::Faults, json: "faults", kind: Kind::Counter, since: 2, level: None,
+        summed: true, per_pod: Some(4), windowed: true, field: field!(faults),
+        prom: Prom::plain("faults_injected_total", "Server-side injected faults fired."),
+    },
+    MetricDef {
+        metric: Metric::Refused, json: "refused", kind: Kind::Counter, since: 4, level: None,
+        summed: true, per_pod: Some(5), windowed: false, field: field!(refused),
+        prom: Prom {
+            stem: "requests_refused_total",
+            help: "Requests refused with a 429 by admission control.",
+            fleet_help: Some("Admission refusals (429) across the fleet."),
+            pod_help: None,
+        },
+    },
+    MetricDef {
+        metric: Metric::BrownoutQuantized, json: "brownout_quantized", kind: Kind::Counter,
+        since: 4, level: Some("quantized"), summed: true, per_pod: None, windowed: false,
+        field: field!(brownout[0]), prom: BROWNOUT,
+    },
+    MetricDef {
+        metric: Metric::BrownoutReduced, json: "brownout_reduced", kind: Kind::Counter,
+        since: 4, level: Some("reduced-k"), summed: true, per_pod: None, windowed: false,
+        field: field!(brownout[1]), prom: BROWNOUT,
+    },
+    MetricDef {
+        metric: Metric::BrownoutFallback, json: "brownout_fallback", kind: Kind::Counter,
+        since: 4, level: Some("fallback"), summed: true, per_pod: None, windowed: false,
+        field: field!(brownout[2]), prom: BROWNOUT,
+    },
+    MetricDef {
+        metric: Metric::AdmissionLimitMilli, json: "admission_limit_milli", kind: Kind::MilliGauge,
+        since: 4, level: None, summed: false, per_pod: None, windowed: false,
+        field: field!(admission_limit_milli),
+        prom: Prom::plain("admission_limit", "Learned admission concurrency limit."),
+    },
+    MetricDef {
+        metric: Metric::QueueDepth, json: "queue_depth", kind: Kind::Gauge, since: 3, level: None,
+        summed: false, per_pod: Some(1), windowed: false, field: field!(queue_depth),
+        prom: Prom {
+            stem: "queue_depth",
+            help: "Batcher queue depth at scrape time.",
+            fleet_help: None,
+            pod_help: Some("Batcher queue depth per pod."),
+        },
+    },
+];
+
+impl MetricDef {
+    pub(crate) fn get(&self, snap: &StatsSnapshot) -> u64 {
+        (self.field.0)(snap)
+    }
+
+    pub(crate) fn slot<'a>(&self, snap: &'a mut StatsSnapshot) -> &'a mut u64 {
+        (self.field.1)(snap)
+    }
+}
+
+/// The table in Prometheus emission order.
+pub(crate) fn prom_order() -> Vec<&'static MetricDef> {
+    let mut rows: Vec<_> = TABLE.iter().collect();
+    rows.sort_by_key(|def| def.since);
+    rows
+}
+
+/// The metrics of a `/fleet` `per_pod` row, in emission order.
+pub(crate) fn per_pod_order() -> Vec<&'static MetricDef> {
+    let mut rows: Vec<_> = TABLE.iter().filter(|def| def.per_pod.is_some()).collect();
+    rows.sort_by_key(|def| def.per_pod);
+    rows
+}
+
+/// Appends the `# HELP`/`# TYPE` header of one Prometheus family.
+pub(crate) fn prom_header(out: &mut String, name: &str, kind: &str, help: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
+/// Appends `(row, help, value)` samples as `etude_{prefix}` families:
+/// the header once per stem (rows sharing one differ by their `level`
+/// label), then one sample line per row.
+pub(crate) fn render_families<'a>(
+    out: &mut String,
+    prefix: &str,
+    rows: impl Iterator<Item = (&'a MetricDef, &'a str, u64)>,
+) {
+    let mut family = "";
+    for (def, help, value) in rows {
+        let name = format!("etude_{prefix}{}", def.prom.stem);
+        if def.prom.stem != family {
+            family = def.prom.stem;
+            prom_header(out, &name, def.kind.prom_type(), help);
+        }
+        let labels = def
+            .level
+            .map(|level| format!("{{level=\"{level}\"}}"))
+            .unwrap_or_default();
+        let value = def.kind.prom_value(value);
+        out.push_str(&format!("{name}{labels} {value}\n"));
+    }
+}
+
+/// Sparse HDR bucket `(index, count)` pairs, the wire form of every
+/// histogram.
+pub(crate) type Pairs = Vec<(u32, u64)>;
+
+/// A read and a write accessor for one histogram of the reactor block.
+type PairsField = (
+    fn(&ReactorTelemetry) -> &Pairs,
+    fn(&mut ReactorTelemetry) -> &mut Pairs,
+);
+
+/// One scalar of the reactor telemetry block. Every scalar sums on
+/// merge; those without a Prometheus family only feed the derived
+/// utilization gauge.
+pub(crate) struct ReactorScalar {
+    pub(crate) json: &'static str,
+    /// `(stem, kind, help)` on `/metrics`.
+    pub(crate) prom: Option<(&'static str, Kind, &'static str)>,
+    pub(crate) field: ScalarField<ReactorTelemetry>,
+}
+
+/// One histogram of the reactor telemetry block: quoted sparse pairs on
+/// `/stats`, a quantile summary on `/metrics`, merged on exact buckets.
+pub(crate) struct ReactorHist {
+    pub(crate) json: &'static str,
+    pub(crate) stem: &'static str,
+    pub(crate) help: &'static str,
+    pub(crate) field: PairsField,
+}
+
+/// The reactor block's scalars, in `/stats` emission order. The first
+/// one keys the block: a document without it carries no reactor block.
+#[rustfmt::skip]
+pub(crate) static REACTOR_SCALARS: [ReactorScalar; 7] = [
+    ReactorScalar {
+        json: "reactor_loops", field: field!(loops),
+        prom: Some(("reactor_event_loops", Kind::Gauge, "Reactor event-loop threads.")),
+    },
+    ReactorScalar { json: "reactor_busy_nanos", field: field!(busy_nanos), prom: None },
+    ReactorScalar { json: "reactor_wait_nanos", field: field!(wait_nanos), prom: None },
+    ReactorScalar {
+        json: "reactor_accepts", field: field!(accepts),
+        prom: Some(("reactor_accepts_total", Kind::Counter, "Connections accepted since start.")),
+    },
+    ReactorScalar {
+        json: "reactor_conns", field: field!(conns),
+        prom: Some((
+            "reactor_open_connections", Kind::Gauge, "Connection-slab occupancy at scrape time.",
+        )),
+    },
+    ReactorScalar {
+        json: "reactor_write_stalls", field: field!(write_stalls),
+        prom: Some((
+            "reactor_write_stalls_total", Kind::Counter,
+            "Writes that left bytes pending on a full socket buffer.",
+        )),
+    },
+    ReactorScalar {
+        json: "reactor_evictions", field: field!(evictions),
+        prom: Some((
+            "reactor_evictions_total", Kind::Counter,
+            "Connections evicted past the write-stall budget.",
+        )),
+    },
+];
+
+/// The reactor block's histograms, in emission order.
+#[rustfmt::skip]
+pub(crate) static REACTOR_HISTS: [ReactorHist; 3] = [
+    ReactorHist {
+        json: "reactor_poll_batch", stem: "reactor_poll_batch",
+        help: "Events returned per poller wake.",
+        field: (|r| &r.poll_batch, |r| &mut r.poll_batch),
+    },
+    ReactorHist {
+        json: "reactor_wake_us", stem: "reactor_wake_to_dequeue_us",
+        help: "Loop mailbox wake-to-dequeue latency in microseconds.",
+        field: (|r| &r.wake_us, |r| &mut r.wake_us),
+    },
+    ReactorHist {
+        json: "reactor_dispatch_wait_us", stem: "dispatch_queue_wait_us",
+        help: "Dispatch-pool queue wait in microseconds.",
+        field: (|r| &r.dispatch_wait_us, |r| &mut r.dispatch_wait_us),
+    },
+];

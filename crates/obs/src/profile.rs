@@ -326,7 +326,7 @@ macro_rules! profile_scope {
 }
 
 /// Turns sampling and scope recording on or off (on by default). Used
-/// by the saturation bench to A/B the profiler's own overhead.
+/// by `parallel_mips --smoke` to A/B the profiler's own overhead.
 pub fn set_enabled(on: bool) {
     global().enabled.store(on, Ordering::Relaxed);
 }

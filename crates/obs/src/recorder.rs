@@ -2,6 +2,7 @@
 //! and aggregation into per-stage histograms.
 
 use crate::exemplar::ExemplarStore;
+use crate::metric::{Metric, TABLE};
 use crate::ring::{SpanRing, DEFAULT_CAPACITY};
 use crate::span::{SpanRecord, Stage};
 use crate::stats::{ReactorTelemetry, StageCounts, StageStats, StatsSnapshot};
@@ -25,17 +26,14 @@ thread_local! {
 /// Cumulative aggregation state, folded from the rings on demand.
 struct Aggregate {
     stages: [Histogram; Stage::ALL.len()],
-    dropped: u64,
-    /// Raw records retained for per-request joins (tests, the
-    /// latency-breakdown bench). Only populated while retention is on.
+    /// Raw records retained for per-request joins (tests). Only
+    /// populated while retention is on.
     retained: Vec<SpanRecord>,
     /// Rolling time-window view fed by the same fold pass.
     windows: StageWindows,
-    /// Counter values at the last fold, so deltas can be attributed to
-    /// the window bucket they happened in.
-    last_shed: u64,
-    last_degraded: u64,
-    last_faults: u64,
+    /// Metric values at the last fold, so the windowed ones' deltas can
+    /// be attributed to the bucket they happened in.
+    last: [u64; Metric::COUNT],
 }
 
 /// Records server-side stage spans into per-thread rings and aggregates
@@ -52,26 +50,14 @@ pub struct Recorder {
     rings: Mutex<Vec<Arc<SpanRing>>>,
     agg: Mutex<Aggregate>,
     retain: AtomicBool,
-    // Resilience counters: cheap atomics bumped on the request path,
-    // folded into every snapshot (and from there into /stats and
-    // /metrics).
-    shed: AtomicU64,
-    degraded: AtomicU64,
-    faults: AtomicU64,
-    // Overload-control counters (PR 10): 429 admission refusals and
-    // browned-out 200s per ladder level (index 0 = quantized,
-    // 1 = reduced-k, 2 = popularity fallback).
-    refused: AtomicU64,
-    brownout: [AtomicU64; 3],
-    /// Admission-limit gauge in milli-units, updated by the serving
-    /// layer whenever the AIMD controller adjusts.
-    admission_limit_milli: AtomicU64,
+    /// One cheap atomic per row of the metric table, bumped or set by
+    /// the serving layer and copied into every snapshot (and from there
+    /// onto `/stats`, `/metrics` and `/fleet`).
+    scalars: [AtomicU64; Metric::COUNT],
     /// Pod identity in a fleet; `None` on standalone servers.
     pod: Option<u32>,
     /// Construction time: window buckets are numbered from here.
     epoch: Instant,
-    /// Batcher queue depth gauge, updated by the serving layer.
-    queue_depth: AtomicU64,
     /// While on, traced requests also append [`PodSpanRecord`]s for the
     /// post-run trace collector. Off (and allocation-free) by default.
     trace_retain: AtomicBool,
@@ -103,23 +89,14 @@ impl Recorder {
             rings: Mutex::new(Vec::new()),
             agg: Mutex::new(Aggregate {
                 stages: std::array::from_fn(|_| Histogram::new()),
-                dropped: 0,
                 retained: Vec::new(),
                 windows: StageWindows::new(WindowConfig::default()),
-                last_shed: 0,
-                last_degraded: 0,
-                last_faults: 0,
+                last: [0; Metric::COUNT],
             }),
             retain: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            brownout: std::array::from_fn(|_| AtomicU64::new(0)),
-            admission_limit_milli: AtomicU64::new(0),
+            scalars: std::array::from_fn(|_| AtomicU64::new(0)),
             pod: None,
             epoch: Instant::now(),
-            queue_depth: AtomicU64::new(0),
             trace_retain: AtomicBool::new(false),
             traces: Mutex::new(Vec::new()),
             exemplars: ExemplarStore::new(),
@@ -147,14 +124,20 @@ impl Recorder {
         self.pod
     }
 
-    /// Updates the batcher queue depth gauge.
-    pub fn set_queue_depth(&self, depth: u64) {
-        self.queue_depth.store(depth, Ordering::Relaxed);
+    /// Counts one occurrence of a counter metric.
+    pub fn bump(&self, metric: Metric) {
+        self.scalars[metric as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The last reported batcher queue depth.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
+    /// Publishes a gauge metric's current level.
+    pub fn set(&self, metric: Metric, value: u64) {
+        self.scalars[metric as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// A metric's current value ([`Metric::Requests`] and
+    /// [`Metric::Dropped`]: as of the last fold).
+    pub fn get(&self, metric: Metric) -> u64 {
+        self.scalars[metric as usize].load(Ordering::Relaxed)
     }
 
     /// The slowest-requests exemplar store backing `/debug/slow`.
@@ -169,63 +152,6 @@ impl Recorder {
         probe: Option<Box<dyn Fn() -> ReactorTelemetry + Send + Sync>>,
     ) {
         *self.reactor_probe.lock() = probe;
-    }
-
-    /// Counts one request shed with a 503 because the queue was full.
-    pub fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request answered from the degraded fallback path.
-    pub fn note_degraded(&self) {
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request refused with a 429 by admission control.
-    pub fn note_refused(&self) {
-        self.refused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one browned-out 200 at ladder level 1 (quantized),
-    /// 2 (reduced-k) or 3 (popularity fallback). Level 0 (exact) is
-    /// implicit — it is simply a normal request — and out-of-range
-    /// levels are ignored.
-    pub fn note_brownout(&self, level: u8) {
-        if (1..=3).contains(&level) {
-            self.brownout[(level - 1) as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes the admission controller's current limit (milli-units)
-    /// as a gauge.
-    pub fn set_admission_limit_milli(&self, limit: u64) {
-        self.admission_limit_milli.store(limit, Ordering::Relaxed);
-    }
-
-    /// Requests refused by admission control so far.
-    pub fn refused_count(&self) -> u64 {
-        self.refused.load(Ordering::Relaxed)
-    }
-
-    /// Browned-out 200s per ladder level (quantized, reduced-k,
-    /// fallback).
-    pub fn brownout_counts(&self) -> [u64; 3] {
-        std::array::from_fn(|i| self.brownout[i].load(Ordering::Relaxed))
-    }
-
-    /// Counts one server-side injected fault firing.
-    pub fn note_fault(&self) {
-        self.faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests shed so far.
-    pub fn shed_count(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// Degraded responses served so far.
-    pub fn degraded_count(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
     }
 
     /// Turns raw-record retention on or off. While on, every record that
@@ -323,9 +249,10 @@ impl Recorder {
         let mut agg = self.agg.lock();
         let retain = self.retain.load(Ordering::Relaxed);
         let bucket = agg.windows.bucket_index(self.epoch.elapsed());
+        let agg = &mut *agg;
+        let mut dropped = 0;
         for ring in rings.iter() {
-            let agg = &mut *agg;
-            agg.dropped += ring.drain(|record| {
+            dropped += ring.drain(|record| {
                 let micros = record.duration_micros();
                 agg.stages[record.stage as u8 as usize].record(micros);
                 agg.windows.record(bucket, record.stage, micros);
@@ -334,21 +261,19 @@ impl Recorder {
                 }
             });
         }
-        // Attribute resilience-counter increments since the last fold
-        // to the current bucket.
-        let shed = self.shed.load(Ordering::Relaxed);
-        let degraded = self.degraded.load(Ordering::Relaxed);
-        let faults = self.faults.load(Ordering::Relaxed);
-        let (d_shed, d_degraded, d_faults) = (
-            shed - agg.last_shed,
-            degraded - agg.last_degraded,
-            faults - agg.last_faults,
+        // The two derived metrics: nobody bumps them, the fold does.
+        self.scalars[Metric::Dropped as usize].fetch_add(dropped, Ordering::Relaxed);
+        self.set(
+            Metric::Requests,
+            agg.stages[Stage::Total as u8 as usize].count(),
         );
-        agg.windows
-            .add_counters(bucket, d_shed, d_degraded, d_faults);
-        agg.last_shed = shed;
-        agg.last_degraded = degraded;
-        agg.last_faults = faults;
+        // Attribute what each windowed metric grew by since the last
+        // fold to the current bucket.
+        for def in TABLE.iter().filter(|def| def.windowed) {
+            let (now, last) = (self.get(def.metric), &mut agg.last[def.metric as usize]);
+            agg.windows.add(bucket, def.metric, now - *last);
+            *last = now;
+        }
     }
 
     /// Drains the rings into the aggregate and window now, without
@@ -363,54 +288,35 @@ impl Recorder {
     pub fn snapshot(&self) -> StatsSnapshot {
         self.fold();
         let agg = self.agg.lock();
-        let stages = Stage::ALL
-            .iter()
-            .filter_map(|&stage| {
-                let h = &agg.stages[stage as u8 as usize];
-                if h.is_empty() {
-                    return None;
-                }
-                Some(StageStats {
-                    stage: stage.name().to_string(),
-                    count: h.count(),
-                    mean_us: h.mean(),
-                    p50_us: h.p50(),
-                    p90_us: h.p90(),
-                    p99_us: h.p99(),
-                    max_us: h.max(),
-                })
-            })
-            .collect();
-        let hist = Stage::ALL
-            .iter()
-            .filter_map(|&stage| {
-                let h = &agg.stages[stage as u8 as usize];
-                if h.is_empty() {
-                    return None;
-                }
-                Some(StageCounts {
-                    stage: stage.name().to_string(),
-                    counts: h.nonzero_buckets().collect(),
-                })
-            })
-            .collect();
         let current = agg.windows.bucket_index(self.epoch.elapsed());
-        StatsSnapshot {
-            requests: agg.stages[Stage::Total as u8 as usize].count(),
-            dropped: agg.dropped,
-            shed: self.shed.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            faults: self.faults.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-            brownout: self.brownout_counts(),
-            admission_limit_milli: self.admission_limit_milli.load(Ordering::Relaxed),
+        let mut snap = StatsSnapshot {
             pod: self.pod,
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
             reactor: self.reactor_probe.lock().as_ref().map(|probe| probe()),
             window: Some(agg.windows.snapshot(current)),
-            hist,
-            stages,
+            ..StatsSnapshot::default()
+        };
+        for (stage, h) in Stage::ALL.iter().zip(&agg.stages) {
+            if h.is_empty() {
+                continue;
+            }
+            snap.hist.push(StageCounts {
+                stage: stage.name().to_string(),
+                counts: h.nonzero_buckets().collect(),
+            });
+            snap.stages.push(StageStats {
+                stage: stage.name().to_string(),
+                count: h.count(),
+                mean_us: h.mean(),
+                p50_us: h.p50(),
+                p90_us: h.p90(),
+                p99_us: h.p99(),
+                max_us: h.max(),
+            });
         }
+        for def in &TABLE {
+            snap.set(def.metric, self.get(def.metric));
+        }
+        snap
     }
 
     /// Drains and returns the raw records retained since retention was
@@ -542,22 +448,22 @@ mod tests {
     #[test]
     fn resilience_counters_flow_into_snapshots() {
         let r = Recorder::new();
-        r.note_shed();
-        r.note_shed();
-        r.note_degraded();
-        r.note_fault();
+        r.bump(Metric::Shed);
+        r.bump(Metric::Shed);
+        r.bump(Metric::Degraded);
+        r.bump(Metric::Faults);
         let snap = r.snapshot();
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.degraded, 1);
         assert_eq!(snap.faults, 1);
-        assert_eq!(r.shed_count(), 2);
-        assert_eq!(r.degraded_count(), 1);
+        assert_eq!(r.get(Metric::Shed), 2);
+        assert_eq!(r.get(Metric::Degraded), 1);
     }
 
     #[test]
     fn snapshots_carry_pod_queue_window_and_hist() {
         let r = Recorder::with_pod(3);
-        r.set_queue_depth(17);
+        r.set(Metric::QueueDepth, 17);
         r.record(1, Stage::Inference, 2_000_000);
         r.record(1, Stage::Total, 2_500_000);
         let snap = r.snapshot();
@@ -565,7 +471,7 @@ mod tests {
         assert_eq!(snap.queue_depth, 17);
         let window = snap.window.as_ref().expect("window always present");
         assert_eq!(window.buckets.len(), 1, "everything in the first bucket");
-        assert_eq!(window.buckets[0].requests, 1);
+        assert_eq!(window.buckets[0].count(Metric::Requests), 1);
         assert_eq!(window.buckets[0].lat.len(), 2);
         // The sparse buckets reconstruct the cumulative histogram up to
         // bucket resolution (exact extremes are not on the wire).
@@ -583,14 +489,14 @@ mod tests {
     #[test]
     fn counter_deltas_land_in_window_buckets() {
         let r = Recorder::new();
-        r.note_shed();
-        r.note_fault();
+        r.bump(Metric::Shed);
+        r.bump(Metric::Faults);
         r.sync();
-        r.note_shed();
+        r.bump(Metric::Shed);
         let snap = r.snapshot();
         let window = snap.window.unwrap();
-        let shed: u64 = window.buckets.iter().map(|b| b.shed).sum();
-        let faults: u64 = window.buckets.iter().map(|b| b.faults).sum();
+        let sum = |m| window.buckets.iter().map(|b| b.count(m)).sum::<u64>();
+        let (shed, faults) = (sum(Metric::Shed), sum(Metric::Faults));
         assert_eq!(shed, 2, "both folds attribute their delta");
         assert_eq!(faults, 1);
     }

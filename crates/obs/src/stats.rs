@@ -5,8 +5,14 @@
 //! JSON document served at `/stats`. The JSON side also has a parser so
 //! the load generator can pull a server's breakdown at end of run and
 //! merge it into client-side reports — both ends share this module, so
-//! the format cannot drift.
+//! the format cannot drift. Which scalars exist, under which names and
+//! in which order is not decided here: the renderers and the parser
+//! loop over [`crate::metric::TABLE`].
 
+use crate::metric::{
+    prom_header, prom_order, render_families, Kind, Metric, Pairs, REACTOR_HISTS, REACTOR_SCALARS,
+    TABLE,
+};
 use crate::window::{WindowBucket, WindowSnapshot};
 use etude_metrics::hdr::Histogram;
 
@@ -43,18 +49,7 @@ pub struct StageCounts {
 }
 
 impl StageCounts {
-    /// Encodes the pairs as `index:count` tokens — a flat string keeps
-    /// the JSON nesting-free for the hand-rolled parser.
-    pub fn encode_counts(&self) -> String {
-        self.counts
-            .iter()
-            .map(|(i, c)| format!("{i}:{c}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
-    /// Decodes [`StageCounts::encode_counts`] output (bad tokens
-    /// skipped).
+    /// Decodes `index:count` tokens (bad tokens skipped).
     pub fn decode_counts(encoded: &str) -> Vec<(u32, u64)> {
         encoded
             .split_whitespace()
@@ -71,14 +66,26 @@ impl StageCounts {
     }
 }
 
-/// Encodes sparse `(index, count)` pairs as `index:count` tokens (the
-/// same flat wire shape as [`StageCounts::encode_counts`]).
+/// Encodes sparse `(index, count)` pairs as `index:count` tokens — a
+/// flat string keeps the JSON nesting-free for the hand-rolled parser.
 pub(crate) fn encode_pairs(pairs: &[(u32, u64)]) -> String {
     pairs
         .iter()
         .map(|(i, c)| format!("{i}:{c}"))
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// Appends the `quantile`-labelled sample lines of one summary.
+pub(crate) fn push_quantiles(
+    out: &mut String,
+    name: &str,
+    labels: &str,
+    [p50, p90, p99]: [u64; 3],
+) {
+    for (q, v) in [("0.5", p50), ("0.9", p90), ("0.99", p99)] {
+        out.push_str(&format!("{name}{{{labels}quantile=\"{q}\"}} {v}\n"));
+    }
 }
 
 /// Reactor/event-loop telemetry carried in a pod's `/stats` snapshot:
@@ -90,6 +97,8 @@ pub(crate) fn encode_pairs(pairs: &[(u32, u64)]) -> String {
 /// order-independent. Counters are cumulative since server start; the
 /// busy/wait nanos are summed over every event loop, so
 /// [`ReactorTelemetry::utilization`] is the loop-average busy fraction.
+/// Wire names, Prometheus families and the merge are driven by the
+/// `REACTOR_SCALARS` and `REACTOR_HISTS` lists in [`crate::metric`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorTelemetry {
     /// Event-loop threads running.
@@ -107,11 +116,11 @@ pub struct ReactorTelemetry {
     /// Connections evicted for exceeding the write-stall budget.
     pub evictions: u64,
     /// Events returned per poller wake (sparse HDR buckets).
-    pub poll_batch: Vec<(u32, u64)>,
+    pub poll_batch: Pairs,
     /// Wake-to-dequeue latency of loop mailbox messages, µs buckets.
-    pub wake_us: Vec<(u32, u64)>,
+    pub wake_us: Pairs,
     /// Dispatch-pool queue wait, µs buckets.
-    pub dispatch_wait_us: Vec<(u32, u64)>,
+    pub dispatch_wait_us: Pairs,
 }
 
 impl ReactorTelemetry {
@@ -126,16 +135,6 @@ impl ReactorTelemetry {
         }
     }
 
-    /// Reconstructs the poll batch-size histogram.
-    pub fn poll_batch_histogram(&self) -> Histogram {
-        Histogram::from_sparse(&self.poll_batch)
-    }
-
-    /// Reconstructs the wake-to-dequeue latency histogram (µs).
-    pub fn wake_histogram(&self) -> Histogram {
-        Histogram::from_sparse(&self.wake_us)
-    }
-
     /// Reconstructs the dispatch queue-wait histogram (µs).
     pub fn dispatch_wait_histogram(&self) -> Histogram {
         Histogram::from_sparse(&self.dispatch_wait_us)
@@ -145,27 +144,82 @@ impl ReactorTelemetry {
     /// histograms merge on exact buckets. Order-independent — merging
     /// A into B equals merging B into A, which the fleet tier asserts.
     pub fn merge(&mut self, other: &ReactorTelemetry) {
-        self.loops += other.loops;
-        self.busy_nanos += other.busy_nanos;
-        self.wait_nanos += other.wait_nanos;
-        self.accepts += other.accepts;
-        self.conns += other.conns;
-        self.write_stalls += other.write_stalls;
-        self.evictions += other.evictions;
-        let merge_pairs = |a: &[(u32, u64)], b: &[(u32, u64)]| -> Vec<(u32, u64)> {
-            let mut h = Histogram::from_sparse(a);
-            for &(index, count) in b {
+        for scalar in &REACTOR_SCALARS {
+            *(scalar.field.1)(self) += (scalar.field.0)(other);
+        }
+        for hist in &REACTOR_HISTS {
+            let mut h = Histogram::from_sparse((hist.field.0)(self));
+            for &(index, count) in (hist.field.0)(other) {
                 h.add_bucket(index, count);
             }
-            h.nonzero_buckets().collect()
-        };
-        self.poll_batch = merge_pairs(&self.poll_batch, &other.poll_batch);
-        self.wake_us = merge_pairs(&self.wake_us, &other.wake_us);
-        self.dispatch_wait_us = merge_pairs(&self.dispatch_wait_us, &other.dispatch_wait_us);
+            *(hist.field.1)(self) = h.nonzero_buckets().collect();
+        }
+    }
+
+    /// Renders the flat key block `/stats` and `/fleet` carry. The keys
+    /// stay top-level (and the histograms are quoted pair strings), so
+    /// the block sits safely in the pre-array head of either document.
+    pub(crate) fn render_json_block(&self) -> String {
+        let mut out = String::with_capacity(512);
+        for scalar in &REACTOR_SCALARS {
+            let value = (scalar.field.0)(self);
+            out.push_str(&format!("  \"{}\": {value},\n", scalar.json));
+        }
+        for hist in &REACTOR_HISTS {
+            let pairs = encode_pairs((hist.field.0)(self));
+            out.push_str(&format!("  \"{}\": \"{pairs}\",\n", hist.json));
+        }
+        out
+    }
+
+    /// Parses [`ReactorTelemetry::render_json_block`] output out of a
+    /// `/stats` or `/fleet` document. Keyed on the first scalar:
+    /// servers without a reactor (and pre-reactor documents) simply
+    /// omit the block.
+    pub(crate) fn parse_json_block(body: &str) -> Option<ReactorTelemetry> {
+        num_field::<u64>(body, REACTOR_SCALARS[0].json)?;
+        let mut r = ReactorTelemetry::default();
+        for scalar in &REACTOR_SCALARS {
+            *(scalar.field.1)(&mut r) = num_field(body, scalar.json).unwrap_or(0);
+        }
+        for hist in &REACTOR_HISTS {
+            let encoded = str_field(body, hist.json).unwrap_or_default();
+            *(hist.field.1)(&mut r) = StageCounts::decode_counts(&encoded);
+        }
+        Some(r)
+    }
+
+    /// Renders the Prometheus exposition block. `prefix` distinguishes
+    /// the fleet-merged series (`fleet_`) from a single pod's (empty)
+    /// so both can be scraped by one collector.
+    pub(crate) fn render_prometheus(&self, prefix: &str) -> String {
+        let mut out = String::with_capacity(1024);
+        let name = format!("etude_{prefix}reactor_loop_utilization");
+        let help = "Busy fraction of reactor event-loop wall time.";
+        prom_header(&mut out, &name, "gauge", help);
+        out.push_str(&format!("{name} {:.6}\n", self.utilization()));
+        for kind in [Kind::Gauge, Kind::Counter] {
+            for scalar in &REACTOR_SCALARS {
+                if let Some((stem, k, help)) = scalar.prom.filter(|(_, k, _)| *k == kind) {
+                    let name = format!("etude_{prefix}{stem}");
+                    prom_header(&mut out, &name, k.prom_type(), help);
+                    out.push_str(&format!("{name} {}\n", (scalar.field.0)(self)));
+                }
+            }
+        }
+        for hist in &REACTOR_HISTS {
+            let h = Histogram::from_sparse((hist.field.0)(self));
+            let name = format!("etude_{prefix}{}", hist.stem);
+            prom_header(&mut out, &name, "summary", hist.help);
+            push_quantiles(&mut out, &name, "", [h.p50(), h.p90(), h.p99()]);
+            out.push_str(&format!("{name}_count {}\n", h.count()));
+        }
+        out
     }
 }
 
-/// A full aggregation snapshot: per-stage stats plus bookkeeping.
+/// A full aggregation snapshot: per-stage stats plus bookkeeping. The
+/// scalar fields are the columns of [`crate::metric::TABLE`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Requests with a recorded `total` span.
@@ -208,91 +262,39 @@ impl StatsSnapshot {
         self.stages.iter().find(|s| s.stage == name)
     }
 
+    /// The value of one scalar metric.
+    pub fn get(&self, metric: Metric) -> u64 {
+        metric.def().get(self)
+    }
+
+    /// Overwrites one scalar metric.
+    pub fn set(&mut self, metric: Metric, value: u64) {
+        *metric.def().slot(self) = value;
+    }
+
     /// Renders the Prometheus text exposition format (`/metrics`).
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str(
-            "# HELP etude_stage_latency_microseconds Server-side stage latency quantiles.\n\
-             # TYPE etude_stage_latency_microseconds summary\n",
+        let name = "etude_stage_latency_microseconds";
+        prom_header(
+            &mut out,
+            name,
+            "summary",
+            "Server-side stage latency quantiles.",
         );
         for s in &self.stages {
-            for (q, v) in [("0.5", s.p50_us), ("0.9", s.p90_us), ("0.99", s.p99_us)] {
-                out.push_str(&format!(
-                    "etude_stage_latency_microseconds{{stage=\"{}\",quantile=\"{q}\"}} {v}\n",
-                    s.stage
-                ));
-            }
-            out.push_str(&format!(
-                "etude_stage_latency_microseconds_sum{{stage=\"{}\"}} {:.0}\n",
-                s.stage,
-                s.mean_us * s.count as f64
-            ));
-            out.push_str(&format!(
-                "etude_stage_latency_microseconds_count{{stage=\"{}\"}} {}\n",
-                s.stage, s.count
-            ));
+            let stage = format!("stage=\"{}\"", s.stage);
+            let quantiles = [s.p50_us, s.p90_us, s.p99_us];
+            push_quantiles(&mut out, name, &format!("{stage},"), quantiles);
+            let sum = s.mean_us * s.count as f64;
+            out.push_str(&format!("{name}_sum{{{stage}}} {sum:.0}\n"));
+            out.push_str(&format!("{name}_count{{{stage}}} {}\n", s.count));
         }
-        out.push_str(
-            "# HELP etude_requests_total Requests with a recorded total span.\n\
-             # TYPE etude_requests_total counter\n",
-        );
-        out.push_str(&format!("etude_requests_total {}\n", self.requests));
-        out.push_str(
-            "# HELP etude_spans_dropped_total Span records overwritten before aggregation.\n\
-             # TYPE etude_spans_dropped_total counter\n",
-        );
-        out.push_str(&format!("etude_spans_dropped_total {}\n", self.dropped));
-        out.push_str(
-            "# HELP etude_requests_shed_total Requests shed with a 503 under overload.\n\
-             # TYPE etude_requests_shed_total counter\n",
-        );
-        out.push_str(&format!("etude_requests_shed_total {}\n", self.shed));
-        out.push_str(
-            "# HELP etude_requests_degraded_total Requests answered from the degraded fallback path.\n\
-             # TYPE etude_requests_degraded_total counter\n",
-        );
-        out.push_str(&format!(
-            "etude_requests_degraded_total {}\n",
-            self.degraded
-        ));
-        out.push_str(
-            "# HELP etude_faults_injected_total Server-side injected faults fired.\n\
-             # TYPE etude_faults_injected_total counter\n",
-        );
-        out.push_str(&format!("etude_faults_injected_total {}\n", self.faults));
-        out.push_str(
-            "# HELP etude_queue_depth Batcher queue depth at scrape time.\n\
-             # TYPE etude_queue_depth gauge\n",
-        );
-        out.push_str(&format!("etude_queue_depth {}\n", self.queue_depth));
-        out.push_str(
-            "# HELP etude_requests_refused_total Requests refused with a 429 by admission control.\n\
-             # TYPE etude_requests_refused_total counter\n",
-        );
-        out.push_str(&format!("etude_requests_refused_total {}\n", self.refused));
-        out.push_str(
-            "# HELP etude_brownout_responses_total Browned-out 200s per ladder level.\n\
-             # TYPE etude_brownout_responses_total counter\n",
-        );
-        for (label, count) in [
-            ("quantized", self.brownout[0]),
-            ("reduced-k", self.brownout[1]),
-            ("fallback", self.brownout[2]),
-        ] {
-            out.push_str(&format!(
-                "etude_brownout_responses_total{{level=\"{label}\"}} {count}\n"
-            ));
-        }
-        out.push_str(
-            "# HELP etude_admission_limit Learned admission concurrency limit.\n\
-             # TYPE etude_admission_limit gauge\n",
-        );
-        out.push_str(&format!(
-            "etude_admission_limit {:.3}\n",
-            self.admission_limit_milli as f64 / 1000.0
-        ));
+        let rows = prom_order();
+        let samples = rows.iter().map(|&def| (def, def.prom.help, def.get(self)));
+        render_families(&mut out, "", samples);
         if let Some(r) = &self.reactor {
-            out.push_str(&render_reactor_prometheus(r, ""));
+            out.push_str(&r.render_prometheus(""));
         }
         out
     }
@@ -327,170 +329,73 @@ impl StatsSnapshot {
     /// a stage object).
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\n  \"requests\": {},\n  \"dropped\": {},\n  \"shed\": {},\n  \
-             \"degraded\": {},\n  \"faults\": {},\n",
-            self.requests, self.dropped, self.shed, self.degraded, self.faults
-        ));
-        if let Some(pod) = self.pod {
-            out.push_str(&format!("  \"pod\": {pod},\n"));
+        out.push_str("{\n");
+        for def in &TABLE {
+            // Frozen wire: the pod id sits where format version 3 put
+            // it, ahead of every later scalar.
+            if let (Metric::Refused, Some(pod)) = (def.metric, self.pod) {
+                out.push_str(&format!("  \"pod\": {pod},\n"));
+            }
+            out.push_str(&format!("  \"{}\": {},\n", def.json, def.get(self)));
         }
-        out.push_str(&format!(
-            "  \"refused\": {},\n  \"brownout_quantized\": {},\n  \
-             \"brownout_reduced\": {},\n  \"brownout_fallback\": {},\n  \
-             \"admission_limit_milli\": {},\n",
-            self.refused,
-            self.brownout[0],
-            self.brownout[1],
-            self.brownout[2],
-            self.admission_limit_milli
-        ));
-        out.push_str(&format!("  \"queue_depth\": {},\n", self.queue_depth));
         if let Some(r) = &self.reactor {
-            out.push_str(&format!(
-                "  \"reactor_loops\": {},\n  \"reactor_busy_nanos\": {},\n  \
-                 \"reactor_wait_nanos\": {},\n  \"reactor_accepts\": {},\n  \
-                 \"reactor_conns\": {},\n  \"reactor_write_stalls\": {},\n  \
-                 \"reactor_evictions\": {},\n",
-                r.loops,
-                r.busy_nanos,
-                r.wait_nanos,
-                r.accepts,
-                r.conns,
-                r.write_stalls,
-                r.evictions,
-            ));
-            out.push_str(&format!(
-                "  \"reactor_poll_batch\": \"{}\",\n  \"reactor_wake_us\": \"{}\",\n  \
-                 \"reactor_dispatch_wait_us\": \"{}\",\n",
-                encode_pairs(&r.poll_batch),
-                encode_pairs(&r.wake_us),
-                encode_pairs(&r.dispatch_wait_us),
-            ));
+            out.push_str(&r.render_json_block());
         }
         if let Some(w) = &self.window {
+            let millis = w.bucket_millis;
             out.push_str(&format!(
-                "  \"window\": {{\"bucket_millis\": {}, \"buckets\": [",
-                w.bucket_millis
+                "  \"window\": {{\"bucket_millis\": {millis}, \"buckets\": "
             ));
-            for (i, b) in w.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"index\": {}, \"requests\": {}, \"shed\": {}, \
-                     \"degraded\": {}, \"faults\": {}, \"lat\": \"{}\"}}",
-                    b.index,
-                    b.requests,
-                    b.shed,
-                    b.degraded,
-                    b.faults,
-                    b.encode_lat()
-                ));
-            }
-            out.push_str("\n  ]},\n");
+            push_objects(
+                &mut out,
+                w.buckets.iter().map(|b| {
+                    let counters: String = TABLE
+                        .iter()
+                        .filter(|def| def.windowed)
+                        .map(|def| format!(", \"{}\": {}", def.json, b.count(def.metric)))
+                        .collect();
+                    let lat = b.encode_lat();
+                    format!("{{\"index\": {}{counters}, \"lat\": \"{lat}\"}}", b.index)
+                }),
+            );
+            out.push_str("},\n");
         }
-        out.push_str("  \"hist\": [");
-        for (i, h) in self.hist.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"stage\": \"{}\", \"counts\": \"{}\"}}",
-                h.stage,
-                h.encode_counts()
-            ));
-        }
-        out.push_str("\n  ],\n  \"stages\": [");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"stage\": \"{}\", \"count\": {}, \"mean_us\": {:.3}, \
-                 \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                s.stage, s.count, s.mean_us, s.p50_us, s.p90_us, s.p99_us, s.max_us
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("  \"hist\": ");
+        push_objects(
+            &mut out,
+            self.hist.iter().map(|h| {
+                let counts = encode_pairs(&h.counts);
+                format!("{{\"stage\": \"{}\", \"counts\": \"{counts}\"}}", h.stage)
+            }),
+        );
+        out.push_str(",\n  \"stages\": ");
+        push_objects(
+            &mut out,
+            self.stages.iter().map(|s| {
+                format!(
+                    "{{\"stage\": \"{}\", \"count\": {}, \"mean_us\": {:.3}, \
+                     \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
+                    s.stage, s.count, s.mean_us, s.p50_us, s.p90_us, s.p99_us, s.max_us
+                )
+            }),
+        );
+        out.push_str("\n}\n");
         out
     }
 }
 
-/// Renders reactor telemetry in the Prometheus exposition format.
-/// `prefix` distinguishes the fleet-merged series (`fleet_`) from a
-/// single pod's (empty) so both can be scraped by one collector.
-pub(crate) fn render_reactor_prometheus(r: &ReactorTelemetry, prefix: &str) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str(&format!(
-        "# HELP etude_{prefix}reactor_loop_utilization Busy fraction of reactor event-loop wall time.\n\
-         # TYPE etude_{prefix}reactor_loop_utilization gauge\n\
-         etude_{prefix}reactor_loop_utilization {:.6}\n",
-        r.utilization()
-    ));
-    for (name, kind, help, value) in [
-        (
-            "reactor_event_loops",
-            "gauge",
-            "Reactor event-loop threads.",
-            r.loops,
-        ),
-        (
-            "reactor_open_connections",
-            "gauge",
-            "Connection-slab occupancy at scrape time.",
-            r.conns,
-        ),
-        (
-            "reactor_accepts_total",
-            "counter",
-            "Connections accepted since start.",
-            r.accepts,
-        ),
-        (
-            "reactor_write_stalls_total",
-            "counter",
-            "Writes that left bytes pending on a full socket buffer.",
-            r.write_stalls,
-        ),
-        (
-            "reactor_evictions_total",
-            "counter",
-            "Connections evicted past the write-stall budget.",
-            r.evictions,
-        ),
-    ] {
-        out.push_str(&format!(
-            "# HELP etude_{prefix}{name} {help}\n# TYPE etude_{prefix}{name} {kind}\n\
-             etude_{prefix}{name} {value}\n"
-        ));
-    }
-    for (name, help, h) in [
-        (
-            "reactor_poll_batch",
-            "Events returned per poller wake.",
-            r.poll_batch_histogram(),
-        ),
-        (
-            "reactor_wake_to_dequeue_us",
-            "Loop mailbox wake-to-dequeue latency in microseconds.",
-            r.wake_histogram(),
-        ),
-        (
-            "dispatch_queue_wait_us",
-            "Dispatch-pool queue wait in microseconds.",
-            r.dispatch_wait_histogram(),
-        ),
-    ] {
-        out.push_str(&format!(
-            "# HELP etude_{prefix}{name} {help}\n# TYPE etude_{prefix}{name} summary\n"
-        ));
-        for (q, v) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
-            out.push_str(&format!("etude_{prefix}{name}{{quantile=\"{q}\"}} {v}\n"));
+/// Appends a JSON array of flat objects, one per line: the rendering
+/// twin of [`flat_objects`].
+pub(crate) fn push_objects(out: &mut String, objects: impl IntoIterator<Item = String>) {
+    out.push('[');
+    for (i, object) in objects.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push_str(&format!("etude_{prefix}{name}_count {}\n", h.count()));
+        out.push_str("\n    ");
+        out.push_str(&object);
     }
-    out
+    out.push_str("\n  ]");
 }
 
 /// Extracts `"key": <value>` from a flat JSON object fragment.
@@ -510,106 +415,73 @@ pub(crate) fn str_field(obj: &str, key: &str) -> Option<String> {
     Some(field(obj, key)?.trim_matches('"').to_string())
 }
 
+/// The text of the array that follows `"key"`, from the key up to the
+/// first `]` — which closes the array, since every array in `/stats`
+/// and `/fleet` holds flat objects only (nested lists travel as encoded
+/// strings). `None` when the key or the bracket is missing.
+pub(crate) fn array_after<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+    let rest = &body[body.find(&format!("\"{key}\""))?..];
+    Some(&rest[..rest.find(']')?])
+}
+
+/// Parses every flat `{...}` object in `region` with `parse`. `None`
+/// when an object is unclosed or `parse` rejects one: a truncated
+/// scrape must fail, not yield a short list.
+pub(crate) fn flat_objects<T>(
+    mut region: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<Vec<T>> {
+    let mut items = Vec::new();
+    while let Some(open) = region.find('{') {
+        let close = region[open..].find('}')? + open;
+        items.push(parse(&region[open..=close])?);
+        region = &region[close + 1..];
+    }
+    Some(items)
+}
+
 /// Parses a document produced by [`StatsSnapshot::render_json`].
 ///
 /// Not a general JSON parser — just the inverse of our own renderer,
 /// tolerant of whitespace differences. Returns `None` on anything that
 /// does not look like a `/stats` document.
-/// Parses the flat `reactor_*` key block out of a `/stats` or `/fleet`
-/// document. Keyed on the loop count: servers without a reactor (and
-/// pre-reactor documents) simply omit the block.
-pub(crate) fn parse_reactor_block(body: &str) -> Option<ReactorTelemetry> {
-    num_field(body, "reactor_loops").map(|loops| ReactorTelemetry {
-        loops,
-        busy_nanos: num_field(body, "reactor_busy_nanos").unwrap_or(0),
-        wait_nanos: num_field(body, "reactor_wait_nanos").unwrap_or(0),
-        accepts: num_field(body, "reactor_accepts").unwrap_or(0),
-        conns: num_field(body, "reactor_conns").unwrap_or(0),
-        write_stalls: num_field(body, "reactor_write_stalls").unwrap_or(0),
-        evictions: num_field(body, "reactor_evictions").unwrap_or(0),
-        poll_batch: StageCounts::decode_counts(
-            &str_field(body, "reactor_poll_batch").unwrap_or_default(),
-        ),
-        wake_us: StageCounts::decode_counts(
-            &str_field(body, "reactor_wake_us").unwrap_or_default(),
-        ),
-        dispatch_wait_us: StageCounts::decode_counts(
-            &str_field(body, "reactor_dispatch_wait_us").unwrap_or_default(),
-        ),
-    })
-}
-
 pub fn parse_stats_json(body: &str) -> Option<StatsSnapshot> {
-    let requests = num_field(body, "requests")?;
-    let dropped = num_field(body, "dropped")?;
-    // Counters added after the v1 format default to 0 so documents from
-    // older servers still parse; `pod`/`window` stay absent.
-    let shed = num_field(body, "shed").unwrap_or(0);
-    let degraded = num_field(body, "degraded").unwrap_or(0);
-    let faults = num_field(body, "faults").unwrap_or(0);
-    // Overload counters arrived in PR 10; older documents omit them.
-    let refused = num_field(body, "refused").unwrap_or(0);
-    let brownout = [
-        num_field(body, "brownout_quantized").unwrap_or(0),
-        num_field(body, "brownout_reduced").unwrap_or(0),
-        num_field(body, "brownout_fallback").unwrap_or(0),
-    ];
-    let admission_limit_milli = num_field(body, "admission_limit_milli").unwrap_or(0);
-    let pod = num_field(body, "pod");
-    let queue_depth = num_field(body, "queue_depth").unwrap_or(0);
-    let reactor = parse_reactor_block(body);
-    let window = match body.find("\"window\"") {
-        None => None,
-        Some(at) => {
-            let rest = &body[at..];
-            let bucket_millis = num_field(rest, "bucket_millis")?;
-            let bstart = rest.find("\"buckets\"")?;
-            // Bucket objects are flat (their stage list is an encoded
-            // string), so the first `]` closes the array.
-            let bend = rest[bstart..].find(']')? + bstart;
-            let mut buckets = Vec::new();
-            let mut scan = &rest[bstart..bend];
-            while let Some(open) = scan.find('{') {
-                let close = scan[open..].find('}')? + open;
-                let obj = &scan[open..=close];
-                buckets.push(WindowBucket {
-                    index: num_field(obj, "index")?,
-                    requests: num_field(obj, "requests")?,
-                    shed: num_field(obj, "shed")?,
-                    degraded: num_field(obj, "degraded")?,
-                    faults: num_field(obj, "faults")?,
-                    lat: WindowBucket::decode_lat(&str_field(obj, "lat")?),
-                });
-                scan = &scan[close + 1..];
-            }
-            Some(WindowSnapshot {
-                bucket_millis,
-                buckets,
-            })
-        }
-    };
-    let mut hist = Vec::new();
-    if let Some(at) = body.find("\"hist\"") {
-        let rest = &body[at..];
-        let end = rest.find(']')?;
-        let mut scan = &rest[..end];
-        while let Some(open) = scan.find('{') {
-            let close = scan[open..].find('}')? + open;
-            let obj = &scan[open..=close];
-            hist.push(StageCounts {
-                stage: str_field(obj, "stage")?,
-                counts: StageCounts::decode_counts(&str_field(obj, "counts")?),
-            });
-            scan = &scan[close + 1..];
-        }
+    let mut snap = StatsSnapshot::default();
+    for def in &TABLE {
+        let value = num_field(body, def.json);
+        // Keys added after the v1 format default to 0 so documents from
+        // older servers still parse; `pod`/`window` stay absent.
+        *def.slot(&mut snap) = if def.since == 1 {
+            value?
+        } else {
+            value.unwrap_or(0)
+        };
     }
-    let stages_at = body.find("\"stages\"")?;
-    let mut stages = Vec::new();
-    let mut rest = &body[stages_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..].find('}')? + open;
-        let obj = &rest[open..=close];
-        stages.push(StageStats {
+    snap.pod = num_field(body, "pod");
+    snap.reactor = ReactorTelemetry::parse_json_block(body);
+    if let Some(at) = body.find("\"window\"") {
+        let rest = &body[at..];
+        snap.window = Some(WindowSnapshot {
+            bucket_millis: num_field(rest, "bucket_millis")?,
+            buckets: flat_objects(array_after(rest, "buckets")?, |obj| {
+                let mut bucket = WindowBucket {
+                    index: num_field(obj, "index")?,
+                    lat: WindowBucket::decode_lat(&str_field(obj, "lat")?),
+                    ..WindowBucket::default()
+                };
+                for def in TABLE.iter().filter(|def| def.windowed) {
+                    bucket.counters[def.metric as usize] = num_field(obj, def.json)?;
+                }
+                Some(bucket)
+            })?,
+        });
+    }
+    if body.contains("\"hist\"") {
+        snap.hist = flat_objects(array_after(body, "hist")?, parse_stage_counts)?;
+    }
+    // Every `{...}` after the key is a stage object: `stages` is last.
+    snap.stages = flat_objects(&body[body.find("\"stages\"")?..], |obj| {
+        Some(StageStats {
             stage: str_field(obj, "stage")?,
             count: num_field(obj, "count")?,
             mean_us: num_field(obj, "mean_us")?,
@@ -617,30 +489,38 @@ pub fn parse_stats_json(body: &str) -> Option<StatsSnapshot> {
             p90_us: num_field(obj, "p90_us")?,
             p99_us: num_field(obj, "p99_us")?,
             max_us: num_field(obj, "max_us")?,
-        });
-        rest = &rest[close + 1..];
-    }
-    Some(StatsSnapshot {
-        requests,
-        dropped,
-        shed,
-        degraded,
-        faults,
-        refused,
-        brownout,
-        admission_limit_milli,
-        pod,
-        queue_depth,
-        reactor,
-        window,
-        hist,
-        stages,
+        })
+    })?;
+    Some(snap)
+}
+
+/// Parses one `{"stage": …, "counts": "…"}` object (`/stats` `hist`
+/// entries and `/fleet` `merged` entries share the shape).
+pub(crate) fn parse_stage_counts(obj: &str) -> Option<StageCounts> {
+    Some(StageCounts {
+        stage: str_field(obj, "stage")?,
+        counts: StageCounts::decode_counts(&str_field(obj, "counts")?),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A window bucket whose `requests`/`shed`/`degraded`/`faults`
+    /// deltas are `counts`.
+    fn bucket(index: u64, counts: [u64; 4], lat: &str) -> WindowBucket {
+        let mut bucket = WindowBucket {
+            index,
+            lat: WindowBucket::decode_lat(lat),
+            ..WindowBucket::default()
+        };
+        let windowed = TABLE.iter().filter(|def| def.windowed);
+        for (def, count) in windowed.zip(counts) {
+            bucket.counters[def.metric as usize] = count;
+        }
+        bucket
+    }
 
     fn sample() -> StatsSnapshot {
         StatsSnapshot {
@@ -669,22 +549,8 @@ mod tests {
             window: Some(WindowSnapshot {
                 bucket_millis: 1_000,
                 buckets: vec![
-                    WindowBucket {
-                        index: 10,
-                        requests: 20,
-                        shed: 1,
-                        degraded: 0,
-                        faults: 0,
-                        lat: WindowBucket::decode_lat("parse:20:3:9 total:20:200:310"),
-                    },
-                    WindowBucket {
-                        index: 11,
-                        requests: 22,
-                        shed: 0,
-                        degraded: 2,
-                        faults: 1,
-                        lat: WindowBucket::decode_lat("total:22:190:320"),
-                    },
+                    bucket(10, [20, 1, 0, 0], "parse:20:3:9 total:20:200:310"),
+                    bucket(11, [22, 0, 2, 1], "total:22:190:320"),
                 ],
             }),
             hist: vec![
@@ -739,7 +605,7 @@ mod tests {
         assert_eq!(window.bucket_millis, 1_000);
         assert_eq!(window.buckets.len(), 2);
         assert_eq!(window.buckets[0].lat[0].stage, "parse");
-        assert_eq!(window.buckets[1].faults, 1);
+        assert_eq!(window.buckets[1].count(Metric::Faults), 1);
         assert_eq!(parsed.hist.len(), 2);
         assert_eq!(parsed.hist[0].counts, vec![(3, 30), (5, 12)]);
     }

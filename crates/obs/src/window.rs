@@ -17,6 +17,7 @@
 //! the whole window simply presents stale slots, which snapshots filter
 //! by recency.
 
+use crate::metric::Metric;
 use crate::span::Stage;
 use etude_metrics::hdr::Histogram;
 use std::time::Duration;
@@ -48,10 +49,9 @@ struct Slot {
     /// Absolute bucket number currently stored here (`EMPTY` = unused).
     index: u64,
     stages: [Histogram; Stage::ALL.len()],
-    requests: u64,
-    shed: u64,
-    degraded: u64,
-    faults: u64,
+    /// Per-bucket deltas of the table's `windowed` metrics, indexed by
+    /// [`Metric`] (the other entries stay 0).
+    counters: [u64; Metric::COUNT],
 }
 
 impl Slot {
@@ -59,10 +59,7 @@ impl Slot {
         Slot {
             index: EMPTY,
             stages: std::array::from_fn(|_| Histogram::new()),
-            requests: 0,
-            shed: 0,
-            degraded: 0,
-            faults: 0,
+            counters: [0; Metric::COUNT],
         }
     }
 
@@ -72,10 +69,7 @@ impl Slot {
         for h in &mut self.stages {
             h.reset();
         }
-        self.requests = 0;
-        self.shed = 0;
-        self.degraded = 0;
-        self.faults = 0;
+        self.counters = [0; Metric::COUNT];
     }
 }
 
@@ -117,26 +111,16 @@ impl StageWindows {
         slot
     }
 
-    /// Records one stage sample into bucket `index`. `total` samples
-    /// also count a request for the bucket.
+    /// Records one stage sample into bucket `index`.
     pub fn record(&mut self, index: u64, stage: Stage, micros: u64) {
-        let slot = self.slot_for(index);
-        slot.stages[stage as u8 as usize].record(micros);
-        if stage == Stage::Total {
-            slot.requests += 1;
-        }
+        self.slot_for(index).stages[stage as u8 as usize].record(micros);
     }
 
-    /// Adds counter deltas (shed/degraded/faults since the last fold)
-    /// to bucket `index`.
-    pub fn add_counters(&mut self, index: u64, shed: u64, degraded: u64, faults: u64) {
-        if shed == 0 && degraded == 0 && faults == 0 {
-            return;
+    /// Adds a metric's increase since the last fold to bucket `index`.
+    pub fn add(&mut self, index: u64, metric: Metric, delta: u64) {
+        if delta > 0 {
+            self.slot_for(index).counters[metric as usize] += delta;
         }
-        let slot = self.slot_for(index);
-        slot.shed += shed;
-        slot.degraded += degraded;
-        slot.faults += faults;
     }
 
     /// Snapshots the buckets still inside the window ending at
@@ -149,10 +133,7 @@ impl StageWindows {
             .filter(|s| s.index != EMPTY && s.index >= oldest && s.index <= current)
             .map(|s| WindowBucket {
                 index: s.index,
-                requests: s.requests,
-                shed: s.shed,
-                degraded: s.degraded,
-                faults: s.faults,
+                counters: s.counters,
                 lat: Stage::ALL
                     .iter()
                     .filter_map(|&stage| {
@@ -196,19 +177,20 @@ pub struct WindowStage {
 pub struct WindowBucket {
     /// Absolute bucket number since the recorder's epoch.
     pub index: u64,
-    /// Requests completing in the bucket.
-    pub requests: u64,
-    /// Requests shed in the bucket.
-    pub shed: u64,
-    /// Degraded responses in the bucket.
-    pub degraded: u64,
-    /// Injected faults firing in the bucket.
-    pub faults: u64,
+    /// What each `windowed` metric of [`crate::metric::TABLE`] grew by
+    /// in the bucket, indexed by [`Metric`].
+    pub counters: [u64; Metric::COUNT],
     /// Stage quantiles (non-empty stages only, pipeline order).
     pub lat: Vec<WindowStage>,
 }
 
 impl WindowBucket {
+    /// What `metric` grew by in this bucket (0 for metrics the table
+    /// does not window).
+    pub fn count(&self, metric: Metric) -> u64 {
+        self.counters[metric as usize]
+    }
+
     /// Encodes the stage list as `stage:count:p50:p99` tokens — a flat
     /// string keeps the `/stats` JSON free of nested objects (the
     /// hand-rolled parser stays simple).
@@ -261,10 +243,9 @@ impl WindowSnapshot {
             match buckets.iter_mut().find(|mine| mine.index == b.index) {
                 None => buckets.push(b.clone()),
                 Some(mine) => {
-                    mine.requests += b.requests;
-                    mine.shed += b.shed;
-                    mine.degraded += b.degraded;
-                    mine.faults += b.faults;
+                    for (count, theirs) in mine.counters.iter_mut().zip(b.counters) {
+                        *count += theirs;
+                    }
                     for stage in &b.lat {
                         match mine.lat.iter_mut().find(|s| s.stage == stage.stage) {
                             None => mine.lat.push(stage.clone()),
@@ -306,7 +287,7 @@ mod tests {
         let snap = w.snapshot(2);
         assert_eq!(snap.buckets.len(), 2);
         assert_eq!(snap.buckets[0].index, 0);
-        assert_eq!(snap.buckets[0].requests, 1);
+        assert_eq!(snap.buckets[0].lat.len(), 2);
         assert_eq!(snap.buckets[1].index, 2);
         let total = &snap.buckets[1].lat[0];
         assert_eq!(total.stage, "total");
@@ -337,13 +318,16 @@ mod tests {
     #[test]
     fn counters_attach_to_buckets() {
         let mut w = windows(4);
-        w.add_counters(1, 2, 1, 3);
-        w.add_counters(1, 1, 0, 0);
-        let snap = w.snapshot(1);
-        assert_eq!(snap.buckets.len(), 1);
-        assert_eq!(snap.buckets[0].shed, 3);
-        assert_eq!(snap.buckets[0].degraded, 1);
-        assert_eq!(snap.buckets[0].faults, 3);
+        w.add(1, Metric::Shed, 2);
+        w.add(1, Metric::Degraded, 1);
+        w.add(1, Metric::Faults, 3);
+        w.add(1, Metric::Shed, 1);
+        w.add(2, Metric::Shed, 0);
+        let snap = w.snapshot(2);
+        assert_eq!(snap.buckets.len(), 1, "a zero delta opens no bucket");
+        assert_eq!(snap.buckets[0].count(Metric::Shed), 3);
+        assert_eq!(snap.buckets[0].count(Metric::Degraded), 1);
+        assert_eq!(snap.buckets[0].count(Metric::Faults), 3);
     }
 
     #[test]
@@ -368,7 +352,7 @@ mod tests {
         let snap = w.snapshot(4);
         let indices: Vec<u64> = snap.buckets.iter().map(|b| b.index).collect();
         assert_eq!(indices, vec![4], "bucket 0 left the window at t=4");
-        assert_eq!(snap.buckets[0].requests, 1);
+        assert_eq!(snap.buckets[0].lat[0].count, 1);
         assert_eq!(snap.buckets[0].lat[0].p50_us, 222, "no stale samples");
         // The boundary instant itself maps to the *new* bucket.
         assert_eq!(w.bucket_index(Duration::from_secs(4)), 4);
@@ -380,24 +364,27 @@ mod tests {
         let mut early = windows(4);
         early.record(0, Stage::Total, 100);
         early.record(1, Stage::Total, 150);
+        early.add(1, Metric::Requests, 1);
         let mut late = windows(4);
         late.record(7, Stage::Total, 900);
-        late.add_counters(8, 2, 0, 1);
+        late.add(8, Metric::Shed, 2);
+        late.add(8, Metric::Faults, 1);
         let a = early.snapshot(1);
         let b = late.snapshot(8);
         let merged = a.merge(&b);
         let indices: Vec<u64> = merged.buckets.iter().map(|x| x.index).collect();
         assert_eq!(indices, vec![0, 1, 7, 8], "sorted union, nothing summed");
         assert_eq!(merged.buckets[2].lat[0].p50_us, 900);
-        assert_eq!(merged.buckets[3].shed, 2);
+        assert_eq!(merged.buckets[3].count(Metric::Shed), 2);
         assert_eq!(b.merge(&a), merged, "merge is symmetric on disjoint input");
         // Overlapping buckets sum counts and take the conservative
         // quantile bound.
         let mut other = windows(4);
         other.record(1, Stage::Total, 50);
+        other.add(1, Metric::Requests, 1);
         let overlapped = a.merge(&other.snapshot(1));
         let b1 = overlapped.buckets.iter().find(|x| x.index == 1).unwrap();
-        assert_eq!(b1.requests, 2);
+        assert_eq!(b1.count(Metric::Requests), 2);
         assert_eq!(b1.lat[0].count, 2);
         let p99_150 = a.buckets[1].lat[0].p99_us;
         assert_eq!(b1.lat[0].p99_us, p99_150, "max of the two sides' p99");
@@ -407,7 +394,7 @@ mod tests {
     fn zero_sample_buckets_answer_percentiles_without_lat_rows() {
         let mut w = windows(4);
         // A bucket created by counters alone holds zero latency samples.
-        w.add_counters(2, 1, 0, 0);
+        w.add(2, Metric::Shed, 1);
         let snap = w.snapshot(2);
         assert_eq!(snap.buckets.len(), 1);
         assert!(snap.buckets[0].lat.is_empty(), "empty stages are omitted");
@@ -428,10 +415,6 @@ mod tests {
     fn lat_encoding_roundtrips() {
         let bucket = WindowBucket {
             index: 5,
-            requests: 10,
-            shed: 0,
-            degraded: 0,
-            faults: 0,
             lat: vec![
                 WindowStage {
                     stage: "inference".into(),
@@ -446,6 +429,7 @@ mod tests {
                     p99_us: 1_200,
                 },
             ],
+            ..WindowBucket::default()
         };
         let encoded = bucket.encode_lat();
         assert_eq!(encoded, "inference:10:420:990 total:10:500:1200");

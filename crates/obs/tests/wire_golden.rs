@@ -1,0 +1,294 @@
+//! The wire is frozen: `/stats`, `/metrics`, `/fleet` and
+//! `/fleet/metrics` must stay byte-identical to what the hand-written
+//! renderers produced before the metric table replaced them. The
+//! `golden/*.txt` files were written by those renderers (the commit
+//! before `crates/obs/src/metric.rs` existed) from the fixtures below;
+//! a change that legitimately extends the wire adds keys at the end and
+//! regenerates the files in the same commit.
+
+use etude_obs::fleet::{FleetSnapshot, ShardGroupHealth};
+use etude_obs::window::{WindowBucket, WindowSnapshot};
+use etude_obs::{
+    Metric, ReactorTelemetry, Recorder, Stage, StageCounts, StageStats, StatsSnapshot, WindowConfig,
+};
+use std::time::Duration;
+
+/// A window bucket whose `requests`/`shed`/`degraded`/`faults` deltas
+/// are `counts`.
+fn bucket(index: u64, counts: [u64; 4], lat: &str) -> WindowBucket {
+    let mut bucket = WindowBucket {
+        index,
+        lat: WindowBucket::decode_lat(lat),
+        ..WindowBucket::default()
+    };
+    let windowed = [
+        Metric::Requests,
+        Metric::Shed,
+        Metric::Degraded,
+        Metric::Faults,
+    ];
+    for (metric, count) in windowed.into_iter().zip(counts) {
+        bucket.counters[metric as usize] = count;
+    }
+    bucket
+}
+
+fn sample() -> StatsSnapshot {
+    StatsSnapshot {
+        requests: 42,
+        dropped: 1,
+        shed: 7,
+        degraded: 3,
+        faults: 2,
+        refused: 5,
+        brownout: [11, 4, 9],
+        admission_limit_milli: 12_500,
+        pod: Some(4),
+        queue_depth: 6,
+        reactor: Some(ReactorTelemetry {
+            loops: 2,
+            busy_nanos: 750_000,
+            wait_nanos: 2_250_000,
+            accepts: 64,
+            conns: 60,
+            write_stalls: 3,
+            evictions: 1,
+            poll_batch: vec![(1, 40), (4, 9)],
+            wake_us: vec![(12, 30)],
+            dispatch_wait_us: vec![(80, 25), (200, 5)],
+        }),
+        window: Some(WindowSnapshot {
+            bucket_millis: 1_000,
+            buckets: vec![
+                bucket(10, [20, 1, 0, 0], "parse:20:3:9 total:20:200:310"),
+                bucket(11, [22, 0, 2, 1], "total:22:190:320"),
+            ],
+        }),
+        hist: vec![
+            StageCounts {
+                stage: "parse".into(),
+                counts: vec![(3, 30), (5, 12)],
+            },
+            StageCounts {
+                stage: "total".into(),
+                counts: vec![(200, 40), (210, 2)],
+            },
+        ],
+        stages: vec![
+            StageStats {
+                stage: "parse".into(),
+                count: 42,
+                mean_us: 3.25,
+                p50_us: 3,
+                p90_us: 5,
+                p99_us: 9,
+                max_us: 12,
+            },
+            StageStats {
+                stage: "total".into(),
+                count: 42,
+                mean_us: 210.0,
+                p50_us: 200,
+                p90_us: 280,
+                p99_us: 310,
+                max_us: 333,
+            },
+        ],
+    }
+}
+
+/// A second reactor pod, every scalar distinct from `sample()`'s.
+fn second_pod() -> StatsSnapshot {
+    StatsSnapshot {
+        requests: 100,
+        dropped: 0,
+        shed: 13,
+        degraded: 17,
+        faults: 19,
+        refused: 23,
+        brownout: [29, 31, 37],
+        admission_limit_milli: 8_250,
+        pod: Some(9),
+        queue_depth: 41,
+        reactor: Some(ReactorTelemetry {
+            loops: 4,
+            busy_nanos: 1_000_000,
+            wait_nanos: 1_000_000,
+            accepts: 128,
+            conns: 7,
+            write_stalls: 43,
+            evictions: 47,
+            poll_batch: vec![(1, 10), (2, 5)],
+            wake_us: vec![(12, 3), (90, 1)],
+            dispatch_wait_us: vec![(200, 5), (400, 1)],
+        }),
+        window: None,
+        hist: vec![
+            StageCounts {
+                stage: "queue".into(),
+                counts: vec![(40, 100)],
+            },
+            StageCounts {
+                stage: "total".into(),
+                counts: vec![(200, 60), (900, 40)],
+            },
+        ],
+        stages: vec![
+            StageStats {
+                stage: "queue".into(),
+                count: 100,
+                mean_us: 40.5,
+                p50_us: 40,
+                p90_us: 40,
+                p99_us: 40,
+                max_us: 41,
+            },
+            StageStats {
+                stage: "total".into(),
+                count: 100,
+                mean_us: 480.125,
+                p50_us: 200,
+                p90_us: 900,
+                p99_us: 900,
+                max_us: 1_000,
+            },
+        ],
+    }
+}
+
+/// A pod with no reactor, no pod id, no window and no total stage.
+fn anonymous_pod() -> StatsSnapshot {
+    StatsSnapshot {
+        requests: 3,
+        shed: 1,
+        refused: 2,
+        brownout: [0, 1, 0],
+        queue_depth: 5,
+        hist: vec![StageCounts {
+            stage: "parse".into(),
+            counts: vec![(7, 3)],
+        }],
+        stages: vec![StageStats {
+            stage: "parse".into(),
+            count: 3,
+            mean_us: 7.0,
+            p50_us: 7,
+            p90_us: 7,
+            p99_us: 7,
+            max_us: 7,
+        }],
+        ..StatsSnapshot::default()
+    }
+}
+
+/// A real recorder's snapshot: the derived `requests`/`dropped`, every
+/// counter and gauge, and the window deltas. One-hour buckets pin the
+/// bucket index to 0.
+fn recorded() -> StatsSnapshot {
+    let r = Recorder::with_pod(3).with_window_config(WindowConfig {
+        bucket: Duration::from_secs(3_600),
+        buckets: 2,
+    });
+    for i in 0..4u64 {
+        r.record(i, Stage::Parse, 5_000);
+        r.record(i, Stage::Queue, 20_000 * (i + 1));
+        r.record(i, Stage::Inference, 250_000);
+        r.record(i, Stage::Total, 300_000 + 20_000 * i);
+    }
+    r.bump(Metric::Shed);
+    r.bump(Metric::Shed);
+    r.bump(Metric::Degraded);
+    r.sync();
+    r.bump(Metric::Shed);
+    for _ in 0..5 {
+        r.bump(Metric::Faults);
+    }
+    r.bump(Metric::Refused);
+    // One, two and three responses at ladder levels 1, 2 and 3; levels
+    // 0 and 4 name no counter.
+    for level in [1, 2, 2, 3, 3, 3, 0, 4] {
+        if let Some(metric) = Metric::brownout(level) {
+            r.bump(metric);
+        }
+    }
+    r.set(Metric::AdmissionLimitMilli, 6_125);
+    r.set(Metric::QueueDepth, 9);
+    r.snapshot()
+}
+
+fn shards() -> Vec<ShardGroupHealth> {
+    vec![
+        ShardGroupHealth {
+            group: 0,
+            base: 0,
+            rows: 500_000,
+            resident_bytes: 64_000_000,
+            replicas: 2,
+            healthy: 2,
+        },
+        ShardGroupHealth {
+            group: 1,
+            base: 500_000,
+            rows: 500_000,
+            resident_bytes: 64_000_000,
+            replicas: 2,
+            healthy: 0,
+        },
+    ]
+}
+
+fn renderings() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (name, snap) in [
+        ("sample", sample()),
+        ("default", StatsSnapshot::default()),
+        ("second_pod", second_pod()),
+        ("anonymous_pod", anonymous_pod()),
+        ("recorded", recorded()),
+    ] {
+        out.push((format!("{name}.stats.txt"), snap.render_json()));
+        out.push((format!("{name}.metrics.txt"), snap.render_prometheus()));
+    }
+    for (name, fleet) in [
+        (
+            "sharded_fleet",
+            FleetSnapshot::new(vec![sample(), second_pod()], 1)
+                .with_unhealthy(1)
+                .with_shards(shards()),
+        ),
+        (
+            "plain_fleet",
+            FleetSnapshot::new(vec![anonymous_pod(), StatsSnapshot::default()], 0),
+        ),
+        (
+            "mixed_fleet",
+            FleetSnapshot::new(vec![anonymous_pod(), recorded(), sample()], 2),
+        ),
+        ("empty_fleet", FleetSnapshot::default()),
+    ] {
+        out.push((format!("{name}.fleet.txt"), fleet.render_json()));
+        out.push((
+            format!("{name}.fleet_metrics.txt"),
+            fleet.render_prometheus(),
+        ));
+    }
+    out
+}
+
+#[test]
+fn every_surface_is_byte_identical_to_its_golden() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (name, text) in renderings() {
+        let golden = std::fs::read_to_string(dir.join(&name))
+            .unwrap_or_else(|e| panic!("golden {name} unreadable: {e}"));
+        if let Some((n, (want, got))) = golden
+            .lines()
+            .zip(text.lines())
+            .enumerate()
+            .find(|(_, (want, got))| want != got)
+        {
+            panic!("{name} line {}:\n  golden: {want}\n  now:    {got}", n + 1);
+        }
+        assert_eq!(text, golden, "{name}: a line was added or removed");
+    }
+}

@@ -42,7 +42,7 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use etude_control::Criticality;
 use etude_faults::Deadline;
 use etude_models::SbrModel;
-use etude_obs::Recorder;
+use etude_obs::{Metric, Recorder};
 use etude_tensor::Device;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -310,14 +310,15 @@ pub(crate) fn continuous_routes(
         move |ctx, items| {
             // Export the batcher backlog as a gauge: the fleet view
             // reads it off `/stats` to spot queueing pods.
-            ctx.recorder.set_queue_depth(batcher.queue_depth() as u64);
+            ctx.recorder
+                .set(Metric::QueueDepth, batcher.queue_depth() as u64);
             match batcher.try_call(items, ctx.deadline) {
                 Ok(Admitted { result, queue_wait }) => {
                     // The submission succeeded, whatever the model said.
                     if let Some(d) = &degradation {
                         d.note_success();
                     }
-                    Served::by_model(result, Some(queue_wait))
+                    Served::by_model(result, queue_wait)
                 }
                 // The budget died in (or before) the queue; 503 so the
                 // client retries against a server that can still make

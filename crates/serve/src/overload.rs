@@ -39,7 +39,7 @@ use crate::rustserver::{
 };
 use etude_control::{AdmissionConfig, AdmissionController, Criticality};
 use etude_models::retrieval::{encode_session_query, ExactIndex, MipsIndex, QuantizedIndex};
-use etude_obs::Recorder;
+use etude_obs::{Metric, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -300,7 +300,8 @@ pub fn overload_routes_with_state(
             // that cannot be served exactly gets the fallback, which
             // costs no inference slot.
             let fallback = || Err(Refused::Fallback(fallback_body.clone()));
-            ctx.recorder.set_queue_depth(batcher.queue_depth() as u64);
+            ctx.recorder
+                .set(Metric::QueueDepth, batcher.queue_depth() as u64);
             if ctx.deadline.expired() {
                 // Dead on arrival: a fallback would still be late.
                 if let Some(a) = admission {
@@ -310,7 +311,8 @@ pub fn overload_routes_with_state(
             }
             // ── Admission ───────────────────────────────────────────
             if let Some(a) = admission {
-                ctx.recorder.set_admission_limit_milli(a.limit_milli());
+                ctx.recorder
+                    .set(Metric::AdmissionLimitMilli, a.limit_milli());
                 if !a.try_acquire(crit) {
                     return match crit {
                         // The class that opted into shedding is turned
@@ -340,11 +342,12 @@ pub fn overload_routes_with_state(
                 }) => {
                     if let Some(a) = admission {
                         a.release(route_state.now(), admission_t0.elapsed());
-                        ctx.recorder.set_admission_limit_milli(a.limit_milli());
+                        ctx.recorder
+                            .set(Metric::AdmissionLimitMilli, a.limit_milli());
                     }
                     route_state.observe_wait(ctx.dispatch_wait + queue_wait);
                     Ok(Served {
-                        queue_wait: Some(queue_wait),
+                        queue_wait,
                         level: Some(level.as_u8()),
                         ..Served::new(reply.ids, reply.scores, reply.inference)
                     })

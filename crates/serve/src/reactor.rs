@@ -434,9 +434,9 @@ pub fn new_poller() -> std::io::Result<Box<dyn Poller>> {
 
 /// Raises `RLIMIT_NOFILE` toward `target` file descriptors (soft and,
 /// when permitted, hard), returning the resulting soft limit. Callers
-/// opening tens of thousands of sockets (the 10k-idle smoke test, the
-/// saturation bench) size themselves off the returned value instead of
-/// assuming the raise succeeded.
+/// opening tens of thousands of sockets (the 10k-idle smoke test) size
+/// themselves off the returned value instead of assuming the raise
+/// succeeded.
 pub fn raise_nofile_limit(target: u64) -> std::io::Result<u64> {
     let mut cur = sys::Rlimit { cur: 0, max: 0 };
     if unsafe { sys::getrlimit(sys::RLIMIT_NOFILE, &mut cur) } != 0 {

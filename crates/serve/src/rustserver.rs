@@ -37,7 +37,7 @@ use etude_control::Criticality;
 use etude_faults::{Deadline, FaultInjector};
 use etude_models::traits::{self, Recommendation, StageTimings};
 use etude_models::SbrModel;
-use etude_obs::{request_id_hash, Recorder, Stage, TraceCtx, TRACE_HEADER};
+use etude_obs::{request_id_hash, Metric, Recorder, Stage, TraceCtx, TRACE_HEADER};
 use etude_tensor::{Device, JitOptions, TensorError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -204,10 +204,11 @@ impl PredictCtx<'_> {
 pub(crate) struct Served {
     pub(crate) items: Vec<u32>,
     pub(crate) scores: Vec<f32>,
-    /// Wait for an inference slot; `None` on tiers that run inline
-    /// (no Queue stage). The pipeline adds the dispatch wait, so for
-    /// served requests the Queue span is bounded by the budget.
-    pub(crate) queue_wait: Option<Duration>,
+    /// Wait for an inference slot; zero on tiers that run inline. The
+    /// pipeline adds the dispatch wait and records the sum as the Queue
+    /// stage on every tier, so the components tile `Total` everywhere
+    /// and, for served requests, the span is bounded by the budget.
+    pub(crate) queue_wait: Duration,
     pub(crate) inference: Duration,
     /// `None` where the top-k is fused into the scan timed as
     /// `inference` (no TopK stage).
@@ -233,7 +234,7 @@ impl Served {
         Served {
             items,
             scores,
-            queue_wait: None,
+            queue_wait: Duration::ZERO,
             inference,
             topk: None,
             level: None,
@@ -243,10 +244,7 @@ impl Served {
     }
 
     /// The reply of a tier that runs the session through the model.
-    pub(crate) fn by_model(
-        inferred: Inferred,
-        queue_wait: Option<Duration>,
-    ) -> Result<Served, Refused> {
+    pub(crate) fn by_model(inferred: Inferred, queue_wait: Duration) -> Result<Served, Refused> {
         let (rec, st) = inferred.map_err(|_| Refused::InferenceFailed)?;
         Ok(Served {
             queue_wait,
@@ -287,17 +285,17 @@ fn refuse(recorder: &Recorder, refused: Refused) -> Response {
     let retry_later = |resp: Response| resp.with_header("retry-after", "1".to_string());
     match refused {
         Refused::Shed(why) => {
-            recorder.note_shed();
+            recorder.bump(Metric::Shed);
             retry_later(Response::error(503, why))
         }
         Refused::OverLimit => {
-            recorder.note_refused();
+            recorder.bump(Metric::Refused);
             retry_later(Response::error(429, "admission refused, retry later"))
         }
         Refused::Fallback(body) => {
-            recorder.note_degraded();
+            recorder.bump(Metric::Degraded);
             let level = BrownoutLevel::Fallback.as_u8();
-            recorder.note_brownout(level);
+            recorder.bump(Metric::BrownoutFallback);
             Response::ok(body)
                 .with_header(DEGRADED_HEADER, "1".to_string())
                 .with_header(BROWNOUT_HEADER, level.to_string())
@@ -373,11 +371,13 @@ where
             );
         }
         if let Some(level) = served.level {
-            recorder.note_brownout(level);
+            if let Some(rung) = Metric::brownout(level) {
+                recorder.bump(rung);
+            }
             resp = resp.with_header(BROWNOUT_HEADER, level.to_string());
         }
         if served.lost_groups > 0 {
-            recorder.note_degraded();
+            recorder.bump(Metric::Degraded);
             resp = resp.with_header(DEGRADED_HEADER, served.lost_groups.to_string());
         }
         let resp = echo_request_id(resp, echo);
@@ -392,9 +392,7 @@ where
             stages[n] = (stage, nanos(took));
             n += 1;
         };
-        if let Some(wait) = served.queue_wait {
-            push(Stage::Queue, ctx.dispatch_wait + wait);
-        }
+        push(Stage::Queue, ctx.dispatch_wait + served.queue_wait);
         push(Stage::Inference, served.inference);
         if let Some(topk) = served.topk {
             push(Stage::TopK, topk);
@@ -458,7 +456,7 @@ pub fn model_routes_observed(
     let catalog_size = model.config().catalog_size;
     let infer = deploy(model, device, jit);
     prediction_routes(recorder, catalog_size, MAX_BUDGET, move |_ctx, items| {
-        Served::by_model(infer(&items), None)
+        Served::by_model(infer(&items), Duration::ZERO)
     })
 }
 
@@ -484,16 +482,16 @@ pub fn inject_faults(inner: Handler, injector: FaultInjector, recorder: Arc<Reco
         let elapsed = injector.elapsed();
         let stall = injector.slowdown(elapsed);
         if !stall.is_zero() {
-            recorder.note_fault();
+            recorder.bump(Metric::Faults);
             std::thread::sleep(stall);
         }
         if let Some(status) = injector.error_response(elapsed, rid) {
-            recorder.note_fault();
+            recorder.bump(Metric::Faults);
             return echo_request_id(Response::error(status, "injected fault"), echo);
         }
         let resp = inner(req);
         if injector.resets_connection(elapsed, rid) {
-            recorder.note_fault();
+            recorder.bump(Metric::Faults);
             return resp.with_header(RESET_MARKER, "1".to_string());
         }
         resp
@@ -886,13 +884,14 @@ mod tests {
         let snap = etude_obs::parse_stats_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
         assert_eq!(snap.requests, 5);
         assert_eq!(snap.dropped, 0);
-        for stage in ["parse", "inference", "topk", "serialize", "total"] {
+        // The inline route has no batcher queue, but its Queue stage
+        // still carries the dispatch wait.
+        for stage in ["parse", "queue", "inference", "topk", "serialize", "total"] {
             let s = snap
                 .stage(stage)
                 .unwrap_or_else(|| panic!("missing {stage}"));
             assert_eq!(s.count, 5, "stage {stage}");
         }
-        assert!(snap.stage("queue").is_none(), "plain route has no queue");
 
         let metrics = client.request(&Request::get("/metrics")).unwrap();
         assert_eq!(metrics.status, 200);
@@ -905,27 +904,44 @@ mod tests {
         server.shutdown();
     }
 
-    /// On the batched server the recorded component stages must tile
-    /// each request's wire-to-response total within 10% (the Queue span
-    /// carries the dispatch wait as well as the slot wait). The one
-    /// untimed segment is the slot → handler reply hop, a thread wake-up;
-    /// the catalog is sized so a scan dwarfs it even on a busy host.
+    /// On the batched and the inline server alike, the recorded
+    /// component stages must tile each request's wire-to-response total
+    /// within 10%: the Queue span carries the dispatch wait (plus, on
+    /// the batched tier, the slot wait). The one untimed segment is the
+    /// slot → handler reply hop, a thread wake-up; the catalog is sized
+    /// so a scan dwarfs it even on a busy host.
     #[test]
     fn stage_components_tile_the_total_within_ten_percent() {
         let cfg = ModelConfig::new(40_000)
             .with_max_session_len(8)
             .with_seed(11);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
-        let recorder = Arc::new(Recorder::new());
-        recorder.set_record_retention(true);
-        let handler = model_routes_continuous(
-            model,
-            Device::cpu(),
-            true,
-            ContinuousConfig::default(),
-            Arc::clone(&recorder),
-            None,
-        );
+        for batched in [true, false] {
+            let recorder = Arc::new(Recorder::new());
+            recorder.set_record_retention(true);
+            let handler = if batched {
+                model_routes_continuous(
+                    Arc::clone(&model),
+                    Device::cpu(),
+                    true,
+                    ContinuousConfig::default(),
+                    Arc::clone(&recorder),
+                    None,
+                )
+            } else {
+                model_routes_observed(
+                    Arc::clone(&model),
+                    Device::cpu(),
+                    true,
+                    Arc::clone(&recorder),
+                )
+            };
+            assert_tiles(handler, &recorder, batched);
+        }
+    }
+
+    /// Serves 20 requests over a socket and checks each one's tiling.
+    fn assert_tiles(handler: Handler, recorder: &Recorder, batched: bool) {
         let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
         let n = 20u32;
@@ -952,7 +968,8 @@ mod tests {
             let gap = total.abs_diff(sum);
             assert!(
                 gap * 10 <= total,
-                "request {i}: components {sum}ns vs total {total}ns (gap {gap}ns > 10%)"
+                "batched={batched} request {i}: components {sum}ns vs total {total}ns \
+                 (gap {gap}ns > 10%)"
             );
             checked += 1;
         }
@@ -1288,7 +1305,7 @@ mod tests {
         // The pod retained one span per recorded stage, all parented to
         // the client's attempt span and tagged with the pod id.
         let spans = recorder.take_traces();
-        assert_eq!(spans.len(), 5, "parse/inference/topk/serialize/total");
+        assert_eq!(spans.len(), 6, "parse/queue/inference/topk/serialize/total");
         for s in &spans {
             assert_eq!(s.trace_id, ctx.trace_id);
             assert_eq!(s.parent_span, ctx.span_id);

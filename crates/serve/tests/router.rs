@@ -9,7 +9,7 @@ use etude_faults::RetryPolicy;
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
 use etude_obs::trace::span_hash;
 use etude_obs::{
-    parse_fleet_shards, parse_stats_json, request_id_hash, Recorder, TraceCtx, TRACE_HEADER,
+    parse_fleet_shards, parse_stats_json, request_id_hash, Metric, Recorder, TraceCtx, TRACE_HEADER,
 };
 use etude_serve::http::{encode_recommendations, Request};
 use etude_serve::reactor::{start, ReactorConfig};
@@ -209,7 +209,7 @@ fn losing_a_shard_group_degrades_without_failing() {
     }
 
     // Every degraded response is counted on the router's /stats.
-    assert_eq!(router_recorder.degraded_count(), batch.len() as u64);
+    assert_eq!(router_recorder.get(Metric::Degraded), batch.len() as u64);
     let stats = client.request(&Request::get("/stats")).unwrap();
     let snap = parse_stats_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
     assert_eq!(snap.degraded, batch.len() as u64);
@@ -420,7 +420,7 @@ fn expired_deadline_sheds_before_fanout_and_at_the_leg() {
     let dead = Request::post("/predictions", "1,2,3".to_string()).with_header("x-deadline-ms", "0");
     let resp = client.request(&dead).unwrap();
     assert_eq!(resp.status, 503, "zero budget must shed, not fan out");
-    assert_eq!(recorder.shed_count(), 1);
+    assert_eq!(recorder.get(Metric::Shed), 1);
 
     // A healthy budget still answers, and the response carries the
     // (exact) brownout level explicitly.
@@ -499,11 +499,11 @@ fn inherited_brownout_level_switches_legs_to_the_quantized_rung() {
 
     // Browned-out responses are visible on both recorders.
     assert!(
-        recorder.brownout_counts()[0] >= 1,
+        recorder.get(Metric::BrownoutQuantized) >= 1,
         "router counts quantized responses"
     );
     assert!(
-        shard_recorder.brownout_counts()[0] >= 1,
+        shard_recorder.get(Metric::BrownoutQuantized) >= 1,
         "shard counts quantized legs"
     );
 

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Full verification gate, one sequence: release build, every test in the
-# workspace, the SIMD-equivalence suite again on the forced-scalar
-# backend (the one configuration the workspace run cannot cover), every
-# bench binary's --smoke mode, the p99 regression guard over what the
-# smoke runs wrote, doc warnings, formatting, lints.
+# Full verification gate, one sequence: the tier-1 command (release
+# build, then every test in the workspace — the root's default-members
+# cover all of it), the SIMD-equivalence suite again on the
+# forced-scalar backend (the one configuration that run cannot cover),
+# every bench binary's --smoke mode, doc warnings, formatting, lints.
+# Smoke runs write under target/tmp/, never over the tracked full-mode
+# results/, so the tree is clean afterwards; performance regressions are
+# judged by the ledger in benchmark/ against its own bounds.
 # Run from anywhere; operates on the workspace root.
-# Pass --quick to skip the smoke benches (and the guard that judges them).
+# Pass --quick to skip the smoke benches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,22 +23,20 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+echo "==> cargo test -q"
+cargo test -q
 
 echo "==> SIMD equivalence property suite (forced scalar backend)"
 ETUDE_SIMD=scalar cargo test -q --release -p etude-tensor --test simd_equivalence
 
 if [ "$QUICK" = "0" ]; then
-    for bin in latency_breakdown ablation_faults fleet_timeline autoscale_timeline \
-        scatter_gather saturation overload_brownout futurework_tradeoffs; do
+    for bin in ablation_faults fleet_timeline autoscale_timeline \
+        scatter_gather overload_brownout futurework_tradeoffs; do
         echo "==> $bin --smoke"
         cargo run --release -q -p etude-bench --bin "$bin" -- --smoke
     done
-    echo "==> parallel_mips --smoke (fused-scan cross-check bench)"
+    echo "==> parallel_mips --smoke (profiler-overhead gate + fused-scan cross-check)"
     cargo bench -q -p etude-bench --bench parallel_mips -- --smoke
-    echo "==> bench_diff (p99 regression guard vs committed results)"
-    scripts/bench_diff.sh
 fi
 
 echo "==> cargo doc --no-deps (warnings are errors)"
