@@ -20,7 +20,6 @@
 //! of the trade-off.
 
 use etude_tensor::cost::CostSpec;
-use etude_tensor::pool;
 use etude_tensor::topk::{score_topk_into, score_topk_q8_into, topk, TopkScratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,11 +41,12 @@ pub trait MipsIndex {
 }
 
 /// Reusable per-request buffers for index searches: the quantised query
-/// and the fused top-k selection state. Since the scans went through the
-/// fused `score_topk` kernels there is no `C`-sized score vector any
-/// more — the largest buffer is `O(shards · k)`. Holding one of these
-/// across calls makes [`ExactIndex::search_into`] /
-/// [`QuantizedIndex::search_into`] allocation-free in steady state.
+/// and the fused top-k selection state (one candidate buffer per shard
+/// of the `score_topk` scaffold, `O(shards · k)` in all — there is no
+/// `C`-sized score vector). Holding one of these across calls makes
+/// [`ExactIndex::search_into`] / [`QuantizedIndex::search_into`]
+/// allocation-free in steady state at every catalog size, sharded scans
+/// included.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     q8: Vec<i32>,
@@ -77,23 +77,6 @@ impl ExactIndex {
     pub fn new(table: Vec<f32>, c: usize, d: usize) -> ExactIndex {
         assert_eq!(table.len(), c * d, "table shape mismatch");
         ExactIndex { table, c, d }
-    }
-
-    /// Scores every catalog row into `out` (length `c`), sharding large
-    /// catalogs over the intra-op pool. Per-shard results are the same
-    /// dot products at the same offsets, so the output is bit-identical
-    /// for any pool width. This is the *unfused* reference path — the
-    /// serving hot path is [`ExactIndex::search_into`], which never
-    /// materialises this vector.
-    pub fn scores_into(&self, query: &[f32], out: &mut [f32]) {
-        let d = self.d;
-        let table = &self.table;
-        pool::parallel_rows(out, self.c, 1, |rows, chunk| {
-            for (i, s) in chunk.iter_mut().enumerate() {
-                let r = rows.start + i;
-                *s = etude_tensor::kernels::dot(&table[r * d..(r + 1) * d], query);
-            }
-        });
     }
 
     /// [`MipsIndex::search`] without per-request allocation: the fused
@@ -401,15 +384,17 @@ impl MipsIndex for IvfIndex {
 
 /// A contiguous slice of the catalog served by one shard group in the
 /// scatter/gather tier: rows `[base, base + len)` of the global `[c, d]`
-/// embedding table, searched with the same fused [`score_topk_into`]
-/// kernel as [`ExactIndex`] but reporting **global** item ids
-/// (`base + local row`). Because the slice rows are bit-identical to the
-/// corresponding global rows and the selection comparator is shared,
-/// concatenating per-shard results and re-sorting (the router's
-/// `merge_shard_topk`) reproduces the unsharded scan exactly.
+/// embedding table, searched with the same fused kernels as
+/// [`ExactIndex`] — or, for its int8 twin ([`CatalogShard::quantize`]),
+/// [`QuantizedIndex`] — but reporting **global** item ids (`base + local
+/// row`), offset in [`MipsIndex::search`] below and nowhere else.
+/// Because the slice rows are bit-identical to the corresponding global
+/// rows and the selection comparator is shared, concatenating per-shard
+/// results and re-sorting (the router's `merge_shard_topk`) reproduces
+/// the unsharded scan exactly.
 #[derive(Debug, Clone)]
-pub struct CatalogShard {
-    index: ExactIndex,
+pub struct CatalogShard<I = ExactIndex> {
+    index: I,
     base: u32,
 }
 
@@ -432,11 +417,6 @@ impl CatalogShard {
         }
     }
 
-    /// First global row held by this shard.
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
     /// Number of catalog rows held by this shard.
     pub fn rows(&self) -> usize {
         self.index.c
@@ -447,36 +427,31 @@ impl CatalogShard {
         self.index.d
     }
 
-    /// Int8-quantised copy of this shard's slice, for the brownout
-    /// ladder's quantized rung. Ids it reports are slice-local; callers
-    /// add [`CatalogShard::base`] exactly like
-    /// [`CatalogShard::search_into`] does.
-    pub fn quantize(&self) -> QuantizedIndex {
-        QuantizedIndex::from_f32(self.index.table(), self.index.c, self.index.d)
-    }
-
-    /// Allocation-free slice search reporting global item ids.
-    pub fn search_into(
-        &self,
-        query: &[f32],
-        k: usize,
-        scratch: &mut SearchScratch,
-        out_ids: &mut Vec<u32>,
-        out_scores: &mut Vec<f32>,
-    ) {
-        self.index
-            .search_into(query, k, scratch, out_ids, out_scores);
-        for id in out_ids.iter_mut() {
-            *id += self.base;
+    /// Int8-quantised twin of this slice under the same global ids, for
+    /// the brownout ladder's quantized rungs. Scales are per row, so its
+    /// rows are identical to the same rows of a whole-table
+    /// [`QuantizedIndex`].
+    pub fn quantize(&self) -> CatalogShard<QuantizedIndex> {
+        CatalogShard {
+            index: QuantizedIndex::from_f32(&self.index.table, self.index.c, self.index.d),
+            base: self.base,
         }
     }
 }
 
-impl MipsIndex for CatalogShard {
+impl<I> CatalogShard<I> {
+    /// First global row held by this shard.
+    pub fn base(&self) -> u32 {
+        self.base
+    }
+}
+
+impl<I: MipsIndex> MipsIndex for CatalogShard<I> {
     fn search(&self, query: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
-        let mut ids = Vec::with_capacity(k);
-        let mut scores = Vec::with_capacity(k);
-        with_thread_scratch(|scratch| self.search_into(query, k, scratch, &mut ids, &mut scores));
+        let (mut ids, scores) = self.index.search(query, k);
+        for id in ids.iter_mut() {
+            *id += self.base;
+        }
         (ids, scores)
     }
 
@@ -659,24 +634,6 @@ mod tests {
             let (qids, qscores) = quant.search(&q, k);
             assert_eq!(ids, qids);
             assert_eq!(scores, qscores);
-        }
-    }
-
-    #[test]
-    fn exact_scores_match_plain_dot_products() {
-        // The sharded scoring path must reproduce the serial per-row dot
-        // exactly (same kernel over the same rows).
-        let (c, d) = (1_500, 24);
-        let table = random_table(c, d, 10);
-        let exact = ExactIndex::new(table.clone(), c, d);
-        let q = random_query(d, 11);
-        let mut out = vec![0.0f32; c];
-        exact.scores_into(&q, &mut out);
-        for (i, &s) in out.iter().enumerate() {
-            assert_eq!(
-                s,
-                etude_tensor::kernels::dot(&table[i * d..(i + 1) * d], &q)
-            );
         }
     }
 

@@ -1,7 +1,8 @@
 //! Verifies the steady-state zero-allocation guarantee of the scratch
 //! based index search paths: after warm-up, `search_into` must not touch
-//! the heap at all. A counting global allocator makes the claim
-//! checkable rather than aspirational.
+//! the heap at all — below the sharding crossover and, on a two-thread
+//! pool, above it. A counting global allocator makes the claim checkable
+//! rather than aspirational.
 //!
 //! The whole check lives in a single `#[test]` so no concurrently
 //! running test pollutes the process-wide allocation counter.
@@ -37,7 +38,17 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_search_into_does_not_allocate() {
-    let (c, d, k) = (4_096, 16, 21);
+    // First use of the pool in this binary, so the request is honoured
+    // (unless `ETUDE_THREADS` overrides it).
+    etude_tensor::pool::configure_threads(2);
+    // Serial scan, then C >= PAR_THRESHOLD: two shards on that pool.
+    for c in [4_096, 40_000] {
+        assert_steady_state_is_allocation_free(c);
+    }
+}
+
+fn assert_steady_state_is_allocation_free(c: usize) {
+    let (d, k) = (16, 21);
     let mut rng = SmallRng::seed_from_u64(42);
     let table: Vec<f32> = (0..c * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let query: Vec<f32> = (0..d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -64,7 +75,7 @@ fn steady_state_search_into_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state search_into allocated {} times over 200 searches",
+        "steady-state search_into allocated {} times over 200 searches at C = {c}",
         after - before
     );
     assert_eq!(

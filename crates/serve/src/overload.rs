@@ -9,7 +9,7 @@
 //! | level | name      | what is served                              |
 //! |-------|-----------|---------------------------------------------|
 //! | 0     | exact     | full-precision exhaustive scan, full k      |
-//! | 1     | quantized | int8 [`QuantizedIndex`] scan, full k        |
+//! | 1     | quantized | int8 `QuantizedIndex` scan, full k          |
 //! | 2     | reduced-k | int8 scan, [`LadderConfig::reduced_k`] items|
 //! | 3     | fallback  | popularity fallback, no slot consumed       |
 //!
@@ -38,7 +38,7 @@ use crate::rustserver::{
     popularity_fallback, prediction_routes, Handler, Refused, Served, EXPIRED, OVERLOADED,
 };
 use etude_control::{AdmissionConfig, AdmissionController, Criticality};
-use etude_models::retrieval::{encode_session_query, ExactIndex, MipsIndex, QuantizedIndex};
+use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
 use etude_obs::{Metric, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,8 +103,11 @@ impl BrownoutLevel {
     }
 }
 
-/// Brownout-ladder tuning: at which fraction of the deadline budget the
-/// predicted queue delay pushes requests down each rung.
+/// Brownout-ladder tuning: at which burn fraction of the deadline budget
+/// a request is pushed down each rung ([`LadderConfig::level_at`] — the
+/// overload tier burns predicted queue delay, the router the share of
+/// the budget already spent), and what the reduced rung serves: every
+/// tier scanning for `k` items serves `reduced_k.clamp(1, k)` there.
 #[derive(Debug, Clone)]
 pub struct LadderConfig {
     /// Master switch; off = always exact (admission may still refuse).
@@ -115,7 +118,7 @@ pub struct LadderConfig {
     pub reduced_k_at: f64,
     /// Burn fraction past which only the fallback is worth serving.
     pub fallback_at: f64,
-    /// k served on the reduced-k rung.
+    /// k served on the reduced-k rung (clamped to the tier's `1..=k`).
     pub reduced_k: usize,
 }
 
@@ -128,6 +131,44 @@ impl Default for LadderConfig {
             fallback_at: 0.75,
             reduced_k: 5,
         }
+    }
+}
+
+impl LadderConfig {
+    /// The rung a burn fraction lands on; always exact when the ladder
+    /// is disabled.
+    pub fn level_at(&self, burn: f64) -> BrownoutLevel {
+        if !self.enabled {
+            BrownoutLevel::Exact
+        } else if burn >= self.fallback_at {
+            BrownoutLevel::Fallback
+        } else if burn >= self.reduced_k_at {
+            BrownoutLevel::ReducedK
+        } else if burn >= self.quantized_at {
+            BrownoutLevel::Quantized
+        } else {
+            BrownoutLevel::Exact
+        }
+    }
+}
+
+/// The rung-aware catalog scan, shared by the overload tier (whole
+/// table, base 0) and a shard backend (one slice): global ids from the
+/// f32 rows at full `k`, or from their int8 twin at full or reduced k —
+/// each rung strictly cheaper than the one above it. A stray
+/// [`BrownoutLevel::Fallback`] (a rung that never reaches a scan)
+/// degrades to the cheapest one.
+pub(crate) fn ladder_scan(
+    shard: CatalogShard,
+    k: usize,
+    ladder: &LadderConfig,
+) -> impl Fn(BrownoutLevel, &[f32]) -> (Vec<u32>, Vec<f32>) + Send + Sync {
+    let quantized = shard.quantize();
+    let reduced_k = ladder.reduced_k.clamp(1, k.max(1));
+    move |level, query| match level {
+        BrownoutLevel::Exact => shard.search(query, k),
+        BrownoutLevel::Quantized => quantized.search(query, k),
+        BrownoutLevel::ReducedK | BrownoutLevel::Fallback => quantized.search(query, reduced_k),
     }
 }
 
@@ -198,20 +239,9 @@ impl OverloadState {
     /// the predicted queue delay (the EWMA) as a fraction of the
     /// remaining budget, against the configured thresholds.
     pub fn level_for(&self, remaining: Duration) -> BrownoutLevel {
-        if !self.ladder.enabled {
-            return BrownoutLevel::Exact;
-        }
         let remaining_us = remaining.as_micros().max(1) as f64;
-        let burn = self.ewma_wait_us.load(Ordering::Relaxed) as f64 / remaining_us;
-        if burn >= self.ladder.fallback_at {
-            BrownoutLevel::Fallback
-        } else if burn >= self.ladder.reduced_k_at {
-            BrownoutLevel::ReducedK
-        } else if burn >= self.ladder.quantized_at {
-            BrownoutLevel::Quantized
-        } else {
-            BrownoutLevel::Exact
-        }
+        self.ladder
+            .level_at(self.ewma_wait_us.load(Ordering::Relaxed) as f64 / remaining_us)
     }
 
     /// The admission controller, when one is installed.
@@ -248,26 +278,18 @@ pub fn overload_routes_with_state(
     recorder: Arc<Recorder>,
 ) -> (Handler, Arc<OverloadState>) {
     assert_eq!(table.len(), catalog_size * dim, "table shape mismatch");
-    let quantized = QuantizedIndex::from_f32(&table, catalog_size, dim);
-    let exact = ExactIndex::new(table, catalog_size, dim);
     let state = Arc::new(OverloadState::new(
         config.admission.clone(),
         config.ladder.clone(),
     ));
     let k = config.k.max(1);
-    let reduced_k = config.ladder.reduced_k.clamp(1, k);
+    let scan = ladder_scan(CatalogShard::new(table, dim, 0), k, &config.ladder);
     let floor = config.service_floor;
     let batcher: Arc<ContinuousBatcher<LadderJob, OverloadReply>> = Arc::new(
         ContinuousBatcher::spawn(config.batch.clone(), move |(items, level): LadderJob| {
             let t = Instant::now();
             let query = encode_session_query(&items, dim, query_seed);
-            let (ids, scores) = match level {
-                BrownoutLevel::Exact => exact.search(&query, k),
-                BrownoutLevel::Quantized => quantized.search(&query, k),
-                // Reduced-k rides the int8 index too: each rung
-                // strictly cheaper than the one above it.
-                _ => quantized.search(&query, reduced_k),
-            };
+            let (ids, scores) = scan(level, &query);
             let budgeted = match level {
                 BrownoutLevel::Exact => floor,
                 BrownoutLevel::Quantized => floor.mul_f64(0.4),

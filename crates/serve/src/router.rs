@@ -31,11 +31,11 @@
 use crate::client::ResilientClient;
 use crate::contbatch::{DEADLINE_HEADER, MAX_BUDGET};
 use crate::http::{self, Method, Request, Response};
-use crate::overload::{BrownoutLevel, LadderConfig, BROWNOUT_HEADER};
+use crate::overload::{ladder_scan, BrownoutLevel, LadderConfig, BROWNOUT_HEADER};
 use crate::rustserver::{popularity_fallback, prediction_routes, Handler, Refused, Served};
 use etude_control::{BreakerConfig, Criticality, HedgePolicy};
 use etude_faults::RetryPolicy;
-use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
+use etude_models::retrieval::{encode_session_query, CatalogShard};
 use etude_obs::{Recorder, TRACE_HEADER};
 use etude_tensor::topk::merge_shard_topk;
 use std::net::SocketAddr;
@@ -180,11 +180,9 @@ pub fn shard_backend_routes(
     recorder: Arc<Recorder>,
 ) -> Handler {
     let dim = shard.dim();
-    // The quantized rung of the brownout ladder, built once: when a
-    // routed leg inherits level ≥ 1 the slice is scanned in int8.
-    let quantized = shard.quantize();
-    let base = shard.base();
-    let reduced_k = (k / 4).max(1);
+    // The int8 rungs are built once; a leg has no ladder configuration
+    // of its own, so the reduced rung serves the default ladder's k.
+    let scan = ladder_scan(shard, k, &LadderConfig::default());
     // Ids validate against the *full* catalog: a shard serves a slice
     // but speaks the global id space. Absent the router's decremented
     // `x-deadline-ms`, a leg is effectively unbudgeted.
@@ -195,29 +193,14 @@ pub fn shard_backend_routes(
         if ctx.deadline.expired() {
             return Err(Refused::Shed("leg budget exhausted before scan"));
         }
-        // Inherited brownout level: ≥ 1 scans int8, ≥ 2 also drops to
-        // the reduced k. Level 3 never reaches a shard (the router
-        // serves its popularity fallback locally), but a stray
+        // Inherited brownout level. Level 3 never reaches a shard (the
+        // router serves its popularity fallback locally), but a stray
         // inherited 3 degrades to the cheapest scan rather than
         // poisoning the merge.
         let level = BrownoutLevel::from_request(ctx.req);
         let t_inf = Instant::now();
         let query = encode_session_query(&items, dim, query_seed);
-        let (ids, scores) = match level {
-            BrownoutLevel::Exact => shard.search(&query, k),
-            other => {
-                let kk = if other >= BrownoutLevel::ReducedK {
-                    reduced_k
-                } else {
-                    k
-                };
-                let (mut ids, scores) = quantized.search(&query, kk);
-                for id in ids.iter_mut() {
-                    *id += base;
-                }
-                (ids, scores)
-            }
-        };
+        let (ids, scores) = scan(level, &query);
         Ok(Served {
             level: Some(level.as_u8().min(2)),
             ..Served::new(ids, scores, t_inf.elapsed())
@@ -313,19 +296,15 @@ pub fn router_routes(
             // popularity fallback — for traffic that did not opt into
             // shedding.
             let burned = 1.0 - remaining.as_secs_f64() / ctx.budget.as_secs_f64().max(1e-9);
-            let mut level = BrownoutLevel::from_request(ctx.req);
-            if ladder.enabled {
-                if burned >= ladder.fallback_at {
+            let level = match ladder.level_at(burned) {
+                BrownoutLevel::Fallback => {
                     return Err(match crit {
                         Criticality::ShedFirst => Refused::Shed("budget too burned to fan out"),
                         _ => Refused::Fallback(fallback_body.clone()),
-                    });
-                } else if burned >= ladder.reduced_k_at {
-                    level = level.max(BrownoutLevel::ReducedK);
-                } else if burned >= ladder.quantized_at {
-                    level = level.max(BrownoutLevel::Quantized);
+                    })
                 }
-            }
+                burned_to => burned_to.max(BrownoutLevel::from_request(ctx.req)),
+            };
             let leg_deadline_ms = remaining.as_millis().max(1).to_string();
             let leg_budget = leg_budget.min(remaining);
 

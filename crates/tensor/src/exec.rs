@@ -35,16 +35,6 @@ pub enum ExecMode {
     Trace,
 }
 
-/// Tunables for an [`Exec`] context.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecOptions {
-    /// Intra-op parallelism request for the process-wide kernel pool
-    /// (`None` keeps `ETUDE_THREADS` / detected parallelism). The pool
-    /// is built once per process: the first context to run a kernel
-    /// freezes the width, later requests are ignored.
-    pub intra_op_threads: Option<usize>,
-}
-
 /// Handle to a tensor inside an [`Exec`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TRef(usize);
@@ -83,14 +73,6 @@ pub struct Exec {
 }
 
 impl Exec {
-    /// Creates an execution context with explicit [`ExecOptions`].
-    pub fn with_options(mode: ExecMode, device: Device, options: ExecOptions) -> Exec {
-        if let Some(threads) = options.intra_op_threads {
-            crate::pool::configure_threads(threads);
-        }
-        Exec::new(mode, device)
-    }
-
     /// Creates an execution context.
     pub fn new(mode: ExecMode, device: Device) -> Exec {
         Exec {

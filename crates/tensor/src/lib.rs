@@ -49,7 +49,7 @@ pub mod topk;
 
 pub use cost::{Cost, CostSpec};
 pub use device::{Device, DeviceKind, DeviceProfile};
-pub use exec::{Exec, ExecMode, ExecOptions, SessionInput, TRef};
+pub use exec::{Exec, ExecMode, SessionInput, TRef};
 pub use graph::{Graph, NodeId, OpKind, OpTimes};
 pub use jit::{CompiledGraph, JitError, JitOptions};
 pub use param::{Param, ParamId};

@@ -10,18 +10,24 @@
 //! * work is dispatched as *scoped shard jobs*: the caller's borrowed
 //!   closure runs on worker threads while the caller blocks (and itself
 //!   executes shards), so no `'static` bound and no per-shard boxing,
+//! * [`for_each_shard`] is the one place such a closure crosses threads
+//!   with disjoint mutable state (one `&mut` slot per shard): every
+//!   sharded kernel — the top-k scans, [`parallel_rows`] — is built on
+//!   it and holds no `unsafe` of its own,
 //! * steady-state dispatch performs **no heap allocation**: the wake
 //!   channel's ring buffer and the shared task slot are reused across
 //!   requests.
 //!
-//! Sizing: `ETUDE_THREADS` (environment) takes precedence, then
-//! [`configure_threads`] (e.g. from `ExecOptions`), then
-//! `std::thread::available_parallelism`. A pool of one thread degrades
-//! to plain serial execution with zero synchronisation.
+//! Sizing has two sources: `ETUDE_THREADS` (environment) takes
+//! precedence, then [`configure_threads`] (tests, `fig3_micro
+//! --threads`); absent both, `std::thread::available_parallelism`. A
+//! pool of one thread degrades to plain serial execution with zero
+//! synchronisation.
 //!
-//! Shard *counts* are chosen by the callers independently of worker
-//! count, so sharded kernels are testable for bit-identical results on
-//! any machine, including single-core CI.
+//! The shard *policy* is [`auto_shards`] and nothing else; shard counts
+//! are still independent of worker count, so sharded kernels are
+//! testable for bit-identical results on any machine, including
+//! single-core CI.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::ops::Range;
@@ -235,8 +241,7 @@ fn run_worker(rx: Receiver<Wake>, shared: std::sync::Arc<Shared>) {
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 
-/// Requests a pool size before first use (e.g. from
-/// `ExecOptions::intra_op_threads`). `ETUDE_THREADS` still wins.
+/// Requests a pool size before first use. `ETUDE_THREADS` still wins.
 /// Returns the size the global pool will have (or already has — the
 /// pool is built once and never resized).
 pub fn configure_threads(threads: usize) -> usize {
@@ -287,16 +292,14 @@ pub fn current_threads() -> usize {
 /// `parts <= n`.
 pub fn shard_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
+    (0..parts).map(|p| shard_range(n, parts, p)).collect()
+}
+
+/// The `p`-th range of [`shard_ranges`]`(n, parts)`, without the `Vec`.
+fn shard_range(n: usize, parts: usize, p: usize) -> Range<usize> {
+    let (base, extra) = (n / parts, n % parts);
+    let start = p * base + p.min(extra);
+    start..start + base + usize::from(p < extra)
 }
 
 /// Shard count for an op over `n` rows/elements on `threads` threads:
@@ -310,12 +313,11 @@ pub fn shard_count(n: usize, threads: usize) -> usize {
     }
 }
 
-/// Thread-and-size-adaptive shard count against the *global* pool: the
-/// crossover guard behind `topk_auto` / `score_topk_auto`. Returns `1`
-/// (serial — by construction never slower than serial) whenever the
-/// pool has one thread or `n` is below the measured [`PAR_THRESHOLD`]
-/// crossover; otherwise shards are sized to the pool width with at
-/// least [`MIN_SHARD`] rows each.
+/// The shard policy: thread-and-size-adaptive shard count against the
+/// *global* pool. Returns `1` (serial) whenever the pool has one thread
+/// or `n` is below the measured [`PAR_THRESHOLD`] crossover; otherwise
+/// shards are sized to the pool width with at least [`MIN_SHARD`] rows
+/// each.
 pub fn auto_shards(n: usize) -> usize {
     if n < PAR_THRESHOLD {
         // Early out before consulting the pool: sub-crossover scans are
@@ -327,49 +329,73 @@ pub fn auto_shards(n: usize) -> usize {
 }
 
 /// Raw base pointer that may cross threads; soundness comes from the
-/// disjointness of the per-shard ranges derived from it. The pointer is
-/// only reachable through [`SendPtr::get`], so closures capture the
-/// `Sync` wrapper rather than the raw pointer field.
-pub(crate) struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+/// disjointness of the per-shard elements derived from it in
+/// [`for_each_shard`]. The pointer is only reachable through
+/// [`SendPtr::get`], so closures capture the `Sync` wrapper rather than
+/// the raw pointer field.
+struct SendPtr<T>(*mut T);
+// SAFETY: the only field is a pointer into a `&mut [T]` that outlives the
+// parallel section; other threads mutate the `T`s behind it, hence the
+// `T: Send` bound, and no two threads are handed the same element.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as above — sharing the wrapper shares only the base address.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    pub(crate) fn new(ptr: *mut T) -> SendPtr<T> {
-        SendPtr(ptr)
-    }
-
-    pub(crate) fn get(&self) -> *mut T {
+    fn get(&self) -> *mut T {
         self.0
     }
 }
 
+/// Splits `0..n` into one contiguous range per slot (as
+/// [`shard_ranges`] does) and runs `f(range, &mut slot)` for each on the
+/// global pool, returning when all are done: the one place a borrowed
+/// closure crosses threads with disjoint mutable state. One slot runs
+/// inline on the caller without touching (or creating) the pool, so
+/// "serial" is simply the one-shard call; nothing here allocates.
+pub fn for_each_shard<T, F>(n: usize, slots: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut T) + Sync,
+{
+    if let [slot] = slots {
+        return f(0..n, slot);
+    }
+    let parts = slots.len();
+    let base = SendPtr(slots.as_mut_ptr());
+    global().run_shards(parts, &|shard| {
+        // SAFETY: `run_shards` hands out every index in `0..slots.len()`
+        // exactly once, so each `&mut T` is the only reference to its
+        // element; `slots` stays mutably borrowed until `run_shards` has
+        // joined every shard.
+        let slot = unsafe { &mut *base.get().add(shard) };
+        f(shard_range(n, parts, shard), slot);
+    });
+}
+
 /// Fills `out` (logically `rows x width`, row-major) by running
-/// `fill(row_range, chunk)` over row shards of the global pool, where
-/// `chunk` is exactly the rows of `row_range`. Runs serially (one call
-/// covering everything) when `rows` is under [`PAR_THRESHOLD`] or the
-/// pool has one thread.
+/// `fill(row_range, chunk)` over [`auto_shards`]`(rows)` row shards,
+/// where `chunk` is exactly the rows of `row_range`.
 pub fn parallel_rows<F>(out: &mut [f32], rows: usize, width: usize, fill: F)
 where
     F: Fn(Range<usize>, &mut [f32]) + Sync,
 {
     assert_eq!(out.len(), rows * width, "output/shape mismatch");
-    let pool = global();
-    let parts = shard_count(rows, pool.threads());
-    if parts <= 1 {
-        fill(0..rows, out);
-        return;
+    let shards = auto_shards(rows);
+    if shards == 1 {
+        // Every small matmul comes through here: no `Vec` of chunks.
+        return fill(0..rows, out);
     }
-    let ranges = shard_ranges(rows, parts);
-    let base = SendPtr::new(out.as_mut_ptr());
-    pool.run_shards(parts, &|shard| {
-        let range = ranges[shard].clone();
-        // Disjoint row ranges make the aliasing sound.
-        let chunk = unsafe {
-            std::slice::from_raw_parts_mut(base.get().add(range.start * width), range.len() * width)
-        };
-        fill(range, chunk);
-    });
+    let mut rest = out;
+    let mut chunks: Vec<&mut [f32]> = (0..shards)
+        .map(|p| {
+            let len = shard_range(rows, shards, p).len() * width;
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            chunk
+        })
+        .collect();
+    for_each_shard(rows, &mut chunks, |range, chunk| fill(range, chunk));
 }
 
 #[cfg(test)]
@@ -417,7 +443,7 @@ mod tests {
         let mut out = vec![0.0f32; 100];
         let ranges = shard_ranges(out.len(), 4);
         {
-            let base = SendPtr::new(out.as_mut_ptr());
+            let base = SendPtr(out.as_mut_ptr());
             let ranges = &ranges;
             pool.run_shards(4, &|s| {
                 let r = ranges[s].clone();

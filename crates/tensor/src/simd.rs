@@ -651,18 +651,6 @@ pub fn score_rows(
     )
 }
 
-/// Scalar-backend [`score_rows`] reference for the equivalence tests.
-#[inline]
-pub fn score_rows_scalar_ref(
-    table: &[f32],
-    d: usize,
-    query: &[f32],
-    rows: Range<usize>,
-    mut sink: impl FnMut(usize, f32),
-) {
-    score_rows_impl(table, d, query, rows, &mut sink)
-}
-
 /// Streaming int8 row scores (raw `Σ row·q` as an exact-integer f32);
 /// callers must guard `d <= Q8_EXACT_DIM` (checked here in debug).
 #[inline]

@@ -3,30 +3,34 @@
 //! Every SBR model ends inference with a maximum-inner-product search: the
 //! session representation is scored against all `C` catalog items and the
 //! `k` best are returned. This module provides the `O(C log k)` bounded
-//! min-heap selection used by the [`crate::exec::Exec::topk`] operation,
-//! in three flavours sharing one selection core:
+//! min-heap selection used by the [`crate::exec::Exec::topk`] operation.
 //!
-//! * [`topk`] — serial reference implementation,
-//! * [`topk_sharded`] — per-shard heaps merged with the same
-//!   deterministic tie-break, **bit-identical** to [`topk`] for every
-//!   shard count (the union of per-shard top-k is a superset of the
-//!   global top-k, and the merge comparator equals the serial one),
-//! * [`topk_into`] — allocation-free variant writing into reusable
-//!   buffers ([`TopkScratch`]), the steady-state serving path.
+//! There is one scaffold, `select_sharded`: split the rows into
+//! contiguous shards, run a bounded-heap selection per shard on the
+//! global [`crate::pool`] (through [`crate::pool::for_each_shard`], into
+//! per-shard buffers kept in [`TopkScratch`]), concatenate, sort with the
+//! serial comparator, keep `k`. The union of per-shard top-k is a
+//! superset of the global top-k and the comparator is total, so the
+//! result is **bit-identical** for every shard count; serial — [`topk`],
+//! the reference — is the one-shard call, and a warm scratch makes any
+//! shard count allocation-free. The entry points differ only in what a
+//! shard selects from and who picks the shard count:
 //!
-//! [`topk_auto`] picks serial or sharded based on input size and the
-//! global [`crate::pool`] width ([`crate::pool::auto_shards`]): serial
-//! below the measured crossover or on a one-thread pool, so the
-//! adaptive path never loses to serial by construction.
+//! * [`topk_sharded`], [`topk_auto`], [`topk_into`] — a materialised
+//!   score vector (explicit shards, [`crate::pool::auto_shards`], one
+//!   shard),
+//! * the **fused** family [`score_topk`], [`score_topk_into`],
+//!   [`score_topk_sharded`], [`score_topk_q8_into`] — catalog rows
+//!   scored by the [`crate::simd`] streaming scan and fed straight into
+//!   the running heap, never materialising the `C`-length score vector:
+//!   the serving hot path for `ExactIndex` / `QuantizedIndex` and the
+//!   `ScoreTopK` graph op. Scores are the same SIMD dot products and
+//!   the heap update sequence is identical, so the fused results are
+//!   bit-identical to scoring-then-[`topk`].
 //!
-//! The **fused** family ([`score_topk`], [`score_topk_into`],
-//! [`score_topk_q8_into`]) goes one step further: it scores catalog
-//! rows with the [`crate::simd`] streaming scan and feeds each score
-//! straight into the running heap, never materialising the `C`-length
-//! score vector — the serving hot path for `ExactIndex` /
-//! `QuantizedIndex` and the `ScoreTopK` graph op. Scores are the same
-//! SIMD dot products and the heap update sequence is identical, so the
-//! fused results are bit-identical to scoring-then-[`topk`].
+//! Whether a multi-shard call runs in parallel is the pool's decision
+//! at run time (shards run inline when another section holds the pool;
+//! DESIGN §12 has the measurement behind keeping both).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -59,13 +63,6 @@ impl PartialOrd for Candidate {
     }
 }
 
-/// Never selected: worst possible score with the largest index, used to
-/// pad per-shard candidate slots in the sharded merge.
-const SENTINEL: Candidate = Candidate {
-    score: f32::NEG_INFINITY,
-    index: u32::MAX,
-};
-
 /// Descending result order: score desc, index asc. Total because NaN
 /// scores are mapped to `NEG_INFINITY` at selection time.
 #[inline]
@@ -76,22 +73,25 @@ fn result_order(a: &Candidate, b: &Candidate) -> Ordering {
         .then_with(|| a.index.cmp(&b.index))
 }
 
-/// Core bounded-heap selection of the `k` best entries of `scores`,
-/// reported with indices offset by `base`. Results land **unsorted** in
-/// `buf` (cleared first); `buf`'s capacity is reused, so a warm buffer
-/// makes this allocation-free.
-fn select_candidates_into(scores: &[f32], base: u32, k: usize, buf: &mut Vec<Candidate>) {
+/// Runs `scan` over a bounded min-heap that lives in `buf`'s allocation
+/// and leaves the (at most `k.min(rows)`) survivors **unsorted** in
+/// `buf`; `scan` receives the clamped `k` to pass to [`offer`]. Moving
+/// the buffer through `BinaryHeap` keeps its capacity, so a warm buffer
+/// makes a selection allocation-free.
+fn select_into(
+    k: usize,
+    rows: usize,
+    buf: &mut Vec<Candidate>,
+    scan: impl FnOnce(&mut BinaryHeap<Candidate>, usize),
+) {
     buf.clear();
-    let k = k.min(scores.len());
+    let k = k.min(rows);
     if k == 0 {
         return;
     }
     buf.reserve(k + 1);
-    // Moving the buffer through BinaryHeap keeps its allocation.
     let mut heap = BinaryHeap::from(std::mem::take(buf));
-    for (i, &s) in scores.iter().enumerate() {
-        offer(&mut heap, k, base + i as u32, s);
-    }
+    scan(&mut heap, k);
     *buf = heap.into_vec();
 }
 
@@ -120,27 +120,30 @@ fn offer(heap: &mut BinaryHeap<Candidate>, k: usize, index: u32, score: f32) {
     }
 }
 
+/// Selection of the `k` best entries of `scores[rows]`, reported with
+/// their indices in `scores`.
+fn select_candidates_into(scores: &[f32], rows: Range<usize>, k: usize, buf: &mut Vec<Candidate>) {
+    select_into(k, rows.len(), buf, |heap, k| {
+        for (i, &s) in rows.clone().zip(&scores[rows]) {
+            offer(heap, k, i as u32, s);
+        }
+    });
+}
+
 /// Fused selection over `rows` of a `[c, d]` table: scores stream from
-/// the SIMD scan straight into the heap. `k` must already be clamped;
-/// `buf`'s capacity is reused.
+/// the SIMD scan straight into the heap.
 fn select_scored_into(
     table: &[f32],
-    d: usize,
     query: &[f32],
     rows: Range<usize>,
     k: usize,
     buf: &mut Vec<Candidate>,
 ) {
-    buf.clear();
-    if k == 0 {
-        return;
-    }
-    buf.reserve(k + 1);
-    let mut heap = BinaryHeap::from(std::mem::take(buf));
-    crate::simd::score_rows(table, d, query, rows, |i, s| {
-        offer(&mut heap, k, i as u32, s);
+    select_into(k, rows.len(), buf, |heap, k| {
+        crate::simd::score_rows(table, query.len(), query, rows, |i, s| {
+            offer(heap, k, i as u32, s);
+        });
     });
-    *buf = heap.into_vec();
 }
 
 /// Fused int8 selection: raw integer dots are dequantised in-register
@@ -148,10 +151,8 @@ fn select_scored_into(
 /// expression) before entering the heap. Rows longer than
 /// [`crate::simd::Q8_EXACT_DIM`] fall back to a plain `i32` loop so the
 /// accumulation stays exact.
-#[allow(clippy::too_many_arguments)]
 fn select_scored_q8_into(
     data: &[i8],
-    d: usize,
     scales: &[f32],
     q8: &[i32],
     qscale: f32,
@@ -159,24 +160,20 @@ fn select_scored_q8_into(
     k: usize,
     buf: &mut Vec<Candidate>,
 ) {
-    buf.clear();
-    if k == 0 {
-        return;
-    }
-    buf.reserve(k + 1);
-    let mut heap = BinaryHeap::from(std::mem::take(buf));
-    if d <= crate::simd::Q8_EXACT_DIM {
-        crate::simd::score_rows_q8(data, d, q8, rows, |i, raw| {
-            offer(&mut heap, k, i as u32, raw * scales[i] * qscale);
-        });
-    } else {
-        for i in rows {
-            let row = &data[i * d..(i + 1) * d];
-            let acc: i32 = row.iter().zip(q8).map(|(&a, &b)| a as i32 * b).sum();
-            offer(&mut heap, k, i as u32, acc as f32 * scales[i] * qscale);
+    let d = q8.len();
+    select_into(k, rows.len(), buf, |heap, k| {
+        if d <= crate::simd::Q8_EXACT_DIM {
+            crate::simd::score_rows_q8(data, d, q8, rows, |i, raw| {
+                offer(heap, k, i as u32, raw * scales[i] * qscale);
+            });
+        } else {
+            for i in rows {
+                let row = &data[i * d..(i + 1) * d];
+                let acc: i32 = row.iter().zip(q8).map(|(&a, &b)| a as i32 * b).sum();
+                offer(heap, k, i as u32, acc as f32 * scales[i] * qscale);
+            }
         }
-    }
-    *buf = heap.into_vec();
+    });
 }
 
 fn unzip_candidates(items: &[Candidate]) -> (Vec<u32>, Vec<f32>) {
@@ -185,13 +182,56 @@ fn unzip_candidates(items: &[Candidate]) -> (Vec<u32>, Vec<f32>) {
     (indices, scores)
 }
 
+/// Reusable selection state for [`topk_into`] and the fused
+/// `score_topk_*` family: one candidate buffer per shard, so
+/// steady-state selection — serial or sharded — performs no heap
+/// allocation.
+#[derive(Debug, Default)]
+pub struct TopkScratch {
+    shards: Vec<Vec<Candidate>>,
+}
+
+/// The sharded-selection scaffold every entry point below is a caller
+/// of: `select(rows, buf)` leaves the best `k` of `rows` in `buf` for
+/// each of `shards` (clamped to `1..=c`) contiguous ranges of `0..c`,
+/// the survivors are concatenated into the first shard's buffer, sorted
+/// with [`result_order`] and the leading `k` written to the (cleared)
+/// outputs.
+fn select_sharded(
+    c: usize,
+    k: usize,
+    shards: usize,
+    scratch: &mut TopkScratch,
+    out_indices: &mut Vec<u32>,
+    out_scores: &mut Vec<f32>,
+    select: impl Fn(Range<usize>, &mut Vec<Candidate>) + Sync,
+) {
+    out_indices.clear();
+    out_scores.clear();
+    let k = k.min(c);
+    if k == 0 {
+        return;
+    }
+    let shards = shards.clamp(1, c);
+    if scratch.shards.len() < shards {
+        scratch.shards.resize_with(shards, Vec::new);
+    }
+    let bufs = &mut scratch.shards[..shards];
+    crate::pool::for_each_shard(c, bufs, select);
+    let (merged, rest) = bufs.split_first_mut().expect("at least one shard");
+    for buf in rest {
+        merged.extend_from_slice(buf);
+    }
+    merged.sort_unstable_by(result_order);
+    merged.truncate(k);
+    out_indices.extend(merged.iter().map(|c| c.index));
+    out_scores.extend(merged.iter().map(|c| c.score));
+}
+
 /// Returns the indices and scores of the `k` largest entries of `scores`,
 /// in descending score order. Ties are broken towards the lower index.
 pub fn topk(scores: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
-    let mut items = Vec::new();
-    select_candidates_into(scores, 0, k, &mut items);
-    items.sort_unstable_by(result_order);
-    unzip_candidates(&items)
+    topk_sharded(scores, k, 1)
 }
 
 /// Sharded [`topk`]: splits `scores` into `shards` contiguous ranges,
@@ -199,57 +239,24 @@ pub fn topk(scores: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
 /// merges with the serial comparator. Bit-identical to [`topk`] for any
 /// `shards >= 1`.
 pub fn topk_sharded(scores: &[f32], k: usize, shards: usize) -> (Vec<u32>, Vec<f32>) {
-    let k = k.min(scores.len());
-    if k == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let shards = shards.clamp(1, scores.len());
-    if shards == 1 {
-        return topk(scores, k);
-    }
-    let mut partials = vec![SENTINEL; shards * k];
-    fill_partials(scores, k, shards, &mut partials);
-    partials.sort_unstable_by(result_order);
-    partials.truncate(k);
-    unzip_candidates(&partials)
+    let (mut ids, mut vals) = (Vec::new(), Vec::new());
+    let mut scratch = TopkScratch::default();
+    select_sharded(
+        scores.len(),
+        k,
+        shards,
+        &mut scratch,
+        &mut ids,
+        &mut vals,
+        |rows, buf| select_candidates_into(scores, rows, k, buf),
+    );
+    (ids, vals)
 }
 
-/// Runs per-shard selection into `partials` (length `shards * k`,
-/// sentinel-padded) on the global pool.
-fn fill_partials(scores: &[f32], k: usize, shards: usize, partials: &mut [Candidate]) {
-    debug_assert_eq!(partials.len(), shards * k);
-    let ranges = crate::pool::shard_ranges(scores.len(), shards);
-    let base = crate::pool::SendPtr::new(partials.as_mut_ptr());
-    crate::pool::global().run_shards(shards, &|shard| {
-        let range = ranges[shard].clone();
-        // Each shard owns partials[shard*k .. (shard+1)*k]: disjoint.
-        let slot = unsafe { std::slice::from_raw_parts_mut(base.get().add(shard * k), k) };
-        let mut found = Vec::with_capacity(k + 1);
-        select_candidates_into(&scores[range.clone()], range.start as u32, k, &mut found);
-        slot[..found.len()].copy_from_slice(&found);
-        slot[found.len()..].fill(SENTINEL);
-    });
-}
-
-/// Serial-or-sharded [`topk`] based on input size and pool width; the
-/// decision thresholds live in [`crate::pool::shard_count`].
+/// [`topk_sharded`] at the shard count [`crate::pool::auto_shards`]
+/// picks for the input size and pool width.
 pub fn topk_auto(scores: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
-    let shards = crate::pool::shard_count(scores.len(), crate::pool::current_threads());
-    if shards <= 1 {
-        topk(scores, k)
-    } else {
-        topk_sharded(scores, k, shards)
-    }
-}
-
-/// Reusable selection state for [`topk_into`] and the fused
-/// `score_topk_*` family: holds the candidate heap buffer (and, on
-/// multi-thread pools, the per-shard partials) so steady-state
-/// selection performs no heap allocation.
-#[derive(Debug, Default)]
-pub struct TopkScratch {
-    candidates: Vec<Candidate>,
-    partials: Vec<Candidate>,
+    topk_sharded(scores, k, crate::pool::auto_shards(scores.len()))
 }
 
 /// Allocation-free [`topk`]: selects serially using `scratch`'s reused
@@ -262,12 +269,15 @@ pub fn topk_into(
     out_indices: &mut Vec<u32>,
     out_scores: &mut Vec<f32>,
 ) {
-    out_indices.clear();
-    out_scores.clear();
-    select_candidates_into(scores, 0, k, &mut scratch.candidates);
-    scratch.candidates.sort_unstable_by(result_order);
-    out_indices.extend(scratch.candidates.iter().map(|c| c.index));
-    out_scores.extend(scratch.candidates.iter().map(|c| c.score));
+    select_sharded(
+        scores.len(),
+        k,
+        1,
+        scratch,
+        out_indices,
+        out_scores,
+        |rows, buf| select_candidates_into(scores, rows, k, buf),
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -280,11 +290,10 @@ pub fn topk_into(
 /// `topk(scores, k)` over per-row [`crate::simd::dot`] scores.
 /// Shard count adapts to catalog size and pool width.
 pub fn score_topk(table: &[f32], query: &[f32], c: usize, k: usize) -> (Vec<u32>, Vec<f32>) {
-    let mut ids = Vec::new();
-    let mut scores = Vec::new();
+    let (mut ids, mut vals) = (Vec::new(), Vec::new());
     let mut scratch = TopkScratch::default();
-    score_topk_into(table, query, c, k, &mut scratch, &mut ids, &mut scores);
-    (ids, scores)
+    score_topk_into(table, query, c, k, &mut scratch, &mut ids, &mut vals);
+    (ids, vals)
 }
 
 /// [`score_topk`] with an explicit shard count (bench sweeps); results
@@ -296,25 +305,24 @@ pub fn score_topk_sharded(
     k: usize,
     shards: usize,
 ) -> (Vec<u32>, Vec<f32>) {
-    let mut ids = Vec::new();
-    let mut scores = Vec::new();
+    debug_assert_eq!(table.len(), c * query.len(), "table shape mismatch");
+    let (mut ids, mut vals) = (Vec::new(), Vec::new());
     let mut scratch = TopkScratch::default();
-    score_topk_dispatch(
-        table,
-        query,
+    select_sharded(
         c,
         k,
-        shards.clamp(1, c.max(1)),
+        shards,
         &mut scratch,
         &mut ids,
-        &mut scores,
+        &mut vals,
+        |rows, buf| select_scored_into(table, query, rows, k, buf),
     );
-    (ids, scores)
+    (ids, vals)
 }
 
 /// Allocation-free fused MIPS with thread-and-size-adaptive sharding
-/// ([`crate::pool::auto_shards`]): serial below the crossover or on a
-/// one-thread pool — never slower than serial by construction.
+/// ([`crate::pool::auto_shards`]): one shard below the crossover or on
+/// a one-thread pool.
 pub fn score_topk_into(
     table: &[f32],
     query: &[f32],
@@ -325,59 +333,16 @@ pub fn score_topk_into(
     out_scores: &mut Vec<f32>,
 ) {
     etude_obs::profile_scope!("tensor::score_topk");
-    score_topk_dispatch(
-        table,
-        query,
+    debug_assert_eq!(table.len(), c * query.len(), "table shape mismatch");
+    select_sharded(
         c,
         k,
         crate::pool::auto_shards(c),
         scratch,
         out_indices,
         out_scores,
+        |rows, buf| select_scored_into(table, query, rows, k, buf),
     );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn score_topk_dispatch(
-    table: &[f32],
-    query: &[f32],
-    c: usize,
-    k: usize,
-    shards: usize,
-    scratch: &mut TopkScratch,
-    out_indices: &mut Vec<u32>,
-    out_scores: &mut Vec<f32>,
-) {
-    let d = query.len();
-    debug_assert_eq!(table.len(), c * d, "table shape mismatch");
-    out_indices.clear();
-    out_scores.clear();
-    let k = k.min(c);
-    if k == 0 {
-        return;
-    }
-    if shards <= 1 {
-        select_scored_into(table, d, query, 0..c, k, &mut scratch.candidates);
-        scratch.candidates.sort_unstable_by(result_order);
-        out_indices.extend(scratch.candidates.iter().map(|c| c.index));
-        out_scores.extend(scratch.candidates.iter().map(|c| c.score));
-        return;
-    }
-    let ranges = crate::pool::shard_ranges(c, shards);
-    scratch.partials.clear();
-    scratch.partials.resize(shards * k, SENTINEL);
-    let base = crate::pool::SendPtr::new(scratch.partials.as_mut_ptr());
-    crate::pool::global().run_shards(shards, &|shard| {
-        // Each shard owns partials[shard*k .. (shard+1)*k]: disjoint.
-        let slot = unsafe { std::slice::from_raw_parts_mut(base.get().add(shard * k), k) };
-        let mut found = Vec::with_capacity(k + 1);
-        select_scored_into(table, d, query, ranges[shard].clone(), k, &mut found);
-        slot[..found.len()].copy_from_slice(&found);
-        slot[found.len()..].fill(SENTINEL);
-    });
-    scratch.partials.sort_unstable_by(result_order);
-    out_indices.extend(scratch.partials[..k].iter().map(|c| c.index));
-    out_scores.extend(scratch.partials[..k].iter().map(|c| c.score));
 }
 
 /// Allocation-free fused int8 MIPS over a `[c, d]` quantised table with
@@ -397,55 +362,48 @@ pub fn score_topk_q8_into(
     out_scores: &mut Vec<f32>,
 ) {
     etude_obs::profile_scope!("tensor::score_topk_q8");
-    let d = q8.len();
-    debug_assert_eq!(data.len(), c * d, "table shape mismatch");
-    debug_assert_eq!(scales.len(), c, "per-row scales mismatch");
-    out_indices.clear();
-    out_scores.clear();
-    let k = k.min(c);
-    if k == 0 {
-        return;
-    }
     let shards = crate::pool::auto_shards(c);
-    if shards <= 1 {
-        select_scored_q8_into(
-            data,
-            d,
-            scales,
-            q8,
-            qscale,
-            0..c,
-            k,
-            &mut scratch.candidates,
-        );
-        scratch.candidates.sort_unstable_by(result_order);
-        out_indices.extend(scratch.candidates.iter().map(|c| c.index));
-        out_scores.extend(scratch.candidates.iter().map(|c| c.score));
-        return;
-    }
-    let ranges = crate::pool::shard_ranges(c, shards);
-    scratch.partials.clear();
-    scratch.partials.resize(shards * k, SENTINEL);
-    let base = crate::pool::SendPtr::new(scratch.partials.as_mut_ptr());
-    crate::pool::global().run_shards(shards, &|shard| {
-        let slot = unsafe { std::slice::from_raw_parts_mut(base.get().add(shard * k), k) };
-        let mut found = Vec::with_capacity(k + 1);
-        select_scored_q8_into(
-            data,
-            d,
-            scales,
-            q8,
-            qscale,
-            ranges[shard].clone(),
-            k,
-            &mut found,
-        );
-        slot[..found.len()].copy_from_slice(&found);
-        slot[found.len()..].fill(SENTINEL);
-    });
-    scratch.partials.sort_unstable_by(result_order);
-    out_indices.extend(scratch.partials[..k].iter().map(|c| c.index));
-    out_scores.extend(scratch.partials[..k].iter().map(|c| c.score));
+    score_topk_q8_sharded_into(
+        data,
+        scales,
+        q8,
+        qscale,
+        c,
+        k,
+        shards,
+        scratch,
+        out_indices,
+        out_scores,
+    );
+}
+
+/// [`score_topk_q8_into`] with an explicit shard count, for the
+/// sharded ≡ serial equivalence tests; not a serving knob.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn score_topk_q8_sharded_into(
+    data: &[i8],
+    scales: &[f32],
+    q8: &[i32],
+    qscale: f32,
+    c: usize,
+    k: usize,
+    shards: usize,
+    scratch: &mut TopkScratch,
+    out_indices: &mut Vec<u32>,
+    out_scores: &mut Vec<f32>,
+) {
+    debug_assert_eq!(data.len(), c * q8.len(), "table shape mismatch");
+    debug_assert_eq!(scales.len(), c, "per-row scales mismatch");
+    select_sharded(
+        c,
+        k,
+        shards,
+        scratch,
+        out_indices,
+        out_scores,
+        |rows, buf| select_scored_q8_into(data, scales, q8, qscale, rows, k, buf),
+    );
 }
 
 // ----------------------------------------------------------------------

@@ -15,7 +15,9 @@
 //! Edge cases (length 0, 1, `LANES±1`) and NaN handling are pinned
 //! explicitly alongside the randomized sweeps.
 
-use etude_tensor::topk::{score_topk, score_topk_sharded, topk};
+use etude_tensor::topk::{
+    score_topk, score_topk_q8_sharded_into, score_topk_sharded, topk, TopkScratch,
+};
 use etude_tensor::{kernels, simd};
 use proptest::prelude::*;
 
@@ -109,6 +111,9 @@ proptest! {
     /// The fused streaming top-k returns the same indices in the same
     /// order as scoring with the scalar reference followed by the heap
     /// selection — for any shard count, so the merge is order-stable too.
+    /// The int8 scan is held to the same standard against a plain `i32`
+    /// loop over the same rows (ragged tails and `k` above the rows per
+    /// shard included).
     #[test]
     fn fused_topk_index_order_matches_scalar_reference(
         c in 1usize..400,
@@ -140,6 +145,22 @@ proptest! {
         let (sh_ids, sh_scores) = score_topk_sharded(&table, &query, c, k, shards);
         prop_assert_eq!(&sh_ids, &want_ids);
         prop_assert_eq!(&sh_scores, &want_scores);
+
+        let data: Vec<i8> = table.iter().map(|&x| (x * 127.0) as i8).collect();
+        let q8: Vec<i32> = query.iter().map(|&x| (x * 127.0) as i32).collect();
+        let scales: Vec<f32> = (0..c).map(|r| 0.001 + (r % 17) as f32 * 1e-4).collect();
+        let qscale = 0.0137f32;
+        for (r, s) in scores.iter_mut().enumerate() {
+            let row = &data[r * d..(r + 1) * d];
+            let acc: i32 = row.iter().zip(&q8).map(|(&a, &b)| a as i32 * b).sum();
+            *s = acc as f32 * scales[r] * qscale;
+        }
+        let (mut q8_ids, mut q8_scores) = (Vec::new(), Vec::new());
+        score_topk_q8_sharded_into(
+            &data, &scales, &q8, qscale, c, k, shards,
+            &mut TopkScratch::default(), &mut q8_ids, &mut q8_scores,
+        );
+        prop_assert_eq!((q8_ids, q8_scores), topk(&scores, k));
     }
 
     /// Vectorized softmax stays within the documented ULP envelope of the
