@@ -1,25 +1,26 @@
-//! **overload_brownout** — the brownout-ladder sweep under a flash
+//! **overload_brownout** — the overload-control sweep under a flash
 //! crowd (DESIGN.md §16).
 //!
-//! One seeded flash-crowd schedule (peak ≈ 5× the pinned exact-rung
+//! One seeded flash-crowd schedule (peak ≈ 5× the pinned scan
 //! capacity, 30/50/20 shed-first/normal/critical) is replayed against
 //! the overload-controlled retrieval tier three times:
 //!
 //! * **off** — no admission limiter, ladder disabled: the continuous
 //!   batcher's queue and deadline checks are the only defense,
-//! * **admission** — the AIMD limiter alone: concurrency is clamped
-//!   and shed-first traffic refused with 429s, but every admitted
-//!   request pays the exact-rung price,
-//! * **full** — limiter plus the brownout ladder: burned budgets step
-//!   requests down to the int8, reduced-k, and popularity rungs.
+//! * **admission** — the AIMD limiter alone: concurrency is clamped,
+//!   shed-first traffic refused with 429s and refused normal/critical
+//!   traffic answered from the fallback, but every admitted request
+//!   queues for the scan,
+//! * **full** — limiter plus early fallback: an admitted request whose
+//!   predicted queue wait would burn `fallback_at` of its budget takes
+//!   the popularity fallback instead of queueing.
 //!
 //! Each cell reports per-class goodput (200 within the deadline
-//! budget), the refusal split, brownout counts from the server's own
-//! recorder, and client-observed latency quantiles of 200s. The
-//! headline is critical-class goodput per rung of the sweep. A
+//! budget), the refusal split, the fallback count from the server's
+//! own recorder, and client-observed latency quantiles of 200s. The
+//! headline is critical-class goodput per cell of the sweep. A
 //! machine-readable summary goes to `results/BENCH_overload.json`;
-//! `--smoke` shortens the horizon (used by `scripts/verify.sh
-//! --overload`).
+//! `--smoke` shortens the horizon (used by `scripts/verify.sh`).
 
 use etude_control::{AdmissionConfig, Criticality};
 use etude_metrics::hdr::Histogram;
@@ -39,17 +40,18 @@ const K: usize = 21;
 const QUERY_SEED: u64 = 5;
 /// Tight enough that the AIMD equilibrium queue wait (limit · floor /
 /// slots ≈ 50ms) is a *meaningful* fraction of the budget — the burn
-/// thresholds must be reachable or the ladder cell degenerates into
-/// the admission-only cell — and tight enough that the uncontrolled
+/// threshold must be reachable or the full cell degenerates into the
+/// admission-only cell — and tight enough that the uncontrolled
 /// cell's backlog (queue waits past 130ms at this crowd) reliably blows
-/// it, so the off cell shows the cliff the ladder exists to remove.
+/// it, so the off cell shows the cliff overload control exists to
+/// remove.
 const BUDGET: Duration = Duration::from_millis(100);
 const FLOOR: Duration = Duration::from_millis(4);
 const SLOTS: usize = 2;
 const DRIVER_THREADS: usize = 64;
 const DISPATCH_THREADS: usize = 64;
 const MAX_LIMIT: f64 = 32.0;
-/// Exact-rung capacity the spike is measured against.
+/// Scan capacity the spike is measured against.
 const CAPACITY_RPS: f64 = SLOTS as f64 / 0.004;
 
 fn table() -> Vec<f32> {
@@ -91,11 +93,10 @@ impl Ladder {
 fn overload_config(ladder: Ladder) -> OverloadConfig {
     let admission = match ladder {
         Ladder::Off => None,
-        // The latency target sits *above* the ladder's first burn
-        // threshold (0.25 · 300ms = 75ms): the limiter tolerates
-        // queueing deep enough that the ladder visibly engages, so the
-        // full-ladder cell can show its cheaper rungs against the
-        // admission-only cell.
+        // The latency target sits *above* the ladder's burn threshold
+        // (0.6 · 100ms = 60ms): the limiter tolerates queueing deep
+        // enough for the early fallback to engage, so the full cell
+        // can differ from the admission-only cell at all.
         _ => Some(AdmissionConfig {
             max_limit: MAX_LIMIT,
             target: Duration::from_millis(120),
@@ -106,23 +107,19 @@ fn overload_config(ladder: Ladder) -> OverloadConfig {
         batch: ContinuousConfig {
             slots: SLOTS,
             // Deep enough that, unclamped, the queue's drain time
-            // (256 · 4ms / 2 = 512ms) overruns the 300ms budget — the
+            // (256 · 4ms / 2 = 512ms) overruns the 100ms budget — the
             // failure mode admission control exists to prevent.
             max_queue: 256,
             default_deadline: BUDGET,
         },
         k: K,
         admission,
-        // Aggressive rung thresholds relative to the default policy:
-        // the EWMA queue wait under the clamped limit hovers around
-        // 0.1–0.3 of the budget, and the sweep is only informative if
-        // the int8 and reduced-k rungs actually fire in that band.
+        // A lower threshold than the default 0.75: under the clamped
+        // limit the queue wait tops out near 0.6 of the budget (the
+        // cells' `queue_max_us`), so the default would never fire.
         ladder: LadderConfig {
             enabled: matches!(ladder, Ladder::Full),
-            quantized_at: 0.08,
-            reduced_k_at: 0.2,
             fallback_at: 0.6,
-            ..LadderConfig::default()
         },
         service_floor: FLOOR,
     }
@@ -195,7 +192,7 @@ struct Cell {
     total_refusals: u64,
     p50_us: u64,
     p99_us: u64,
-    server_brownout: [u64; 3],
+    server_brownout: u64,
     admission_limit: Option<f64>,
     queue_max_us: u64,
 }
@@ -237,7 +234,7 @@ fn run_cell(ladder: Ladder, schedule: &[etude_workload::ScheduledRequest]) -> Ce
         total_refusals: 0,
         p50_us: 0,
         p99_us: 0,
-        server_brownout: snap.brownout,
+        server_brownout: snap.brownout_fallback,
         admission_limit,
         queue_max_us: snap.stage("queue").map_or(0, |s| s.max_us),
     };
@@ -303,7 +300,7 @@ fn cell_json(c: &Cell) -> String {
          \"class_sent\": [{}, {}, {}], \"goodput_within_slo\": [{}, {}, {}], \
          \"critical_goodput_pct\": {:.2}, \"shed_first_share_of_refusals\": {:.3}, \
          \"p50_us\": {}, \"p99_us\": {}, \
-         \"server_brownout\": [{}, {}, {}], \"admission_limit\": {limit}, \
+         \"server_brownout\": {}, \"admission_limit\": {limit}, \
          \"queue_max_us\": {}}}",
         c.ladder,
         c.sent,
@@ -326,9 +323,7 @@ fn cell_json(c: &Cell) -> String {
         },
         c.p50_us,
         c.p99_us,
-        c.server_brownout[0],
-        c.server_brownout[1],
-        c.server_brownout[2],
+        c.server_brownout,
         c.queue_max_us,
     )
 }

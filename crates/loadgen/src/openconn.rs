@@ -472,7 +472,7 @@ mod tests {
             );
             match turn.fetch_add(1, Ordering::Relaxed) % 3 {
                 0 => Response::error(429, "refused").with_header("retry-after", "0".to_string()),
-                1 => Response::ok("0:1.0").with_header("x-brownout-level", "2".to_string()),
+                1 => Response::ok("0:1.0").with_header("x-brownout-level", "3".to_string()),
                 _ => Response::ok("0:1.0").with_header("x-brownout-level", "0".to_string()),
             }
         });

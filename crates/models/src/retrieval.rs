@@ -10,10 +10,17 @@
 //! * [`ExactIndex`] — the exhaustive f32 scan the paper's models use
 //!   (the `O(C·d)` baseline),
 //! * [`QuantizedIndex`] — int8 symmetric quantisation of the embedding
-//!   table: 4x less memory traffic for a small recall loss,
+//!   table: 4x less memory for a small recall loss,
 //! * [`IvfIndex`] — an inverted-file ANN index (k-means coarse quantiser,
 //!   probe the `nprobe` nearest clusters): sub-linear scans that trade
 //!   recall for latency via `nprobe`.
+//!
+//! Only [`ExactIndex`] is on a serving path ([`CatalogShard`] wraps it).
+//! The other two are the paper's future-work trade-offs, measured by
+//! `futurework_tradeoffs` and served by nothing: the int8 scan widens
+//! every byte back to a float lane, so it is quicker than the f32 scan
+//! only on tables a scan crosses in under 0.2 ms and 1.3–1.9x slower at
+//! d = 32 (DESIGN.md §16 has the table).
 //!
 //! Each index reports a [`CostSpec`] so the serving simulation can price
 //! deployments using it, and the recall helpers quantify the quality side
@@ -384,17 +391,16 @@ impl MipsIndex for IvfIndex {
 
 /// A contiguous slice of the catalog served by one shard group in the
 /// scatter/gather tier: rows `[base, base + len)` of the global `[c, d]`
-/// embedding table, searched with the same fused kernels as
-/// [`ExactIndex`] — or, for its int8 twin ([`CatalogShard::quantize`]),
-/// [`QuantizedIndex`] — but reporting **global** item ids (`base + local
-/// row`), offset in [`MipsIndex::search`] below and nowhere else.
-/// Because the slice rows are bit-identical to the corresponding global
-/// rows and the selection comparator is shared, concatenating per-shard
-/// results and re-sorting (the router's `merge_shard_topk`) reproduces
-/// the unsharded scan exactly.
+/// embedding table, searched with the same fused kernel as
+/// [`ExactIndex`] but reporting **global** item ids (`base + local row`),
+/// offset in [`MipsIndex::search`] below and nowhere else. Because the
+/// slice rows are bit-identical to the corresponding global rows and the
+/// selection comparator is shared, concatenating per-shard results and
+/// re-sorting (the router's `merge_shard_topk`) reproduces the unsharded
+/// scan exactly.
 #[derive(Debug, Clone)]
-pub struct CatalogShard<I = ExactIndex> {
-    index: I,
+pub struct CatalogShard {
+    index: ExactIndex,
     base: u32,
 }
 
@@ -427,26 +433,13 @@ impl CatalogShard {
         self.index.d
     }
 
-    /// Int8-quantised twin of this slice under the same global ids, for
-    /// the brownout ladder's quantized rungs. Scales are per row, so its
-    /// rows are identical to the same rows of a whole-table
-    /// [`QuantizedIndex`].
-    pub fn quantize(&self) -> CatalogShard<QuantizedIndex> {
-        CatalogShard {
-            index: QuantizedIndex::from_f32(&self.index.table, self.index.c, self.index.d),
-            base: self.base,
-        }
-    }
-}
-
-impl<I> CatalogShard<I> {
     /// First global row held by this shard.
     pub fn base(&self) -> u32 {
         self.base
     }
 }
 
-impl<I: MipsIndex> MipsIndex for CatalogShard<I> {
+impl MipsIndex for CatalogShard {
     fn search(&self, query: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
         let (mut ids, scores) = self.index.search(query, k);
         for id in ids.iter_mut() {

@@ -44,11 +44,7 @@ pub enum Metric {
     Faults,
     /// Requests refused with a 429 by admission control.
     Refused,
-    /// Browned-out 200s at ladder level 1 (quantized scan).
-    BrownoutQuantized,
-    /// Browned-out 200s at ladder level 2 (reduced k).
-    BrownoutReduced,
-    /// Browned-out 200s at ladder level 3 (popularity fallback).
+    /// Browned-out 200s: the popularity fallback (ladder level 3).
     BrownoutFallback,
     /// The admission controller's learned limit, in thousandths.
     AdmissionLimitMilli,
@@ -58,23 +54,11 @@ pub enum Metric {
 
 impl Metric {
     /// Rows in [`TABLE`].
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 9;
 
     /// This metric's table row.
     pub fn def(self) -> &'static MetricDef {
         &TABLE[self as usize]
-    }
-
-    /// The counter of brownout ladder level 1 (quantized), 2
-    /// (reduced-k) or 3 (popularity fallback). Level 0 (exact) is an
-    /// ordinary request and out-of-range levels count nowhere.
-    pub fn brownout(level: u8) -> Option<Metric> {
-        match level {
-            1 => Some(Metric::BrownoutQuantized),
-            2 => Some(Metric::BrownoutReduced),
-            3 => Some(Metric::BrownoutFallback),
-            _ => None,
-        }
     }
 }
 
@@ -160,7 +144,8 @@ pub struct MetricDef {
     pub since: u8,
     /// Prometheus family.
     pub prom: Prom,
-    /// `level` label value, for rows that share a family.
+    /// `level` label on the row's samples: the brownout family was born
+    /// with one and the wire keeps it.
     pub level: Option<&'static str>,
     /// Whether the `/fleet` head carries the sum over pods.
     pub summed: bool,
@@ -171,14 +156,6 @@ pub struct MetricDef {
     pub windowed: bool,
     field: ScalarField<StatsSnapshot>,
 }
-
-/// The `level`-labelled brownout family its three rows share.
-const BROWNOUT: Prom = Prom {
-    stem: "brownout_responses_total",
-    help: "Browned-out 200s per ladder level.",
-    fleet_help: Some("Browned-out 200s across the fleet per ladder level."),
-    pod_help: None,
-};
 
 /// Every scalar metric, in `/stats` emission order. Laid out by hand,
 /// a few lines per row, so columns can be compared down the table.
@@ -228,19 +205,15 @@ pub static TABLE: [MetricDef; Metric::COUNT] = [
         },
     },
     MetricDef {
-        metric: Metric::BrownoutQuantized, json: "brownout_quantized", kind: Kind::Counter,
-        since: 4, level: Some("quantized"), summed: true, per_pod: None, windowed: false,
-        field: field!(brownout[0]), prom: BROWNOUT,
-    },
-    MetricDef {
-        metric: Metric::BrownoutReduced, json: "brownout_reduced", kind: Kind::Counter,
-        since: 4, level: Some("reduced-k"), summed: true, per_pod: None, windowed: false,
-        field: field!(brownout[1]), prom: BROWNOUT,
-    },
-    MetricDef {
         metric: Metric::BrownoutFallback, json: "brownout_fallback", kind: Kind::Counter,
         since: 4, level: Some("fallback"), summed: true, per_pod: None, windowed: false,
-        field: field!(brownout[2]), prom: BROWNOUT,
+        field: field!(brownout_fallback),
+        prom: Prom {
+            stem: "brownout_responses_total",
+            help: "Browned-out 200s per ladder level.",
+            fleet_help: Some("Browned-out 200s across the fleet per ladder level."),
+            pod_help: None,
+        },
     },
     MetricDef {
         metric: Metric::AdmissionLimitMilli, json: "admission_limit_milli", kind: Kind::MilliGauge,
@@ -290,20 +263,15 @@ pub(crate) fn prom_header(out: &mut String, name: &str, kind: &str, help: &str) 
 }
 
 /// Appends `(row, help, value)` samples as `etude_{prefix}` families:
-/// the header once per stem (rows sharing one differ by their `level`
-/// label), then one sample line per row.
+/// per row the header, then its sample line.
 pub(crate) fn render_families<'a>(
     out: &mut String,
     prefix: &str,
     rows: impl Iterator<Item = (&'a MetricDef, &'a str, u64)>,
 ) {
-    let mut family = "";
     for (def, help, value) in rows {
         let name = format!("etude_{prefix}{}", def.prom.stem);
-        if def.prom.stem != family {
-            family = def.prom.stem;
-            prom_header(out, &name, def.kind.prom_type(), help);
-        }
+        prom_header(out, &name, def.kind.prom_type(), help);
         let labels = def
             .level
             .map(|level| format!("{{level=\"{level}\"}}"))

@@ -236,9 +236,9 @@ pub struct StatsSnapshot {
     /// Requests refused with a 429 by criticality-aware admission
     /// control (distinct from `shed`: refusal happens before queueing).
     pub refused: u64,
-    /// Browned-out 200s per ladder level: `[quantized, reduced-k,
-    /// popularity-fallback]`. Level 0 (exact) is an ordinary request.
-    pub brownout: [u64; 3],
+    /// Browned-out 200s: answers from the popularity fallback (ladder
+    /// level 3). Level 0 (exact) is an ordinary request.
+    pub brownout_fallback: u64,
     /// Admission controller's learned concurrency limit, milli-units
     /// (0 when no admission control is installed).
     pub admission_limit_milli: u64,
@@ -530,7 +530,7 @@ mod tests {
             degraded: 3,
             faults: 2,
             refused: 5,
-            brownout: [11, 4, 9],
+            brownout_fallback: 9,
             admission_limit_milli: 12_500,
             pod: Some(4),
             queue_depth: 6,
@@ -701,6 +701,20 @@ mod tests {
         assert_eq!(parsed.degraded, 0);
         assert_eq!(parsed.faults, 0);
         assert_eq!(parsed.reactor, None, "pre-reactor documents carry none");
+        // And one from the last server that still counted the int8 and
+        // reduced-k rungs: the retired keys are ignored, their
+        // neighbours still land.
+        let four_rung = "{\n  \"requests\": 42,\n  \"dropped\": 1,\n  \"shed\": 7,\n  \
+            \"degraded\": 3,\n  \"faults\": 2,\n  \"pod\": 4,\n  \"refused\": 5,\n  \
+            \"brownout_quantized\": 11,\n  \"brownout_reduced\": 4,\n  \
+            \"brownout_fallback\": 9,\n  \"admission_limit_milli\": 12500,\n  \
+            \"queue_depth\": 6,\n  \"hist\": [\n  ],\n  \"stages\": [\n  ]\n}\n";
+        let parsed = parse_stats_json(four_rung).unwrap();
+        assert_eq!(parsed.refused, 5);
+        assert_eq!(parsed.brownout_fallback, 9);
+        assert_eq!(parsed.admission_limit_milli, 12_500);
+        assert_eq!(parsed.queue_depth, 6);
+        assert!(!parsed.render_json().contains("brownout_quantized"));
     }
 
     #[test]

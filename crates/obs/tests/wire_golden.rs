@@ -2,9 +2,13 @@
 //! `/fleet/metrics` must stay byte-identical to what the hand-written
 //! renderers produced before the metric table replaced them. The
 //! `golden/*.txt` files were written by those renderers (the commit
-//! before `crates/obs/src/metric.rs` existed) from the fixtures below;
-//! a change that legitimately extends the wire adds keys at the end and
-//! regenerates the files in the same commit.
+//! before `crates/obs/src/metric.rs` existed) from the fixtures below.
+//! A change that legitimately extends the wire adds keys at the end and
+//! regenerates the files in the same commit. A change that retires a
+//! metric deletes that metric's own lines (its JSON key, its Prometheus
+//! sample, its fleet sum) from the files and touches no other line:
+//! `git diff --stat` on `golden/` shows deletions only, and a parser
+//! must keep reading documents that still carry the retired keys.
 
 use etude_obs::fleet::{FleetSnapshot, ShardGroupHealth};
 use etude_obs::window::{WindowBucket, WindowSnapshot};
@@ -41,7 +45,7 @@ fn sample() -> StatsSnapshot {
         degraded: 3,
         faults: 2,
         refused: 5,
-        brownout: [11, 4, 9],
+        brownout_fallback: 9,
         admission_limit_milli: 12_500,
         pod: Some(4),
         queue_depth: 6,
@@ -106,7 +110,7 @@ fn second_pod() -> StatsSnapshot {
         degraded: 17,
         faults: 19,
         refused: 23,
-        brownout: [29, 31, 37],
+        brownout_fallback: 37,
         admission_limit_milli: 8_250,
         pod: Some(9),
         queue_depth: 41,
@@ -162,7 +166,6 @@ fn anonymous_pod() -> StatsSnapshot {
         requests: 3,
         shed: 1,
         refused: 2,
-        brownout: [0, 1, 0],
         queue_depth: 5,
         hist: vec![StageCounts {
             stage: "parse".into(),
@@ -204,12 +207,8 @@ fn recorded() -> StatsSnapshot {
         r.bump(Metric::Faults);
     }
     r.bump(Metric::Refused);
-    // One, two and three responses at ladder levels 1, 2 and 3; levels
-    // 0 and 4 name no counter.
-    for level in [1, 2, 2, 3, 3, 3, 0, 4] {
-        if let Some(metric) = Metric::brownout(level) {
-            r.bump(metric);
-        }
+    for _ in 0..3 {
+        r.bump(Metric::BrownoutFallback);
     }
     r.set(Metric::AdmissionLimitMilli, 6_125);
     r.set(Metric::QueueDepth, 9);

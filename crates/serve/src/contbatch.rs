@@ -27,6 +27,12 @@
 //! deadline budget is exhausted**, and therefore the queue-wait span of
 //! every *served* request is bounded by its budget.
 //!
+//! A full queue is answered at once, never waited on: 503 for every
+//! class by default, or — for a server that opted in
+//! ([`crate::rustserver::DegradationPolicy`]) — the shared
+//! shed-or-fallback rule, which gives `normal` and `critical` traffic
+//! the popularity fallback from the first full queue on.
+//!
 //! Batching is an execution strategy, never a semantic: every slot runs
 //! the same deterministic per-session inference as the inline
 //! [`crate::rustserver::model_routes`] handler, so at any load where
@@ -35,11 +41,10 @@
 
 use crate::http::Request;
 use crate::rustserver::{
-    deploy, prediction_routes, Degradation, DegradationPolicy, Handler, Inferred, Refused, Served,
-    EXPIRED, OVERLOADED,
+    deploy, popularity_fallback, prediction_routes, shed_or_fallback, DegradationPolicy, Handler,
+    Inferred, Refused, Served, EXPIRED, OVERLOADED,
 };
 use crossbeam::channel::{bounded, Sender, TrySendError};
-use etude_control::Criticality;
 use etude_faults::Deadline;
 use etude_models::SbrModel;
 use etude_obs::{Metric, Recorder};
@@ -261,9 +266,10 @@ pub(crate) fn request_budget(req: &Request, default: Duration) -> Duration {
 /// Builds the model-serving routes on a continuous batcher: the inline
 /// tier's route table and observability, with per-request
 /// deadline-aware admission into [`ContinuousConfig::slots`] inference
-/// slots. `policy: Some(_)` serves the popularity fallback under
-/// sustained queue-full overload; deadline expiries always shed with
-/// 503 — serving a fallback late would still be late.
+/// slots. `policy: Some(_)` answers a full queue with the popularity
+/// fallback (the model's `top_k` items) for traffic that did not opt
+/// into shedding; deadline expiries always shed with 503 — serving a
+/// fallback late would still be late.
 pub fn model_routes_continuous(
     model: Arc<dyn SbrModel>,
     device: Device,
@@ -273,6 +279,7 @@ pub fn model_routes_continuous(
     policy: Option<DegradationPolicy>,
 ) -> Handler {
     let catalog_size = model.config().catalog_size;
+    let fallback = policy.map(|_| popularity_fallback(catalog_size, model.config().top_k));
     let default_deadline = config.default_deadline;
     let infer = deploy(model, device, jit);
     // The continuous path is the production-shaped server, so it owns
@@ -283,25 +290,20 @@ pub fn model_routes_continuous(
         etude_obs::profile_scope!("contbatch::slot");
         infer(&items)
     }));
-    let degradation = policy.map(|p| Arc::new(Degradation::new(p, catalog_size)));
-    continuous_routes(
-        batcher,
-        catalog_size,
-        default_deadline,
-        recorder,
-        degradation,
-    )
+    continuous_routes(batcher, catalog_size, default_deadline, recorder, fallback)
 }
 
 /// The route table around a continuous batcher. Factored out of
 /// [`model_routes_continuous`] so tests can drive a batcher whose
 /// handler they control (e.g. gated, to force overload or queue aging).
+/// `fallback` is the pre-encoded popularity body a full queue answers
+/// with; `None` sheds every class.
 pub(crate) fn continuous_routes(
     batcher: Arc<ContinuousBatcher<Vec<u32>, Inferred>>,
     catalog_size: usize,
     default_deadline: Duration,
     recorder: Arc<Recorder>,
-    degradation: Option<Arc<Degradation>>,
+    fallback: Option<String>,
 ) -> Handler {
     prediction_routes(
         recorder,
@@ -313,36 +315,15 @@ pub(crate) fn continuous_routes(
             ctx.recorder
                 .set(Metric::QueueDepth, batcher.queue_depth() as u64);
             match batcher.try_call(items, ctx.deadline) {
-                Ok(Admitted { result, queue_wait }) => {
-                    // The submission succeeded, whatever the model said.
-                    if let Some(d) = &degradation {
-                        d.note_success();
-                    }
-                    Served::by_model(result, queue_wait)
-                }
+                Ok(Admitted { result, queue_wait }) => Served::by_model(result, queue_wait),
                 // The budget died in (or before) the queue; 503 so the
                 // client retries against a server that can still make
                 // the deadline.
                 Err(AdmitError::Expired) => Err(Refused::Shed(EXPIRED)),
-                Err(AdmitError::Overloaded) => {
-                    // Shedding is criticality-ordered, not FIFO:
-                    // `critical` traffic takes the popularity fallback
-                    // immediately (a browned-out 200 always beats a
-                    // 503), `normal` rides the hysteresis state machine,
-                    // and `shed-first` never gets the fallback at all.
-                    if let Some(d) = &degradation {
-                        let degraded_mode = d.note_overload();
-                        let fallback = match ctx.criticality() {
-                            Criticality::Critical => true,
-                            Criticality::Normal => degraded_mode,
-                            Criticality::ShedFirst => false,
-                        };
-                        if fallback {
-                            return Err(Refused::Fallback(d.fallback_body.clone()));
-                        }
-                    }
-                    Err(Refused::Shed(OVERLOADED))
-                }
+                Err(AdmitError::Overloaded) => Err(match &fallback {
+                    Some(body) => shed_or_fallback(ctx.criticality(), OVERLOADED, body),
+                    None => Refused::Shed(OVERLOADED),
+                }),
                 Err(AdmitError::Closed) => Err(Refused::BatcherUnavailable),
             }
         },

@@ -28,9 +28,9 @@
 //!   `/stats`, merge bit-identically, serve `/fleet` (JSON) and
 //!   `/fleet/metrics` (Prometheus),
 //! * [`overload`] — criticality-aware overload control: an AIMD
-//!   admission limiter in front of a brownout ladder (exact → int8 →
-//!   reduced-k → popularity fallback), so flash crowds degrade quality
-//!   before dropping traffic,
+//!   admission limiter in front of a two-rung brownout ladder (exact →
+//!   popularity fallback), so flash crowds degrade quality before
+//!   dropping traffic,
 //! * [`router`] — the scatter/gather tier for partitioned catalogs:
 //!   shard-backend routes over a catalog slice, and the router that
 //!   fans out, merges partial top-k bit-identically, and degrades

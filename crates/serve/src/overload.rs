@@ -1,41 +1,48 @@
-//! Criticality-aware overload control: the brownout ladder.
+//! Criticality-aware overload control: admission and the brownout
+//! ladder.
 //!
 //! PR 8's continuous batcher made overload *safe* (blown budgets shed
 //! before compute); this module makes it *graceful*. Instead of the
 //! binary serve-exactly-or-503, a retrieval backend under pressure
-//! steps down a quality ladder, spending less compute per request as
-//! measured queue delay burns a larger fraction of the deadline budget:
+//! answers from the popularity fallback once the measured queue delay
+//! would burn most of a request's deadline budget:
 //!
-//! | level | name      | what is served                              |
-//! |-------|-----------|---------------------------------------------|
-//! | 0     | exact     | full-precision exhaustive scan, full k      |
-//! | 1     | quantized | int8 `QuantizedIndex` scan, full k          |
-//! | 2     | reduced-k | int8 scan, [`LadderConfig::reduced_k`] items|
-//! | 3     | fallback  | popularity fallback, no slot consumed       |
+//! | level | name     | what is served                                |
+//! |-------|----------|-----------------------------------------------|
+//! | 0     | exact    | full-precision exhaustive scan, full k        |
+//! | 3     | fallback | popularity fallback, no inference slot used   |
 //!
-//! Every response is stamped with [`BROWNOUT_HEADER`] and counted in
-//! `/stats` (`brownout_quantized` / `brownout_reduced` /
-//! `brownout_fallback`). The ladder preserves one invariant above all:
-//! **a browned-out 200 always beats a 503 for `normal` and `critical`
-//! traffic** — those classes are only ever refused outright when their
-//! budget is already dead (serving a late fallback would still be
-//! late).
+//! Those are the two outcomes that are measured to cost differently.
+//! Wire values 1 and 2 stay unassigned: an int8 rung and a reduced-k
+//! rung would sit there, but measured the int8 scan is 1.3–1.9x
+//! *slower* than the f32 scan at the paper's d ≥ 32 and k = 5 costs
+//! what k = 21 costs, so neither would shed any load (DESIGN.md §16 has
+//! the table).
+//!
+//! Every response is stamped with [`BROWNOUT_HEADER`] and fallbacks are
+//! counted in `/stats` (`brownout_fallback`). The ladder preserves one
+//! invariant above all: **a browned-out 200 always beats a 503 for
+//! `normal` and `critical` traffic** — those classes are only ever
+//! refused outright when their budget is already dead (serving a late
+//! fallback would still be late). That rule is one function,
+//! `rustserver::shed_or_fallback`, shared with the model tier and the
+//! router.
 //!
 //! In front of the ladder sits an [`AdmissionController`]: an AIMD
 //! concurrency limiter fed by measured service latency. Its refusals
 //! are criticality-ordered — `shed-first` traffic is turned away (HTTP
-//! 429 + `retry-after`) while `normal`/`critical` still ride the
-//! ladder, so under a flash crowd the refusal mass lands almost
-//! entirely on the class that opted into being shed.
+//! 429 + `retry-after`) while `normal`/`critical` get the fallback, so
+//! under a flash crowd the refusal mass lands almost entirely on the
+//! class that opted into being shed.
 //!
 //! Deadline semantics are inherited from [`ContinuousBatcher`]: budgets
 //! are anchored at wire-parse time and re-checked at dequeue, so *no
-//! inference starts past its budget* regardless of brownout level.
+//! inference starts past its budget*.
 
 use crate::contbatch::{AdmitError, Admitted, ContinuousBatcher, ContinuousConfig};
-use crate::http::Request;
 use crate::rustserver::{
-    popularity_fallback, prediction_routes, Handler, Refused, Served, EXPIRED, OVERLOADED,
+    popularity_fallback, prediction_routes, shed_or_fallback, Handler, Refused, Served, EXPIRED,
+    OVERLOADED,
 };
 use etude_control::{AdmissionConfig, AdmissionController, Criticality};
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
@@ -45,8 +52,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Response header naming the brownout level a request was served at
-/// (`0`–`3`). Requests to the scatter/gather router inherit the
-/// router's level via the same header on shard legs.
+/// (`0` or `3`).
 pub const BROWNOUT_HEADER: &str = "x-brownout-level";
 
 /// One rung of the brownout ladder. Ordering is degradation order.
@@ -54,82 +60,37 @@ pub const BROWNOUT_HEADER: &str = "x-brownout-level";
 pub enum BrownoutLevel {
     /// Full-precision scan, full k.
     Exact,
-    /// Int8 quantized scan, full k.
-    Quantized,
-    /// Int8 scan at a reduced k.
-    ReducedK,
     /// Popularity fallback; consumes no inference slot.
     Fallback,
 }
 
 impl BrownoutLevel {
-    /// Wire value for [`BROWNOUT_HEADER`].
+    /// Wire value for [`BROWNOUT_HEADER`]; 1 and 2 are unassigned.
     pub fn as_u8(&self) -> u8 {
         match self {
             BrownoutLevel::Exact => 0,
-            BrownoutLevel::Quantized => 1,
-            BrownoutLevel::ReducedK => 2,
             BrownoutLevel::Fallback => 3,
-        }
-    }
-
-    /// Parses a wire value, saturating above the ladder's top.
-    pub fn from_u8(v: u8) -> BrownoutLevel {
-        match v {
-            0 => BrownoutLevel::Exact,
-            1 => BrownoutLevel::Quantized,
-            2 => BrownoutLevel::ReducedK,
-            _ => BrownoutLevel::Fallback,
-        }
-    }
-
-    /// Reads an inherited level from a request header (absent → exact).
-    pub fn from_request(req: &Request) -> BrownoutLevel {
-        req.headers
-            .get(BROWNOUT_HEADER)
-            .and_then(|v| v.trim().parse::<u8>().ok())
-            .map(BrownoutLevel::from_u8)
-            .unwrap_or(BrownoutLevel::Exact)
-    }
-
-    /// Human label used in bench reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BrownoutLevel::Exact => "exact",
-            BrownoutLevel::Quantized => "quantized",
-            BrownoutLevel::ReducedK => "reduced-k",
-            BrownoutLevel::Fallback => "fallback",
         }
     }
 }
 
-/// Brownout-ladder tuning: at which burn fraction of the deadline budget
-/// a request is pushed down each rung ([`LadderConfig::level_at`] — the
-/// overload tier burns predicted queue delay, the router the share of
-/// the budget already spent), and what the reduced rung serves: every
-/// tier scanning for `k` items serves `reduced_k.clamp(1, k)` there.
+/// Brownout-ladder tuning: past which burn fraction of the deadline
+/// budget a request is answered from the fallback
+/// ([`LadderConfig::level_at`] — the overload tier burns predicted queue
+/// delay, the router the share of the budget already spent).
 #[derive(Debug, Clone)]
 pub struct LadderConfig {
     /// Master switch; off = always exact (admission may still refuse).
     pub enabled: bool,
-    /// Burn fraction at which the int8 rung engages.
-    pub quantized_at: f64,
-    /// Burn fraction at which k is reduced.
-    pub reduced_k_at: f64,
     /// Burn fraction past which only the fallback is worth serving.
     pub fallback_at: f64,
-    /// k served on the reduced-k rung (clamped to the tier's `1..=k`).
-    pub reduced_k: usize,
 }
 
 impl Default for LadderConfig {
     fn default() -> Self {
         LadderConfig {
             enabled: true,
-            quantized_at: 0.25,
-            reduced_k_at: 0.5,
             fallback_at: 0.75,
-            reduced_k: 5,
         }
     }
 }
@@ -138,37 +99,11 @@ impl LadderConfig {
     /// The rung a burn fraction lands on; always exact when the ladder
     /// is disabled.
     pub fn level_at(&self, burn: f64) -> BrownoutLevel {
-        if !self.enabled {
-            BrownoutLevel::Exact
-        } else if burn >= self.fallback_at {
+        if self.enabled && burn >= self.fallback_at {
             BrownoutLevel::Fallback
-        } else if burn >= self.reduced_k_at {
-            BrownoutLevel::ReducedK
-        } else if burn >= self.quantized_at {
-            BrownoutLevel::Quantized
         } else {
             BrownoutLevel::Exact
         }
-    }
-}
-
-/// The rung-aware catalog scan, shared by the overload tier (whole
-/// table, base 0) and a shard backend (one slice): global ids from the
-/// f32 rows at full `k`, or from their int8 twin at full or reduced k —
-/// each rung strictly cheaper than the one above it. A stray
-/// [`BrownoutLevel::Fallback`] (a rung that never reaches a scan)
-/// degrades to the cheapest one.
-pub(crate) fn ladder_scan(
-    shard: CatalogShard,
-    k: usize,
-    ladder: &LadderConfig,
-) -> impl Fn(BrownoutLevel, &[f32]) -> (Vec<u32>, Vec<f32>) + Send + Sync {
-    let quantized = shard.quantize();
-    let reduced_k = ladder.reduced_k.clamp(1, k.max(1));
-    move |level, query| match level {
-        BrownoutLevel::Exact => shard.search(query, k),
-        BrownoutLevel::Quantized => quantized.search(query, k),
-        BrownoutLevel::ReducedK | BrownoutLevel::Fallback => quantized.search(query, reduced_k),
     }
 }
 
@@ -177,16 +112,15 @@ pub(crate) fn ladder_scan(
 pub struct OverloadConfig {
     /// Continuous-batcher shape (slots, queue bound, default budget).
     pub batch: ContinuousConfig,
-    /// Top-k served on the exact and quantized rungs.
+    /// Top-k served, by the scan and by the fallback alike.
     pub k: usize,
     /// Admission control; `None` disables the limiter entirely.
     pub admission: Option<AdmissionConfig>,
     /// The brownout ladder.
     pub ladder: LadderConfig,
-    /// Artificial per-request service-time floor (scaled down by rung:
-    /// quantized 40%, reduced-k 15%). Zero in production; benches and
-    /// chaos tests use it to pin a known capacity so "5× capacity" is a
-    /// statement, not a guess.
+    /// Artificial per-request service-time floor. Zero in production;
+    /// benches and chaos tests use it to pin a known capacity so "5×
+    /// capacity" is a statement, not a guess.
     pub service_floor: Duration,
 }
 
@@ -215,7 +149,7 @@ pub struct OverloadState {
 }
 
 impl OverloadState {
-    fn new(admission: Option<AdmissionConfig>, ladder: LadderConfig) -> OverloadState {
+    pub(crate) fn new(admission: Option<AdmissionConfig>, ladder: LadderConfig) -> OverloadState {
         OverloadState {
             admission: admission.map(AdmissionController::new),
             ladder,
@@ -256,17 +190,15 @@ impl OverloadState {
 }
 
 /// What a ladder worker computes per request.
-struct OverloadReply {
-    ids: Vec<u32>,
-    scores: Vec<f32>,
-    inference: Duration,
+pub(crate) struct OverloadReply {
+    pub(crate) ids: Vec<u32>,
+    pub(crate) scores: Vec<f32>,
+    pub(crate) inference: Duration,
 }
-
-type LadderJob = (Vec<u32>, BrownoutLevel);
 
 /// Builds an overload-controlled retrieval backend over a `[catalog ×
 /// dim]` embedding table: admission → ladder → continuous batcher →
-/// exact/int8 scan. Returns the route table and the shared
+/// exact scan. Returns the route table and the shared
 /// [`OverloadState`] so callers (benches, chaos tests) can read the
 /// learned limit and drive assertions.
 pub fn overload_routes_with_state(
@@ -283,23 +215,14 @@ pub fn overload_routes_with_state(
         config.ladder.clone(),
     ));
     let k = config.k.max(1);
-    let scan = ladder_scan(CatalogShard::new(table, dim, 0), k, &config.ladder);
+    let shard = CatalogShard::new(table, dim, 0);
     let floor = config.service_floor;
-    let batcher: Arc<ContinuousBatcher<LadderJob, OverloadReply>> = Arc::new(
-        ContinuousBatcher::spawn(config.batch.clone(), move |(items, level): LadderJob| {
+    let batcher: Arc<ContinuousBatcher<Vec<u32>, OverloadReply>> = Arc::new(
+        ContinuousBatcher::spawn(config.batch.clone(), move |items: Vec<u32>| {
             let t = Instant::now();
             let query = encode_session_query(&items, dim, query_seed);
-            let (ids, scores) = scan(level, &query);
-            let budgeted = match level {
-                BrownoutLevel::Exact => floor,
-                BrownoutLevel::Quantized => floor.mul_f64(0.4),
-                _ => floor.mul_f64(0.15),
-            };
-            if let Some(pad) = budgeted.checked_sub(t.elapsed()) {
-                if !pad.is_zero() {
-                    std::thread::sleep(pad);
-                }
-            }
+            let (ids, scores) = shard.search(&query, k);
+            std::thread::sleep(floor.saturating_sub(t.elapsed()));
             OverloadReply {
                 ids,
                 scores,
@@ -307,21 +230,40 @@ pub fn overload_routes_with_state(
             }
         }),
     );
+    let handler = overload_routes(
+        batcher,
+        Arc::clone(&state),
+        catalog_size,
+        k,
+        config.batch.default_deadline,
+        recorder,
+    );
+    (handler, state)
+}
+
+/// The route table around the tier's batcher. Factored out of
+/// [`overload_routes_with_state`] so tests can drive a batcher whose
+/// handler they control (gated, to hold the queue full).
+pub(crate) fn overload_routes(
+    batcher: Arc<ContinuousBatcher<Vec<u32>, OverloadReply>>,
+    route_state: Arc<OverloadState>,
+    catalog_size: usize,
+    k: usize,
+    default_deadline: Duration,
+    recorder: Arc<Recorder>,
+) -> Handler {
     // The fallback rung is PR 3's popularity fallback, shared with the
     // model-serving tier.
     let fallback_body = popularity_fallback(catalog_size, k);
-    let route_state = Arc::clone(&state);
-    let handler = prediction_routes(
+    prediction_routes(
         recorder,
         catalog_size,
-        config.batch.default_deadline,
+        default_deadline,
         move |ctx, items| {
             let crit = ctx.criticality();
             let admission = route_state.admission();
-            // A browned-out 200 beats a 503: normal/critical traffic
-            // that cannot be served exactly gets the fallback, which
-            // costs no inference slot.
-            let fallback = || Err(Refused::Fallback(fallback_body.clone()));
+            // No capacity, budget alive: the one rule every tier shares.
+            let no_capacity = || Err(shed_or_fallback(crit, OVERLOADED, &fallback_body));
             ctx.recorder
                 .set(Metric::QueueDepth, batcher.queue_depth() as u64);
             if ctx.deadline.expired() {
@@ -341,23 +283,23 @@ pub fn overload_routes_with_state(
                         // away outright — 429, not 503: refusal happened
                         // *before* queueing and is retryable elsewhere.
                         Criticality::ShedFirst => Err(Refused::OverLimit),
-                        _ => fallback(),
+                        _ => no_capacity(),
                     };
                 }
             }
             let admission_t0 = Instant::now();
             // ── Ladder ──────────────────────────────────────────────
-            let level = route_state.level_for(ctx.deadline.remaining());
-            if level == BrownoutLevel::Fallback {
+            if route_state.level_for(ctx.deadline.remaining()) == BrownoutLevel::Fallback {
                 // The ladder says queueing would burn the budget: serve
-                // the fallback inline, return the token unused (no
+                // the fallback inline — to every class, this request was
+                // admitted — and return the token unused (no
                 // service-latency signal to feed back).
                 if let Some(a) = admission {
                     a.abandon();
                 }
-                return fallback();
+                return Err(Refused::Fallback(fallback_body.clone()));
             }
-            match batcher.try_call((items, level), ctx.deadline) {
+            match batcher.try_call(items, ctx.deadline) {
                 Ok(Admitted {
                     result: reply,
                     queue_wait,
@@ -370,7 +312,7 @@ pub fn overload_routes_with_state(
                     route_state.observe_wait(ctx.dispatch_wait + queue_wait);
                     Ok(Served {
                         queue_wait,
-                        level: Some(level.as_u8()),
+                        on_ladder: true,
                         ..Served::new(reply.ids, reply.scores, reply.inference)
                     })
                 }
@@ -391,11 +333,7 @@ pub fn overload_routes_with_state(
                         a.abandon();
                         a.on_shed(route_state.now());
                     }
-                    match crit {
-                        Criticality::ShedFirst => Err(Refused::Shed(OVERLOADED)),
-                        // Queue full, budget alive.
-                        _ => fallback(),
-                    }
+                    no_capacity()
                 }
                 Err(AdmitError::Closed) => {
                     if let Some(a) = admission {
@@ -405,13 +343,13 @@ pub fn overload_routes_with_state(
                 }
             }
         },
-    );
-    (handler, state)
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::Request;
 
     fn table(c: usize, d: usize) -> Vec<f32> {
         (0..c * d)
@@ -441,14 +379,10 @@ mod tests {
 
     #[test]
     fn ladder_levels_order_and_round_trip() {
-        for v in 0..=4u8 {
-            let level = BrownoutLevel::from_u8(v);
-            assert_eq!(BrownoutLevel::from_u8(level.as_u8()), level);
-        }
-        assert!(BrownoutLevel::Exact < BrownoutLevel::Quantized);
-        assert!(BrownoutLevel::Quantized < BrownoutLevel::ReducedK);
-        assert!(BrownoutLevel::ReducedK < BrownoutLevel::Fallback);
-        assert_eq!(BrownoutLevel::from_u8(9), BrownoutLevel::Fallback);
+        assert!(BrownoutLevel::Exact < BrownoutLevel::Fallback);
+        // Frozen wire: deployed clients read 0 and 3.
+        assert_eq!(BrownoutLevel::Exact.as_u8(), 0);
+        assert_eq!(BrownoutLevel::Fallback.as_u8(), 3);
     }
 
     #[test]
@@ -464,16 +398,8 @@ mod tests {
             state.observe_wait(Duration::from_millis(40));
         }
         assert_eq!(
-            state.level_for(Duration::from_millis(500)),
-            BrownoutLevel::Exact
-        );
-        assert_eq!(
-            state.level_for(Duration::from_millis(120)),
-            BrownoutLevel::Quantized
-        );
-        assert_eq!(
             state.level_for(Duration::from_millis(70)),
-            BrownoutLevel::ReducedK
+            BrownoutLevel::Exact
         );
         assert_eq!(
             state.level_for(Duration::from_millis(20)),
@@ -541,25 +467,5 @@ mod tests {
             1
         );
         assert_eq!(state.admission().unwrap().refused_total(), 3);
-    }
-
-    #[test]
-    fn quantized_rung_is_served_when_inherited() {
-        // Drive the EWMA up so the ladder picks the quantized rung for
-        // a mid-sized budget, then check the header reports it.
-        let (h, state) = backend(OverloadConfig {
-            admission: None,
-            ..OverloadConfig::default()
-        });
-        for _ in 0..200 {
-            state.observe_wait(Duration::from_millis(40));
-        }
-        let resp = h(&Request::post("/predictions", "1,2,3")
-            .with_header(crate::contbatch::DEADLINE_HEADER, "120"));
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            resp.headers.get(BROWNOUT_HEADER).map(String::as_str),
-            Some("1")
-        );
     }
 }

@@ -22,6 +22,12 @@
 //!   `/stats` — instead of failing the request. Only the loss of every
 //!   group yields an error (`503`).
 //!
+//! * **Burned budget**: a request that reaches the router with most of
+//!   its deadline budget spent ([`RouterConfig::ladder`]) is not fanned
+//!   out; it gets the tier-independent shed-or-fallback answer. Legs
+//!   carry the remaining budget and the criticality, never a brownout
+//!   level: a shard backend always scans its f32 slice at `k`.
+//!
 //! Within a group the router reuses [`ResilientClient`]: per-replica
 //! circuit breakers, hedged requests and bounded retries are scoped to
 //! that group's replica set. Scatter legs run concurrently (scoped
@@ -31,11 +37,13 @@
 use crate::client::ResilientClient;
 use crate::contbatch::{DEADLINE_HEADER, MAX_BUDGET};
 use crate::http::{self, Method, Request, Response};
-use crate::overload::{ladder_scan, BrownoutLevel, LadderConfig, BROWNOUT_HEADER};
-use crate::rustserver::{popularity_fallback, prediction_routes, Handler, Refused, Served};
+use crate::overload::{BrownoutLevel, LadderConfig};
+use crate::rustserver::{
+    popularity_fallback, prediction_routes, shed_or_fallback, Handler, Refused, Served,
+};
 use etude_control::{BreakerConfig, Criticality, HedgePolicy};
 use etude_faults::RetryPolicy;
-use etude_models::retrieval::{encode_session_query, CatalogShard};
+use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
 use etude_obs::{Recorder, TRACE_HEADER};
 use etude_tensor::topk::merge_shard_topk;
 use std::net::SocketAddr;
@@ -143,8 +151,9 @@ pub struct RouterConfig {
     /// Budget granted to requests without an `x-deadline-ms` header.
     /// The router decrements the remaining budget into each shard leg.
     pub default_deadline: Duration,
-    /// Brownout thresholds on the *already burned* fraction of the
-    /// budget at scatter time; shard legs inherit the computed level.
+    /// Brownout threshold on the *already burned* fraction of the
+    /// budget at scatter time: past it the router answers from its own
+    /// fallback instead of fanning out.
     pub ladder: LadderConfig,
 }
 
@@ -180,9 +189,6 @@ pub fn shard_backend_routes(
     recorder: Arc<Recorder>,
 ) -> Handler {
     let dim = shard.dim();
-    // The int8 rungs are built once; a leg has no ladder configuration
-    // of its own, so the reduced rung serves the default ladder's k.
-    let scan = ladder_scan(shard, k, &LadderConfig::default());
     // Ids validate against the *full* catalog: a shard serves a slice
     // but speaks the global id space. Absent the router's decremented
     // `x-deadline-ms`, a leg is effectively unbudgeted.
@@ -193,16 +199,11 @@ pub fn shard_backend_routes(
         if ctx.deadline.expired() {
             return Err(Refused::Shed("leg budget exhausted before scan"));
         }
-        // Inherited brownout level. Level 3 never reaches a shard (the
-        // router serves its popularity fallback locally), but a stray
-        // inherited 3 degrades to the cheapest scan rather than
-        // poisoning the merge.
-        let level = BrownoutLevel::from_request(ctx.req);
         let t_inf = Instant::now();
         let query = encode_session_query(&items, dim, query_seed);
-        let (ids, scores) = scan(level, &query);
+        let (ids, scores) = shard.search(&query, k);
         Ok(Served {
-            level: Some(level.as_u8().min(2)),
+            on_ladder: true,
             ..Served::new(ids, scores, t_inf.elapsed())
         })
     })
@@ -270,7 +271,8 @@ pub fn router_routes(
     let ladder = config.ladder.clone();
     // The router's own fallback rung: the global popularity fallback,
     // served locally when the budget is nearly burned — cheaper and
-    // more useful than fanning out a scatter that cannot finish.
+    // more useful than fanning out a scatter that cannot finish. Legs
+    // always scan their f32 slice at `k`.
     let fallback_body = popularity_fallback(topology.catalog_size, k);
 
     // Reject at the edge (shards never see bad input), then scatter,
@@ -289,22 +291,15 @@ pub fn router_routes(
             if remaining.is_zero() {
                 return Err(Refused::Shed("deadline exhausted before fan-out"));
             }
-            // Brownout: the burned fraction of the budget picks the
-            // rung; shard legs inherit it (an upstream-set level is
-            // never lowered). Past the fallback threshold a scatter
-            // cannot finish in time, so the router serves its local
-            // popularity fallback — for traffic that did not opt into
-            // shedding.
+            // Brownout: past the fallback threshold of burned budget a
+            // scatter cannot finish in time, so the router serves its
+            // local popularity fallback — for traffic that did not opt
+            // into shedding.
             let burned = 1.0 - remaining.as_secs_f64() / ctx.budget.as_secs_f64().max(1e-9);
-            let level = match ladder.level_at(burned) {
-                BrownoutLevel::Fallback => {
-                    return Err(match crit {
-                        Criticality::ShedFirst => Refused::Shed("budget too burned to fan out"),
-                        _ => Refused::Fallback(fallback_body.clone()),
-                    })
-                }
-                burned_to => burned_to.max(BrownoutLevel::from_request(ctx.req)),
-            };
+            if ladder.level_at(burned) == BrownoutLevel::Fallback {
+                let why = "budget too burned to fan out";
+                return Err(shed_or_fallback(crit, why, &fallback_body));
+            }
             let leg_deadline_ms = remaining.as_millis().max(1).to_string();
             let leg_budget = leg_budget.min(remaining);
 
@@ -329,14 +324,9 @@ pub fn router_routes(
                         None => format!("{:016x}-s{i}", ctx.rid),
                     };
                     leg.headers.insert("x-request-id".into(), leg_id);
-                    // Decremented budget, inherited brownout level and
-                    // criticality ride every leg.
+                    // Decremented budget and criticality ride every leg.
                     leg.headers
                         .insert(DEADLINE_HEADER.into(), leg_deadline_ms.clone());
-                    if level > BrownoutLevel::Exact {
-                        leg.headers
-                            .insert(BROWNOUT_HEADER.into(), level.as_u8().to_string());
-                    }
                     if crit != Criticality::Normal {
                         leg.headers
                             .insert(Criticality::HEADER.into(), crit.name().to_string());
@@ -373,7 +363,7 @@ pub fn router_routes(
             let (items, scores) = merge_shard_topk(&survivors, k);
             Ok(Served {
                 topk: Some(t_merge.elapsed()),
-                level: Some(level.as_u8()),
+                on_ladder: true,
                 lost_groups: clients.len() - survivors.len(),
                 reports_compute: false,
                 ..Served::new(items, scores, scatter)

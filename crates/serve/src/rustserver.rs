@@ -39,7 +39,7 @@ use etude_models::traits::{self, Recommendation, StageTimings};
 use etude_models::SbrModel;
 use etude_obs::{request_id_hash, Metric, Recorder, Stage, TraceCtx, TRACE_HEADER};
 use etude_tensor::{Device, JitOptions, TensorError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -213,9 +213,10 @@ pub(crate) struct Served {
     /// `None` where the top-k is fused into the scan timed as
     /// `inference` (no TopK stage).
     pub(crate) topk: Option<Duration>,
-    /// The brownout rung served, on tiers that sit on the ladder:
-    /// stamped as `x-brownout-level` and counted on `/stats`.
-    pub(crate) level: Option<u8>,
+    /// Whether the tier sits on the brownout ladder, so an exact answer
+    /// is stamped `x-brownout-level: 0` (the ladder's other rung never
+    /// gets here: it is a [`Refused::Fallback`]).
+    pub(crate) on_ladder: bool,
     /// Shard groups missing from a gather: a non-zero count is stamped
     /// as [`DEGRADED_HEADER`] and counted as degraded.
     pub(crate) lost_groups: usize,
@@ -237,7 +238,7 @@ impl Served {
             queue_wait: Duration::ZERO,
             inference,
             topk: None,
-            level: None,
+            on_ladder: false,
             lost_groups: 0,
             reports_compute: true,
         }
@@ -370,10 +371,8 @@ where
                 compute.as_micros().to_string(),
             );
         }
-        if let Some(level) = served.level {
-            if let Some(rung) = Metric::brownout(level) {
-                recorder.bump(rung);
-            }
+        if served.on_ladder {
+            let level = BrownoutLevel::Exact.as_u8();
             resp = resp.with_header(BROWNOUT_HEADER, level.to_string());
         }
         if served.lost_groups > 0 {
@@ -498,95 +497,24 @@ pub fn inject_faults(inner: Handler, injector: FaultInjector, recorder: Arc<Reco
     })
 }
 
-/// Graceful-degradation policy for the continuous-batching server.
-///
-/// Under sustained overload the server stops 503-ing and falls back to a
-/// precomputed popularity top-k response: a cheap, always-available
-/// answer that keeps the endpoint useful while the batcher catches up.
-#[derive(Debug, Clone)]
-pub struct DegradationPolicy {
-    /// Consecutive queue-full sheds before entering degraded mode (the
-    /// shed that crosses the threshold is already served degraded).
-    pub enter_after: u64,
-    /// Consecutive successful batcher submissions before returning to
-    /// normal service.
-    pub exit_after: u64,
-    /// Recommendations in the fallback response.
-    pub top_k: usize,
-}
+/// Opts the continuous-batching server into graceful degradation: with
+/// it, a full queue answers `normal` and `critical` traffic with the
+/// popularity fallback instead of a 503 (`shed_or_fallback`). It
+/// carries no tuning — the fallback is as long as the model's `top_k`.
+#[derive(Debug, Clone, Copy)]
+pub struct DegradationPolicy;
 
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        DegradationPolicy {
-            enter_after: 8,
-            exit_after: 32,
-            top_k: 21,
-        }
-    }
-}
-
-/// The degradation state machine plus its precomputed fallback response.
-///
-/// Transitions: `Normal -> Degraded` after `enter_after` *consecutive*
-/// queue-full sheds (any success resets the streak); `Degraded -> Normal`
-/// after `exit_after` consecutive successful batcher submissions (any
-/// overload resets that streak). In degraded mode overloaded requests get
-/// the popularity fallback as `200` + [`DEGRADED_HEADER`] instead of 503.
-pub(crate) struct Degradation {
-    policy: DegradationPolicy,
-    /// Pre-encoded popularity top-k body, built once at route setup —
-    /// the degraded path must not cost inference.
-    pub(crate) fallback_body: String,
-    degraded: AtomicBool,
-    consecutive_sheds: AtomicU64,
-    consecutive_ok: AtomicU64,
-}
-
-impl Degradation {
-    pub(crate) fn new(policy: DegradationPolicy, catalog_size: usize) -> Degradation {
-        let fallback_body = popularity_fallback(catalog_size, policy.top_k);
-        Degradation {
-            policy,
-            fallback_body,
-            degraded: AtomicBool::new(false),
-            consecutive_sheds: AtomicU64::new(0),
-            consecutive_ok: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// A batcher submission succeeded: any shed streak ends, and in
-    /// degraded mode a long enough success streak restores normal
-    /// service.
-    pub(crate) fn note_success(&self) {
-        self.consecutive_sheds.store(0, Ordering::Relaxed);
-        if self.is_degraded() {
-            let oks = self.consecutive_ok.fetch_add(1, Ordering::Relaxed) + 1;
-            if oks >= self.policy.exit_after {
-                self.degraded.store(false, Ordering::Relaxed);
-                self.consecutive_ok.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The queue was full. Returns `true` when the request should be
-    /// served from the fallback (degraded mode), `false` to shed it.
-    pub(crate) fn note_overload(&self) -> bool {
-        if self.is_degraded() {
-            self.consecutive_ok.store(0, Ordering::Relaxed);
-            return true;
-        }
-        let sheds = self.consecutive_sheds.fetch_add(1, Ordering::Relaxed) + 1;
-        if sheds >= self.policy.enter_after {
-            self.degraded.store(true, Ordering::Relaxed);
-            self.consecutive_sheds.store(0, Ordering::Relaxed);
-            self.consecutive_ok.store(0, Ordering::Relaxed);
-            return true;
-        }
-        false
+/// The one answer to "no capacity, budget alive", on every tier — a
+/// full batcher queue, an admission refusal, a fan-out the remaining
+/// budget cannot cover. Traffic that opted into shedding gets the 503
+/// (`why` names the tier's reason); `normal` and `critical` get the
+/// tier's popularity fallback, because a browned-out 200 beats a 503
+/// while the budget lives. A dead budget never reaches this function:
+/// a late fallback would still be late.
+pub(crate) fn shed_or_fallback(crit: Criticality, why: &'static str, fallback: &str) -> Refused {
+    match crit {
+        Criticality::ShedFirst => Refused::Shed(why),
+        Criticality::Normal | Criticality::Critical => Refused::Fallback(fallback.to_string()),
     }
 }
 
@@ -908,11 +836,14 @@ mod tests {
     /// component stages must tile each request's wire-to-response total
     /// within 10%: the Queue span carries the dispatch wait (plus, on
     /// the batched tier, the slot wait). The one untimed segment is the
-    /// slot → handler reply hop, a thread wake-up; the catalog is sized
-    /// so a scan dwarfs it even on a busy host.
+    /// slot → handler reply hop, a thread wake-up — a scheduler stall of
+    /// 13–21 ms was seen there while the rest of this crate's tests ran
+    /// beside this one, over the bound against the 25–50 ms totals a
+    /// 40k-item catalog gave. The catalog is sized so that a debug-build
+    /// scan (a few hundred milliseconds, all of it timed) dwarfs it.
     #[test]
     fn stage_components_tile_the_total_within_ten_percent() {
-        let cfg = ModelConfig::new(40_000)
+        let cfg = ModelConfig::new(600_000)
             .with_max_session_len(8)
             .with_seed(11);
         let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Core.build(&cfg));
@@ -940,11 +871,11 @@ mod tests {
         }
     }
 
-    /// Serves 20 requests over a socket and checks each one's tiling.
+    /// Serves 4 requests over a socket and checks each one's tiling.
     fn assert_tiles(handler: Handler, recorder: &Recorder, batched: bool) {
         let server = start(ReactorConfig::default(), handler).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
-        let n = 20u32;
+        let n = 4u32;
         for i in 0..n {
             let mut req = Request::post("/predictions", format!("{},{}", i % 400, (i * 7) % 400));
             req.headers
@@ -978,12 +909,14 @@ mod tests {
     }
 
     /// A one-slot, one-deep continuous batcher whose slot blocks on
-    /// `gate` (counting pickups in `entered`): the fixture that lets a
-    /// test hold the server in overload for as long as it likes.
-    fn gated_batcher(
+    /// `gate` (counting pickups in `entered`) and then answers `reply()`:
+    /// the fixture that lets a test hold the server in overload for as
+    /// long as it likes.
+    fn gated_batcher<R: Send + 'static>(
         gate: Arc<parking_lot::Mutex<()>>,
         entered: Arc<AtomicU64>,
-    ) -> Arc<ContinuousBatcher<Vec<u32>, Inferred>> {
+        reply: fn() -> R,
+    ) -> Arc<ContinuousBatcher<Vec<u32>, R>> {
         Arc::new(ContinuousBatcher::spawn(
             ContinuousConfig {
                 slots: 1,
@@ -993,16 +926,20 @@ mod tests {
             move |_session: Vec<u32>| {
                 entered.fetch_add(1, Ordering::SeqCst);
                 let _open = gate.lock();
-                Ok((
-                    Recommendation {
-                        items: vec![1],
-                        scores: vec![1.0],
-                    },
-                    StageTimings {
-                        inference: Duration::from_micros(10),
-                        topk: Duration::from_micros(5),
-                    },
-                ))
+                reply()
+            },
+        ))
+    }
+
+    fn canned_inference() -> Inferred {
+        Ok((
+            Recommendation {
+                items: vec![1],
+                scores: vec![1.0],
+            },
+            StageTimings {
+                inference: Duration::from_micros(10),
+                topk: Duration::from_micros(5),
             },
         ))
     }
@@ -1017,7 +954,7 @@ mod tests {
         let handler_gate = Arc::clone(&gate);
         let entered = Arc::new(AtomicU64::new(0));
         let entered_in_closure = Arc::clone(&entered);
-        let batcher = gated_batcher(handler_gate, entered_in_closure);
+        let batcher = gated_batcher(handler_gate, entered_in_closure, canned_inference);
         let probe = Arc::clone(&batcher);
         let handler = continuous_routes(
             batcher,
@@ -1073,35 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_state_machine_enters_and_exits() {
-        let d = Degradation::new(
-            DegradationPolicy {
-                enter_after: 3,
-                exit_after: 2,
-                top_k: 5,
-            },
-            100,
-        );
-        assert!(!d.is_degraded());
-        assert!(!d.note_overload(), "shed 1: still normal");
-        assert!(!d.note_overload(), "shed 2: still normal");
-        assert!(d.note_overload(), "shed 3 crosses the threshold");
-        assert!(d.is_degraded());
-        assert!(d.note_overload(), "degraded overloads keep falling back");
-        d.note_success();
-        assert!(d.is_degraded(), "one success is not enough");
-        d.note_success();
-        assert!(!d.is_degraded(), "two consecutive successes restore");
-        // A success mid-streak resets the shed counter.
-        assert!(!d.note_overload());
-        assert!(!d.note_overload());
-        d.note_success();
-        assert!(!d.note_overload(), "streak was broken; count restarts");
-        assert!(!d.note_overload());
-        assert!(d.note_overload());
-    }
-
-    #[test]
     fn popularity_fallback_is_well_formed_and_ranked() {
         let body = popularity_fallback(100, 5);
         let pairs: Vec<(u32, f32)> = body
@@ -1118,98 +1026,104 @@ mod tests {
         assert_eq!(popularity_fallback(2, 21).split(',').count(), 2);
     }
 
-    /// Degraded mode over real sockets: saturate the gated batcher until
-    /// the server flips to the popularity fallback, then release the gate
-    /// and watch it recover to full service.
+    /// One table for a full queue. Tier × `x-criticality`, each behind a
+    /// fresh gated one-slot, one-deep batcher: the *first* request to
+    /// find the queue full is shed (503 + `retry-after`) if it opted
+    /// into shedding and otherwise answered from the popularity
+    /// fallback — the same bytes on both tiers for the same `k` — and
+    /// once the gate opens the tier serves exactly again.
     #[test]
-    fn sustained_overload_degrades_gracefully_and_recovers() {
-        let gate = Arc::new(parking_lot::Mutex::new(()));
-        let held = gate.lock();
-        let handler_gate = Arc::clone(&gate);
-        let entered = Arc::new(AtomicU64::new(0));
-        let entered_in_closure = Arc::clone(&entered);
-        let batcher = gated_batcher(handler_gate, entered_in_closure);
-        let probe = Arc::clone(&batcher);
-        let recorder = Arc::new(Recorder::new());
-        let degradation = Arc::new(Degradation::new(
-            DegradationPolicy {
-                enter_after: 2,
-                exit_after: 1,
-                top_k: 4,
-            },
-            100,
-        ));
-        let handler = continuous_routes(
-            batcher,
-            100,
-            Duration::from_secs(60),
-            Arc::clone(&recorder),
-            Some(degradation),
-        );
-        let server = start(ReactorConfig::default(), handler).unwrap();
-        let addr = server.addr();
-
-        let spawn_request = move || {
-            std::thread::spawn(move || {
-                let mut client =
-                    HttpClient::connect_with_timeout(addr, Duration::from_secs(30)).unwrap();
-                client
-                    .request(&Request::post("/predictions", "1"))
-                    .unwrap()
-                    .status
-            })
+    fn a_full_queue_gets_one_answer_on_every_tier() {
+        use crate::overload::{
+            overload_routes, LadderConfig, OverloadReply, OverloadState, BROWNOUT_HEADER,
         };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut blocked = vec![spawn_request()];
-        while entered.load(Ordering::SeqCst) == 0 {
-            assert!(Instant::now() < deadline, "batcher never started");
-            std::thread::yield_now();
-        }
-        blocked.push(spawn_request());
-        while probe.queue_depth() < 1 {
-            assert!(Instant::now() < deadline, "queue never filled");
-            std::thread::yield_now();
-        }
-        // Queue full. First overload: still a 503 shed (below threshold).
-        let mut client = HttpClient::connect(addr).unwrap();
-        let resp = client.request(&Request::post("/predictions", "2")).unwrap();
-        assert_eq!(resp.status, 503);
-        // Second consecutive overload crosses the threshold: degraded
-        // 200 with the fallback body, flagged via the header.
-        let resp = client.request(&Request::post("/predictions", "3")).unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            resp.headers.get(DEGRADED_HEADER).map(String::as_str),
-            Some("1")
-        );
-        let body = std::str::from_utf8(&resp.body).unwrap();
-        assert_eq!(body.split(',').count(), 4, "policy top_k");
-        assert!(body.split(',').all(|p| p.contains(':')), "well-formed");
-        // Still degraded: the next overload also falls back.
-        let resp = client.request(&Request::post("/predictions", "4")).unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            resp.headers.get(DEGRADED_HEADER).map(String::as_str),
-            Some("1")
-        );
+        use etude_control::AdmissionConfig;
 
-        // Recovery: release the gate, drain the queue.
-        drop(held);
-        for b in blocked {
-            assert_eq!(b.join().unwrap(), 200);
-        }
-        // exit_after = 1: one successful submission restores normal
-        // service (and normal responses carry no degraded flag).
-        let resp = client.request(&Request::post("/predictions", "5")).unwrap();
-        assert_eq!(resp.status, 200);
-        assert!(!resp.headers.contains_key(DEGRADED_HEADER));
+        const K: usize = 4;
+        type Depth = Box<dyn Fn() -> usize>;
+        let budget = Duration::from_secs(60);
+        for tier in ["continuous", "overload"] {
+            for crit in Criticality::ALL {
+                let case = format!("{tier}/{}", crit.name());
+                let gate = Arc::new(parking_lot::Mutex::new(()));
+                let held = gate.lock();
+                let entered = Arc::new(AtomicU64::new(0));
+                let recorder = Arc::new(Recorder::new());
+                let (handler, depth): (Handler, Depth) = if tier == "continuous" {
+                    let batcher =
+                        gated_batcher(Arc::clone(&gate), Arc::clone(&entered), canned_inference);
+                    let probe = Arc::clone(&batcher);
+                    let fallback = Some(popularity_fallback(100, K));
+                    (
+                        continuous_routes(batcher, 100, budget, Arc::clone(&recorder), fallback),
+                        Box::new(move || probe.queue_depth()),
+                    )
+                } else {
+                    let batcher =
+                        gated_batcher(Arc::clone(&gate), Arc::clone(&entered), || OverloadReply {
+                            ids: vec![1],
+                            scores: vec![1.0],
+                            inference: Duration::from_micros(10),
+                        });
+                    let probe = Arc::clone(&batcher);
+                    let state = Arc::new(OverloadState::new(
+                        Some(AdmissionConfig::default()),
+                        LadderConfig::default(),
+                    ));
+                    (
+                        overload_routes(batcher, state, 100, K, budget, Arc::clone(&recorder)),
+                        Box::new(move || probe.queue_depth()),
+                    )
+                };
 
-        // The counters made it into /stats.
-        let stats = client.request(&Request::get("/stats")).unwrap();
-        let snap = etude_obs::parse_stats_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
-        assert_eq!(snap.shed, 1);
-        assert_eq!(snap.degraded, 2);
-        server.shutdown();
+                // One request held in the slot, one filling the queue.
+                let spawn_request = || {
+                    let handler = Arc::clone(&handler);
+                    std::thread::spawn(move || handler(&Request::post("/predictions", "1")).status)
+                };
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let mut blocked = vec![spawn_request()];
+                while entered.load(Ordering::SeqCst) == 0 {
+                    assert!(Instant::now() < deadline, "{case}: slot never started");
+                    std::thread::yield_now();
+                }
+                blocked.push(spawn_request());
+                while depth() < 1 {
+                    assert!(Instant::now() < deadline, "{case}: queue never filled");
+                    std::thread::yield_now();
+                }
+
+                let resp = handler(
+                    &Request::post("/predictions", "2")
+                        .with_header(Criticality::HEADER, crit.name()),
+                );
+                let header = |name: &str| resp.headers.get(name).map(String::as_str);
+                let snap = recorder.snapshot();
+                if crit == Criticality::ShedFirst {
+                    assert_eq!(resp.status, 503, "{case}");
+                    assert_eq!(header("retry-after"), Some("1"), "{case}");
+                    assert_eq!((snap.shed, snap.degraded), (1, 0), "{case}");
+                } else {
+                    assert_eq!(resp.status, 200, "{case}: first full queue");
+                    assert_eq!(header(DEGRADED_HEADER), Some("1"), "{case}");
+                    assert_eq!(header(BROWNOUT_HEADER), Some("3"), "{case}");
+                    assert_eq!((snap.shed, snap.degraded), (0, 1), "{case}");
+                    assert_eq!(snap.brownout_fallback, 1, "{case}");
+                    // The same bytes on both tiers.
+                    let want = popularity_fallback(100, K);
+                    assert_eq!(&resp.body[..], want.as_bytes(), "{case}");
+                }
+
+                // Out of overload: exact service, no degraded flag.
+                drop(held);
+                for b in blocked {
+                    assert_eq!(b.join().unwrap(), 200, "{case}");
+                }
+                let resp = handler(&Request::post("/predictions", "3"));
+                assert_eq!(resp.status, 200, "{case}");
+                assert!(!resp.headers.contains_key(DEGRADED_HEADER), "{case}");
+            }
+        }
     }
 
     #[test]

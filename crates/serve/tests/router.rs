@@ -443,97 +443,3 @@ fn expired_deadline_sheds_before_fanout_and_at_the_leg() {
         s.shutdown();
     }
 }
-
-#[test]
-fn inherited_brownout_level_switches_legs_to_the_quantized_rung() {
-    // One group covering the whole catalog, then two: slices scan their
-    // own int8 rows (per-row scales make them identical to the table's)
-    // and must report them under global ids, from a non-zero base too.
-    for groups in [1, 2] {
-        assert_inherited_rungs_match_a_whole_table_int8_scan(groups);
-    }
-}
-
-fn assert_inherited_rungs_match_a_whole_table_int8_scan(groups: usize) {
-    use etude_models::retrieval::QuantizedIndex;
-
-    let table = table();
-    let mut topo = ShardTopology::partition(C, D, QUERY_SEED, groups);
-    let mut servers = Vec::new();
-    let mut shard_recorders = Vec::new();
-    for i in 0..topo.groups.len() {
-        let (server, shard_recorder) = backend(topo.shard_of(&table, i), topo.groups[i].id);
-        topo.groups[i].replicas.push(server.addr());
-        servers.push(server);
-        shard_recorders.push(shard_recorder);
-    }
-
-    let recorder = Arc::new(Recorder::new());
-    let router = start(
-        ReactorConfig::default(),
-        router_routes(topo, quick_config(), Arc::clone(&recorder)),
-    )
-    .unwrap();
-    let mut client = HttpClient::connect(router.addr()).unwrap();
-    let quant = QuantizedIndex::from_f32(&table, C, D);
-    let query = encode_session_query(&[1, 2, 3], D, QUERY_SEED);
-
-    // Level 1 (quantized): int8 scan, full k, level echoed back.
-    let req =
-        Request::post("/predictions", "1,2,3".to_string()).with_header("x-brownout-level", "1");
-    let resp = client.request(&req).unwrap();
-    assert_eq!(resp.status, 200);
-    assert_eq!(
-        resp.headers.get("x-brownout-level").map(String::as_str),
-        Some("1")
-    );
-    let (ids, scores) = MipsIndex::search(&quant, &query, K);
-    assert_eq!(
-        &resp.body[..],
-        encode_recommendations(&ids, &scores).as_bytes(),
-        "groups={groups}: inherited level 1 must serve the int8 scan's exact answer"
-    );
-
-    // Level 2 (reduced-k): each leg serves the ladder's reduced k (5
-    // of K = 21) from the int8 scan, so the merged answer leads with
-    // the whole table's int8 top 5.
-    let reduced_k = (K / 4).max(1);
-    let req =
-        Request::post("/predictions", "1,2,3".to_string()).with_header("x-brownout-level", "2");
-    let resp = client.request(&req).unwrap();
-    assert_eq!(resp.status, 200);
-    assert_eq!(
-        resp.headers.get("x-brownout-level").map(String::as_str),
-        Some("2")
-    );
-    let got = String::from_utf8(resp.body.to_vec()).unwrap();
-    assert_eq!(
-        got.split(',').count(),
-        reduced_k * groups,
-        "reduced-k rung trims every leg's answer"
-    );
-    let (ids, scores) = MipsIndex::search(&quant, &query, reduced_k);
-    let leading: Vec<&str> = got.split(',').take(reduced_k).collect();
-    assert_eq!(
-        leading.join(","),
-        encode_recommendations(&ids, &scores),
-        "groups={groups}: level 2 must lead with the int8 scan's top {reduced_k}"
-    );
-
-    // Browned-out responses are visible on both recorders.
-    assert!(
-        recorder.get(Metric::BrownoutQuantized) >= 1,
-        "router counts quantized responses"
-    );
-    for shard_recorder in &shard_recorders {
-        assert!(
-            shard_recorder.get(Metric::BrownoutQuantized) >= 1,
-            "shard counts quantized legs"
-        );
-    }
-
-    router.shutdown();
-    for server in servers {
-        server.shutdown();
-    }
-}

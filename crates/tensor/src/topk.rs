@@ -644,30 +644,21 @@ mod tests {
 
     #[test]
     fn auto_is_not_slower_than_serial_at_small_catalogs() {
-        // Timing half of the satellite regression at C = 10^4: the auto
-        // path routes to the identical serial code below the crossover,
-        // so its median must stay within 5% of serial (allowing noise).
-        let n = 10_000;
-        let scores: Vec<f32> = (0..n)
+        // Not by a stopwatch: below the crossover `topk_auto` *is* the
+        // serial path — the policy answers one shard for every such
+        // size, whatever the pool width — so there is nothing to lose,
+        // and at C = 10^4 the two agree bit for bit.
+        for n in 0..crate::pool::PAR_THRESHOLD {
+            assert_eq!(crate::pool::auto_shards(n), 1, "n = {n}");
+        }
+        let scores: Vec<f32> = (0..10_000)
             .map(|i| ((i * 2_654_435_761usize) % 1_000_003) as f32)
             .collect();
-        let median = |f: &dyn Fn() -> (Vec<u32>, Vec<f32>)| {
-            let mut times: Vec<u128> = (0..9)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    std::hint::black_box(f());
-                    t.elapsed().as_nanos()
-                })
-                .collect();
-            times.sort_unstable();
-            times[times.len() / 2]
-        };
-        let serial = median(&|| topk(&scores, 21));
-        let auto = median(&|| topk_auto(&scores, 21));
-        assert!(
-            auto as f64 <= serial as f64 * 1.05 || auto < serial + 50_000,
-            "auto {auto} ns vs serial {serial} ns at C=10^4"
-        );
+        let (ids, top) = topk(&scores, 21);
+        let (auto_ids, auto_top) = topk_auto(&scores, 21);
+        assert_eq!(auto_ids, ids);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&auto_top), bits(&top));
     }
 
     #[test]
