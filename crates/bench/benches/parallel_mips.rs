@@ -1,6 +1,6 @@
 //! **parallel_mips** — Sharded catalog-scan MIPS benchmark.
 //!
-//! Sweeps catalog size C ∈ {10^4, 10^5, 10^6} for the maximum-inner-product
+//! Sweeps catalog size C ∈ {10^3, 10^4, 10^5, 10^6} for the maximum-inner-product
 //! search that dominates SBR inference (Section III of the paper), across
 //! three implementations of the scoring scan:
 //!
@@ -12,30 +12,40 @@
 //!   keeps the running top-k in-register and never materialises the
 //!   `[C]` score vector (the shipping [`ExactIndex`] hot path).
 //!
-//! The top-k half is additionally swept against shard counts {1, 2, 4, 8}
-//! plus the adaptive `auto` policy ([`pool::auto_shards`]), so the
-//! crossover guard is measurable even on single-core CI machines (where
-//! `auto` must pick the serial path and extra shards must cost ~nothing).
-//! The worker-thread count is process-wide — set it with
+//! The fused scan is swept over `nq ∈ {1, 2, 4, 8}` queries per pass on
+//! one thread, each cell reported as computed GB/s (`C·d·4` bytes over
+//! the call's time — the table is streamed once whatever `nq` is) next
+//! to a one-thread read of the same table (`probe_gbps`, the ceiling
+//! for that working set), and over shard counts {1, 2, 4, 8} at
+//! `nq = 1` — the sweep [`pool::PAR_THRESHOLD`] is set from. The top-k
+//! half is swept against the same shard counts plus the adaptive `auto`
+//! policy ([`pool::auto_shards`]). The worker-thread count is
+//! process-wide — set it with
 //! `ETUDE_THREADS=N cargo bench -p etude-bench --bench parallel_mips`.
 //!
 //! Besides the usual console report, a machine-readable summary is
 //! written to `results/BENCH_parallel_mips.json` with the active SIMD
 //! backend and pool width in the header. Pass `-- --smoke` for a quick
-//! fused-scan sanity run that skips the full sweep and writes no
-//! artifact; it also enforces the always-on profiler's ≤ 2 % budget on
-//! the same fused kernel.
+//! run that skips the full sweep and writes no artifact: it enforces
+//! the always-on profiler's ≤ 2 % budget on the fused kernel, checks the
+//! fused scan bit for bit against the scalar reference, and asserts
+//! that the fused scan is not slower than the autovectorised
+//! scan-then-select at any (C, d) up to 10^5.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use etude_models::retrieval::{ExactIndex, SearchScratch};
-use etude_tensor::topk::{score_topk_into, topk, topk_auto, topk_into, topk_sharded, TopkScratch};
+use etude_tensor::topk::{
+    score_topk_into, score_topk_multi_sharded_into, topk, topk_auto, topk_into, topk_sharded,
+    TopkScratch,
+};
 use etude_tensor::{kernels, pool, simd};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-const CATALOGS: [usize; 3] = [10_000, 100_000, 1_000_000];
+const CATALOGS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
+const QUERIES: [usize; 4] = [1, 2, 4, 8];
 const K: usize = 21;
 
 fn random_vec(n: usize, seed: u64) -> Vec<f32> {
@@ -163,6 +173,95 @@ fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> u128 {
     times[times.len() / 2]
 }
 
+/// Timed samples per cell: more for the microsecond-sized catalogs,
+/// where a single scheduler hiccup would otherwise be the median.
+fn samples_for(catalog: usize) -> usize {
+    (2_000_000 / catalog).clamp(9, 501)
+}
+
+/// One `(C, d)` cell's inputs: the table and [`QUERIES`]' worth of queries.
+struct Fixture {
+    catalog: usize,
+    d: usize,
+    table: Vec<f32>,
+    queries: Vec<f32>,
+}
+
+impl Fixture {
+    fn new(catalog: usize) -> Fixture {
+        let d = dim_for(catalog);
+        Fixture {
+            catalog,
+            d,
+            table: random_vec(catalog * d, 1),
+            queries: random_vec(QUERIES[QUERIES.len() - 1] * d, 2),
+        }
+    }
+
+    /// Median time of one fused scan of `nq` queries over `shards` shards.
+    fn fused_ns(&self, nq: usize, shards: usize) -> u128 {
+        let mut scratch = TopkScratch::default();
+        let mut out = vec![(Vec::new(), Vec::new()); nq];
+        median_ns(samples_for(self.catalog), || {
+            score_topk_multi_sharded_into(
+                &self.table,
+                &self.queries[..nq * self.d],
+                nq,
+                self.catalog,
+                K,
+                shards,
+                &mut scratch,
+                &mut out,
+            );
+            criterion::black_box(&out);
+        })
+    }
+
+    /// Median time of the unfused scan-then-select with `dot`.
+    fn unfused_ns(&self, dot: fn(&[f32], &[f32]) -> f32) -> u128 {
+        let mut scores = vec![0.0f32; self.catalog];
+        let mut scratch = TopkScratch::default();
+        let (mut ids, mut vals) = (Vec::new(), Vec::new());
+        median_ns(samples_for(self.catalog), || {
+            scan_then_topk(
+                &self.table,
+                self.d,
+                &self.queries[..self.d],
+                dot,
+                &mut scores,
+                &mut scratch,
+                &mut ids,
+                &mut vals,
+            );
+            criterion::black_box(ids[0]);
+        })
+    }
+
+    /// GB/s one thread reads this table at: the best of a few summing
+    /// passes — the ceiling for a scan of the same working set.
+    fn probe_gbps(&self) -> f64 {
+        let mut best = 0.0f64;
+        for _ in 0..samples_for(self.catalog).min(25) {
+            let start = Instant::now();
+            // Sixteen independent sums: the adds vectorise and the loop
+            // is bound by loads, not by one dependency chain.
+            let mut lanes = [0.0f32; 16];
+            for chunk in criterion::black_box(&self.table[..]).chunks_exact(16) {
+                for (lane, x) in lanes.iter_mut().zip(chunk) {
+                    *lane += x;
+                }
+            }
+            criterion::black_box(lanes);
+            best = best.max(self.bytes() / start.elapsed().as_nanos() as f64);
+        }
+        best
+    }
+
+    fn bytes(&self) -> f64 {
+        (self.catalog * self.d * 4) as f64
+    }
+}
+
 /// Re-measures every sweep cell briefly and writes the JSON artifact the
 /// results pipeline consumes.
 fn write_summary() {
@@ -205,55 +304,40 @@ fn write_summary() {
              \"median_ns\": {auto_ns}, \"serial_ns\": {serial_ns}}}"
         ));
 
-        let table = random_vec(catalog * d, 1);
-        let index = ExactIndex::new(table.clone(), catalog, d);
-        let query = random_vec(d, 2);
-        let mut scratch = SearchScratch::default();
-        let mut topk_scratch = TopkScratch::default();
-        let mut score_buf = vec![0.0f32; catalog];
-        let (mut ids, mut vals) = (Vec::new(), Vec::new());
-        let scalar_ns = median_ns(9, || {
-            scan_then_topk(
-                &table,
-                d,
-                &query,
-                kernels::dot_autovec,
-                &mut score_buf,
-                &mut topk_scratch,
-                &mut ids,
-                &mut vals,
-            );
-            criterion::black_box(ids[0]);
-        });
-        cells.push_str(&format!(
-            ",\n    {{\"kernel\": \"exact_search_scalar\", \"catalog\": {catalog}, \"d\": {d}, \
-             \"k\": {K}, \"shards\": 1, \"median_ns\": {scalar_ns}}}"
-        ));
-        let simd_ns = median_ns(9, || {
-            scan_then_topk(
-                &table,
-                d,
-                &query,
-                kernels::dot,
-                &mut score_buf,
-                &mut topk_scratch,
-                &mut ids,
-                &mut vals,
-            );
-            criterion::black_box(ids[0]);
-        });
-        cells.push_str(&format!(
-            ",\n    {{\"kernel\": \"exact_search_simd\", \"catalog\": {catalog}, \"d\": {d}, \
-             \"k\": {K}, \"shards\": 1, \"median_ns\": {simd_ns}}}"
-        ));
-        let fused_ns = median_ns(9, || {
-            index.search_into(&query, K, &mut scratch, &mut ids, &mut vals);
-            criterion::black_box(ids[0]);
-        });
-        cells.push_str(&format!(
-            ",\n    {{\"kernel\": \"score_topk_fused\", \"catalog\": {catalog}, \"d\": {d}, \
-             \"k\": {K}, \"shards\": \"auto\", \"median_ns\": {fused_ns}}}"
-        ));
+        let fx = Fixture::new(catalog);
+        for (kernel, dot) in [
+            (
+                "exact_search_scalar",
+                kernels::dot_autovec as fn(&[f32], &[f32]) -> f32,
+            ),
+            ("exact_search_simd", kernels::dot),
+        ] {
+            let ns = fx.unfused_ns(dot);
+            cells.push_str(&format!(
+                ",\n    {{\"kernel\": \"{kernel}\", \"catalog\": {catalog}, \"d\": {d}, \
+                 \"k\": {K}, \"shards\": 1, \"median_ns\": {ns}}}"
+            ));
+        }
+        let probe = fx.probe_gbps();
+        for &nq in &QUERIES {
+            let ns = fx.fused_ns(nq, 1);
+            let gbps = fx.bytes() / ns as f64;
+            cells.push_str(&format!(
+                ",\n    {{\"kernel\": \"score_topk_fused\", \"catalog\": {catalog}, \"d\": {d}, \
+                 \"k\": {K}, \"shards\": 1, \"nq\": {nq}, \"median_ns\": {ns}, \
+                 \"per_query_ns\": {}, \"scan_gbps\": {gbps:.2}, \"probe_gbps\": {probe:.2}, \
+                 \"pct_of_probe\": {:.1}}}",
+                ns / nq as u128,
+                100.0 * gbps / probe
+            ));
+        }
+        for &shards in &SHARDS[1..] {
+            let ns = fx.fused_ns(1, shards);
+            cells.push_str(&format!(
+                ",\n    {{\"kernel\": \"score_topk_fused\", \"catalog\": {catalog}, \"d\": {d}, \
+                 \"k\": {K}, \"shards\": {shards}, \"nq\": 1, \"median_ns\": {ns}}}"
+            ));
+        }
     }
     let json = format!(
         "{{\n  \"bench\": \"parallel_mips\",\n  \"cpu_threads\": {threads},\n  \
@@ -331,55 +415,59 @@ fn profiler_overhead_check() {
     );
 }
 
-/// `--smoke`: the profiler-overhead gate, then one quick fused scan with
-/// a correctness cross-check against the unfused scalar reference. No
-/// JSON artifact. Used by `scripts/verify.sh`.
+/// `--smoke`: the profiler-overhead gate, the fused scan's bit-for-bit
+/// cross-check against the unfused scalar reference, and ROADMAP item
+/// 3's exit criterion — at no swept (C, d) is the fused SIMD scan slower
+/// than the autovectorised scan-then-select it replaced. No JSON
+/// artifact. Used by `scripts/verify.sh`.
 fn smoke() {
     profiler_overhead_check();
-    let (catalog, d) = (100_000, 18);
-    let table = random_vec(catalog * d, 1);
-    let index = ExactIndex::new(table.clone(), catalog, d);
-    let query = random_vec(d, 2);
-    let mut scratch = SearchScratch::default();
-    let (mut ids, mut vals) = (Vec::new(), Vec::new());
-    let fused_ns = median_ns(3, || {
-        index.search_into(&query, K, &mut scratch, &mut ids, &mut vals);
-        criterion::black_box(ids[0]);
-    });
-    let mut scores = vec![0.0f32; catalog];
-    let mut topk_scratch = TopkScratch::default();
-    let (mut rids, mut rvals) = (Vec::new(), Vec::new());
-    scan_then_topk(
-        &table,
-        d,
-        &query,
-        simd::dot_scalar_ref,
-        &mut scores,
-        &mut topk_scratch,
-        &mut rids,
-        &mut rvals,
-    );
-    index.search_into(&query, K, &mut scratch, &mut ids, &mut vals);
-    assert_eq!(ids, rids, "fused ids must match the scalar reference");
-    assert_eq!(vals, rvals, "fused scores must match the scalar reference");
-    let mut fused_direct = TopkScratch::default();
-    let (mut fids, mut fvals) = (Vec::new(), Vec::new());
-    score_topk_into(
-        &table,
-        &query,
-        catalog,
-        K,
-        &mut fused_direct,
-        &mut fids,
-        &mut fvals,
-    );
-    assert_eq!(fids, rids, "score_topk_into must match the reference");
-    println!(
-        "smoke ok: fused scan C={catalog} d={d} k={K} median {fused_ns} ns \
-         ({} / {} lanes), ids bit-identical to scalar reference",
-        simd::isa_name(),
-        simd::lane_width(),
-    );
+    for &catalog in &CATALOGS[..3] {
+        let fx = Fixture::new(catalog);
+        let (d, query) = (fx.d, &fx.queries[..fx.d]);
+        let mut scores = vec![0.0f32; catalog];
+        let mut scratch = TopkScratch::default();
+        let (mut rids, mut rvals) = (Vec::new(), Vec::new());
+        scan_then_topk(
+            &fx.table,
+            d,
+            query,
+            simd::dot_scalar_ref,
+            &mut scores,
+            &mut scratch,
+            &mut rids,
+            &mut rvals,
+        );
+        let index = ExactIndex::new(fx.table.clone(), catalog, d);
+        let (mut ids, mut vals) = (Vec::new(), Vec::new());
+        index.search_into(query, K, &mut SearchScratch::default(), &mut ids, &mut vals);
+        assert_eq!(ids, rids, "fused ids must match the scalar reference");
+        assert_eq!(vals, rvals, "fused scores must match the scalar reference");
+        score_topk_into(
+            &fx.table,
+            query,
+            catalog,
+            K,
+            &mut scratch,
+            &mut ids,
+            &mut vals,
+        );
+        assert_eq!(ids, rids, "score_topk_into must match the reference");
+        let (fused, scalar) = (fx.fused_ns(1, 1), fx.unfused_ns(kernels::dot_autovec));
+        println!(
+            "smoke ok: C={catalog} d={d} k={K} fused {fused} ns ({:.1} GB/s of a {:.1} GB/s \
+             probe) vs autovectorised scan-then-select {scalar} ns; {} / {} lanes, ids \
+             bit-identical to scalar reference",
+            fx.bytes() / fused as f64,
+            fx.probe_gbps(),
+            simd::isa_name(),
+            simd::lane_width(),
+        );
+        assert!(
+            fused <= scalar,
+            "fused SIMD scan ({fused} ns) loses to the scalar scan ({scalar} ns) at C={catalog} d={d}"
+        );
+    }
 }
 
 fn main() {

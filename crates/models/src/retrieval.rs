@@ -48,12 +48,12 @@ pub trait MipsIndex {
 }
 
 /// Reusable per-request buffers for index searches: the quantised query
-/// and the fused top-k selection state (one candidate buffer per shard
-/// of the `score_topk` scaffold, `O(shards · k)` in all — there is no
-/// `C`-sized score vector). Holding one of these across calls makes
-/// [`ExactIndex::search_into`] / [`QuantizedIndex::search_into`]
-/// allocation-free in steady state at every catalog size, sharded scans
-/// included.
+/// and the fused top-k selection state (one bounded heap per shard of
+/// the `score_topk` scaffold plus its merge buffer, `O(shards · k)` in
+/// all — there is no `C`-sized score vector). Holding one of these
+/// across calls makes [`ExactIndex::search_into`] /
+/// [`QuantizedIndex::search_into`] allocation-free in steady state at
+/// every catalog size, sharded scans included.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     q8: Vec<i32>,

@@ -180,6 +180,32 @@ pub fn recommend_compiled_timed(
     Ok((rec, StageTimings::from_op_times(start.elapsed(), ops)))
 }
 
+/// [`recommend_compiled_timed`] for a batch of sessions, pulled from
+/// `sessions` one at a time (a session's encoder starts when it is
+/// pulled): one result per session, each bit-identical to the
+/// single-session call, with the catalog scanned **once** for the whole
+/// batch where the model decodes with a fused `ScoreTopK`
+/// ([`CompiledGraph::run_batch_timed`]). Every member reports the same
+/// timings — the batch's whole encode phase as `inference`, its shared
+/// scan as `topk` — because every member waited for all of it. A
+/// session that fails fails alone.
+pub fn recommend_compiled_batch_timed<S: AsRef<[u32]>>(
+    model: &dyn SbrModel,
+    compiled: &CompiledGraph,
+    sessions: impl Iterator<Item = S>,
+) -> Vec<Result<(Recommendation, StageTimings), TensorError>> {
+    let start = std::time::Instant::now();
+    let mut inputs = sessions.map(|session| {
+        let (items, mask, last) = prepare_session(session.as_ref(), model.config());
+        vec![items, mask, last]
+    });
+    let (outs, ops) = compiled.run_batch_timed(&mut inputs);
+    let timings = StageTimings::from_op_times(start.elapsed(), ops);
+    outs.into_iter()
+        .map(|out| Ok((Recommendation::from_output(&out?)?, timings)))
+        .collect()
+}
+
 /// The ten SBR models of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ModelKind {

@@ -50,11 +50,16 @@ pub enum Metric {
     AdmissionLimitMilli,
     /// Batcher queue depth.
     QueueDepth,
+    /// Batches a batcher slot ran (one handler call, one catalog scan).
+    Batches,
+    /// Requests served through those batches; over `Batches`, the mean
+    /// batch size.
+    BatchedRequests,
 }
 
 impl Metric {
     /// Rows in [`TABLE`].
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 11;
 
     /// This metric's table row.
     pub fn def(self) -> &'static MetricDef {
@@ -229,6 +234,27 @@ pub static TABLE: [MetricDef; Metric::COUNT] = [
             help: "Batcher queue depth at scrape time.",
             fleet_help: None,
             pod_help: Some("Batcher queue depth per pod."),
+        },
+    },
+    MetricDef {
+        metric: Metric::Batches, json: "batches", kind: Kind::Counter, since: 5, level: None,
+        summed: true, per_pod: None, windowed: false, field: field!(batches),
+        prom: Prom {
+            stem: "batches_total",
+            help: "Batches run by the batcher slots (one catalog scan each).",
+            fleet_help: Some("Batches run across the fleet."),
+            pod_help: None,
+        },
+    },
+    MetricDef {
+        metric: Metric::BatchedRequests, json: "batched_requests", kind: Kind::Counter, since: 5,
+        level: None, summed: true, per_pod: None, windowed: false,
+        field: field!(batched_requests),
+        prom: Prom {
+            stem: "batched_requests_total",
+            help: "Requests served through those batches; over batches_total, the mean batch size.",
+            fleet_help: Some("Requests served through batches across the fleet."),
+            pod_help: None,
         },
     },
 ];

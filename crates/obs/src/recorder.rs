@@ -126,7 +126,12 @@ impl Recorder {
 
     /// Counts one occurrence of a counter metric.
     pub fn bump(&self, metric: Metric) {
-        self.scalars[metric as usize].fetch_add(1, Ordering::Relaxed);
+        self.add(metric, 1);
+    }
+
+    /// Adds `n` to a counter metric.
+    pub fn add(&self, metric: Metric, n: u64) {
+        self.scalars[metric as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Publishes a gauge metric's current level.

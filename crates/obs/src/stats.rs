@@ -246,6 +246,12 @@ pub struct StatsSnapshot {
     pub pod: Option<u32>,
     /// Batcher queue depth at snapshot time (0 on unbatched servers).
     pub queue_depth: u64,
+    /// Batches the batcher slots ran: one handler call and, for the
+    /// models that decode with a fused scan, one pass over the catalog.
+    pub batches: u64,
+    /// Requests served through those batches (`/ batches` = mean batch
+    /// size; 1.0 means nothing was ever queued behind a pickup).
+    pub batched_requests: u64,
     /// Reactor/event-loop telemetry (absent on thread-pool servers).
     pub reactor: Option<ReactorTelemetry>,
     /// Rolling time-window view (absent on pre-window servers).
@@ -534,6 +540,8 @@ mod tests {
             admission_limit_milli: 12_500,
             pod: Some(4),
             queue_depth: 6,
+            batches: 11,
+            batched_requests: 29,
             reactor: Some(ReactorTelemetry {
                 loops: 2,
                 busy_nanos: 750_000,

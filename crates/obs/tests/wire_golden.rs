@@ -49,6 +49,8 @@ fn sample() -> StatsSnapshot {
         admission_limit_milli: 12_500,
         pod: Some(4),
         queue_depth: 6,
+        batches: 11,
+        batched_requests: 29,
         reactor: Some(ReactorTelemetry {
             loops: 2,
             busy_nanos: 750_000,
@@ -114,6 +116,8 @@ fn second_pod() -> StatsSnapshot {
         admission_limit_milli: 8_250,
         pod: Some(9),
         queue_depth: 41,
+        batches: 53,
+        batched_requests: 59,
         reactor: Some(ReactorTelemetry {
             loops: 4,
             busy_nanos: 1_000_000,
@@ -212,6 +216,8 @@ fn recorded() -> StatsSnapshot {
     }
     r.set(Metric::AdmissionLimitMilli, 6_125);
     r.set(Metric::QueueDepth, 9);
+    r.bump(Metric::Batches);
+    r.add(Metric::BatchedRequests, 3);
     r.snapshot()
 }
 

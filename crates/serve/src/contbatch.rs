@@ -8,19 +8,25 @@
 //! occupy compute. That shape lives on only as the virtual-time model
 //! in [`crate::simserver`]; the real server batches continuously.
 //!
-//! Continuous batching dissolves the window: the in-flight "batch" is
-//! simply the set of inference slots ([`ContinuousConfig::slots`]
-//! worker threads), and a queued request **admits the moment any slot
-//! frees up**. Admission is deadline-aware at both ends:
+//! Continuous batching dissolves the window: a queued request **admits
+//! the moment any slot frees up** ([`ContinuousConfig::slots`] worker
+//! threads), and the slot that picks it up also takes what is *already*
+//! queued behind it — `1 + queued / slots` requests, at most
+//! [`MAX_BATCH`] — so requests that would have waited for one another
+//! share one pass over the catalog instead. The drain never waits for
+//! company: an empty queue means a batch of one, started at once, and
+//! the `queued / slots` share leaves an idle sibling slot its part of
+//! the queue. Admission is deadline-aware at both ends:
 //!
 //! * at submit, a request whose [`Deadline`] is already blown is
 //!   rejected without ever queueing ([`AdmitError::Expired`]) — the
 //!   budget is anchored at the instant the request was parsed off the
 //!   wire (`Request::arrival`), so time spent waiting for a reactor
 //!   dispatch thread counts against it too,
-//! * at dequeue — the instant inference *would* start — the deadline is
-//!   re-checked and expired requests are shed before compute, freeing
-//!   the slot for a request that can still make its budget.
+//! * at the instant a member's inference *would* start — when the
+//!   batch's handler pulls it, which for the second member is after the
+//!   first one's encoder ran — the deadline is re-checked and an
+//!   expired member is shed before compute.
 //!
 //! The consequence, which `tests/continuous_equivalence.rs` pins as an
 //! invariant: **no admitted request's inference ever starts after its
@@ -33,11 +39,19 @@
 //! shed-or-fallback rule, which gives `normal` and `critical` traffic
 //! the popularity fallback from the first full queue on.
 //!
-//! Batching is an execution strategy, never a semantic: every slot runs
-//! the same deterministic per-session inference as the inline
-//! [`crate::rustserver::model_routes`] handler, so at any load where
-//! nothing sheds, responses are byte-identical to it (also pinned by
-//! the equivalence suite).
+//! Batching is an execution strategy, never a semantic: every member
+//! gets the same deterministic per-session inference as the inline
+//! [`crate::rustserver::model_routes`] handler (the shared catalog scan
+//! is bit-identical per query), so at any load where nothing sheds,
+//! responses are byte-identical to it whatever the grouping (also
+//! pinned by the equivalence suite), and one member's failure is that
+//! member's alone.
+//!
+//! What a member reports: `queue_wait` runs from enqueue to the start
+//! of its batch, and the handler attributes the batch's whole encode
+//! phase and its one shared scan to every member — each of them waited
+//! for all of it — so queue + inference + top-k still tile a request's
+//! time in the slot at any batch size.
 
 use crate::http::Request;
 use crate::rustserver::{
@@ -58,11 +72,17 @@ use std::time::{Duration, Instant};
 /// Absent, [`ContinuousConfig::default_deadline`] applies.
 pub const DEADLINE_HEADER: &str = "x-deadline-ms";
 
+/// Most requests one slot takes in one pickup. Eight queries per pass is
+/// where the multi-query scan's per-query time flattens out
+/// (`parallel_mips`), and a member waits for every encoder in front of
+/// its own, so larger batches would buy little and cost latency.
+pub const MAX_BATCH: usize = 8;
+
 /// Continuous-batcher configuration.
 #[derive(Debug, Clone)]
 pub struct ContinuousConfig {
-    /// Concurrent inference slots: the size of the in-flight batch and
-    /// the number of worker threads draining the admission queue.
+    /// Concurrent inference slots: the number of worker threads draining
+    /// the admission queue, each serving one batch at a time.
     pub slots: usize,
     /// Bounded admission queue; a full queue sheds
     /// ([`AdmitError::Overloaded`]) instead of stacking latency.
@@ -110,13 +130,14 @@ pub enum AdmitError {
 }
 
 /// A successfully served request: the result plus the measured
-/// admission wait (enqueue → slot pickup), which for served requests is
-/// bounded by the deadline budget by construction.
+/// admission wait (enqueue → start of the batch that served it), which
+/// for served requests is bounded by the deadline budget by
+/// construction.
 #[derive(Debug)]
 pub struct Admitted<R> {
     /// The inference result.
     pub result: R,
-    /// Time spent queued before a slot picked the request up.
+    /// Time spent queued before a slot started the request's batch.
     pub queue_wait: Duration,
 }
 
@@ -126,10 +147,44 @@ enum Outcome<R> {
 }
 
 struct Job<T, R> {
-    input: T,
+    /// `None` once the handler has pulled it.
+    input: Option<T>,
     deadline: Deadline,
     enqueued: Instant,
     respond: Sender<Outcome<R>>,
+}
+
+/// The members of one batch as its handler sees them: an iterator over
+/// the inputs of the jobs a slot drained, in queue order. Pulling a
+/// member is the instant its inference starts, so that is where its
+/// deadline is checked: an expired member is answered
+/// [`AdmitError::Expired`] and skipped, and the handler never sees it.
+struct Members<'a, T, R> {
+    jobs: &'a mut [Job<T, R>],
+    next: usize,
+    /// Indices into `jobs` of the members handed out, in order.
+    admitted: &'a mut Vec<usize>,
+    expired_sheds: &'a AtomicU64,
+    in_flight: &'a AtomicUsize,
+}
+
+impl<T, R> Iterator for Members<'_, T, R> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        while let Some(job) = self.jobs.get_mut(self.next) {
+            self.next += 1;
+            if job.deadline.expired() {
+                self.expired_sheds.fetch_add(1, Ordering::Relaxed);
+                let _ = job.respond.send(Outcome::Expired);
+                continue;
+            }
+            self.in_flight.fetch_add(1, Ordering::Relaxed);
+            self.admitted.push(self.next - 1);
+            return job.input.take();
+        }
+        None
+    }
 }
 
 /// The continuous batcher: a bounded admission queue in front of
@@ -142,17 +197,35 @@ pub struct ContinuousBatcher<T, R> {
 }
 
 impl<T: Send + 'static, R: Send + 'static> ContinuousBatcher<T, R> {
-    /// Spawns the worker slots around a per-request handler.
+    /// Spawns the worker slots around a per-request handler: the
+    /// batched constructor with a handler that serves its members one
+    /// after the other.
     pub fn spawn<F>(config: ContinuousConfig, handler: F) -> ContinuousBatcher<T, R>
     where
         F: Fn(T) -> R + Send + Sync + 'static,
+    {
+        Self::spawn_batched(config, move |members| members.map(&handler).collect())
+    }
+
+    /// Spawns the worker slots around a batch handler. A slot blocks
+    /// for one job, takes its share of whatever else is queued at that
+    /// moment (see the module docs) without waiting for more, and calls
+    /// `handler` once with the batch's members. `handler` must drain the
+    /// iterator — each `next()` re-checks that member's deadline, so a
+    /// member whose budget died while earlier members ran is shed there
+    /// and never yielded — and return one result per yielded member, in
+    /// order.
+    pub fn spawn_batched<F>(config: ContinuousConfig, handler: F) -> ContinuousBatcher<T, R>
+    where
+        F: Fn(&mut dyn Iterator<Item = T>) -> Vec<R> + Send + Sync + 'static,
     {
         let (tx, rx) = bounded::<Job<T, R>>(config.max_queue.max(1));
         let handler = Arc::new(handler);
         let in_flight = Arc::new(AtomicUsize::new(0));
         let expired_sheds = Arc::new(AtomicU64::new(0));
-        let mut workers = Vec::with_capacity(config.slots.max(1));
-        for i in 0..config.slots.max(1) {
+        let slots = config.slots.max(1);
+        let mut workers = Vec::with_capacity(slots);
+        for i in 0..slots {
             let rx = rx.clone();
             let handler = Arc::clone(&handler);
             let in_flight = Arc::clone(&in_flight);
@@ -161,22 +234,37 @@ impl<T: Send + 'static, R: Send + 'static> ContinuousBatcher<T, R> {
                 std::thread::Builder::new()
                     .name(format!("etude-contbatch-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            // The slot is free and inference would start
-                            // now: the last point the deadline can save
-                            // the compute.
-                            let queue_wait = job.enqueued.elapsed();
-                            if job.deadline.expired() {
-                                expired_sheds.fetch_add(1, Ordering::Relaxed);
-                                let _ = job.respond.send(Outcome::Expired);
-                                continue;
+                        let mut jobs = Vec::with_capacity(MAX_BATCH);
+                        let mut admitted = Vec::with_capacity(MAX_BATCH);
+                        while let Ok(first) = rx.recv() {
+                            let started = Instant::now();
+                            jobs.push(first);
+                            let share = (rx.len() / slots).min(MAX_BATCH - 1);
+                            for _ in 0..share {
+                                match rx.try_recv() {
+                                    Ok(job) => jobs.push(job),
+                                    Err(_) => break,
+                                }
                             }
-                            in_flight.fetch_add(1, Ordering::Relaxed);
-                            let result = handler(job.input);
-                            in_flight.fetch_sub(1, Ordering::Relaxed);
-                            let _ = job
-                                .respond
-                                .send(Outcome::Served(Admitted { result, queue_wait }));
+                            let results = handler(&mut Members {
+                                jobs: &mut jobs,
+                                next: 0,
+                                admitted: &mut admitted,
+                                expired_sheds: &expired_sheds,
+                                in_flight: &in_flight,
+                            });
+                            in_flight.fetch_sub(admitted.len(), Ordering::Relaxed);
+                            // A job the handler did not pull, or returned
+                            // no result for, loses its responder below:
+                            // its caller sees `AdmitError::Closed`.
+                            for (index, result) in admitted.drain(..).zip(results) {
+                                let job = &jobs[index];
+                                let queue_wait = started.saturating_duration_since(job.enqueued);
+                                let _ = job
+                                    .respond
+                                    .send(Outcome::Served(Admitted { result, queue_wait }));
+                            }
+                            jobs.clear();
                         }
                     })
                     .expect("spawn continuous-batch worker"),
@@ -200,7 +288,7 @@ impl<T: Send + 'static, R: Send + 'static> ContinuousBatcher<T, R> {
         }
         let (tx, rx) = bounded(1);
         let job = Job {
-            input,
+            input: Some(input),
             deadline,
             enqueued: Instant::now(),
             respond: tx,
@@ -286,9 +374,13 @@ pub fn model_routes_continuous(
     // starting the always-on sampling profiler (idempotent; feeds
     // `/debug/profile` and the exemplar leaf deltas on `/debug/slow`).
     etude_obs::profile::start_ticker(etude_obs::profile::DEFAULT_TICK);
-    let batcher = Arc::new(ContinuousBatcher::spawn(config, move |items: Vec<u32>| {
+    let slot_recorder = Arc::clone(&recorder);
+    let batcher = Arc::new(ContinuousBatcher::spawn_batched(config, move |sessions| {
         etude_obs::profile_scope!("contbatch::slot");
-        infer(&items)
+        let replies = infer(sessions);
+        slot_recorder.bump(Metric::Batches);
+        slot_recorder.add(Metric::BatchedRequests, replies.len() as u64);
+        replies
     }));
     continuous_routes(batcher, catalog_size, default_deadline, recorder, fallback)
 }
@@ -443,6 +535,156 @@ mod tests {
         drop(held);
         assert_eq!(blocker.join().unwrap().unwrap().result, 1);
         assert_eq!(queued.join().unwrap().unwrap().result, 2);
+    }
+
+    /// Spins until `ready()`; the tests below sequence submissions on
+    /// what the batcher itself reports, never on sleeps.
+    fn wait_until(what: &str, ready: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    type Gate = Arc<parking_lot::Mutex<()>>;
+    type Sizes = Arc<parking_lot::Mutex<Vec<usize>>>;
+    type GatedBatcher = Arc<ContinuousBatcher<(u32, Duration), u32>>;
+
+    /// A batcher over `(id, work)` jobs that answers `id` after sleeping
+    /// `work`, pulling members one at a time; job 0 is the blocker, held
+    /// on the returned gate while the test holds its lock. The sizes get
+    /// the number of members each batch's handler was handed, the
+    /// counter the members that started.
+    fn gated_batches(slots: usize) -> (Gate, Sizes, Arc<AtomicU64>, GatedBatcher) {
+        let gate: Gate = Arc::default();
+        let sizes: Sizes = Arc::default();
+        let ran = Arc::new(AtomicU64::new(0));
+        let fixture = (Arc::clone(&gate), Arc::clone(&sizes), Arc::clone(&ran));
+        let config = ContinuousConfig {
+            slots,
+            max_queue: 8,
+            default_deadline: Duration::from_secs(2),
+        };
+        let b = Arc::new(ContinuousBatcher::spawn_batched(config, move |members| {
+            let mut handed = 0;
+            let replies = members
+                .map(|(id, work): (u32, Duration)| {
+                    handed += 1;
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if id == 0 {
+                        let _open = gate.lock();
+                    }
+                    std::thread::sleep(work);
+                    id
+                })
+                .collect();
+            sizes.lock().push(handed);
+            replies
+        }));
+        (fixture.0, fixture.1, fixture.2, b)
+    }
+
+    type Call = std::thread::JoinHandle<Result<Admitted<u32>, AdmitError>>;
+
+    fn submit(b: &GatedBatcher, id: u32, work: Duration, budget: Duration) -> Call {
+        let b = Arc::clone(b);
+        std::thread::spawn(move || b.try_call((id, work), Deadline::after(budget)))
+    }
+
+    const LONG: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn a_slot_drains_what_is_queued_and_never_waits_for_company() {
+        let (gate, sizes, _, b) = gated_batches(1);
+        let held = gate.lock();
+        // The blocker finds an empty queue: a batch of one, started at once.
+        let blocker = submit(&b, 0, Duration::ZERO, LONG);
+        wait_until("slot never started", || b.in_flight() == 1);
+        let queued: Vec<Call> = (1..=3)
+            .map(|id| {
+                let call = submit(&b, id, Duration::ZERO, LONG);
+                wait_until("job never queued", || b.queue_depth() == id as usize);
+                call
+            })
+            .collect();
+        drop(held);
+        assert_eq!(blocker.join().unwrap().unwrap().result, 0);
+        for (id, call) in (1..=3).zip(queued) {
+            assert_eq!(call.join().unwrap().unwrap().result, id);
+        }
+        // Nothing queued: served alone, without waiting for a second job.
+        let lone = b.try_call((9, Duration::ZERO), Deadline::after(LONG));
+        assert_eq!(lone.unwrap().result, 9);
+        assert_eq!(*sizes.lock(), vec![1, 3, 1]);
+    }
+
+    #[test]
+    fn two_slots_split_two_queued_jobs() {
+        let (gate, sizes, _, b) = gated_batches(2);
+        let held = gate.lock();
+        // Both slots busy, each holding a blocker.
+        let blockers: Vec<Call> = (1..=2)
+            .map(|n| {
+                let call = submit(&b, 0, Duration::ZERO, LONG);
+                wait_until("slot never started", || b.in_flight() == n);
+                call
+            })
+            .collect();
+        let queued: Vec<Call> = (1..=2)
+            .map(|id| {
+                let call = submit(&b, id, Duration::ZERO, LONG);
+                wait_until("job never queued", || b.queue_depth() == id as usize);
+                call
+            })
+            .collect();
+        drop(held);
+        for call in blockers.into_iter().chain(queued) {
+            call.join().unwrap().unwrap();
+        }
+        // Whichever slot frees first takes one job and leaves the other
+        // to its sibling: `1 + queued / slots` with one job left queued.
+        assert_eq!(*sizes.lock(), vec![1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_member_expiring_behind_its_batch_mates_is_shed_alone() {
+        let (gate, sizes, ran, b) = gated_batches(1);
+        let held = gate.lock();
+        let blocker = submit(&b, 0, Duration::ZERO, LONG);
+        wait_until("slot never started", || b.in_flight() == 1);
+        // One batch of three: the first member works for 300 ms, the
+        // second has 100 ms to live — its budget dies while the first
+        // one runs — and the third has all the time in the world.
+        let jobs = [
+            (1, Duration::from_millis(300), LONG),
+            (2, Duration::ZERO, Duration::from_millis(100)),
+            (3, Duration::ZERO, LONG),
+        ];
+        let calls: Vec<Call> = jobs
+            .into_iter()
+            .map(|(id, work, budget)| {
+                let call = submit(&b, id, work, budget);
+                wait_until("job never queued", || b.queue_depth() == id as usize);
+                call
+            })
+            .collect();
+        drop(held);
+        blocker.join().unwrap().unwrap();
+        let outcomes: Vec<_> = calls.into_iter().map(|c| c.join().unwrap()).collect();
+        assert_eq!(outcomes[0].as_ref().unwrap().result, 1);
+        assert!(matches!(outcomes[1], Err(AdmitError::Expired)));
+        assert_eq!(outcomes[2].as_ref().unwrap().result, 3);
+        assert_eq!(b.expired_sheds(), 1);
+        // The doomed member never started: the blocker, then two of the
+        // three drained jobs.
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
+        assert_eq!(*sizes.lock(), vec![1, 2]);
+        // Both survivors waited from enqueue to the start of their batch.
+        let waits: Vec<Duration> = [&outcomes[0], &outcomes[2]]
+            .map(|o| o.as_ref().unwrap().queue_wait)
+            .to_vec();
+        assert!(waits[1] <= waits[0], "queued later, same batch start");
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   executor into,
 //! * [`client`] — a blocking keep-alive HTTP client for the load
 //!   generator's real-time mode,
-//! * [`contbatch`] — continuous batching: requests admit into the
-//!   in-flight batch as inference threads free up, with deadline-aware
-//!   admission (blown budgets shed before compute),
+//! * [`contbatch`] — continuous batching: a request admits the moment
+//!   an inference slot frees, together with its share of what is already
+//!   queued (one catalog scan for the lot), with deadline-aware
+//!   admission (blown budgets shed before compute, per member),
 //! * [`fleet`] — the fleet aggregation endpoint: scrape every pod's
 //!   `/stats`, merge bit-identically, serve `/fleet` (JSON) and
 //!   `/fleet/metrics` (Prometheus),

@@ -414,23 +414,41 @@ where
     })
 }
 
-/// Deploys a model for serving and returns the per-session inference
-/// both model tiers run. With `jit` the model is traced and compiled
-/// here, once (models with dynamic control flow fall back to eager
-/// execution, as `torch.jit` would).
+/// Deploys a model for serving and returns the batch inference both
+/// model tiers run: it pulls sessions from the iterator one at a time
+/// (a session's encoder starts when it is pulled) and returns one reply
+/// per session, every member carrying the batch's timings — each waited
+/// for the whole batch. With `jit` the model is traced and compiled
+/// here, once, and a batch shares one catalog scan; models with dynamic
+/// control flow fall back to eager execution (as `torch.jit` would),
+/// session by session.
 pub(crate) fn deploy(
     model: Arc<dyn SbrModel>,
     device: Device,
     jit: bool,
-) -> impl Fn(&[u32]) -> Inferred + Send + Sync + 'static {
+) -> impl Fn(&mut dyn Iterator<Item = Vec<u32>>) -> Vec<Inferred> + Send + Sync + 'static {
     let compiled = if jit {
         traits::compile(model.as_ref(), JitOptions::default()).ok()
     } else {
         None
     };
-    move |items| match &compiled {
-        Some(graph) => traits::recommend_compiled_timed(model.as_ref(), graph, items),
-        None => traits::recommend_eager_timed(model.as_ref(), &device, items),
+    move |sessions| match &compiled {
+        Some(graph) => traits::recommend_compiled_batch_timed(model.as_ref(), graph, sessions),
+        None => {
+            let start = Instant::now();
+            let mut replies: Vec<Inferred> = sessions
+                .map(|items| traits::recommend_eager_timed(model.as_ref(), &device, &items))
+                .collect();
+            let topk = replies.iter().flatten().map(|(_, t)| t.topk).sum();
+            let shared = StageTimings {
+                inference: start.elapsed().saturating_sub(topk),
+                topk,
+            };
+            for (_, timings) in replies.iter_mut().flatten() {
+                *timings = shared;
+            }
+            replies
+        }
     }
 }
 
@@ -455,7 +473,8 @@ pub fn model_routes_observed(
     let catalog_size = model.config().catalog_size;
     let infer = deploy(model, device, jit);
     prediction_routes(recorder, catalog_size, MAX_BUDGET, move |_ctx, items| {
-        Served::by_model(infer(&items), Duration::ZERO)
+        let inferred = infer(&mut std::iter::once(items)).pop();
+        Served::by_model(inferred.expect("one reply per session"), Duration::ZERO)
     })
 }
 
@@ -595,6 +614,34 @@ mod tests {
         assert_eq!(items.len(), cfg.top_k);
         assert!(items[0].contains(':'));
         server.shutdown();
+    }
+
+    /// One batch, three members, the middle one poisoned with an id the
+    /// route's validation would have stopped: it alone fails, and its
+    /// batch mates get — from the one shared scan — exactly what the
+    /// single-session compiled run gives them, with the batch's timings.
+    #[test]
+    fn one_bad_member_does_not_fail_its_batch() {
+        let cfg = ModelConfig::new(500).with_max_session_len(8).with_seed(5);
+        let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
+        let compiled = traits::compile(model.as_ref(), JitOptions::default()).unwrap();
+        for jit in [true, false] {
+            let infer = deploy(Arc::clone(&model), Device::cpu(), jit);
+            let sessions = vec![vec![1, 2, 3], vec![7, 99_999], vec![40, 2]];
+            let replies = infer(&mut sessions.clone().into_iter());
+            assert_eq!(replies.len(), 3);
+            assert!(replies[1].is_err(), "jit={jit}: the poisoned member fails");
+            for i in [0, 2] {
+                let (rec, timings) = replies[i].as_ref().expect("batch mate served");
+                let alone = if jit {
+                    traits::recommend_compiled(model.as_ref(), &compiled, &sessions[i])
+                } else {
+                    traits::recommend_eager(model.as_ref(), &Device::cpu(), &sessions[i])
+                };
+                assert_eq!(rec, &alone.unwrap(), "jit={jit} member {i}");
+                assert_eq!(*timings, replies[0].as_ref().unwrap().1, "shared timings");
+            }
+        }
     }
 
     #[test]

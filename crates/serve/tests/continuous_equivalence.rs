@@ -9,7 +9,10 @@
 //!    handler's for the same model and sessions. Batching is an
 //!    execution strategy, never a semantic: per-session inference is
 //!    deterministic, so how requests were grouped must be invisible in
-//!    the bytes.
+//!    the bytes — for the eager pair, whose slots serve a drained batch
+//!    member by member, and for a JIT-compiled model that decodes with
+//!    a fused `ScoreTopK`, where a batch shares one multi-query scan of
+//!    the catalog.
 //! 2. **Deadline admission** — no admitted request's inference ever
 //!    starts after its deadline budget is exhausted: a blown budget is
 //!    shed at the queue (before compute), and every *served* request's
@@ -58,25 +61,51 @@ fn continuous_handler() -> Handler {
 }
 
 /// Fires `sessions` at a handler from `fanout` concurrent submitters
-/// (arrival order scrambled by the thread scheduler) and returns
-/// `(status, body)` per session, indexed like the input.
-fn drive(handler: &Handler, sessions: &[Vec<u32>]) -> Vec<(u16, Vec<u8>)> {
+/// (submitter `t` sends sessions `t, t + fanout, …` one after the other;
+/// arrival order across submitters is the thread scheduler's) and
+/// returns `(status, body)` per session, indexed like the input.
+fn drive_from(handler: &Handler, sessions: &[Vec<u32>], fanout: usize) -> Vec<(u16, Vec<u8>)> {
+    let mut replies = vec![(0, Vec::new()); sessions.len()];
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for session in sessions {
-            let handler = Arc::clone(handler);
-            handles.push(scope.spawn(move || {
-                let body = session
-                    .iter()
-                    .map(|i| i.to_string())
+        let handles: Vec<_> = (0..fanout)
+            .map(|t| {
+                let handler = Arc::clone(handler);
+                scope.spawn(move || {
+                    let mine = sessions.iter().enumerate().skip(t).step_by(fanout);
+                    mine.map(|(i, session)| {
+                        let ids: Vec<String> = session.iter().map(|i| i.to_string()).collect();
+                        let resp = handler(&Request::post("/predictions", ids.join(",")));
+                        (i, (resp.status, resp.body.to_vec()))
+                    })
                     .collect::<Vec<_>>()
-                    .join(",");
-                let resp = handler(&Request::post("/predictions", body));
-                (resp.status, resp.body.to_vec())
-            }));
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, reply) in handle.join().unwrap() {
+                replies[i] = reply;
+            }
         }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    });
+    replies
+}
+
+/// One submitter per session: everything arrives at once.
+fn drive(handler: &Handler, sessions: &[Vec<u32>]) -> Vec<(u16, Vec<u8>)> {
+    drive_from(handler, sessions, sessions.len())
+}
+
+/// A model that decodes with the fused `ScoreTopK`, so a JIT-compiled
+/// batch reaches the multi-query scan (the suite's CORE does not: it
+/// post-processes raw scores).
+fn fused_decode_model() -> Arc<dyn SbrModel> {
+    static MODEL: OnceLock<Arc<dyn SbrModel>> = OnceLock::new();
+    Arc::clone(MODEL.get_or_init(|| {
+        let cfg = ModelConfig::new(CATALOG)
+            .with_max_session_len(8)
+            .with_seed(23);
+        Arc::from(ModelKind::Stamp.build(&cfg))
+    }))
 }
 
 proptest! {
@@ -100,6 +129,59 @@ proptest! {
                 &f.1, &c.1,
                 "payload for session {} diverged from inline execution", i
             );
+        }
+    }
+
+    /// The batched scan is invisible in the bytes: a JIT-compiled
+    /// fused-decode model behind **one** slot — so concurrent arrivals
+    /// queue and are drained into multi-query batches — answers every
+    /// session exactly as the inline handler and as the single-session
+    /// compiled run do, from 1, 2 and 8 concurrent submitters.
+    #[test]
+    fn batched_scan_payloads_match_inline_execution_for_any_schedule(
+        sessions in proptest::collection::vec(
+            proptest::collection::vec(0u32..CATALOG as u32, 1..8),
+            1..24,
+        ),
+    ) {
+        use etude_models::traits::{compile, recommend_compiled};
+        let model = fused_decode_model();
+        let compiled = compile(model.as_ref(), etude_tensor::JitOptions::default()).unwrap();
+        let reference: Vec<Vec<u8>> = sessions
+            .iter()
+            .map(|session| {
+                let rec = recommend_compiled(model.as_ref(), &compiled, session).unwrap();
+                etude_serve::http::encode_recommendations(&rec.items, &rec.scores).into_bytes()
+            })
+            .collect();
+        let inline = drive(&model_routes(Arc::clone(&model), Device::cpu(), true), &sessions);
+        for fanout in [1, 2, 8] {
+            let recorder = Arc::new(etude_obs::Recorder::new());
+            let batched = model_routes_continuous(
+                Arc::clone(&model),
+                Device::cpu(),
+                true,
+                PublicContinuousConfig { slots: 1, ..PublicContinuousConfig::default() },
+                Arc::clone(&recorder),
+                None,
+            );
+            let served = drive_from(&batched, &sessions, fanout);
+            for (i, want) in reference.iter().enumerate() {
+                prop_assert_eq!(inline[i].0, 200u16, "inline handler failed session {}", i);
+                prop_assert_eq!(&inline[i].1, want, "inline payload {} diverged", i);
+                prop_assert_eq!(served[i].0, 200u16, "batcher failed session {} at fanout {}", i, fanout);
+                prop_assert_eq!(&served[i].1, want, "payload {} diverged at fanout {}", i, fanout);
+            }
+            // Every request went through exactly one batch.
+            let (batches, members) = (
+                recorder.get(etude_obs::Metric::Batches),
+                recorder.get(etude_obs::Metric::BatchedRequests),
+            );
+            prop_assert_eq!(members, sessions.len() as u64);
+            prop_assert!(batches >= 1 && batches <= members);
+            if fanout == 1 {
+                prop_assert_eq!(batches, members, "a lone submitter never finds company queued");
+            }
         }
     }
 

@@ -2,6 +2,10 @@
 //! catalog-scan load must be able to say *why* its slowest requests
 //! were slow, not just that they were.
 //!
+//! A second test holds the stage accounting to the same standard when
+//! requests are grouped: the four members of one batch each report
+//! stages that tile their own total.
+//!
 //! Three trails are asserted over real sockets:
 //!
 //! * `/debug/profile` — the always-on sampling profiler's folded
@@ -14,7 +18,7 @@
 //!   Chrome `trace_event` JSON.
 
 use etude_models::{ModelConfig, ModelKind, SbrModel};
-use etude_obs::{parse_stats_json, Recorder, Stage};
+use etude_obs::{parse_stats_json, request_id_hash, Metric, Recorder, Stage};
 use etude_serve::http::Request;
 use etude_serve::reactor::{self, ReactorConfig};
 use etude_serve::{model_routes_continuous, ContinuousConfig, HttpClient};
@@ -187,4 +191,103 @@ fn slow_requests_leave_a_complete_forensic_trail() {
     assert!(rows.len() <= 8, "slowest-N store stays bounded");
 
     server.shutdown();
+}
+
+/// Stage attribution at B = 4: behind one slot, four requests that
+/// arrive while a fifth is being served are drained into one batch, and
+/// every one of them reports `queue` up to the batch's start, the
+/// batch's whole encode phase as `inference` and its one shared scan as
+/// `topk` — so each member's components still sum to within 10 % of its
+/// own total. Whether the four really were grouped is the scheduler's
+/// call, so the scenario is re-run until the server's own counters say
+/// they were (two batches, five members, four of them with one and the
+/// same inference span).
+#[test]
+fn stages_tile_the_total_for_every_member_of_a_batch_of_four() {
+    let cfg = ModelConfig::new(CATALOG)
+        .with_max_session_len(8)
+        .with_seed(11);
+    // NARM decodes through the fused score+top-k node, and compiled
+    // (`jit = true`) a batch of it shares one multi-query scan.
+    let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Narm.build(&cfg));
+    for attempt in 0..20 {
+        let recorder = Arc::new(Recorder::new());
+        recorder.set_record_retention(true);
+        let config = ContinuousConfig {
+            slots: 1,
+            default_deadline: std::time::Duration::from_secs(120),
+            ..ContinuousConfig::default()
+        };
+        let handler = model_routes_continuous(
+            Arc::clone(&model),
+            Device::cpu(),
+            true,
+            config,
+            Arc::clone(&recorder),
+            None,
+        );
+        let send = |i: u32| {
+            let req = Request::post("/predictions", format!("{i},{},{}", i + 5, i + 11))
+                .with_header("x-request-id", format!("b4-{attempt}-{i}"));
+            assert_eq!(handler(&req).status, 200);
+        };
+        let head_sent = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                head_sent.store(true, std::sync::atomic::Ordering::SeqCst);
+                send(0);
+            });
+            for i in 1..=4 {
+                let (send, head_sent) = (&send, &head_sent);
+                scope.spawn(move || {
+                    while !head_sent.load(std::sync::atomic::Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    send(i);
+                });
+            }
+        });
+        recorder.sync();
+        if (
+            recorder.get(Metric::Batches),
+            recorder.get(Metric::BatchedRequests),
+        ) != (2, 5)
+        {
+            continue;
+        }
+        let records = recorder.take_records();
+        let of = |i: u32, stage: Stage| {
+            let rid = request_id_hash(&format!("b4-{attempt}-{i}"));
+            records
+                .iter()
+                .find(|r| r.request_id == rid && r.stage == stage)
+                .map(|r| r.duration_nanos)
+                .unwrap_or_else(|| panic!("request {i} missing {}", stage.name()))
+        };
+        // Members of one batch carry the very same inference span.
+        let batch: Vec<u32> = (0..=4)
+            .filter(|&i| {
+                let same = |j: &u32| of(*j, Stage::Inference) == of(i, Stage::Inference);
+                (0..=4).filter(same).count() == 4
+            })
+            .collect();
+        if batch.len() != 4 {
+            continue;
+        }
+        for &i in &batch {
+            assert_eq!(
+                of(i, Stage::TopK),
+                of(batch[0], Stage::TopK),
+                "one shared scan"
+            );
+            let total = of(i, Stage::Total);
+            let sum: u64 = Stage::COMPONENTS.iter().map(|&s| of(i, s)).sum();
+            assert!(
+                total.abs_diff(sum) * 10 <= total,
+                "member {i} of a batch of four: components {sum}ns vs total {total}ns"
+            );
+        }
+        return;
+    }
+    panic!("twenty runs and the four followers were never drained into one batch");
 }

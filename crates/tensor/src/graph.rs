@@ -787,21 +787,13 @@ pub fn eval(kind: &OpKind, inputs: &[&Tensor], out_shape: &[usize]) -> Result<Te
         }
         OpKind::TopK { k } => {
             let (idx, scores) = topk::topk_auto(inputs[0].as_slice()?, *k);
-            let kk = idx.len();
-            let mut out = Vec::with_capacity(2 * kk);
-            out.extend(idx.iter().map(|&i| crate::id_to_f32(i)));
-            out.extend_from_slice(&scores);
-            Tensor::from_vec(out, &[2, kk])?
+            topk_tensor(&idx, &scores)?
         }
         OpKind::ScoreTopK { k } => {
             let (c, _d) = inputs[0].dims2("score_topk")?;
             let (idx, scores) =
                 topk::score_topk(inputs[0].as_slice()?, inputs[1].as_slice()?, c, *k);
-            let kk = idx.len();
-            let mut out = Vec::with_capacity(2 * kk);
-            out.extend(idx.iter().map(|&i| crate::id_to_f32(i)));
-            out.extend_from_slice(&scores);
-            Tensor::from_vec(out, &[2, kk])?
+            topk_tensor(&idx, &scores)?
         }
         OpKind::ScatterAddDense { c } => {
             let mut out = vec![0.0; *c];
@@ -894,6 +886,14 @@ pub fn eval(kind: &OpKind, inputs: &[&Tensor], out_shape: &[usize]) -> Result<Te
     Ok(out)
 }
 
+/// The `[2, k]` result of a top-k op: row 0 bit-cast ids, row 1 scores.
+pub(crate) fn topk_tensor(ids: &[u32], scores: &[f32]) -> Result<Tensor, TensorError> {
+    let mut out = Vec::with_capacity(2 * ids.len());
+    out.extend(ids.iter().map(|&i| crate::id_to_f32(i)));
+    out.extend_from_slice(scores);
+    Tensor::from_vec(out, &[2, ids.len()])
+}
+
 /// A node of the dataflow graph.
 #[derive(Debug, Clone)]
 pub struct Node {
@@ -939,7 +939,7 @@ impl Graph {
     ///
     /// Returns the output tensor and the realised cost at batch size one.
     pub fn run(&self, inputs: &[Tensor]) -> Result<(Tensor, Cost), TensorError> {
-        self.run_inner(inputs, None)
+        self.run_upto(self.output, inputs, None)
     }
 
     /// Executes the graph while timing each op, bucketed into top-k vs
@@ -950,18 +950,27 @@ impl Graph {
     /// pays nothing.
     pub fn run_timed(&self, inputs: &[Tensor]) -> Result<(Tensor, Cost, OpTimes), TensorError> {
         let mut times = OpTimes::default();
-        let (out, cost) = self.run_inner(inputs, Some(&mut times))?;
+        let (out, cost) = self.run_upto(self.output, inputs, Some(&mut times))?;
         Ok((out, cost, times))
     }
 
-    fn run_inner(
+    /// Evaluates nodes `0..=target` (a superset of `target`'s operands:
+    /// the node list is topologically ordered) and returns `target`'s
+    /// value — the whole graph for `target == output`, the session
+    /// encoder alone for the query operand of a terminal `ScoreTopK`.
+    pub(crate) fn run_upto(
         &self,
+        target: NodeId,
         inputs: &[Tensor],
         mut times: Option<&mut OpTimes>,
     ) -> Result<(Tensor, Cost), TensorError> {
-        let mut values: Vec<Option<Arc<Tensor>>> = vec![None; self.nodes.len()];
+        let nodes = self
+            .nodes
+            .get(..=target)
+            .ok_or(TensorError::InvalidRef { index: target })?;
+        let mut values: Vec<Option<Arc<Tensor>>> = vec![None; nodes.len()];
         let mut cost = Cost::ZERO;
-        for (id, node) in self.nodes.iter().enumerate() {
+        for (id, node) in nodes.iter().enumerate() {
             let value = match &node.kind {
                 OpKind::Input(pos) => {
                     let t = inputs
@@ -1006,9 +1015,9 @@ impl Graph {
             };
             values[id] = Some(value);
         }
-        let out = values[self.output]
+        let out = values[target]
             .take()
-            .ok_or(TensorError::InvalidRef { index: self.output })?;
+            .ok_or(TensorError::InvalidRef { index: target })?;
         Ok((Arc::try_unwrap(out).unwrap_or_else(|a| (*a).clone()), cost))
     }
 }

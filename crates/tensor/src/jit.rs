@@ -21,9 +21,10 @@
 
 use crate::cost::{Cost, CostSpec};
 use crate::device::DeviceProfile;
-use crate::graph::{op_cost, FusedStep, Graph, Node, NodeId, OpKind};
+use crate::graph::{op_cost, topk_tensor, FusedStep, Graph, Node, NodeId, OpKind, OpTimes};
 use crate::param::Param;
 use crate::tensor::{Tensor, TensorError};
+use crate::topk;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -103,6 +104,32 @@ impl JitOptions {
 pub struct CompiledGraph {
     graph: Graph,
     cost: CostSpec,
+    decode: Option<FusedDecode>,
+}
+
+/// The shape every model but two decodes with: the graph's output is a
+/// `ScoreTopK` of a constant table against the session representation.
+/// A batch run evaluates each session up to `query` and scores all of
+/// them in one pass over `table`.
+#[derive(Debug, Clone, Copy)]
+struct FusedDecode {
+    table: NodeId,
+    query: NodeId,
+    k: usize,
+}
+
+impl FusedDecode {
+    fn of(graph: &Graph) -> Option<FusedDecode> {
+        let out = &graph.nodes[graph.output];
+        let (OpKind::ScoreTopK { k }, &[table, query]) = (&out.kind, out.inputs.as_slice()) else {
+            return None;
+        };
+        matches!(graph.nodes[table].kind, OpKind::Const(_)).then_some(FusedDecode {
+            table,
+            query,
+            k: *k,
+        })
+    }
 }
 
 impl CompiledGraph {
@@ -123,11 +150,83 @@ impl CompiledGraph {
 
     /// Executes the compiled graph with per-op timing (see
     /// [`Graph::run_timed`]).
-    pub fn run_timed(
-        &self,
-        inputs: &[Tensor],
-    ) -> Result<(Tensor, Cost, crate::graph::OpTimes), TensorError> {
+    pub fn run_timed(&self, inputs: &[Tensor]) -> Result<(Tensor, Cost, OpTimes), TensorError> {
         self.graph.run_timed(inputs)
+    }
+
+    /// Executes the graph for a batch of sessions, pulled from
+    /// `sessions` one at a time (a session's encoder starts when it is
+    /// pulled), and returns one output per session plus the batch's op
+    /// times. When the graph ends in a `ScoreTopK` over a constant
+    /// table, each session is evaluated up to its query vector and the
+    /// whole batch is scored by **one** multi-query scan of the table —
+    /// bit-identical per session to [`CompiledGraph::run`]; any other
+    /// graph runs session by session. A session that fails (say, an
+    /// out-of-range item id) fails alone.
+    pub fn run_batch_timed(
+        &self,
+        sessions: &mut dyn Iterator<Item = Vec<Tensor>>,
+    ) -> (Vec<Result<Tensor, TensorError>>, OpTimes) {
+        let mut times = OpTimes::default();
+        let Some(decode) = self.decode else {
+            let outs = sessions
+                .map(|inputs| {
+                    let (out, _, ops) = self.graph.run_timed(&inputs)?;
+                    times.merge(&ops);
+                    Ok(out)
+                })
+                .collect();
+            return (outs, times);
+        };
+        // `Ok(q)`: the session's query is row `q` of `queries`.
+        let (mut queries, mut nq) = (Vec::new(), 0);
+        let rows: Vec<Result<usize, TensorError>> = sessions
+            .map(|inputs| {
+                let (query, _) = self
+                    .graph
+                    .run_upto(decode.query, &inputs, Some(&mut times))?;
+                queries.extend_from_slice(query.as_slice()?);
+                nq += 1;
+                Ok(nq - 1)
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        let best = self.scan(decode, &queries, nq);
+        times.topk += start.elapsed();
+        let outs = rows
+            .into_iter()
+            .map(|row| {
+                let (ids, scores) = &best.as_ref().map_err(Clone::clone)?[row?];
+                topk_tensor(ids, scores)
+            })
+            .collect();
+        (outs, times)
+    }
+
+    /// The one pass over the catalog table for `nq` encoded sessions.
+    fn scan(
+        &self,
+        decode: FusedDecode,
+        queries: &[f32],
+        nq: usize,
+    ) -> Result<Vec<topk::Ranked>, TensorError> {
+        let table = self
+            .graph
+            .consts
+            .get(&decode.table)
+            .ok_or(TensorError::Invalid("missing const payload"))?;
+        let (c, _d) = table.dims2("score_topk")?;
+        let mut best = vec![(Vec::new(), Vec::new()); nq];
+        topk::score_topk_multi_into(
+            table.as_slice()?,
+            queries,
+            nq,
+            c,
+            decode.k,
+            &mut topk::TopkScratch::default(),
+            &mut best,
+        );
+        Ok(best)
     }
 
     /// Latency of a forward pass over `batch` fused requests on `device`.
@@ -152,7 +251,12 @@ pub fn compile(graph: Graph, options: JitOptions) -> Result<CompiledGraph, JitEr
         g = dce(g);
     }
     let cost = g.total_cost();
-    Ok(CompiledGraph { graph: g, cost })
+    let decode = FusedDecode::of(&g);
+    Ok(CompiledGraph {
+        graph: g,
+        cost,
+        decode,
+    })
 }
 
 fn node_shapes<'a>(g: &'a Graph, inputs: &[NodeId]) -> Vec<&'a [usize]> {

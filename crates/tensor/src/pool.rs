@@ -15,8 +15,8 @@
 //!   sharded kernel — the top-k scans, [`parallel_rows`] — is built on
 //!   it and holds no `unsafe` of its own,
 //! * steady-state dispatch performs **no heap allocation**: the wake
-//!   channel's ring buffer and the shared task slot are reused across
-//!   requests.
+//!   channel holds at most one token per worker and the shared task
+//!   slot is reused across requests.
 //!
 //! Sizing has two sources: `ETUDE_THREADS` (environment) takes
 //! precedence, then [`configure_threads`] (tests, `fig3_micro
@@ -29,21 +29,25 @@
 //! testable for bit-identical results on any machine, including
 //! single-core CI.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// Inputs smaller than this many rows/elements never shard: below it the
-/// dispatch overhead dwarfs the win and the serial kernel is fastest
-/// (`C = 10^4` catalogs intentionally stay on this path).
-pub const PAR_THRESHOLD: usize = 32_768;
+/// Inputs smaller than this many rows/elements never shard. Waking a
+/// parked worker costs 20–40 µs, which the fused scan now covers in
+/// about 16 000 rows: `parallel_mips`' shard sweep (2 threads, d = 16)
+/// has two shards losing up to 16 384 rows (35 → 46–53 µs), level at
+/// 32 768 (76–93 → 70–73 µs) and winning from 65 536 on (167–192 →
+/// 121–165 µs; 1.75× at C = 10^5, d = 18). DESIGN §12 has the table.
+pub const PAR_THRESHOLD: usize = 65_536;
 
-/// Minimum rows/elements per shard once an op does parallelise; caps the
-/// shard count for mid-sized inputs so shards stay cache-friendly.
-pub const MIN_SHARD: usize = 8_192;
+/// Minimum rows/elements per shard once an op does parallelise: the
+/// break-even size above, so no shard is smaller than a scan that
+/// would not have been worth a wake-up on its own.
+pub const MIN_SHARD: usize = 32_768;
 
 /// Upper bound on pool size; a guard against absurd `ETUDE_THREADS`.
 const MAX_THREADS: usize = 256;
@@ -103,10 +107,12 @@ impl ThreadPool {
             }),
             done: Condvar::new(),
         });
-        // Unbounded so dispatch never blocks on stale wake tokens; the
-        // queue stays bounded in practice (one token per worker per
-        // section, drained before the next section completes).
-        let (wake_tx, wake_rx) = unbounded::<Wake>();
+        // One pending token per worker is all a section needs: a worker
+        // that wakes claims shards until none remain, so dispatch
+        // `try_send`s and a full queue means every worker already has a
+        // wake-up coming. Unbounded, the queue grew (allocated) whenever
+        // a descheduled worker let stale tokens pile up.
+        let (wake_tx, wake_rx) = bounded::<Wake>(threads - 1);
         let mut workers = Vec::new();
         for i in 0..threads - 1 {
             let shared = std::sync::Arc::clone(&shared);
@@ -171,7 +177,7 @@ impl ThreadPool {
         }
         let wakes = (self.threads - 1).min(shards - 1);
         for _ in 0..wakes {
-            let _ = self.wake_tx.send(Wake::Work);
+            let _ = self.wake_tx.try_send(Wake::Work);
         }
 
         run_claimed_shards(&self.shared);
@@ -496,7 +502,7 @@ mod tests {
     #[test]
     fn shard_count_keeps_small_inputs_serial() {
         assert_eq!(shard_count(10_000, 8), 1);
-        assert_eq!(shard_count(PAR_THRESHOLD, 8), 4);
+        assert_eq!(shard_count(PAR_THRESHOLD, 8), PAR_THRESHOLD / MIN_SHARD);
         assert_eq!(shard_count(1_000_000, 8), 8);
         assert_eq!(shard_count(1_000_000, 1), 1);
     }

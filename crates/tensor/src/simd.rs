@@ -12,7 +12,13 @@
 //! * the implementation is instantiated twice: a plain build (the
 //!   *scalar* backend — `f32::mul_add` per lane) and inside
 //!   `#[target_feature(enable = "avx2,fma")]` wrappers (the *wide*
-//!   backend — the same code compiled to 8-wide `vfmadd`),
+//!   backend — the same code compiled to 8-wide `vfmadd`). One kernel
+//!   is the exception: the fused catalog scan ([`score_tiles`]) is
+//!   written a second time with AVX2 intrinsics, confined to the `wide`
+//!   module, because the portable block style leaves half its speed on
+//!   the table at the row lengths catalogs have (d = 6 … 32); it runs
+//!   the same operation sequence and is tested bit for bit against the
+//!   portable form,
 //! * the backend is picked **once per process** ([`active`]): runtime
 //!   CPU detection, overridable with `ETUDE_SIMD=scalar|wide|auto`, and
 //!   the detected ISA name / lane width are recorded for cost tracking
@@ -27,7 +33,7 @@
 //! fixed pairwise reduction tree, and odd lengths are handled by **one
 //! zero-padded masked epilogue block** (`fma(0, 0, acc) == acc`) rather
 //! than a per-element scalar tail. Consequently `dot`, `matmul`,
-//! `matmul_bt` and the fused [`score_rows`] scan are **bit-identical**
+//! `matmul_bt` and the fused [`score_tiles`] scan are **bit-identical**
 //! across backends and across each other for a shared `(row, query)`
 //! pair — the top-k selection downstream needs no tolerance gate.
 //!
@@ -253,41 +259,45 @@ fn dot_strided_impl(a: &[f32], b: &[f32], offset: usize, stride: usize) -> f32 {
     dot_rows_core(&[a], len, gather, gather_tail)[0]
 }
 
-/// Streaming scan: `sink(i, row_i · query)` for every row in `rows`, in
-/// ascending row order. Rows are tiled four at a time so the query
-/// blocks are fetched once per tile; each row's sum is bit-identical to
-/// [`dot`]. This is the kernel under the fused score+top-k — the sink
-/// maintains the running heap, so the C-length score vector is never
-/// materialised.
+/// Rows per tile of the fused scan: four rows share each query block
+/// fetch and, on the wide backend, one transposed reduction tree.
+pub const TILE_ROWS: usize = 4;
+
+/// Fused tile scan, portable form: for every tile of up to
+/// [`TILE_ROWS`] rows of `rows`, in ascending order, and for every one
+/// of the `nq` queries (`queries` is `[nq, d]` row-major),
+/// `sink(query, first_row, scores, n)`: `scores[..n]` are the scores of
+/// rows `first_row..first_row + n`, and the lanes past `n` — only the
+/// final tile has any — repeat the last of them, so a sink may test all
+/// four without looking at `n`. A tile's rows are fetched from memory
+/// by the first query and are in L1 for the others, so `nq` queries
+/// stream the table once. Each score is bit-identical to [`dot`]. This
+/// is the scalar backend and the reference the wide kernel is tested
+/// against; the sink maintains the running heaps, so no `C`-length
+/// score vector is ever materialised.
 #[inline(always)]
-fn score_rows_impl(
+fn score_tiles_impl(
     table: &[f32],
     d: usize,
-    query: &[f32],
+    queries: &[f32],
+    nq: usize,
     rows: Range<usize>,
-    sink: &mut impl FnMut(usize, f32),
+    sink: &mut impl FnMut(usize, usize, [f32; TILE_ROWS], usize),
 ) {
     let mut i = rows.start;
-    while i + 4 <= rows.end {
-        let base = i * d;
-        let s = dot4_impl(
-            &[
-                &table[base..base + d],
-                &table[base + d..base + 2 * d],
-                &table[base + 2 * d..base + 3 * d],
-                &table[base + 3 * d..base + 4 * d],
-            ],
-            query,
-        );
-        sink(i, s[0]);
-        sink(i + 1, s[1]);
-        sink(i + 2, s[2]);
-        sink(i + 3, s[3]);
-        i += 4;
-    }
     while i < rows.end {
-        sink(i, dot_impl(&table[i * d..(i + 1) * d], query));
-        i += 1;
+        let n = (rows.end - i).min(TILE_ROWS);
+        // A short final tile repeats its last row: one code path, and
+        // the surplus scores are simply not reported.
+        let row = |j: usize| {
+            let r = i + j.min(n - 1);
+            &table[r * d..(r + 1) * d]
+        };
+        let tile = [row(0), row(1), row(2), row(3)];
+        for q in 0..nq {
+            sink(q, i, dot4_impl(&tile, &queries[q * d..(q + 1) * d]), n);
+        }
+        i += n;
     }
 }
 
@@ -520,21 +530,137 @@ fn layernorm_affine_impl(
 #[cfg(target_arch = "x86_64")]
 mod wide {
     use super::*;
+    use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         dot_impl(a, b)
     }
 
+    /// `_mm256_maskload_ps` masks by tail length `d % 8`: the first
+    /// `t` lanes of row `t` are selected.
+    static TAIL_MASKS: [[i32; LANES]; LANES] = {
+        let mut m = [[0i32; LANES]; LANES];
+        let mut t = 0;
+        while t < LANES {
+            let mut l = 0;
+            while l < t {
+                m[t][l] = -1;
+                l += 1;
+            }
+            t += 1;
+        }
+        m
+    };
+
+    /// Four row · query dot products in the exact operation sequence of
+    /// `dot_rows_core::<4>`: two accumulators per row (full blocks
+    /// alternate `acc0`, `acc1`; an odd full block lands in `acc0`, the
+    /// masked tail in `acc1`), `acc0 + acc1`, then `hsum_block`'s tree
+    /// — low half + high half, adjacent pairs, pair of pairs — run for
+    /// the four rows at once by three `hadd`s. Lane `r` of the result
+    /// is row `r`'s score.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available; `q` and every pointer in `rows`
+    /// must be valid for reads of `d` floats. Nothing past those `d`
+    /// floats is read: full blocks end at or below `d`, and the tail
+    /// goes through `tail_mask` (the mask for `d % 8`), whose masked-off
+    /// lanes are not accessed.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn score_rows<F: FnMut(usize, f32)>(
+    unsafe fn dot4(rows: [*const f32; 4], q: *const f32, d: usize, tail_mask: __m256i) -> __m128 {
+        let mut acc0 = [_mm256_setzero_ps(); 4];
+        let mut acc1 = [_mm256_setzero_ps(); 4];
+        let mut p = 0;
+        while p + 2 * LANES <= d {
+            let b0 = _mm256_loadu_ps(q.add(p));
+            let b1 = _mm256_loadu_ps(q.add(p + LANES));
+            for r in 0..4 {
+                acc0[r] = _mm256_fmadd_ps(_mm256_loadu_ps(rows[r].add(p)), b0, acc0[r]);
+                acc1[r] = _mm256_fmadd_ps(_mm256_loadu_ps(rows[r].add(p + LANES)), b1, acc1[r]);
+            }
+            p += 2 * LANES;
+        }
+        if p + LANES <= d {
+            let b0 = _mm256_loadu_ps(q.add(p));
+            for r in 0..4 {
+                acc0[r] = _mm256_fmadd_ps(_mm256_loadu_ps(rows[r].add(p)), b0, acc0[r]);
+            }
+            p += LANES;
+        }
+        if p < d {
+            // Masked-off lanes read as zero and touch no memory: the
+            // zero-padded epilogue block without the copy.
+            let bt = _mm256_maskload_ps(q.add(p), tail_mask);
+            for r in 0..4 {
+                let a = _mm256_maskload_ps(rows[r].add(p), tail_mask);
+                acc1[r] = _mm256_fmadd_ps(a, bt, acc1[r]);
+            }
+        }
+        let mut half = [_mm_setzero_ps(); 4];
+        for r in 0..4 {
+            let acc = _mm256_add_ps(acc0[r], acc1[r]);
+            half[r] = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps::<1>(acc));
+        }
+        _mm_hadd_ps(_mm_hadd_ps(half[0], half[1]), _mm_hadd_ps(half[2], half[3]))
+    }
+
+    /// The wide instantiation of `score_tiles_impl`: same tiles, same
+    /// sink calls, bit-identical scores.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA must be available. The slices need no promise from
+    /// the caller: their bounds are asserted before any pointer is made.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn score_tiles<F: FnMut(usize, usize, [f32; TILE_ROWS], usize)>(
         table: &[f32],
         d: usize,
-        query: &[f32],
+        queries: &[f32],
+        nq: usize,
         rows: Range<usize>,
         sink: &mut F,
     ) {
-        score_rows_impl(table, d, query, rows, sink)
+        // Live in release: everything below reads through raw pointers.
+        assert!(
+            rows.end.checked_mul(d).is_some_and(|n| n <= table.len())
+                && nq.checked_mul(d) == Some(queries.len()),
+            "score_tiles: rows or queries outside their slices"
+        );
+        // SAFETY: a row of `TAIL_MASKS` is `[i32; 8]`, exactly the one
+        // unaligned 256-bit load made from its first element.
+        let tail_mask = unsafe { _mm256_loadu_si256(TAIL_MASKS[d % LANES].as_ptr().cast()) };
+        let mut i = rows.start;
+        while i < rows.end {
+            let n = (rows.end - i).min(TILE_ROWS);
+            // SAFETY: `i + n <= rows.end` and `rows.end * d <= table.len()`
+            // (asserted), so rows `i..i + n` each start inside `table`; a
+            // short final tile repeats its last row, as the portable scan
+            // does, instead of stepping past it.
+            let tile = unsafe {
+                let r0 = table.as_ptr().add(i * d);
+                let r1 = if n > 1 { r0.add(d) } else { r0 };
+                let r2 = if n > 2 { r1.add(d) } else { r1 };
+                let r3 = if n > 3 { r2.add(d) } else { r2 };
+                [r0, r1, r2, r3]
+            };
+            for q in 0..nq {
+                let mut s = [0.0f32; TILE_ROWS];
+                // SAFETY: `q < nq` and `queries.len() == nq * d` (asserted),
+                // so query `q` is `d` floats inside `queries`, and each
+                // tile pointer is the start of a `d`-float row inside
+                // `table` (above): what `dot4` requires. `s` is four
+                // floats, one unaligned 128-bit store.
+                unsafe {
+                    let scores = dot4(tile, queries.as_ptr().add(q * d), d, tail_mask);
+                    _mm_storeu_ps(s.as_mut_ptr(), scores);
+                }
+                sink(q, i, s, n);
+            }
+            i += n;
+        }
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -633,8 +759,30 @@ pub fn dot_scalar_ref(a: &[f32], b: &[f32]) -> f32 {
     dot_impl(a, b)
 }
 
-/// Streaming row scores over `table[rows]` (row-major `[c, d]`), in
-/// ascending row order; see `score_rows_impl` for the tiling.
+/// The fused scan under every `score_topk*`: `sink(query, first_row,
+/// scores, n)` for each tile of `n ≤` [`TILE_ROWS`] rows of
+/// `table[rows]` (row-major `[c, d]`, read in place) and each of the
+/// `nq` queries of `queries` (`[nq, d]` row-major), tiles ascending,
+/// queries ascending within a tile; lanes of `scores` past `n` repeat
+/// lane `n - 1` (see `score_tiles_impl`). Bit-identical across backends
+/// and to [`dot`].
+#[inline]
+pub fn score_tiles(
+    table: &[f32],
+    d: usize,
+    queries: &[f32],
+    nq: usize,
+    rows: Range<usize>,
+    mut sink: impl FnMut(usize, usize, [f32; TILE_ROWS], usize),
+) {
+    dispatch!(
+        wide::score_tiles(table, d, queries, nq, rows, &mut sink),
+        score_tiles_impl(table, d, queries, nq, rows, &mut sink)
+    )
+}
+
+/// Streaming row scores: `sink(i, row_i · query)` for every row of
+/// `table[rows]` in ascending order — the one-query [`score_tiles`].
 #[inline]
 pub fn score_rows(
     table: &[f32],
@@ -644,11 +792,11 @@ pub fn score_rows(
     mut sink: impl FnMut(usize, f32),
 ) {
     debug_assert_eq!(query.len(), d);
-    debug_assert!(rows.end * d <= table.len());
-    dispatch!(
-        wide::score_rows(table, d, query, rows, &mut sink),
-        score_rows_impl(table, d, query, rows, &mut sink)
-    )
+    score_tiles(table, d, query, 1, rows, |_, i, scores, n| {
+        for (j, &s) in scores[..n].iter().enumerate() {
+            sink(i + j, s);
+        }
+    })
 }
 
 /// Streaming int8 row scores (raw `Σ row·q` as an exact-integer f32);

@@ -6,27 +6,32 @@
 //! min-heap selection used by the [`crate::exec::Exec::topk`] operation.
 //!
 //! There is one scaffold, `select_sharded`: split the rows into
-//! contiguous shards, run a bounded-heap selection per shard on the
-//! global [`crate::pool`] (through [`crate::pool::for_each_shard`], into
-//! per-shard buffers kept in [`TopkScratch`]), concatenate, sort with the
-//! serial comparator, keep `k`. The union of per-shard top-k is a
-//! superset of the global top-k and the comparator is total, so the
-//! result is **bit-identical** for every shard count; serial — [`topk`],
-//! the reference — is the one-shard call, and a warm scratch makes any
-//! shard count allocation-free. The entry points differ only in what a
-//! shard selects from and who picks the shard count:
+//! contiguous shards, run a bounded-heap selection per shard and query
+//! on the global [`crate::pool`] (through [`crate::pool::for_each_shard`],
+//! into heaps kept in [`TopkScratch`]), concatenate each query's
+//! survivors, sort with the serial comparator, keep `k`. The union of
+//! per-shard top-k is a superset of the global top-k and the comparator
+//! is total, so the result is **bit-identical** for every shard count;
+//! serial — [`topk`], the reference — is the one-shard call, and a warm
+//! scratch makes any shard count allocation-free. The entry points
+//! differ only in what a shard selects from and who picks the shard
+//! count:
 //!
 //! * [`topk_sharded`], [`topk_auto`], [`topk_into`] — a materialised
 //!   score vector (explicit shards, [`crate::pool::auto_shards`], one
 //!   shard),
 //! * the **fused** family [`score_topk`], [`score_topk_into`],
-//!   [`score_topk_sharded`], [`score_topk_q8_into`] — catalog rows
-//!   scored by the [`crate::simd`] streaming scan and fed straight into
-//!   the running heap, never materialising the `C`-length score vector:
-//!   the serving hot path for `ExactIndex` / `QuantizedIndex` and the
-//!   `ScoreTopK` graph op. Scores are the same SIMD dot products and
-//!   the heap update sequence is identical, so the fused results are
-//!   bit-identical to scoring-then-[`topk`].
+//!   [`score_topk_sharded`], [`score_topk_multi_into`],
+//!   [`score_topk_q8_into`] — catalog rows scored by the [`crate::simd`]
+//!   tile scan and fed straight into the running heaps, never
+//!   materialising a `C`-length score vector: the serving hot path for
+//!   `ExactIndex` / `QuantizedIndex` and the `ScoreTopK` graph op. The
+//!   f32 scan is **one** kernel for any number of queries — it scores
+//!   each 4-row tile against every query while the tile is in L1, so a
+//!   batch streams the table once — and the single-query entry points
+//!   are its `nq = 1` calls. Scores are the same SIMD dot products and
+//!   every row the heap would keep reaches it in the same order, so the
+//!   fused results are bit-identical to scoring-then-[`topk`].
 //!
 //! Whether a multi-shard call runs in parallel is the pool's decision
 //! at run time (shards run inline when another section holds the pool;
@@ -35,6 +40,9 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+
+/// One query's answer: row ids, best first, and their aligned scores.
+pub type Ranked = (Vec<u32>, Vec<f32>);
 
 /// A `(score, index)` candidate ordered for a min-heap by score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,28 +81,6 @@ fn result_order(a: &Candidate, b: &Candidate) -> Ordering {
         .then_with(|| a.index.cmp(&b.index))
 }
 
-/// Runs `scan` over a bounded min-heap that lives in `buf`'s allocation
-/// and leaves the (at most `k.min(rows)`) survivors **unsorted** in
-/// `buf`; `scan` receives the clamped `k` to pass to [`offer`]. Moving
-/// the buffer through `BinaryHeap` keeps its capacity, so a warm buffer
-/// makes a selection allocation-free.
-fn select_into(
-    k: usize,
-    rows: usize,
-    buf: &mut Vec<Candidate>,
-    scan: impl FnOnce(&mut BinaryHeap<Candidate>, usize),
-) {
-    buf.clear();
-    let k = k.min(rows);
-    if k == 0 {
-        return;
-    }
-    buf.reserve(k + 1);
-    let mut heap = BinaryHeap::from(std::mem::take(buf));
-    scan(&mut heap, k);
-    *buf = heap.into_vec();
-}
-
 /// One heap update of the bounded selection: the *only* place scores
 /// enter the heap, shared by the score-vector and fused paths so their
 /// update sequences are identical. NaN scores map to `NEG_INFINITY`
@@ -122,28 +108,60 @@ fn offer(heap: &mut BinaryHeap<Candidate>, k: usize, index: u32, score: f32) {
 
 /// Selection of the `k` best entries of `scores[rows]`, reported with
 /// their indices in `scores`.
-fn select_candidates_into(scores: &[f32], rows: Range<usize>, k: usize, buf: &mut Vec<Candidate>) {
-    select_into(k, rows.len(), buf, |heap, k| {
-        for (i, &s) in rows.clone().zip(&scores[rows]) {
-            offer(heap, k, i as u32, s);
+fn select_candidates(
+    scores: &[f32],
+    rows: Range<usize>,
+    k: usize,
+    heap: &mut BinaryHeap<Candidate>,
+) {
+    for (i, &s) in rows.clone().zip(&scores[rows]) {
+        offer(heap, k, i as u32, s);
+    }
+}
+
+/// Fused selection over `rows` of a `[c, d]` table for `heaps.len()`
+/// queries at once: scores stream from the SIMD tile scan, four rows of
+/// one query at a time, straight into that query's heap.
+///
+/// The tile gate: once a heap is full, a tile none of whose scores
+/// beats the heap's minimum is dropped without entering [`offer`]. Rows
+/// arrive in ascending order, so every index in the heap is smaller
+/// than the tile's and `s > min` is exactly `offer`'s accept condition
+/// (its tie-break clause needs a smaller index); a NaN compares false,
+/// as its `NEG_INFINITY` image would against any full heap's minimum.
+/// Later rows of an admitted tile meet a minimum that only rose, so the
+/// gate never drops a row `offer` would keep.
+fn select_scored(
+    table: &[f32],
+    d: usize,
+    queries: &[f32],
+    rows: Range<usize>,
+    k: usize,
+    heaps: &mut [BinaryHeap<Candidate>],
+) {
+    crate::simd::score_tiles(table, d, queries, heaps.len(), rows, |q, i, scores, n| {
+        let heap = &mut heaps[q];
+        if heap.len() == k {
+            let min = heap.peek().map_or(f32::NEG_INFINITY, |c| c.score);
+            // All four lanes, without short-circuit: the lanes past `n`
+            // repeat a gated row, and one vector compare beats branches.
+            let [a, b, c, d] = scores.map(|s| s > min);
+            if !(a | b | c | d) {
+                return;
+            }
         }
+        offer_tile(heap, k, i, &scores[..n]);
     });
 }
 
-/// Fused selection over `rows` of a `[c, d]` table: scores stream from
-/// the SIMD scan straight into the heap.
-fn select_scored_into(
-    table: &[f32],
-    query: &[f32],
-    rows: Range<usize>,
-    k: usize,
-    buf: &mut Vec<Candidate>,
-) {
-    select_into(k, rows.len(), buf, |heap, k| {
-        crate::simd::score_rows(table, query.len(), query, rows, |i, s| {
-            offer(heap, k, i as u32, s);
-        });
-    });
+/// Kept out of line so the gate above stays small enough to be inlined
+/// into the scan kernel: past the first `k` rows this runs for a few
+/// hundred tiles of a scan, the gate for all of them.
+#[inline(never)]
+fn offer_tile(heap: &mut BinaryHeap<Candidate>, k: usize, first_row: usize, scores: &[f32]) {
+    for (j, &s) in scores.iter().enumerate() {
+        offer(heap, k, (first_row + j) as u32, s);
+    }
 }
 
 /// Fused int8 selection: raw integer dots are dequantised in-register
@@ -151,63 +169,63 @@ fn select_scored_into(
 /// expression) before entering the heap. Rows longer than
 /// [`crate::simd::Q8_EXACT_DIM`] fall back to a plain `i32` loop so the
 /// accumulation stays exact.
-fn select_scored_q8_into(
+fn select_scored_q8(
     data: &[i8],
     scales: &[f32],
     q8: &[i32],
     qscale: f32,
     rows: Range<usize>,
     k: usize,
-    buf: &mut Vec<Candidate>,
+    heap: &mut BinaryHeap<Candidate>,
 ) {
     let d = q8.len();
-    select_into(k, rows.len(), buf, |heap, k| {
-        if d <= crate::simd::Q8_EXACT_DIM {
-            crate::simd::score_rows_q8(data, d, q8, rows, |i, raw| {
-                offer(heap, k, i as u32, raw * scales[i] * qscale);
-            });
-        } else {
-            for i in rows {
-                let row = &data[i * d..(i + 1) * d];
-                let acc: i32 = row.iter().zip(q8).map(|(&a, &b)| a as i32 * b).sum();
-                offer(heap, k, i as u32, acc as f32 * scales[i] * qscale);
-            }
+    if d <= crate::simd::Q8_EXACT_DIM {
+        crate::simd::score_rows_q8(data, d, q8, rows, |i, raw| {
+            offer(heap, k, i as u32, raw * scales[i] * qscale);
+        });
+    } else {
+        for i in rows {
+            let row = &data[i * d..(i + 1) * d];
+            let acc: i32 = row.iter().zip(q8).map(|(&a, &b)| a as i32 * b).sum();
+            offer(heap, k, i as u32, acc as f32 * scales[i] * qscale);
         }
-    });
+    }
 }
 
-fn unzip_candidates(items: &[Candidate]) -> (Vec<u32>, Vec<f32>) {
-    let indices = items.iter().map(|c| c.index).collect();
-    let scores = items.iter().map(|c| c.score).collect();
-    (indices, scores)
+/// Appends `best` to a result's id and score columns.
+fn push_ranked(best: &[Candidate], ids: &mut Vec<u32>, scores: &mut Vec<f32>) {
+    ids.extend(best.iter().map(|c| c.index));
+    scores.extend(best.iter().map(|c| c.score));
 }
 
 /// Reusable selection state for [`topk_into`] and the fused
-/// `score_topk_*` family: one candidate buffer per shard, so
-/// steady-state selection — serial or sharded — performs no heap
-/// allocation.
+/// `score_topk_*` family: one bounded heap per shard and query plus the
+/// merge buffer, so steady-state selection — serial, sharded or
+/// multi-query — performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct TopkScratch {
-    shards: Vec<Vec<Candidate>>,
+    /// `shards[shard][query]`.
+    shards: Vec<Vec<BinaryHeap<Candidate>>>,
+    merged: Vec<Candidate>,
 }
 
 /// The sharded-selection scaffold every entry point below is a caller
-/// of: `select(rows, buf)` leaves the best `k` of `rows` in `buf` for
-/// each of `shards` (clamped to `1..=c`) contiguous ranges of `0..c`,
-/// the survivors are concatenated into the first shard's buffer, sorted
-/// with [`result_order`] and the leading `k` written to the (cleared)
-/// outputs.
+/// of: for each of `shards` (clamped to `1..=c`) contiguous ranges of
+/// `0..c`, `select(rows, k, heaps)` leaves the best `k` of `rows` for
+/// each of `nq` queries in `heaps` (emptied first; `k` already clamped
+/// to the range); per query the survivors of all shards are
+/// concatenated, sorted with [`result_order`] and the leading `k`
+/// handed to `emit(query, best)`. Nothing is emitted when `k.min(c)`
+/// is zero.
 fn select_sharded(
     c: usize,
     k: usize,
+    nq: usize,
     shards: usize,
     scratch: &mut TopkScratch,
-    out_indices: &mut Vec<u32>,
-    out_scores: &mut Vec<f32>,
-    select: impl Fn(Range<usize>, &mut Vec<Candidate>) + Sync,
+    select: impl Fn(Range<usize>, usize, &mut [BinaryHeap<Candidate>]) + Sync,
+    mut emit: impl FnMut(usize, &[Candidate]),
 ) {
-    out_indices.clear();
-    out_scores.clear();
     let k = k.min(c);
     if k == 0 {
         return;
@@ -216,16 +234,53 @@ fn select_sharded(
     if scratch.shards.len() < shards {
         scratch.shards.resize_with(shards, Vec::new);
     }
-    let bufs = &mut scratch.shards[..shards];
-    crate::pool::for_each_shard(c, bufs, select);
-    let (merged, rest) = bufs.split_first_mut().expect("at least one shard");
-    for buf in rest {
-        merged.extend_from_slice(buf);
+    let slots = &mut scratch.shards[..shards];
+    crate::pool::for_each_shard(c, slots, |rows, heaps| {
+        if heaps.len() < nq {
+            heaps.resize_with(nq, BinaryHeap::new);
+        }
+        let k = k.min(rows.len());
+        for heap in &mut heaps[..nq] {
+            heap.clear();
+            heap.reserve(k + 1);
+        }
+        if k > 0 {
+            select(rows, k, &mut heaps[..nq]);
+        }
+    });
+    let merged = &mut scratch.merged;
+    for q in 0..nq {
+        merged.clear();
+        for heaps in slots.iter_mut() {
+            merged.extend(heaps[q].drain());
+        }
+        merged.sort_unstable_by(result_order);
+        merged.truncate(k);
+        emit(q, merged);
     }
-    merged.sort_unstable_by(result_order);
-    merged.truncate(k);
-    out_indices.extend(merged.iter().map(|c| c.index));
-    out_scores.extend(merged.iter().map(|c| c.score));
+}
+
+/// [`select_sharded`] for one query, written to the (cleared) outputs.
+fn select_one_into(
+    c: usize,
+    k: usize,
+    shards: usize,
+    scratch: &mut TopkScratch,
+    out_indices: &mut Vec<u32>,
+    out_scores: &mut Vec<f32>,
+    select: impl Fn(Range<usize>, usize, &mut BinaryHeap<Candidate>) + Sync,
+) {
+    out_indices.clear();
+    out_scores.clear();
+    select_sharded(
+        c,
+        k,
+        1,
+        shards,
+        scratch,
+        |rows, k, heaps| select(rows, k, &mut heaps[0]),
+        |_, best| push_ranked(best, out_indices, out_scores),
+    );
 }
 
 /// Returns the indices and scores of the `k` largest entries of `scores`,
@@ -241,14 +296,14 @@ pub fn topk(scores: &[f32], k: usize) -> (Vec<u32>, Vec<f32>) {
 pub fn topk_sharded(scores: &[f32], k: usize, shards: usize) -> (Vec<u32>, Vec<f32>) {
     let (mut ids, mut vals) = (Vec::new(), Vec::new());
     let mut scratch = TopkScratch::default();
-    select_sharded(
+    select_one_into(
         scores.len(),
         k,
         shards,
         &mut scratch,
         &mut ids,
         &mut vals,
-        |rows, buf| select_candidates_into(scores, rows, k, buf),
+        |rows, k, heap| select_candidates(scores, rows, k, heap),
     );
     (ids, vals)
 }
@@ -269,14 +324,14 @@ pub fn topk_into(
     out_indices: &mut Vec<u32>,
     out_scores: &mut Vec<f32>,
 ) {
-    select_sharded(
+    select_one_into(
         scores.len(),
         k,
         1,
         scratch,
         out_indices,
         out_scores,
-        |rows, buf| select_candidates_into(scores, rows, k, buf),
+        |rows, k, heap| select_candidates(scores, rows, k, heap),
     );
 }
 
@@ -305,24 +360,16 @@ pub fn score_topk_sharded(
     k: usize,
     shards: usize,
 ) -> (Vec<u32>, Vec<f32>) {
-    debug_assert_eq!(table.len(), c * query.len(), "table shape mismatch");
-    let (mut ids, mut vals) = (Vec::new(), Vec::new());
+    let mut out = [(Vec::new(), Vec::new())];
     let mut scratch = TopkScratch::default();
-    select_sharded(
-        c,
-        k,
-        shards,
-        &mut scratch,
-        &mut ids,
-        &mut vals,
-        |rows, buf| select_scored_into(table, query, rows, k, buf),
-    );
-    (ids, vals)
+    score_topk_multi_sharded_into(table, query, 1, c, k, shards, &mut scratch, &mut out);
+    let [best] = out;
+    best
 }
 
 /// Allocation-free fused MIPS with thread-and-size-adaptive sharding
 /// ([`crate::pool::auto_shards`]): one shard below the crossover or on
-/// a one-thread pool.
+/// a one-thread pool. The one-query call of the multi-query scan.
 pub fn score_topk_into(
     table: &[f32],
     query: &[f32],
@@ -332,16 +379,73 @@ pub fn score_topk_into(
     out_indices: &mut Vec<u32>,
     out_scores: &mut Vec<f32>,
 ) {
+    // The outputs travel as the one-element result slice and come back
+    // with their capacity: no allocation either way.
+    let mut out = [(std::mem::take(out_indices), std::mem::take(out_scores))];
+    score_topk_multi_into(table, query, 1, c, k, scratch, &mut out);
+    let [(ids, scores)] = out;
+    (*out_indices, *out_scores) = (ids, scores);
+}
+
+/// Fused MIPS for `nq` queries in **one** pass over the table:
+/// `queries` is `[nq, d]` row-major and `out[q]` receives query `q`'s
+/// `(ids, scores)`, bit-identical to [`score_topk`] of that query alone
+/// — each 4-row tile is scored against every query while it sits in L1,
+/// so the table is streamed once, not `nq` times. A warm `scratch` and
+/// warm output vectors make the call allocation-free. More than one
+/// query runs one shard: a batch exists because requests were queued,
+/// which is the observable fact that the other cores are busy.
+pub fn score_topk_multi_into(
+    table: &[f32],
+    queries: &[f32],
+    nq: usize,
+    c: usize,
+    k: usize,
+    scratch: &mut TopkScratch,
+    out: &mut [Ranked],
+) {
     etude_obs::profile_scope!("tensor::score_topk");
-    debug_assert_eq!(table.len(), c * query.len(), "table shape mismatch");
+    let shards = if nq > 1 {
+        1
+    } else {
+        crate::pool::auto_shards(c)
+    };
+    score_topk_multi_sharded_into(table, queries, nq, c, k, shards, scratch, out);
+}
+
+/// [`score_topk_multi_into`] with an explicit shard count, for the
+/// equivalence tests and the bench sweep; not a serving knob.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn score_topk_multi_sharded_into(
+    table: &[f32],
+    queries: &[f32],
+    nq: usize,
+    c: usize,
+    k: usize,
+    shards: usize,
+    scratch: &mut TopkScratch,
+    out: &mut [Ranked],
+) {
+    assert_eq!(out.len(), nq, "one output per query");
+    if nq == 0 {
+        return;
+    }
+    assert_eq!(queries.len() % nq, 0, "queries are not [nq, d]");
+    let d = queries.len() / nq;
+    assert_eq!(table.len(), c * d, "table shape mismatch");
+    for (ids, scores) in out.iter_mut() {
+        ids.clear();
+        scores.clear();
+    }
     select_sharded(
         c,
         k,
-        crate::pool::auto_shards(c),
+        nq,
+        shards,
         scratch,
-        out_indices,
-        out_scores,
-        |rows, buf| select_scored_into(table, query, rows, k, buf),
+        |rows, k, heaps| select_scored(table, d, queries, rows, k, heaps),
+        |q, best| push_ranked(best, &mut out[q].0, &mut out[q].1),
     );
 }
 
@@ -395,14 +499,14 @@ pub fn score_topk_q8_sharded_into(
 ) {
     debug_assert_eq!(data.len(), c * q8.len(), "table shape mismatch");
     debug_assert_eq!(scales.len(), c, "per-row scales mismatch");
-    select_sharded(
+    select_one_into(
         c,
         k,
         shards,
         scratch,
         out_indices,
         out_scores,
-        |rows, buf| select_scored_q8_into(data, scales, q8, qscale, rows, k, buf),
+        |rows, k, heap| select_scored_q8(data, scales, q8, qscale, rows, k, heap),
     );
 }
 
@@ -437,7 +541,9 @@ pub fn merge_shard_topk(partials: &[(Vec<u32>, Vec<f32>)], k: usize) -> (Vec<u32
     }
     items.sort_unstable_by(result_order);
     items.truncate(k);
-    unzip_candidates(&items)
+    let mut merged = Ranked::default();
+    push_ranked(&items, &mut merged.0, &mut merged.1);
+    merged
 }
 
 #[cfg(test)]

@@ -16,10 +16,60 @@
 //! explicitly alongside the randomized sweeps.
 
 use etude_tensor::topk::{
-    score_topk, score_topk_q8_sharded_into, score_topk_sharded, topk, TopkScratch,
+    score_topk, score_topk_multi_sharded_into, score_topk_q8_sharded_into, score_topk_sharded,
+    topk, TopkScratch,
 };
 use etude_tensor::{kernels, simd};
 use proptest::prelude::*;
+
+/// Batch sizes and shard counts the multi-query scan is pinned at.
+const BATCHES: [usize; 4] = [1, 2, 3, 8];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
+
+/// Deterministic values in `[-1, 1)` from a seed (splitmix-style).
+fn unit_values(n: usize, seed: u64) -> Vec<f32> {
+    (0..n)
+        .map(|i| {
+            let h = seed
+                .wrapping_add(i as u64 + 1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            ((h >> 40) as f32 / 8388608.0) - 1.0
+        })
+        .collect()
+}
+
+/// `(ids, score bits)`: equality that tells `-0.0` from `0.0`.
+fn bits(result: &(Vec<u32>, Vec<f32>)) -> (Vec<u32>, Vec<u32>) {
+    let scores = result.1.iter().map(|s| s.to_bits()).collect();
+    (result.0.clone(), scores)
+}
+
+/// Asserts that one multi-query scan of `queries` (`[nq, d]`) over
+/// `shards` shards answers every query exactly as the one-query scan
+/// and as scalar-reference scoring followed by heap selection do.
+fn assert_multi_matches_single(
+    table: &[f32],
+    queries: &[f32],
+    nq: usize,
+    c: usize,
+    d: usize,
+    k: usize,
+    shards: usize,
+) {
+    let mut out = vec![(Vec::new(), Vec::new()); nq];
+    let mut scratch = TopkScratch::default();
+    score_topk_multi_sharded_into(table, queries, nq, c, k, shards, &mut scratch, &mut out);
+    for (q, got) in out.iter().enumerate() {
+        let query = &queries[q * d..(q + 1) * d];
+        let scores: Vec<f32> = (0..c)
+            .map(|r| simd::dot_scalar_ref(&table[r * d..(r + 1) * d], query))
+            .collect();
+        let what = format!("c={c} d={d} k={k} nq={nq} shards={shards} query={q}");
+        assert_eq!(bits(got), bits(&topk(&scores, k)), "vs reference: {what}");
+        let single = score_topk_sharded(table, query, c, k, 1);
+        assert_eq!(bits(got), bits(&single), "vs single: {what}");
+    }
+}
 
 /// Documented ULP tolerance for the softmax path (see DESIGN.md §12):
 /// the polynomial `exp_f32` is within ~2 ULP of libm over the clamped
@@ -163,6 +213,48 @@ proptest! {
         prop_assert_eq!((q8_ids, q8_scores), topk(&scores, k));
     }
 
+    /// Multi ≡ single, bit for bit, on hostile values: rows drawn from a
+    /// handful of distinct rows (ties must resolve to the smaller index
+    /// whatever the shard count), NaN and ±∞ planted in the table or in
+    /// the queries (a NaN score is `NEG_INFINITY` on every path), and
+    /// `k` on either side of `c`.
+    #[test]
+    fn multi_query_scan_matches_single_on_ties_and_non_finite_values(
+        c in 0usize..160,
+        d in 1usize..=40,
+        k in 1usize..200,
+        batch in 0usize..4,
+        shard in 0usize..4,
+        flavour in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let nq = BATCHES[batch];
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let mut table = unit_values(c * d, seed);
+        let mut queries = unit_values(nq * d, seed ^ 0xA5A5);
+        match flavour {
+            // Three distinct rows, repeated: scores tie in long runs.
+            1 => {
+                for r in 3..c {
+                    let src = (r % 3) * d;
+                    table.copy_within(src..src + d, r * d);
+                }
+            }
+            2 => {
+                for i in (0..table.len()).step_by(7) {
+                    table[i] = specials[(seed as usize + i) % specials.len()];
+                }
+            }
+            3 => {
+                for i in (0..queries.len()).step_by(5) {
+                    queries[i] = specials[(seed as usize + i) % specials.len()];
+                }
+            }
+            _ => {}
+        }
+        assert_multi_matches_single(&table, &queries, nq, c, d, k, SHARD_COUNTS[shard]);
+    }
+
     /// Vectorized softmax stays within the documented ULP envelope of the
     /// libm-based reference (same algorithm, different exponential).
     #[test]
@@ -242,6 +334,28 @@ fn dot_edge_lengths_match_scalar_reference() {
             simd::dot_scalar_ref(&a, &b).to_bits(),
             "len {len}"
         );
+    }
+}
+
+/// Multi ≡ single over every shape the tile kernel distinguishes: each
+/// tail length (`d % 8`) with zero to five full blocks, each partial
+/// final tile (`c % 4`) including the empty catalog and shards shorter
+/// than a tile, every pinned batch size and shard count, `k` below and
+/// above `c`.
+#[test]
+fn multi_query_scan_matches_single_for_every_tail_and_tile_shape() {
+    for d in 1..=40 {
+        for c in [0, 1, 2, 3, 4, 5, 6, 7, 61, 62, 63, 64] {
+            let table = unit_values(c * d, (c * 41 + d) as u64);
+            for nq in BATCHES {
+                let queries = unit_values(nq * d, (nq * 97 + d) as u64);
+                for shards in SHARD_COUNTS {
+                    for k in [3, 70] {
+                        assert_multi_matches_single(&table, &queries, nq, c, d, k, shards);
+                    }
+                }
+            }
+        }
     }
 }
 
