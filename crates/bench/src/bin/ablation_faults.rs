@@ -16,7 +16,7 @@
 //! to `results/BENCH_faults.json`, including the stage-accounting check
 //! (component stage means must tile the total within 10%) against the
 //! same `/stats` surface operators would scrape. Run with `--smoke` for
-//! a seconds-long pass (used by `scripts/verify.sh --chaos`).
+//! a seconds-long pass (used by `scripts/verify.sh`).
 
 use etude_faults::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 use etude_loadgen::{LoadConfig, RealLoadGen};

@@ -11,7 +11,7 @@
 //! Everything is seeded, so the decision journal replays byte-for-byte —
 //! the bench asserts that by running one cell twice. The summary lands
 //! in `results/BENCH_autoscale.json`; `--smoke` is the seconds-long pass
-//! `scripts/verify.sh --selfheal` uses.
+//! `scripts/verify.sh` uses.
 
 use etude_cluster::InstanceType;
 use etude_control::{AutoscalerConfig, ControlAction};
@@ -97,7 +97,6 @@ fn drive(plan: &BenchPlan, rps: u64, autoscaled: bool) -> Cell {
         .with_ramp(plan.ramp);
     if autoscaled {
         spec = spec.with_autoscaler(AutoscalerConfig {
-            min_replicas: 1,
             max_replicas: plan.max_replicas,
             ..AutoscalerConfig::default()
         });

@@ -11,7 +11,7 @@
 //!
 //! Everything is seeded, so every cell replays bit-identically. The
 //! summary lands in `results/BENCH_fleet_timeline.json`; run with
-//! `--smoke` for the seconds-long pass `scripts/verify.sh --fleet`
+//! `--smoke` for the seconds-long pass `scripts/verify.sh`
 //! uses.
 
 use etude_cluster::{Deployment, DeploymentSpec, PodLoadStats};

@@ -17,7 +17,7 @@
 //! measuring the degraded path (responses must stay `200` + tagged).
 //! A machine-readable summary goes to
 //! `results/BENCH_scatter_gather.json`. Run with `--smoke` for the
-//! C = 10^5 cell only (used by `scripts/verify.sh --scatter`).
+//! C = 10^5 cell only (used by `scripts/verify.sh`).
 
 use etude_cluster::{DeploymentSpec, InstanceType, ShardPlan};
 use etude_models::retrieval::CatalogShard;
@@ -36,6 +36,9 @@ const QUERY_SEED: u64 = 21;
 /// GB) is the scale where replication is rejected and sharding is the
 /// only deployment that admits.
 const NODE_BUDGET: u64 = 1 << 30;
+/// The paper's latency SLO. A lost shard group must cost the smoke
+/// cell's degraded requests no more than this at p90.
+const SLO_US: u64 = 100_000;
 
 /// `d = ceil(C^0.25)` — the paper's embedding-dimension heuristic.
 fn dim_for(c: usize) -> usize {
@@ -186,10 +189,10 @@ fn run_cell(plan: &CellPlan, smoke: bool) -> Cell {
         backends.push(server);
     }
     let resident_bytes: Vec<u64> = topo.groups.iter().map(|g| g.resident_bytes).collect();
-    // A dead leg consumes its whole budget (the client rides out
-    // refusals until the deadline), so the budget is sized for the
-    // slowest healthy scan and a one-strike breaker makes the lost
-    // group fail fast after the first degraded request.
+    // The budget is sized for the slowest healthy scan. A one-strike
+    // breaker opens on the lost group's first refused connect; from then
+    // on its leg fails at once without dialling, so a dead group costs a
+    // degraded request microseconds, not its leg budget.
     let config = RouterConfig {
         k: K,
         leg_budget: Duration::from_secs(2),
@@ -348,6 +351,15 @@ fn main() {
     }
     write_summary(&cells, smoke);
 
+    if smoke {
+        let p90 = cells[0].degraded.p90_us;
+        println!(
+            "  [{}] one-group loss: degraded p90 {p90} us within the {} ms SLO",
+            if p90 <= SLO_US { "ok" } else { "!!" },
+            SLO_US / 1000
+        );
+        assert!(p90 <= SLO_US, "a lost shard group must fail fast");
+    }
     assert!(
         cells.iter().all(|c| c.bit_identical),
         "sharded serving must be byte-identical to the reference at full health"

@@ -18,8 +18,8 @@
 //!   (rate-limited to one cut per quarter-window so a burst of sheds
 //!   does not collapse the limit to the floor).
 //! * **Criticality ordering.** Requests carry an [`Criticality`] class
-//!   (the `x-criticality` header). Each class may only occupy a
-//!   configured fraction of the current limit, so as occupancy climbs
+//!   (the `x-criticality` header). Each class may only occupy a fixed
+//!   fraction of the current limit, so as occupancy climbs
 //!   the `shed-first` class is refused first, then `normal`, and
 //!   `critical` traffic keeps the full window. Shedding is priority-
 //!   ordered, never FIFO.
@@ -100,6 +100,18 @@ impl Criticality {
     }
 }
 
+/// Additive raise applied after a good epoch (scaled by seeded jitter
+/// in `[0.75, 1.25)`).
+const INCREASE: f64 = 1.0;
+/// Multiplicative factor applied after a bad epoch or a shed: cuts the
+/// window by 30%.
+const DECREASE: f64 = 0.7;
+/// Per-class admission fraction of the current limit, indexed by
+/// [`Criticality::index`]: `shed-first` is refused once occupancy
+/// reaches `0.6 * limit`, `normal` at `0.95 * limit`, `critical` at the
+/// full limit.
+const HEADROOM: [f64; 3] = [0.6, 0.95, 1.0];
+
 /// Tuning for an [`AdmissionController`].
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
@@ -114,16 +126,6 @@ pub struct AdmissionConfig {
     pub target: Duration,
     /// Samples per adjustment epoch.
     pub window: u32,
-    /// Additive raise applied after a good epoch (scaled by seeded
-    /// jitter in `[0.75, 1.25)`).
-    pub increase: f64,
-    /// Multiplicative factor applied after a bad epoch or a shed
-    /// (e.g. `0.7` cuts the window by 30%).
-    pub decrease: f64,
-    /// Per-class admission fraction of the current limit, indexed by
-    /// [`Criticality::index`]: `shed-first` is refused once occupancy
-    /// reaches `headroom[0] * limit`, and so on.
-    pub headroom: [f64; 3],
     /// Seed for the additive-raise jitter.
     pub seed: u64,
 }
@@ -136,9 +138,6 @@ impl Default for AdmissionConfig {
             initial: 8.0,
             target: Duration::from_millis(50),
             window: 32,
-            increase: 1.0,
-            decrease: 0.7,
-            headroom: [0.6, 0.95, 1.0],
             seed: 0,
         }
     }
@@ -196,7 +195,7 @@ impl AdmissionController {
     /// [`AdmissionController::abandon`] (never started).
     pub fn try_acquire(&self, crit: Criticality) -> bool {
         let mut g = self.inner.lock().unwrap();
-        let class_limit = g.limit * self.config.headroom[crit.index()];
+        let class_limit = g.limit * HEADROOM[crit.index()];
         if (g.in_flight as f64) < class_limit {
             g.in_flight += 1;
             g.admitted[crit.index()] += 1;
@@ -253,7 +252,7 @@ impl AdmissionController {
             g.rng ^= g.rng >> 7;
             g.rng ^= g.rng << 17;
             let unit = (g.rng >> 11) as f64 / (1u64 << 53) as f64;
-            let step = self.config.increase * (0.75 + 0.5 * unit);
+            let step = INCREASE * (0.75 + 0.5 * unit);
             g.limit = (g.limit + step).min(self.config.max_limit);
             if (g.limit - old).abs() > f64::EPSILON {
                 g.journal
@@ -266,7 +265,7 @@ impl AdmissionController {
 
     fn cut(&self, g: &mut AdmissionInner, now: Duration) {
         let old = g.limit;
-        g.limit = (g.limit * self.config.decrease).max(self.config.min_limit);
+        g.limit = (g.limit * DECREASE).max(self.config.min_limit);
         g.since_cut = 0;
         g.epoch_sum_us = 0;
         g.epoch_n = 0;

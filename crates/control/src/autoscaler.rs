@@ -7,53 +7,46 @@
 //! SLO target, and the SLO burn rate. [`Autoscaler::decide`] maps that
 //! observation to an optional replica change. The mapping is a pure
 //! function of (config, tick sequence, observations): no clocks, no
-//! randomness beyond the seeded config, so a replayed chaos run emits a
-//! byte-identical decision journal.
+//! randomness, so a replayed chaos run emits a byte-identical decision
+//! journal.
 //!
 //! Three guards keep the trajectory sane:
 //!
-//! * **bounds** — replicas never leave `[min_replicas, max_replicas]`,
-//! * **cooldown** — after any scale event, further moves in the same
-//!   direction wait out a per-direction tick cooldown (scaling up is
-//!   allowed sooner than scaling down, the usual HPA asymmetry),
+//! * **bounds** — replicas never leave `[1, max_replicas]`,
+//! * **cooldown** — after a scale-up, further scale-ups wait out
+//!   `UP_COOLDOWN_TICKS` (scaling up is allowed sooner than scaling
+//!   down, the usual HPA asymmetry),
 //! * **hysteresis** — scale-down requires the pressure score to sit
-//!   below `down_hysteresis` for `down_cooldown_ticks` *consecutive*
+//!   below `DOWN_HYSTERESIS` for `down_cooldown_ticks` *consecutive*
 //!   ticks, so a single quiet tick in a noisy window releases nothing.
 
 use std::time::Duration;
 
+/// Lower replica bound: the fleet never scales to zero.
+const MIN_REPLICAS: usize = 1;
+/// Queue depth per replica considered "at capacity".
+const TARGET_QUEUE_PER_REPLICA: f64 = 8.0;
+/// p99 considered "at capacity".
+const TARGET_P99: Duration = Duration::from_millis(50);
+/// Ticks to wait after a scale-up before scaling up again.
+const UP_COOLDOWN_TICKS: u64 = 3;
+/// Score (fraction of capacity) below which a tick counts as calm.
+const DOWN_HYSTERESIS: f64 = 0.5;
+
 /// Autoscaler tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct AutoscalerConfig {
-    /// Lower replica bound.
-    pub min_replicas: usize,
     /// Upper replica bound.
     pub max_replicas: usize,
-    /// Queue depth per replica considered "at capacity".
-    pub target_queue_per_replica: f64,
-    /// p99 considered "at capacity" (usually the latency SLO).
-    pub target_p99: Duration,
-    /// Ticks to wait after a scale-up before scaling up again.
-    pub up_cooldown_ticks: u64,
     /// Consecutive calm ticks required before releasing a replica.
     pub down_cooldown_ticks: u64,
-    /// Score below which a tick counts as calm (must be < 1).
-    pub down_hysteresis: f64,
-    /// Seed recorded into decisions for provenance.
-    pub seed: u64,
 }
 
 impl Default for AutoscalerConfig {
     fn default() -> AutoscalerConfig {
         AutoscalerConfig {
-            min_replicas: 1,
             max_replicas: 8,
-            target_queue_per_replica: 8.0,
-            target_p99: Duration::from_millis(50),
-            up_cooldown_ticks: 3,
             down_cooldown_ticks: 10,
-            down_hysteresis: 0.5,
-            seed: 42,
         }
     }
 }
@@ -117,8 +110,8 @@ impl Autoscaler {
     /// Integer arithmetic end-to-end so replays are byte-identical.
     fn score_milli(&self, obs: &FleetObs) -> (u64, &'static str) {
         let replicas = obs.ready_replicas.max(1) as f64;
-        let queue = (obs.queue_depth as f64 / replicas) / self.config.target_queue_per_replica;
-        let latency = obs.p99_us as f64 / (self.config.target_p99.as_micros().max(1) as f64);
+        let queue = (obs.queue_depth as f64 / replicas) / TARGET_QUEUE_PER_REPLICA;
+        let latency = obs.p99_us as f64 / TARGET_P99.as_micros() as f64;
         // Burn 6.0 (the PR 4 slow-burn page threshold) maps to "at
         // capacity": a paging fleet is by definition under-provisioned.
         let burn = obs.burn / 6.0;
@@ -146,7 +139,7 @@ impl Autoscaler {
             self.calm_streak = 0;
             let in_cooldown = self
                 .last_scale_up_tick
-                .is_some_and(|t| obs.tick < t + c.up_cooldown_ticks);
+                .is_some_and(|t| obs.tick < t + UP_COOLDOWN_TICKS);
             if in_cooldown || current >= c.max_replicas {
                 return None;
             }
@@ -165,9 +158,9 @@ impl Autoscaler {
 
         // Calm tick: count the streak, release one replica at a time
         // once the streak covers the down cooldown.
-        if (score as f64) < c.down_hysteresis * 1000.0 {
+        if (score as f64) < DOWN_HYSTERESIS * 1000.0 {
             self.calm_streak += 1;
-            if self.calm_streak >= c.down_cooldown_ticks && current > c.min_replicas {
+            if self.calm_streak >= c.down_cooldown_ticks && current > MIN_REPLICAS {
                 self.calm_streak = 0;
                 self.decisions += 1;
                 return Some(ScaleDecision {
@@ -214,14 +207,8 @@ mod tests {
 
     fn scaler() -> Autoscaler {
         Autoscaler::new(AutoscalerConfig {
-            min_replicas: 1,
             max_replicas: 8,
-            target_queue_per_replica: 8.0,
-            target_p99: Duration::from_millis(50),
-            up_cooldown_ticks: 3,
             down_cooldown_ticks: 5,
-            down_hysteresis: 0.5,
-            seed: 42,
         })
     }
 

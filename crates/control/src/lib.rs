@@ -21,9 +21,6 @@
 //!   for the load-balancing service: persistent failers are ejected from
 //!   rotation under a minimum-healthy floor and re-admitted after seeded
 //!   exponential probation,
-//! * [`hedge`] — a latency-quantile trigger for hedged requests: once
-//!   enough attempts have been observed, a request still unanswered at
-//!   the p95 launches one backup attempt on another backend,
 //! * [`autoscaler`] — an HPA-style reconciler mapping windowed fleet
 //!   observations (queue depth, p99, burn rate) to replica counts within
 //!   min/max bounds, with cooldown and hysteresis so trajectories do not
@@ -37,12 +34,10 @@ pub mod admission;
 pub mod autoscaler;
 pub mod breaker;
 pub mod health;
-pub mod hedge;
 pub mod journal;
 
 pub use admission::{AdmissionConfig, AdmissionController, Criticality};
 pub use autoscaler::{Autoscaler, AutoscalerConfig, FleetObs, ScaleDecision};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use health::{EjectionConfig, HealthEvent, OutlierDetector};
-pub use hedge::{HedgePolicy, HedgeTrigger};
 pub use journal::{parse_journal, ControlAction, DecisionJournal, JournalEntry};

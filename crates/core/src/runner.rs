@@ -236,7 +236,7 @@ pub struct SerialResult {
     /// f32 lanes per block of that backend (1 for scalar).
     pub simd_lanes: usize,
     /// Poller backend the reactor serving tier would run on this host
-    /// ("epoll", or "poll" under `ETUDE_POLLER=poll`). The serial bench
+    /// ("epoll" on Linux, "poll" elsewhere). The serial bench
     /// itself is virtual-time, but reports carry the serving substrate
     /// so results files are comparable across hosts.
     pub poller_backend: &'static str,
@@ -470,7 +470,6 @@ mod tests {
         // should grow the fleet instead of letting it drown.
         let run = || {
             let config = AutoscalerConfig {
-                min_replicas: 1,
                 max_replicas: 6,
                 ..AutoscalerConfig::default()
             };

@@ -114,7 +114,6 @@ fn chaos_run(seed: u64) -> (Vec<Observed>, u64) {
         leg_budget: Duration::from_millis(500),
         policy: RetryPolicy::none(),
         breakers: None,
-        hedge: None,
         seed,
         ..RouterConfig::default()
     };

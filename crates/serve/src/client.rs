@@ -7,7 +7,7 @@
 
 use crate::http::{self, Request, Response};
 use bytes::BytesMut;
-use etude_control::{BreakerConfig, BreakerState, CircuitBreaker, HedgePolicy, HedgeTrigger};
+use etude_control::{BreakerConfig, BreakerState, CircuitBreaker};
 use etude_faults::{Backoff, Deadline, RetryPolicy};
 use etude_obs::trace::span_hash;
 use etude_obs::{request_id_hash, ClientAttempt, ClientSpan, TraceCtx, TRACE_HEADER};
@@ -222,37 +222,6 @@ enum Obs {
     Failure(Option<Duration>),
 }
 
-/// Result of one hedge leg, sent back over the race channel. A leg that
-/// ends with a parseable response returns its connection for reuse.
-struct LegDone {
-    leg: usize,
-    start_nanos: u64,
-    duration_nanos: u64,
-    result: Result<Response, ClientError>,
-    conn: Option<HttpClient>,
-}
-
-/// Runs one hedge leg to completion on its own thread.
-fn run_leg(
-    leg: usize,
-    mut conn: HttpClient,
-    req: Request,
-    epoch: Instant,
-    tx: crossbeam::channel::Sender<LegDone>,
-) {
-    let start_nanos = nanos_since(epoch);
-    let result = conn.request(&req);
-    let duration_nanos = nanos_since(epoch).saturating_sub(start_nanos);
-    let conn = result.is_ok().then_some(conn);
-    let _ = tx.send(LegDone {
-        leg,
-        start_nanos,
-        duration_nanos,
-        result,
-        conn,
-    });
-}
-
 /// A retrying HTTP client: [`HttpClient`] plus a per-request deadline
 /// budget, bounded exponential backoff with seeded jitter, and
 /// `Retry-After` honoring.
@@ -271,12 +240,9 @@ fn run_leg(
 /// bit-identical schedule.
 ///
 /// A client may hold several backends ([`Self::new_multi`]). Failed
-/// attempts rotate to the next one, [`Self::with_breakers`] puts a
+/// attempts rotate to the next one, and [`Self::with_breakers`] puts a
 /// circuit breaker in front of each (an open breaker takes its backend
-/// out of rotation until the open interval lapses), and
-/// [`Self::with_hedging`] arms tail-latency hedging: when the primary
-/// attempt is silent past the observed latency quantile, one backup
-/// attempt races it on the next backend and the first response wins.
+/// out of rotation until the open interval lapses).
 pub struct ResilientClient {
     backends: Vec<Backend>,
     current: usize,
@@ -288,7 +254,6 @@ pub struct ResilientClient {
     /// Epoch for breaker clocks: breakers reason in `Duration` since
     /// client creation, never in wall-clock instants.
     started: Instant,
-    hedge: Option<HedgeTrigger>,
 }
 
 /// Floor on the reconnect pace while a backend's port is refusing
@@ -323,7 +288,6 @@ impl ResilientClient {
             total_retries: 0,
             reconnects: 0,
             started: Instant::now(),
-            hedge: None,
         }
     }
 
@@ -336,19 +300,13 @@ impl ResilientClient {
 
     /// Puts a circuit breaker in front of every backend. While a breaker
     /// is open its backend is skipped in rotation; when every breaker is
-    /// open the client fails open and dials anyway (a guess beats a
-    /// guaranteed error).
+    /// open the request fails at once with a `ConnectionRefused`-class
+    /// error and dials nothing (a half-open breaker still admits its
+    /// probe, so recovery is unchanged).
     pub fn with_breakers(mut self, config: BreakerConfig) -> Self {
         for b in &mut self.backends {
             b.breaker = Some(CircuitBreaker::new(config));
         }
-        self
-    }
-
-    /// Arms tail-latency hedging. Only effective with two or more
-    /// backends — a hedge against the same sick backend buys nothing.
-    pub fn with_hedging(mut self, policy: HedgePolicy) -> Self {
-        self.hedge = Some(HedgeTrigger::new(policy));
         self
     }
 
@@ -358,7 +316,7 @@ impl ResilientClient {
     }
 
     /// Connections opened: the initial connect plus every reopen after a
-    /// transport failure (hedge legs count one each).
+    /// transport failure.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
@@ -373,12 +331,6 @@ impl ResilientClient {
         self.backends[idx].breaker.as_ref().map(|b| b.state())
     }
 
-    /// (hedges launched, hedges won by the backup), when hedging is
-    /// armed.
-    pub fn hedge_stats(&self) -> Option<(u64, u64)> {
-        self.hedge.as_ref().map(|h| h.hedge_stats())
-    }
-
     /// Feeds one attempt outcome to backend `idx`'s breaker, if any.
     fn observe(&mut self, idx: usize, obs: Obs) {
         let now = self.started.elapsed();
@@ -391,9 +343,8 @@ impl ResilientClient {
     }
 
     /// Picks the backend for the next attempt: the first from `current`
-    /// whose breaker admits traffic. When every breaker is open the
-    /// client fails open on `current`.
-    fn pick(&mut self, now: Duration) -> usize {
+    /// whose breaker admits traffic, or `None` when no breaker does.
+    fn pick(&mut self, now: Duration) -> Option<usize> {
         let n = self.backends.len();
         for off in 0..n {
             let idx = (self.current + off) % n;
@@ -403,27 +354,10 @@ impl ResilientClient {
             };
             if admitted {
                 self.current = idx;
-                return idx;
+                return Some(idx);
             }
         }
-        self.current % n
-    }
-
-    /// The hedge backup for `primary`: the next distinct backend whose
-    /// breaker admits traffic (or simply the next one, failing open).
-    fn next_allowed(&mut self, primary: usize, now: Duration) -> usize {
-        let n = self.backends.len();
-        for off in 1..n {
-            let idx = (primary + off) % n;
-            let admitted = match self.backends[idx].breaker.as_mut() {
-                None => true,
-                Some(b) => b.allow(now),
-            };
-            if admitted {
-                return idx;
-            }
-        }
-        (primary + 1) % n
+        None
     }
 
     /// Sends `req`, retrying under `budget`. The request must carry an
@@ -487,77 +421,49 @@ impl ResilientClient {
         let mut retries = 0u32;
         let mut attempt_index = 0u64;
         let result = loop {
-            let now = self.started.elapsed();
-            let primary = self.pick(now);
-            let hedge_delay = if self.backends.len() >= 2 {
-                self.hedge.as_ref().and_then(|h| h.delay())
-            } else {
-                None
+            let Some(idx) = self.pick(self.started.elapsed()) else {
+                // Every breaker is open: dialling a backend they all just
+                // condemned would only ride out refusals to the deadline.
+                break Err(ClientError::Io(std::io::Error::new(
+                    ErrorKind::ConnectionRefused,
+                    "every backend's circuit breaker is open",
+                )));
             };
-            let (outcome, winner) = match hedge_delay {
-                Some(delay) => {
-                    let backup = self.next_allowed(primary, now);
-                    self.hedged_attempt(
-                        req,
-                        &deadline,
-                        primary,
-                        backup,
-                        delay,
-                        epoch,
+            let outcome = match epoch {
+                Some(e) => {
+                    // Each attempt is its own span: the pod's stage
+                    // records parent to it, so retries reassemble as
+                    // sibling subtrees rather than one merged blob.
+                    let attempt_span = span_hash(trace_id, root.span_id, attempt_index);
+                    let ctx = TraceCtx {
                         trace_id,
-                        root.span_id,
-                        &mut attempt_index,
-                        span.as_mut(),
-                    )
-                }
-                None => {
-                    let sent = Instant::now();
-                    let out = match epoch {
-                        Some(e) => {
-                            // Each attempt is its own span: the pod's stage
-                            // records parent to it, so retries reassemble as
-                            // sibling subtrees rather than one merged blob.
-                            let attempt_span = span_hash(trace_id, root.span_id, attempt_index);
-                            let ctx = TraceCtx {
-                                trace_id,
-                                span_id: attempt_span,
-                                hop: 1,
-                            };
-                            let mut traced = req.clone();
-                            traced.headers.insert(TRACE_HEADER.into(), ctx.encode());
-                            let start = nanos_since(e);
-                            let out = self.attempt_on(primary, &traced, &deadline);
-                            let status = match &out {
-                                Ok(resp) => Some(resp.status),
-                                Err(_) => None,
-                            };
-                            if let Some(s) = span.as_mut() {
-                                s.attempts.push(ClientAttempt {
-                                    span_id: attempt_span,
-                                    start_nanos: start,
-                                    duration_nanos: nanos_since(e).saturating_sub(start),
-                                    status,
-                                });
-                            }
-                            out
-                        }
-                        None => self.attempt_on(primary, req, &deadline),
+                        span_id: attempt_span,
+                        hop: 1,
                     };
-                    attempt_index += 1;
-                    if out.is_ok() {
-                        if let Some(h) = self.hedge.as_mut() {
-                            h.record(sent.elapsed());
-                        }
+                    let mut traced = req.clone();
+                    traced.headers.insert(TRACE_HEADER.into(), ctx.encode());
+                    let start = nanos_since(e);
+                    let out = self.attempt_on(idx, &traced, &deadline);
+                    let status = match &out {
+                        Ok(resp) => Some(resp.status),
+                        Err(_) => None,
+                    };
+                    if let Some(s) = span.as_mut() {
+                        s.attempts.push(ClientAttempt {
+                            span_id: attempt_span,
+                            start_nanos: start,
+                            duration_nanos: nanos_since(e).saturating_sub(start),
+                            status,
+                        });
                     }
-                    (out, primary)
+                    out
                 }
+                None => self.attempt_on(idx, req, &deadline),
             };
+            attempt_index += 1;
             let (retry_after, last_err) = match outcome {
                 Ok(resp) if resp.status < 500 && resp.status != 429 => {
-                    self.observe(winner, Obs::Success);
-                    // Stick with whoever answered: if a hedge backup won,
-                    // it becomes the preferred backend.
-                    self.current = winner;
+                    self.observe(idx, Obs::Success);
                     let degraded = resp
                         .headers
                         .contains_key(crate::rustserver::DEGRADED_HEADER);
@@ -574,16 +480,16 @@ impl ResilientClient {
                         .headers
                         .get("retry-after")
                         .and_then(|v| parse_retry_after(v));
-                    self.observe(winner, Obs::Failure(after));
-                    self.current = (winner + 1) % self.backends.len();
+                    self.observe(idx, Obs::Failure(after));
+                    self.current = (idx + 1) % self.backends.len();
                     (after, Err(resp))
                 }
                 Err(e) => {
                     // Transport failure: the connection state is unknown
                     // (a response could still be in flight), start fresh.
-                    self.backends[winner].conn = None;
-                    self.observe(winner, Obs::Failure(None));
-                    self.current = (winner + 1) % self.backends.len();
+                    self.backends[idx].conn = None;
+                    self.observe(idx, Obs::Failure(None));
+                    self.current = (idx + 1) % self.backends.len();
                     let refused = matches!(
                         &e,
                         ClientError::Io(io) if io.kind() == ErrorKind::ConnectionRefused
@@ -649,217 +555,6 @@ impl ResilientClient {
         let conn = self.backends[idx].conn.as_mut().expect("connected above");
         conn.set_timeout(timeout)?;
         conn.request(req)
-    }
-
-    /// Takes backend `idx`'s connection (dialling if needed) with its
-    /// read timeout set, for a hedge leg thread to own.
-    fn lease(&mut self, idx: usize, timeout: Duration) -> Result<HttpClient, ClientError> {
-        if self.backends[idx].conn.is_none() {
-            self.reconnects += 1;
-            self.backends[idx].conn = Some(HttpClient::connect_with_timeout(
-                self.backends[idx].addr,
-                timeout,
-            )?);
-        }
-        let mut conn = self.backends[idx].conn.take().expect("ensured above");
-        conn.set_timeout(timeout)?;
-        Ok(conn)
-    }
-
-    /// One hedged attempt: the primary leg races a backup leg launched
-    /// on `backup` after `delay` of silence; the first parseable
-    /// response wins and the loser's socket is shut down. Returns the
-    /// winning outcome and the backend it came from. Losing-leg breaker
-    /// outcomes are recorded here; the winner's is left to the caller
-    /// (which also parses `Retry-After` and handles rotation).
-    #[allow(clippy::too_many_arguments)]
-    fn hedged_attempt(
-        &mut self,
-        req: &Request,
-        deadline: &Deadline,
-        primary: usize,
-        backup: usize,
-        delay: Duration,
-        epoch: Option<Instant>,
-        trace_id: u64,
-        root_span: u64,
-        attempt_index: &mut u64,
-        mut span: Option<&mut ClientSpan>,
-    ) -> (Result<Response, ClientError>, usize) {
-        let timeout = deadline.clamp(self.attempt_timeout);
-        if timeout.is_zero() {
-            return (Err(ClientError::Timeout), primary);
-        }
-        let timing = epoch.unwrap_or(self.started);
-        let leg_req = |index: u64| -> (Request, u64) {
-            if epoch.is_some() {
-                let sid = span_hash(trace_id, root_span, index);
-                let mut r = req.clone();
-                r.headers.insert(
-                    TRACE_HEADER.into(),
-                    TraceCtx {
-                        trace_id,
-                        span_id: sid,
-                        hop: 1,
-                    }
-                    .encode(),
-                );
-                (r, sid)
-            } else {
-                (req.clone(), 0)
-            }
-        };
-        let (preq, pspan) = leg_req(*attempt_index);
-        let (breq, bspan) = leg_req(*attempt_index + 1);
-        *attempt_index += 1;
-
-        // The primary leg's connection is prepared on this thread (so
-        // connect failures keep their refused/reset semantics for the
-        // caller) and moved into the leg thread.
-        let pconn = match self.lease(primary, timeout) {
-            Ok(c) => c,
-            Err(e) => {
-                if let Some(s) = span.as_deref_mut() {
-                    s.attempts.push(ClientAttempt {
-                        span_id: pspan,
-                        start_nanos: nanos_since(timing),
-                        duration_nanos: 0,
-                        status: None,
-                    });
-                }
-                return (Err(e), primary);
-            }
-        };
-        let pcancel = pconn.stream.try_clone().ok();
-        let plaunch = nanos_since(timing);
-        let (tx, rx) = crossbeam::channel::bounded::<LegDone>(2);
-        {
-            let tx = tx.clone();
-            std::thread::spawn(move || run_leg(0, pconn, preq, timing, tx));
-        }
-
-        let mut launched = 1usize;
-        let mut bcancel = None;
-        let mut blaunch = 0u64;
-        let mut reports: Vec<LegDone> = Vec::new();
-        match rx.recv_timeout(deadline.clamp(delay)) {
-            Ok(done) => reports.push(done),
-            Err(_) => {
-                // The primary is past the hedge threshold: race a backup
-                // attempt against the next backend.
-                match self.lease(backup, deadline.clamp(self.attempt_timeout)) {
-                    Ok(bconn) => {
-                        bcancel = bconn.stream.try_clone().ok();
-                        blaunch = nanos_since(timing);
-                        let tx = tx.clone();
-                        std::thread::spawn(move || run_leg(1, bconn, breq, timing, tx));
-                        *attempt_index += 1;
-                        launched = 2;
-                    }
-                    Err(_) => self.observe(backup, Obs::Failure(None)),
-                }
-            }
-        }
-        // First parseable response wins; a leg that failed waits for the
-        // other. Legs carry their own read timeouts, so the grace here
-        // only covers scheduling slack.
-        while !reports.iter().any(|r| r.result.is_ok()) && reports.len() < launched {
-            match rx.recv_timeout(timeout + Duration::from_millis(250)) {
-                Ok(done) => reports.push(done),
-                Err(_) => break,
-            }
-        }
-
-        // Cancel whichever leg has not reported: shutting its socket
-        // down unblocks the leg thread immediately.
-        for (leg, cancel) in [(0usize, &pcancel), (1, &bcancel)] {
-            if leg < launched && !reports.iter().any(|r| r.leg == leg) {
-                if let Some(stream) = cancel {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        }
-
-        // Attempts appear in the trace in launch order; a cancelled leg
-        // is an unanswered sibling attempt.
-        if let Some(s) = span {
-            let now_nanos = nanos_since(timing);
-            for leg in 0..launched {
-                let (sid, start) = if leg == 0 {
-                    (pspan, plaunch)
-                } else {
-                    (bspan, blaunch)
-                };
-                match reports.iter().find(|r| r.leg == leg) {
-                    Some(r) => s.attempts.push(ClientAttempt {
-                        span_id: sid,
-                        start_nanos: r.start_nanos,
-                        duration_nanos: r.duration_nanos,
-                        status: match &r.result {
-                            Ok(resp) => Some(resp.status),
-                            Err(_) => None,
-                        },
-                    }),
-                    None => s.attempts.push(ClientAttempt {
-                        span_id: sid,
-                        start_nanos: start,
-                        duration_nanos: now_nanos.saturating_sub(start),
-                        status: None,
-                    }),
-                }
-            }
-        }
-
-        if reports.is_empty() {
-            if launched == 2 {
-                if let Some(h) = self.hedge.as_mut() {
-                    h.note_hedge(false);
-                }
-            }
-            return (Err(ClientError::Timeout), primary);
-        }
-
-        let backend_of = |leg: usize| if leg == 0 { primary } else { backup };
-        let win = reports.iter().position(|r| r.result.is_ok()).unwrap_or(0);
-        let winner_leg = reports[win].leg;
-        let mut winner_result = None;
-        let mut winner_duration = Duration::ZERO;
-        for r in reports {
-            let idx = backend_of(r.leg);
-            // A connection that survived its leg goes back for reuse.
-            if let Some(conn) = r.conn {
-                self.backends[idx].conn = Some(conn);
-            }
-            if r.leg == winner_leg {
-                winner_duration = Duration::from_nanos(r.duration_nanos);
-                winner_result = Some(r.result);
-            } else {
-                // The losing-but-reported leg still teaches its breaker.
-                match &r.result {
-                    Ok(resp) if resp.status < 500 && resp.status != 429 => {
-                        self.observe(idx, Obs::Success)
-                    }
-                    Ok(resp) => {
-                        let after = resp
-                            .headers
-                            .get("retry-after")
-                            .and_then(|v| parse_retry_after(v));
-                        self.observe(idx, Obs::Failure(after));
-                    }
-                    Err(_) => self.observe(idx, Obs::Failure(None)),
-                }
-            }
-        }
-        let result = winner_result.expect("winner taken from reports");
-        if let Some(h) = self.hedge.as_mut() {
-            if result.is_ok() {
-                h.record(winner_duration);
-            }
-            if launched == 2 {
-                h.note_hedge(winner_leg == 1);
-            }
-        }
-        (result, backend_of(winner_leg))
     }
 }
 
@@ -1433,67 +1128,40 @@ mod tests {
     }
 
     #[test]
-    fn hedged_requests_race_a_slow_backend() {
-        let fast: Handler = Arc::new(|_| crate::http::Response::ok("quick"));
-        let slow = start(
-            ReactorConfig::default(),
-            slow_handler(Duration::from_millis(400)),
-        )
-        .unwrap();
-        let good = start(ReactorConfig::default(), fast).unwrap();
-        let mut client =
-            ResilientClient::new_multi(vec![slow.addr(), good.addr()], RetryPolicy::none(), 17)
-                .with_hedging(HedgePolicy::fixed(Duration::from_millis(50)));
-        let epoch = Instant::now();
-        let mut req = Request::get("/slow");
-        req.headers.insert("x-request-id".into(), "hedge-1".into());
-        let started = std::time::Instant::now();
-        let (out, span) = client.request_traced(&req, Duration::from_secs(5), epoch);
-        let out = out.unwrap();
-        assert_eq!(out.response.status, 200);
+    fn open_breakers_fail_fast_without_dialling() {
+        // A dead backend behind a one-strike breaker: the first request
+        // trips it, and from then on the client answers at once instead
+        // of riding out refusals until the deadline.
+        let addr = vacant_addr();
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            max_retries: 2,
+            jitter: 0.0,
+        };
+        let mut client = ResilientClient::new(addr, policy, 23).with_breakers(BreakerConfig {
+            failure_threshold: 1,
+            open_for: Duration::from_secs(60),
+            half_open_successes: 1,
+        });
+        let first = client.request_within(&Request::get("/gone"), Duration::from_secs(5));
+        assert!(first.is_err(), "nothing listens on the port");
+        assert_eq!(client.breaker_state(0), Some(BreakerState::Open));
+        let dialled = client.reconnects();
+        let started = Instant::now();
+        match client.request_within(&Request::get("/gone"), Duration::from_secs(5)) {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), ErrorKind::ConnectionRefused),
+            other => panic!("expected a refused-class error, got {other:?}"),
+        }
+        assert_eq!(
+            client.reconnects(),
+            dialled,
+            "an open breaker dials nothing"
+        );
         assert!(
-            started.elapsed() < Duration::from_millis(350),
-            "the backup answered long before the slow primary: {:?}",
+            started.elapsed() < Duration::from_secs(1),
+            "failed fast, not at the deadline: {:?}",
             started.elapsed()
         );
-        assert_eq!(
-            client.hedge_stats(),
-            Some((1, 1)),
-            "one hedge, won by backup"
-        );
-        // Both legs appear as sibling attempts: the cancelled primary
-        // (no status) and the winning backup.
-        assert_eq!(span.attempts.len(), 2);
-        let root = TraceCtx::root(span.trace_id);
-        assert_eq!(
-            span.attempts[0].span_id,
-            span_hash(span.trace_id, root.span_id, 0)
-        );
-        assert_eq!(
-            span.attempts[1].span_id,
-            span_hash(span.trace_id, root.span_id, 1)
-        );
-        assert_eq!(span.attempts[0].status, None, "primary cancelled");
-        assert_eq!(span.attempts[1].status, Some(200), "backup won");
-        assert!(span.ok);
-        slow.shutdown();
-        good.shutdown();
-    }
-
-    #[test]
-    fn hedging_is_dormant_while_the_primary_is_fast() {
-        let fast: Handler = Arc::new(|_| crate::http::Response::ok("quick"));
-        let a = start(ReactorConfig::default(), Arc::clone(&fast)).unwrap();
-        let b = start(ReactorConfig::default(), fast).unwrap();
-        let mut client =
-            ResilientClient::new_multi(vec![a.addr(), b.addr()], RetryPolicy::none(), 19)
-                .with_hedging(HedgePolicy::fixed(Duration::from_millis(500)));
-        for _ in 0..5 {
-            let out = client
-                .request_within(&Request::get("/fast"), Duration::from_secs(2))
-                .unwrap();
-            assert_eq!(out.response.status, 200);
-        }
-        assert_eq!(client.hedge_stats(), Some((0, 0)), "no hedge ever launched");
     }
 }

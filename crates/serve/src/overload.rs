@@ -438,7 +438,6 @@ mod tests {
             admission: Some(AdmissionConfig {
                 initial: 0.0,
                 min_limit: 0.0,
-                headroom: [0.0, 0.0, 0.0],
                 ..AdmissionConfig::default()
             }),
             ..OverloadConfig::default()

@@ -9,8 +9,7 @@
 //! * a **portable poller trait** ([`Poller`]) over readiness APIs, with
 //!   an edge-free level-triggered epoll backend on Linux
 //!   ([`EpollPoller`], raw `std::os::fd` + FFI — no external crates)
-//!   and a `poll(2)` fallback ([`PollPoller`]) everywhere else
-//!   (selectable via `ETUDE_POLLER=poll` for A/B testing),
+//!   and a `poll(2)` fallback ([`PollPoller`]) everywhere else,
 //! * **single-digit event-loop threads** ([`ReactorConfig::event_loops`])
 //!   owning per-connection state machines over the incremental
 //!   [`crate::http`] parser — idle connections cost one registration,
@@ -401,11 +400,8 @@ impl Poller for PollPoller {
 
 /// The backend [`new_poller`] will build, without building one: what
 /// bench headers and results record so a run is reproducible from its
-/// own output. Honors `ETUDE_POLLER=poll` like the real constructor.
+/// own output.
 pub fn poller_backend_name() -> &'static str {
-    if std::env::var("ETUDE_POLLER").as_deref() == Ok("poll") {
-        return "poll";
-    }
     #[cfg(target_os = "linux")]
     {
         "epoll"
@@ -417,11 +413,8 @@ pub fn poller_backend_name() -> &'static str {
 }
 
 /// Builds the platform's best poller: epoll on Linux, `poll(2)`
-/// elsewhere. `ETUDE_POLLER=poll` forces the fallback for A/B runs.
+/// elsewhere.
 pub fn new_poller() -> std::io::Result<Box<dyn Poller>> {
-    if std::env::var("ETUDE_POLLER").as_deref() == Ok("poll") {
-        return Ok(Box::new(PollPoller::new()));
-    }
     #[cfg(target_os = "linux")]
     {
         Ok(Box::new(EpollPoller::new()?))

@@ -29,8 +29,9 @@
 //!   level: a shard backend always scans its f32 slice at `k`.
 //!
 //! Within a group the router reuses [`ResilientClient`]: per-replica
-//! circuit breakers, hedged requests and bounded retries are scoped to
-//! that group's replica set. Scatter legs run concurrently (scoped
+//! circuit breakers and bounded retries are scoped to that group's
+//! replica set, and a group whose every breaker is open fails its leg
+//! at once instead of spending the leg budget. Scatter legs run concurrently (scoped
 //! threads) and each leg carries its own child trace context, so traces
 //! show the legs as sibling child spans under the router span.
 
@@ -41,7 +42,7 @@ use crate::overload::{BrownoutLevel, LadderConfig};
 use crate::rustserver::{
     popularity_fallback, prediction_routes, shed_or_fallback, Handler, Refused, Served,
 };
-use etude_control::{BreakerConfig, Criticality, HedgePolicy};
+use etude_control::{BreakerConfig, Criticality};
 use etude_faults::RetryPolicy;
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
 use etude_obs::{Recorder, TRACE_HEADER};
@@ -144,8 +145,6 @@ pub struct RouterConfig {
     pub policy: RetryPolicy,
     /// Per-replica circuit breakers (`None` disables them).
     pub breakers: Option<BreakerConfig>,
-    /// Hedged requests within a group's replica set (`None` disables).
-    pub hedge: Option<HedgePolicy>,
     /// Seed for the clients' deterministic backoff jitter.
     pub seed: u64,
     /// Budget granted to requests without an `x-deadline-ms` header.
@@ -164,7 +163,6 @@ impl Default for RouterConfig {
             leg_budget: Duration::from_millis(250),
             policy: RetryPolicy::default_chaos(),
             breakers: Some(BreakerConfig::default()),
-            hedge: None,
             seed: 0,
             default_deadline: Duration::from_secs(2),
             ladder: LadderConfig::default(),
@@ -255,9 +253,6 @@ pub fn router_routes(
             .with_attempt_timeout(config.leg_budget);
             if let Some(b) = config.breakers {
                 c = c.with_breakers(b);
-            }
-            if let Some(h) = config.hedge {
-                c = c.with_hedging(h);
             }
             GroupClient {
                 client: parking_lot::Mutex::new(c),

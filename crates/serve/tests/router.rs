@@ -54,7 +54,6 @@ fn quick_config() -> RouterConfig {
         leg_budget: Duration::from_millis(500),
         policy: RetryPolicy::none(),
         breakers: None,
-        hedge: None,
         seed: 0,
         ..RouterConfig::default()
     }

@@ -3,7 +3,8 @@
 # build, then every test in the workspace — the root's default-members
 # cover all of it), the SIMD-equivalence suite again on the
 # forced-scalar backend (the one configuration that run cannot cover),
-# every bench binary's --smoke mode, doc warnings, formatting, lints.
+# every bench binary's --smoke mode, doc warnings, formatting, lints;
+# it ends by printing the knob census and the non-test line count.
 # Smoke runs write under target/tmp/, never over the tracked full-mode
 # results/, so the tree is clean afterwards; performance regressions are
 # judged by the ledger in benchmark/ against its own bounds.
@@ -55,5 +56,10 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> cargo clippy unavailable, skipping"
 fi
+
+# Report only, not a gate: the census every simplicity change quotes.
+echo "==> knob census (scripts/knobs.sh) and non-test lines (scripts/loc.sh)"
+echo "knobs: $(scripts/knobs.sh | tail -1)"
+echo "lines: $(scripts/loc.sh | tail -1)"
 
 echo "verify: OK"
