@@ -63,10 +63,20 @@ fn bench_softmax_and_gru(c: &mut Criterion) {
     let b_ih = vec![0.0f32; 3 * hidden];
     let b_hh = vec![0.0f32; 3 * hidden];
     let mut hout = vec![0.0f32; hidden];
+    let mut scratch = vec![0.0f32; kernels::GRU_SCRATCH_PER_UNIT * hidden];
     group.bench_function("gru_cell_64", |b| {
         b.iter(|| {
             kernels::gru_cell(
-                &xv, &h, &w_ih, &w_hh, &b_ih, &b_hh, &mut hout, hidden, input,
+                &xv,
+                &h,
+                &w_ih,
+                &w_hh,
+                &b_ih,
+                &b_hh,
+                &mut hout,
+                hidden,
+                input,
+                &mut scratch,
             );
             criterion::black_box(hout[0])
         });

@@ -1,7 +1,7 @@
 //! Cross-model behavioural suite: every paper claim about the model set
 //! (JIT-ability, quirk costs, determinism) checked across all ten models.
 
-use etude_models::{traits, ModelConfig, ModelKind};
+use etude_models::{common, traits, ModelConfig, ModelKind};
 use etude_tensor::{Device, ExecMode, JitError, JitOptions};
 
 fn small_cfg() -> ModelConfig {
@@ -166,6 +166,73 @@ fn compiled_models_match_eager_outputs() {
             "{}: JIT changed outputs",
             kind.name()
         );
+    }
+}
+
+/// The compiled plan is the eager run of the same optimised graph, bit
+/// for bit: on all ten models (LightSANs without its quirk, so that it
+/// compiles), one session at a time and in batches of 1, 3 and 8
+/// mixed-length sessions, where one out-of-catalog id fails its own
+/// session and no other.
+#[test]
+fn compiled_plan_is_bit_identical_to_the_eager_graph() {
+    let cfg = small_cfg();
+    let sessions: Vec<Vec<u32>> = vec![
+        vec![],
+        vec![4],
+        vec![4, 9, 2, 7],
+        vec![199, 0, 13],
+        (1..=12).collect(),
+        vec![5, 5, 5],
+        vec![17, 3, 8, 150, 42, 7, 7],
+        vec![88, 1],
+    ];
+    let bad = vec![3u32, cfg.catalog_size as u32, 5];
+    let bits = |r: &traits::Recommendation| -> (Vec<u32>, Vec<u32>) {
+        (
+            r.items.clone(),
+            r.scores.iter().map(|s| s.to_bits()).collect(),
+        )
+    };
+    for kind in ModelKind::ALL {
+        let model = match kind {
+            ModelKind::LightSans => kind.build(&cfg.clone().with_quirks(false)),
+            _ => kind.build(&cfg),
+        };
+        let compiled = traits::compile(model.as_ref(), JitOptions::default()).unwrap();
+        let eager = |session: &[u32]| {
+            let (items, mask, last) = common::prepare_session(session, model.config());
+            let (out, _) = compiled.graph().run(&[items, mask, last])?;
+            traits::Recommendation::from_output(&out)
+        };
+        for session in &sessions {
+            let want = eager(session).unwrap();
+            let got = traits::recommend_compiled(model.as_ref(), &compiled, session).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{} {session:?}", kind.name());
+        }
+        assert!(traits::recommend_compiled(model.as_ref(), &compiled, &bad).is_err());
+        for batch in [1usize, 3, 8] {
+            // The bad session sits in the middle of the batch.
+            let mut members: Vec<&[u32]> = sessions[..batch].iter().map(Vec::as_slice).collect();
+            members.insert(batch / 2, &bad);
+            let got = traits::recommend_compiled_batch_timed(
+                model.as_ref(),
+                &compiled,
+                members.iter().copied(),
+            );
+            assert_eq!(got.len(), members.len());
+            for (session, got) in members.iter().zip(&got) {
+                match eager(session) {
+                    Ok(want) => {
+                        let (rec, _) = got.as_ref().unwrap_or_else(|e| {
+                            panic!("{} batch {batch} {session:?}: {e}", kind.name())
+                        });
+                        assert_eq!(bits(rec), bits(&want), "{} batch {batch}", kind.name());
+                    }
+                    Err(_) => assert!(got.is_err(), "{}: bad id must fail", kind.name()),
+                }
+            }
+        }
     }
 }
 

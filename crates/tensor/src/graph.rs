@@ -13,7 +13,8 @@ use crate::cost::{Cost, CostSpec};
 use crate::kernels::{self, BinOp, UnOp};
 use crate::param::ParamId;
 use crate::tensor::{Tensor, TensorError};
-use crate::topk;
+use crate::topk::{self, Ranked, TopkScratch};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -628,92 +629,165 @@ pub fn op_cost(
     }
 }
 
-/// Evaluates `kind` on dense operands, producing a dense output.
+/// A dense operand of [`eval_into`]: a value's elements and its shape.
+#[derive(Debug, Clone, Copy)]
+pub struct View<'a> {
+    /// Row-major elements.
+    pub data: &'a [f32],
+    /// The value's shape.
+    pub shape: &'a [usize],
+}
+
+impl View<'_> {
+    /// The operand of no op: what unused operand positions hold.
+    pub const EMPTY: View<'static> = View {
+        data: &[],
+        shape: &[],
+    };
+
+    fn dims2(&self, op: &'static str) -> Result<(usize, usize), TensorError> {
+        match *self.shape {
+            [m, n] => Ok((m, n)),
+            _ => Err(TensorError::RankMismatch {
+                op,
+                expected: 2,
+                got: self.shape.len(),
+            }),
+        }
+    }
+
+    fn dims1(&self, op: &'static str) -> Result<usize, TensorError> {
+        match *self.shape {
+            [n] => Ok(n),
+            _ => Err(TensorError::RankMismatch {
+                op,
+                expected: 1,
+                got: self.shape.len(),
+            }),
+        }
+    }
+}
+
+/// Floats of working memory [`eval_into`] needs for `kind` besides its
+/// output of `out_shape`: the GRU gate pre-activations; no other op needs
+/// any.
+pub fn scratch_len(kind: &OpKind, out_shape: &[usize]) -> usize {
+    match kind {
+        OpKind::GruCell => kernels::GRU_SCRATCH_PER_UNIT * out_shape.iter().product::<usize>(),
+        _ => 0,
+    }
+}
+
+thread_local! {
+    /// The top-k ops' selection state, reused across calls on a thread so
+    /// that a warm [`eval_into`] allocates nothing.
+    static TOPK: RefCell<(TopkScratch, Ranked)> = RefCell::new(Default::default());
+}
+
+/// Runs `f` on this thread's top-k state (a fresh one if it is in use).
+fn with_topk<R>(f: impl FnOnce(&mut TopkScratch, &mut Ranked) -> R) -> R {
+    TOPK.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut state) => {
+            let (scratch, best) = &mut *state;
+            f(scratch, best)
+        }
+        Err(_) => f(&mut TopkScratch::default(), &mut Ranked::default()),
+    })
+}
+
+/// Writes a top-k answer as the `[2, k]` op output: row 0 bit-cast ids,
+/// row 1 scores.
+fn write_ranked((ids, scores): &Ranked, out: &mut [f32]) -> Result<(), TensorError> {
+    if out.len() != 2 * ids.len() {
+        return Err(TensorError::Invalid("top-k output shape"));
+    }
+    let (id_row, score_row) = out.split_at_mut(ids.len());
+    for (o, &id) in id_row.iter_mut().zip(ids) {
+        *o = crate::id_to_f32(id);
+    }
+    score_row.copy_from_slice(scores);
+    Ok(())
+}
+
+/// Evaluates `kind` on dense operands, producing a dense output: the
+/// allocating wrapper of [`eval_into`] that eager execution and constant
+/// folding call.
 pub fn eval(kind: &OpKind, inputs: &[&Tensor], out_shape: &[usize]) -> Result<Tensor, TensorError> {
     // Phantom propagation: if any operand lacks data, so does the result.
     if inputs.iter().any(|t| t.is_phantom()) {
         return Ok(Tensor::phantom(out_shape));
     }
-    let out = match kind {
+    let operands = inputs
+        .iter()
+        .map(|t| {
+            Ok(View {
+                data: t.as_slice()?,
+                shape: t.shape(),
+            })
+        })
+        .collect::<Result<Vec<_>, TensorError>>()?;
+    let mut out = vec![0.0; out_shape.iter().product()];
+    let mut scratch = vec![0.0; scratch_len(kind, out_shape)];
+    eval_into(kind, &operands, &mut out, &mut scratch)?;
+    Tensor::from_vec(out, out_shape)
+}
+
+/// The one definition of every op: evaluates `kind` on `operands` into
+/// `out` (the output's elements, each of which is written) with
+/// `scratch` ([`scratch_len`] floats) as working memory. Operand shapes
+/// are the ones [`infer_shape`] accepted. Allocation-free once the
+/// thread's top-k state is warm, which is what lets a compiled plan run
+/// on one arena.
+pub fn eval_into(
+    kind: &OpKind,
+    operands: &[View],
+    out: &mut [f32],
+    scratch: &mut [f32],
+) -> Result<(), TensorError> {
+    let a = operands.first().copied().unwrap_or(View::EMPTY);
+    let b = operands.get(1).copied().unwrap_or(View::EMPTY);
+    match kind {
         OpKind::Input(_) | OpKind::Const(_) => {
             return Err(TensorError::Invalid("input/const nodes are not evaluated"))
         }
         OpKind::MatMul => {
-            let (m, k) = inputs[0].dims2("matmul")?;
-            let (_, n) = inputs[1].dims2("matmul")?;
-            let mut out = vec![0.0; m * n];
-            let (a, b) = (inputs[0].as_slice()?, inputs[1].as_slice()?);
+            let (m, k) = a.dims2("matmul")?;
+            let (_, n) = b.dims2("matmul")?;
             // Row-shard large left operands (the [C,d] x [d,1] MIPS
             // shape) over the intra-op pool; rows are independent, so
             // per-shard kernel calls are bit-identical to one serial call.
-            crate::pool::parallel_rows(&mut out, m, n, |rows, chunk| {
-                kernels::matmul(&a[rows.start * k..rows.end * k], b, chunk, rows.len(), k, n);
+            crate::pool::parallel_rows(out, m, n, |rows, chunk| {
+                let lhs = &a.data[rows.start * k..rows.end * k];
+                kernels::matmul(lhs, b.data, chunk, rows.len(), k, n);
             });
-            Tensor::from_vec(out, &[m, n])?
         }
         OpKind::MatMulBT => {
-            let (m, k) = inputs[0].dims2("matmul_bt")?;
-            let (n, _) = inputs[1].dims2("matmul_bt")?;
-            let mut out = vec![0.0; m * n];
-            let (a, bt) = (inputs[0].as_slice()?, inputs[1].as_slice()?);
-            crate::pool::parallel_rows(&mut out, m, n, |rows, chunk| {
-                kernels::matmul_bt(
-                    &a[rows.start * k..rows.end * k],
-                    bt,
-                    chunk,
-                    rows.len(),
-                    k,
-                    n,
-                );
+            let (m, k) = a.dims2("matmul_bt")?;
+            let (n, _) = b.dims2("matmul_bt")?;
+            crate::pool::parallel_rows(out, m, n, |rows, chunk| {
+                let lhs = &a.data[rows.start * k..rows.end * k];
+                kernels::matmul_bt(lhs, b.data, chunk, rows.len(), k, n);
             });
-            Tensor::from_vec(out, &[m, n])?
         }
-        OpKind::Binary(op) => {
-            let mut out = vec![0.0; inputs[0].len()];
-            kernels::binary(*op, inputs[0].as_slice()?, inputs[1].as_slice()?, &mut out);
-            Tensor::from_vec(out, out_shape)?
-        }
-        OpKind::BinaryRow(op) => {
-            let mut out = vec![0.0; inputs[0].len()];
-            kernels::binary_rowbcast(*op, inputs[0].as_slice()?, inputs[1].as_slice()?, &mut out);
-            Tensor::from_vec(out, out_shape)?
-        }
-        OpKind::BinaryScalar(op, s) => {
-            let mut out = vec![0.0; inputs[0].len()];
-            kernels::binary_scalar(*op, inputs[0].as_slice()?, *s, &mut out);
-            Tensor::from_vec(out, out_shape)?
-        }
-        OpKind::Unary(op) => {
-            let mut out = vec![0.0; inputs[0].len()];
-            kernels::unary(*op, inputs[0].as_slice()?, &mut out);
-            Tensor::from_vec(out, out_shape)?
-        }
+        OpKind::Binary(op) => kernels::binary(*op, a.data, b.data, out),
+        OpKind::BinaryRow(op) => kernels::binary_rowbcast(*op, a.data, b.data, out),
+        OpKind::BinaryScalar(op, s) => kernels::binary_scalar(*op, a.data, *s, out),
+        OpKind::Unary(op) => kernels::unary(*op, a.data, out),
         OpKind::Softmax => {
-            let n = *inputs[0].shape().last().unwrap_or(&1);
-            let mut out = vec![0.0; inputs[0].len()];
-            kernels::softmax_rows(inputs[0].as_slice()?, &mut out, n.max(1));
-            Tensor::from_vec(out, out_shape)?
+            let n = *a.shape.last().unwrap_or(&1);
+            kernels::softmax_rows(a.data, out, n.max(1));
         }
         OpKind::LayerNorm { eps } => {
-            let n = *inputs[0].shape().last().unwrap_or(&1);
-            let mut out = vec![0.0; inputs[0].len()];
-            kernels::layernorm_rows(
-                inputs[0].as_slice()?,
-                inputs[1].as_slice()?,
-                inputs[2].as_slice()?,
-                &mut out,
-                n,
-                *eps,
-            );
-            Tensor::from_vec(out, out_shape)?
+            let n = *a.shape.last().unwrap_or(&1);
+            kernels::layernorm_rows(a.data, b.data, operands[2].data, out, n, *eps);
         }
         OpKind::Embedding => {
-            let (c, d) = inputs[0].dims2("embedding")?;
-            let l = inputs[1].dims1("embedding")?;
+            let (c, d) = a.dims2("embedding")?;
+            b.dims1("embedding")?;
             // Ids are runtime data from the request path: validate them
             // here so a hostile or buggy id yields an error response, not
             // a panicked worker thread.
-            for &idf in inputs[1].as_slice()? {
+            for &idf in b.data {
                 let id = crate::f32_to_id(idf) as usize;
                 if id >= c {
                     return Err(TensorError::IndexOutOfBounds {
@@ -722,119 +796,103 @@ pub fn eval(kind: &OpKind, inputs: &[&Tensor], out_shape: &[usize]) -> Result<Te
                     });
                 }
             }
-            let mut out = vec![0.0; l * d];
-            kernels::embedding(inputs[0].as_slice()?, inputs[1].as_slice()?, &mut out, d);
-            Tensor::from_vec(out, out_shape)?
+            kernels::embedding(a.data, b.data, out, d);
         }
         OpKind::Concat => {
-            let a = inputs[0];
-            let b = inputs[1];
-            if a.rank() == 1 {
-                let mut out = a.as_slice()?.to_vec();
-                out.extend_from_slice(b.as_slice()?);
-                Tensor::from_vec(out, out_shape)?
+            if a.shape.len() == 1 {
+                let (head, tail) = out.split_at_mut(a.data.len());
+                head.copy_from_slice(a.data);
+                tail.copy_from_slice(b.data);
             } else {
                 let (m, n1) = a.dims2("concat")?;
                 let (_, n2) = b.dims2("concat")?;
-                let mut out = Vec::with_capacity(m * (n1 + n2));
+                let w = n1 + n2;
                 for i in 0..m {
-                    out.extend_from_slice(&a.as_slice()?[i * n1..(i + 1) * n1]);
-                    out.extend_from_slice(&b.as_slice()?[i * n2..(i + 1) * n2]);
+                    out[i * w..i * w + n1].copy_from_slice(&a.data[i * n1..(i + 1) * n1]);
+                    out[i * w + n1..(i + 1) * w].copy_from_slice(&b.data[i * n2..(i + 1) * n2]);
                 }
-                Tensor::from_vec(out, out_shape)?
             }
         }
         OpKind::Transpose => {
-            let (m, n) = inputs[0].dims2("transpose")?;
-            let mut out = vec![0.0; m * n];
-            kernels::transpose(inputs[0].as_slice()?, &mut out, m, n);
-            Tensor::from_vec(out, out_shape)?
+            let (m, n) = a.dims2("transpose")?;
+            kernels::transpose(a.data, out, m, n);
         }
         OpKind::SumRows => {
-            let (_, n) = inputs[0].dims2("sum_rows")?;
-            let mut out = vec![0.0; n];
-            kernels::sum_rows(inputs[0].as_slice()?, &mut out, n);
-            Tensor::from_vec(out, out_shape)?
+            let (_, n) = a.dims2("sum_rows")?;
+            kernels::sum_rows(a.data, out, n);
         }
         OpKind::GruCell => {
-            let hidden = inputs[1].dims1("gru_cell")?;
-            let input = inputs[0].dims1("gru_cell")?;
-            let mut out = vec![0.0; hidden];
+            let input = a.dims1("gru_cell")?;
+            let hidden = b.dims1("gru_cell")?;
             kernels::gru_cell(
-                inputs[0].as_slice()?,
-                inputs[1].as_slice()?,
-                inputs[2].as_slice()?,
-                inputs[3].as_slice()?,
-                inputs[4].as_slice()?,
-                inputs[5].as_slice()?,
-                &mut out,
+                a.data,
+                b.data,
+                operands[2].data,
+                operands[3].data,
+                operands[4].data,
+                operands[5].data,
+                out,
                 hidden,
                 input,
+                scratch,
             );
-            Tensor::from_vec(out, out_shape)?
         }
         OpKind::GatherRow => {
-            let (l, d) = inputs[0].dims2("gather_row")?;
-            let idx = crate::f32_to_id(inputs[1].get(0)?) as usize;
+            let (l, d) = a.dims2("gather_row")?;
+            let idf = *b
+                .data
+                .first()
+                .ok_or(TensorError::IndexOutOfBounds { index: 0, bound: 0 })?;
+            let idx = crate::f32_to_id(idf) as usize;
             if idx >= l {
                 return Err(TensorError::IndexOutOfBounds {
                     index: idx,
                     bound: l,
                 });
             }
-            let row = inputs[0].as_slice()?[idx * d..(idx + 1) * d].to_vec();
-            Tensor::from_vec(row, out_shape)?
+            out.copy_from_slice(&a.data[idx * d..(idx + 1) * d]);
         }
-        OpKind::TopK { k } => {
-            let (idx, scores) = topk::topk_auto(inputs[0].as_slice()?, *k);
-            topk_tensor(&idx, &scores)?
-        }
+        OpKind::TopK { k } => with_topk(|scratch, best| {
+            topk::topk_auto_into(a.data, *k, scratch, &mut best.0, &mut best.1);
+            write_ranked(best, out)
+        })?,
         OpKind::ScoreTopK { k } => {
-            let (c, _d) = inputs[0].dims2("score_topk")?;
-            let (idx, scores) =
-                topk::score_topk(inputs[0].as_slice()?, inputs[1].as_slice()?, c, *k);
-            topk_tensor(&idx, &scores)?
+            let (c, _d) = a.dims2("score_topk")?;
+            with_topk(|scratch, best| {
+                topk::score_topk_into(a.data, b.data, c, *k, scratch, &mut best.0, &mut best.1);
+                write_ranked(best, out)
+            })?
         }
-        OpKind::ScatterAddDense { c } => {
-            let mut out = vec![0.0; *c];
-            kernels::scatter_add_dense(inputs[0].as_slice()?, inputs[1].as_slice()?, &mut out);
-            Tensor::from_vec(out, out_shape)?
-        }
-        OpKind::HostOp => inputs[0].clone(),
-        OpKind::Reshape(shape) => inputs[0].clone().reshape(shape)?,
+        OpKind::ScatterAddDense { .. } => kernels::scatter_add_dense(a.data, b.data, out),
+        OpKind::HostOp | OpKind::Reshape(_) => out.copy_from_slice(a.data),
         OpKind::SliceCols { start, end } => {
-            let (m, n) = inputs[0].dims2("slice_cols")?;
+            let (m, n) = a.dims2("slice_cols")?;
             let w = end - start;
-            let mut out = Vec::with_capacity(m * w);
-            let src = inputs[0].as_slice()?;
             for i in 0..m {
-                out.extend_from_slice(&src[i * n + start..i * n + end]);
+                out[i * w..(i + 1) * w].copy_from_slice(&a.data[i * n + start..i * n + end]);
             }
-            Tensor::from_vec(out, out_shape)?
         }
         OpKind::SliceRows { start, end } => {
-            let (_, n) = inputs[0].dims2("slice_rows")?;
-            let src = inputs[0].as_slice()?;
-            Tensor::from_vec(src[start * n..end * n].to_vec(), out_shape)?
+            let (_, n) = a.dims2("slice_rows")?;
+            out.copy_from_slice(&a.data[start * n..end * n]);
         }
         OpKind::SessionGraph { outgoing, .. } => {
-            let l = inputs[0].dims1("session_graph")?;
-            let ids = inputs[0].as_slice()?;
-            let mask = inputs[1].as_slice()?;
-            let mut adj = vec![0.0f32; l * l];
+            let l = a.dims1("session_graph")?;
+            let (ids, mask) = (a.data, b.data);
+            out.fill(0.0);
             // Edges between consecutive valid interactions. Repeated item
             // pairs accumulate, as in SR-GNN's weighted session graph.
             for i in 0..l.saturating_sub(1) {
                 if mask[i] > 0.0 && mask[i + 1] > 0.0 && ids[i] != ids[i + 1] {
                     if *outgoing {
-                        adj[i * l + (i + 1)] += 1.0;
+                        out[i * l + (i + 1)] += 1.0;
                     } else {
-                        adj[(i + 1) * l + i] += 1.0;
+                        out[(i + 1) * l + i] += 1.0;
                     }
                 }
             }
             // Row-normalise (out-degree / in-degree normalisation).
-            for row in adj.chunks_mut(l) {
+            for row in out.chunks_mut(l.max(1)) {
                 let s: f32 = row.iter().sum();
                 if s > 0.0 {
                     for v in row.iter_mut() {
@@ -842,48 +900,39 @@ pub fn eval(kind: &OpKind, inputs: &[&Tensor], out_shape: &[usize]) -> Result<Te
                     }
                 }
             }
-            Tensor::from_vec(adj, out_shape)?
         }
         OpKind::OneHotRows { c } => {
-            let l = inputs[0].dims1("one_hot_rows")?;
-            let ids = inputs[0].as_slice()?;
-            let mut out = vec![0.0f32; l * *c];
-            for (i, &idf) in ids.iter().enumerate() {
+            a.dims1("one_hot_rows")?;
+            out.fill(0.0);
+            for (i, &idf) in a.data.iter().enumerate() {
                 let id = crate::f32_to_id(idf) as usize;
                 if id < *c {
                     out[i * *c + id] = 1.0;
                 }
             }
-            Tensor::from_vec(out, out_shape)?
         }
-        OpKind::Fused { seed, steps } => {
-            let a = inputs[0].as_slice()?;
-            let mut out = vec![0.0; a.len()];
-            match seed {
-                Some(op) => {
-                    let b = inputs[1].as_slice()?;
-                    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                        let mut v = op.apply(x, y);
-                        for s in steps {
-                            v = s.apply(v);
-                        }
-                        *o = v;
+        OpKind::Fused { seed, steps } => match seed {
+            Some(op) => {
+                for ((o, &x), &y) in out.iter_mut().zip(a.data).zip(b.data) {
+                    let mut v = op.apply(x, y);
+                    for s in steps {
+                        v = s.apply(v);
                     }
-                }
-                None => {
-                    for (o, &x) in out.iter_mut().zip(a) {
-                        let mut v = x;
-                        for s in steps {
-                            v = s.apply(v);
-                        }
-                        *o = v;
-                    }
+                    *o = v;
                 }
             }
-            Tensor::from_vec(out, out_shape)?
-        }
-    };
-    Ok(out)
+            None => {
+                for (o, &x) in out.iter_mut().zip(a.data) {
+                    let mut v = x;
+                    for s in steps {
+                        v = s.apply(v);
+                    }
+                    *o = v;
+                }
+            }
+        },
+    }
+    Ok(())
 }
 
 /// The `[2, k]` result of a top-k op: row 0 bit-cast ids, row 1 scores.
@@ -935,11 +984,13 @@ impl Graph {
         self.nodes.iter().map(|n| n.cost.launches).sum()
     }
 
-    /// Executes the graph on dense (or phantom) inputs.
+    /// Executes the graph on dense (or phantom) inputs, one freshly
+    /// allocated tensor per op: the eager reference a compiled plan is
+    /// held to bit for bit.
     ///
     /// Returns the output tensor and the realised cost at batch size one.
     pub fn run(&self, inputs: &[Tensor]) -> Result<(Tensor, Cost), TensorError> {
-        self.run_upto(self.output, inputs, None)
+        self.run_nodes(inputs, None)
     }
 
     /// Executes the graph while timing each op, bucketed into top-k vs
@@ -950,20 +1001,18 @@ impl Graph {
     /// pays nothing.
     pub fn run_timed(&self, inputs: &[Tensor]) -> Result<(Tensor, Cost, OpTimes), TensorError> {
         let mut times = OpTimes::default();
-        let (out, cost) = self.run_upto(self.output, inputs, Some(&mut times))?;
+        let (out, cost) = self.run_nodes(inputs, Some(&mut times))?;
         Ok((out, cost, times))
     }
 
-    /// Evaluates nodes `0..=target` (a superset of `target`'s operands:
-    /// the node list is topologically ordered) and returns `target`'s
-    /// value — the whole graph for `target == output`, the session
-    /// encoder alone for the query operand of a terminal `ScoreTopK`.
-    pub(crate) fn run_upto(
+    /// Evaluates nodes `0..=output` (a superset of the output's operands:
+    /// the node list is topologically ordered) and returns the output.
+    fn run_nodes(
         &self,
-        target: NodeId,
         inputs: &[Tensor],
         mut times: Option<&mut OpTimes>,
     ) -> Result<(Tensor, Cost), TensorError> {
+        let target = self.output;
         let nodes = self
             .nodes
             .get(..=target)

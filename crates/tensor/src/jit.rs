@@ -14,6 +14,11 @@
 //! 4. **Dead-code elimination** — nodes unreachable from the output are
 //!    dropped.
 //!
+//! The optimised graph is then lowered into an execution plan
+//! (`crate::plan`): ops in order, every value at a liveness-assigned
+//! offset of one reused arena, views for reshapes — so a compiled run
+//! allocates nothing per op.
+//!
 //! Each pass preserves semantics (verified by property tests comparing
 //! eager and compiled outputs) while reducing launches and memory traffic,
 //! which is exactly how the paper's "JIT optimisation is always
@@ -23,6 +28,7 @@ use crate::cost::{Cost, CostSpec};
 use crate::device::DeviceProfile;
 use crate::graph::{op_cost, topk_tensor, FusedStep, Graph, Node, NodeId, OpKind, OpTimes};
 use crate::param::Param;
+use crate::plan::Plan;
 use crate::tensor::{Tensor, TensorError};
 use crate::topk;
 use std::collections::HashMap;
@@ -99,11 +105,14 @@ impl JitOptions {
     }
 }
 
-/// An optimised, executable graph with a precomputed cost spec.
+/// An optimised, executable graph with a precomputed cost spec, lowered
+/// into an execution plan that runs it on one reused arena.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     graph: Graph,
     cost: CostSpec,
+    /// `None` for phantom weights, which run eagerly.
+    plan: Option<Plan>,
     decode: Option<FusedDecode>,
 }
 
@@ -143,15 +152,35 @@ impl CompiledGraph {
         self.cost
     }
 
-    /// Executes the compiled graph.
+    /// The plan, unless weights or `inputs` are phantom: those propagate
+    /// through the eager graph.
+    fn plan_for(&self, inputs: &[Tensor]) -> Option<&Plan> {
+        self.plan
+            .as_ref()
+            .filter(|_| !inputs.iter().any(Tensor::is_phantom))
+    }
+
+    /// Executes the compiled graph on its plan: bit-identical to
+    /// [`Graph::run`] of [`CompiledGraph::graph`], without its per-op
+    /// allocations.
     pub fn run(&self, inputs: &[Tensor]) -> Result<(Tensor, Cost), TensorError> {
-        self.graph.run(inputs)
+        match self.plan_for(inputs) {
+            Some(plan) => plan.run(&self.graph, inputs, None),
+            None => self.graph.run(inputs),
+        }
     }
 
     /// Executes the compiled graph with per-op timing (see
     /// [`Graph::run_timed`]).
     pub fn run_timed(&self, inputs: &[Tensor]) -> Result<(Tensor, Cost, OpTimes), TensorError> {
-        self.graph.run_timed(inputs)
+        match self.plan_for(inputs) {
+            Some(plan) => {
+                let mut times = OpTimes::default();
+                let (out, cost) = plan.run(&self.graph, inputs, Some(&mut times))?;
+                Ok((out, cost, times))
+            }
+            None => self.graph.run_timed(inputs),
+        }
     }
 
     /// Executes the graph for a batch of sessions, pulled from
@@ -168,10 +197,10 @@ impl CompiledGraph {
         sessions: &mut dyn Iterator<Item = Vec<Tensor>>,
     ) -> (Vec<Result<Tensor, TensorError>>, OpTimes) {
         let mut times = OpTimes::default();
-        let Some(decode) = self.decode else {
+        let (Some(decode), Some(plan)) = (self.decode, &self.plan) else {
             let outs = sessions
                 .map(|inputs| {
-                    let (out, _, ops) = self.graph.run_timed(&inputs)?;
+                    let (out, _, ops) = self.run_timed(&inputs)?;
                     times.merge(&ops);
                     Ok(out)
                 })
@@ -182,10 +211,9 @@ impl CompiledGraph {
         let (mut queries, mut nq) = (Vec::new(), 0);
         let rows: Vec<Result<usize, TensorError>> = sessions
             .map(|inputs| {
-                let (query, _) = self
-                    .graph
-                    .run_upto(decode.query, &inputs, Some(&mut times))?;
-                queries.extend_from_slice(query.as_slice()?);
+                plan.run_query(&self.graph, &inputs, decode.query, &mut times, |query| {
+                    queries.extend_from_slice(query)
+                })?;
                 nq += 1;
                 Ok(nq - 1)
             })
@@ -252,9 +280,11 @@ pub fn compile(graph: Graph, options: JitOptions) -> Result<CompiledGraph, JitEr
     }
     let cost = g.total_cost();
     let decode = FusedDecode::of(&g);
+    let plan = Plan::lower(&g)?;
     Ok(CompiledGraph {
         graph: g,
         cost,
+        plan,
         decode,
     })
 }
@@ -582,6 +612,48 @@ mod tests {
         let compiled = compile(g, JitOptions::default()).unwrap();
         let (got, _) = compiled.run(std::slice::from_ref(&x)).unwrap();
         assert!(expected.max_abs_diff(&got).unwrap() < 1e-6);
+    }
+
+    #[test]
+    fn plan_reuses_dead_values_and_aliases_reshapes() {
+        // relu → reshape → tanh → reshape → sigmoid ... over [64]: with
+        // fusion off, every op's value dies at the next op, so the arena
+        // holds two values however long the chain, and reshapes take none.
+        let mut t = Exec::new(ExecMode::Trace, Device::cpu());
+        let mut y = t.input(Tensor::phantom(&[64])).unwrap();
+        for i in 0..12 {
+            y = t
+                .unary([UnOp::Relu, UnOp::Tanh, UnOp::Sigmoid][i % 3], y)
+                .unwrap();
+            y = t
+                .reshape(y, if i % 2 == 0 { &[8, 8] } else { &[64] })
+                .unwrap();
+        }
+        let g = t.finish_trace(y).unwrap();
+        let options = JitOptions {
+            fuse: false,
+            ..JitOptions::default()
+        };
+        let compiled = compile(g, options).unwrap();
+        assert_eq!(compiled.plan.as_ref().unwrap().arena_len(), 2 * 64);
+        let x = Tensor::from_vec((0..64).map(|i| i as f32 / 8.0 - 4.0).collect(), &[64]).unwrap();
+        let (got, _) = compiled.run(std::slice::from_ref(&x)).unwrap();
+        let (want, _) = compiled.graph().run(&[x]).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn phantom_weights_run_eagerly() {
+        let w = Param::new(Tensor::phantom(&[4, 4]));
+        let mut t = Exec::new(ExecMode::Trace, Device::cpu());
+        let x = t.input(Tensor::phantom(&[1, 4])).unwrap();
+        let wr = t.param(&w).unwrap();
+        let y = t.matmul(x, wr).unwrap();
+        let compiled = compile(t.finish_trace(y).unwrap(), JitOptions::default()).unwrap();
+        assert!(compiled.plan.is_none());
+        let (out, cost) = compiled.run(&[Tensor::zeros(&[1, 4])]).unwrap();
+        assert!(out.is_phantom());
+        assert_eq!(cost.launches, 1);
     }
 
     #[test]

@@ -282,6 +282,10 @@ pub fn sum_rows(a: &[f32], out: &mut [f32], n: usize) {
     }
 }
 
+/// Floats of scratch [`gru_cell`] needs per hidden unit: the input and
+/// the hidden gate pre-activations, three per unit each.
+pub const GRU_SCRATCH_PER_UNIT: usize = 6;
+
 /// A single GRU cell step.
 ///
 /// Gate layout follows PyTorch: `w_ih: [3h, in]`, `w_hh: [3h, h]`,
@@ -293,6 +297,13 @@ pub fn sum_rows(a: &[f32], out: &mut [f32], n: usize) {
 /// n = tanh(W_in x + b_in + r * (W_hn h + b_hn))
 /// h' = (1 - z) * n + z * h
 /// ```
+///
+/// Each weight matrix's `3h` gate rows are scored against their one
+/// query (`x`, `h`) on the catalog scan's 4-row tile
+/// ([`crate::simd::score_rows`]), every row bit-identical to [`dot`];
+/// the gates then run as one vector pass ([`crate::simd::gru_gates`]).
+/// `scratch` holds the `6h` pre-activations
+/// ([`GRU_SCRATCH_PER_UNIT`]` · hidden` floats).
 #[allow(clippy::too_many_arguments)]
 pub fn gru_cell(
     x: &[f32],
@@ -304,6 +315,7 @@ pub fn gru_cell(
     out: &mut [f32],
     hidden: usize,
     input: usize,
+    scratch: &mut [f32],
 ) {
     debug_assert_eq!(x.len(), input);
     debug_assert_eq!(h.len(), hidden);
@@ -312,20 +324,11 @@ pub fn gru_cell(
     debug_assert_eq!(b_ih.len(), 3 * hidden);
     debug_assert_eq!(b_hh.len(), 3 * hidden);
     debug_assert_eq!(out.len(), hidden);
-    for j in 0..hidden {
-        let gi = |g: usize| -> f32 {
-            let row = &w_ih[(g * hidden + j) * input..(g * hidden + j + 1) * input];
-            dot(row, x) + b_ih[g * hidden + j]
-        };
-        let gh = |g: usize| -> f32 {
-            let row = &w_hh[(g * hidden + j) * hidden..(g * hidden + j + 1) * hidden];
-            dot(row, h) + b_hh[g * hidden + j]
-        };
-        let r = UnOp::Sigmoid.apply(gi(0) + gh(0));
-        let z = UnOp::Sigmoid.apply(gi(1) + gh(1));
-        let n = crate::simd::tanh_f32(gi(2) + r * gh(2));
-        out[j] = (1.0 - z) * n + z * h[j];
-    }
+    let (gi, rest) = scratch.split_at_mut(3 * hidden);
+    let gh = &mut rest[..3 * hidden];
+    crate::simd::score_rows(w_ih, input, x, 0..3 * hidden, |i, s| gi[i] = s + b_ih[i]);
+    crate::simd::score_rows(w_hh, hidden, h, 0..3 * hidden, |i, s| gh[i] = s + b_hh[i]);
+    crate::simd::gru_gates(gi, gh, h, out);
 }
 
 /// Scatter-add of `vals` at bit-cast `ids` into a dense length-`c` vector.
@@ -450,7 +453,19 @@ mod tests {
         b_ih[hidden + 1] = -100.0;
         b_ih[2 * hidden] = 0.7; // n gate bias
         let mut out = [0.0; 2];
-        gru_cell(&x, &h, &w_ih, &w_hh, &b_ih, &b_hh, &mut out, hidden, input);
+        let mut scratch = [0.0; GRU_SCRATCH_PER_UNIT * 2];
+        gru_cell(
+            &x,
+            &h,
+            &w_ih,
+            &w_hh,
+            &b_ih,
+            &b_hh,
+            &mut out,
+            hidden,
+            input,
+            &mut scratch,
+        );
         assert!((out[0] - 0.7f32.tanh()).abs() < 1e-4);
         assert!((out[1] - 0.0).abs() < 1e-4);
     }
@@ -467,7 +482,19 @@ mod tests {
         b_ih[1] = 100.0; // z ~= 1 keeps previous hidden state
         let b_hh = vec![0.0; 3];
         let mut out = [0.0];
-        gru_cell(&x, &h, &w_ih, &w_hh, &b_ih, &b_hh, &mut out, hidden, input);
+        let mut scratch = [0.0; GRU_SCRATCH_PER_UNIT];
+        gru_cell(
+            &x,
+            &h,
+            &w_ih,
+            &w_hh,
+            &b_ih,
+            &b_hh,
+            &mut out,
+            hidden,
+            input,
+            &mut scratch,
+        );
         assert!((out[0] - 0.42).abs() < 1e-5);
     }
 

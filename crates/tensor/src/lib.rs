@@ -41,6 +41,7 @@ pub mod graph;
 pub mod jit;
 pub mod kernels;
 pub mod param;
+mod plan;
 pub mod pool;
 pub mod rng;
 pub mod simd;

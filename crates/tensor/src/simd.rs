@@ -392,6 +392,13 @@ fn matmul_strided_impl(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 /// by `UnOp::apply`, so eager, vectorized and JIT-fused paths agree
 /// bitwise. Inputs are clamped to `[-87, 88]` (results saturate at
 /// ~1.6e-38 / ~1.65e38 instead of producing denormals / `inf`).
+///
+/// The saturated low end is itself the smallest *normal* float, so
+/// arithmetic downstream of it can still go subnormal: a masked logit
+/// (`-1e9`) leaves softmax as 1.6e-38, which divided by its row sum is
+/// a denormal weight, and every later multiply by it takes the slow
+/// microcode path. SASRec's attention hits this on most padded
+/// positions (ROADMAP item 2; `encoder_ops` counts the operands).
 #[inline(always)]
 pub fn exp_f32(x: f32) -> f32 {
     const LOG2EF: f32 = std::f32::consts::LOG2_E;
@@ -504,6 +511,26 @@ fn exp_sub_impl(a: &[f32], max: f32, out: &mut [f32]) {
 fn div_inplace_impl(buf: &mut [f32], s: f32) {
     for v in buf.iter_mut() {
         *v /= s;
+    }
+}
+
+/// The GRU gates over pre-activations `gi`, `gh` (`[r | z | n]`, `3h`
+/// floats each, biases included) and the previous state `h`, per unit
+/// `j` the scalar expression: `r`, `z` the sigmoids of `gi + gh`,
+/// `n = tanh(gi_n + r·gh_n)`, `out[j] = (1 - z)·n + z·h[j]`. One loop
+/// over the units, so the three transcendentals vectorise like
+/// [`unary`]'s.
+#[inline(always)]
+fn gru_gates_impl(gi: &[f32], gh: &[f32], h: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let (gi_r, gi_z, gi_n) = (&gi[..n], &gi[n..2 * n], &gi[2 * n..3 * n]);
+    let (gh_r, gh_z, gh_n) = (&gh[..n], &gh[n..2 * n], &gh[2 * n..3 * n]);
+    let h = &h[..n];
+    for j in 0..n {
+        let r = sigmoid_f32(gi_r[j] + gh_r[j]);
+        let z = sigmoid_f32(gi_z[j] + gh_z[j]);
+        let c = tanh_f32(gi_n[j] + r * gh_n[j]);
+        out[j] = (1.0 - z) * c + z * h[j];
     }
 }
 
@@ -717,6 +744,11 @@ mod wide {
     }
 
     #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gru_gates(gi: &[f32], gh: &[f32], h: &[f32], out: &mut [f32]) {
+        gru_gates_impl(gi, gh, h, out)
+    }
+
+    #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn layernorm_affine(
         a: &[f32],
@@ -873,6 +905,21 @@ pub fn exp_sub(a: &[f32], max: f32, out: &mut [f32]) {
 #[inline]
 pub fn div_inplace(buf: &mut [f32], s: f32) {
     dispatch!(wide::div_inplace(buf, s), div_inplace_impl(buf, s))
+}
+
+/// The GRU cell's gate pass: `out` (`h` floats) from the `3h`-float
+/// gate pre-activations `gi`, `gh` and the previous state `h` (see
+/// `gru_gates_impl`); bit-identical across backends and to the
+/// per-unit scalar formula.
+#[inline]
+pub fn gru_gates(gi: &[f32], gh: &[f32], h: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(gi.len(), 3 * out.len());
+    debug_assert_eq!(gh.len(), 3 * out.len());
+    debug_assert_eq!(h.len(), out.len());
+    dispatch!(
+        wide::gru_gates(gi, gh, h, out),
+        gru_gates_impl(gi, gh, h, out)
+    )
 }
 
 /// The layernorm affine pass (normalise + scale + shift).

@@ -17,9 +17,9 @@
 //! differ only in what a shard selects from and who picks the shard
 //! count:
 //!
-//! * [`topk_sharded`], [`topk_auto`], [`topk_into`] — a materialised
-//!   score vector (explicit shards, [`crate::pool::auto_shards`], one
-//!   shard),
+//! * [`topk_sharded`], [`topk_auto`], [`topk_auto_into`], [`topk_into`]
+//!   — a materialised score vector (explicit shards,
+//!   [`crate::pool::auto_shards`] twice, one shard),
 //! * the **fused** family [`score_topk`], [`score_topk_into`],
 //!   [`score_topk_sharded`], [`score_topk_multi_into`],
 //!   [`score_topk_q8_into`] — catalog rows scored by the [`crate::simd`]
@@ -328,6 +328,27 @@ pub fn topk_into(
         scores.len(),
         k,
         1,
+        scratch,
+        out_indices,
+        out_scores,
+        |rows, k, heap| select_candidates(scores, rows, k, heap),
+    );
+}
+
+/// Allocation-free [`topk_auto`]: the shard count of
+/// [`crate::pool::auto_shards`], `scratch`'s reused buffers, results
+/// written into `out_indices` / `out_scores` (cleared first).
+pub fn topk_auto_into(
+    scores: &[f32],
+    k: usize,
+    scratch: &mut TopkScratch,
+    out_indices: &mut Vec<u32>,
+    out_scores: &mut Vec<f32>,
+) {
+    select_one_into(
+        scores.len(),
+        k,
+        crate::pool::auto_shards(scores.len()),
         scratch,
         out_indices,
         out_scores,

@@ -100,12 +100,20 @@ proptest! {
                 dce: mask & 8 != 0,
             };
             let compiled = jit::compile(graph.clone(), options).unwrap();
-            let (got, _) = compiled.run(&[input_tensor(d, seed)]).unwrap();
+            let (got, cost) = compiled.run(&[input_tensor(d, seed)]).unwrap();
             let diff = expected.max_abs_diff(&got).unwrap();
             prop_assert!(
                 diff < 1e-4,
                 "passes {options:?} diverged by {diff}"
             );
+            // The plan is the eager run of the same graph, bit for bit.
+            let (eager, eager_cost) = compiled.graph().run(&[input_tensor(d, seed)]).unwrap();
+            let bits = |t: &Tensor| -> Vec<u32> {
+                t.as_slice().unwrap().iter().map(|x| x.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&eager), "passes {:?}", options);
+            prop_assert_eq!(got.shape(), eager.shape());
+            prop_assert_eq!(cost, eager_cost);
         }
     }
 

@@ -359,6 +359,79 @@ fn multi_query_scan_matches_single_for_every_tail_and_tile_shape() {
     }
 }
 
+/// The GRU cell before its gates moved onto the tile scan: one
+/// scalar-reference dot per gate row and unit, gates one unit at a time.
+#[allow(clippy::too_many_arguments)]
+fn gru_cell_per_row_reference(
+    x: &[f32],
+    h: &[f32],
+    w_ih: &[f32],
+    w_hh: &[f32],
+    b_ih: &[f32],
+    b_hh: &[f32],
+    out: &mut [f32],
+    hidden: usize,
+    input: usize,
+) {
+    use kernels::UnOp;
+    for j in 0..hidden {
+        let gi = |g: usize| {
+            let row = &w_ih[(g * hidden + j) * input..(g * hidden + j + 1) * input];
+            simd::dot_scalar_ref(row, x) + b_ih[g * hidden + j]
+        };
+        let gh = |g: usize| {
+            let row = &w_hh[(g * hidden + j) * hidden..(g * hidden + j + 1) * hidden];
+            simd::dot_scalar_ref(row, h) + b_hh[g * hidden + j]
+        };
+        let r = UnOp::Sigmoid.apply(gi(0) + gh(0));
+        let z = UnOp::Sigmoid.apply(gi(1) + gh(1));
+        let n = simd::tanh_f32(gi(2) + r * gh(2));
+        out[j] = (1.0 - z) * n + z * h[j];
+    }
+}
+
+/// `kernels::gru_cell` (gate rows on the 4-row tile, gates as one vector
+/// pass) returns the bits of the per-row formula for every hidden and
+/// input size in 1..=40: every tile remainder and tail length, with
+/// weights large enough to saturate some gates.
+#[test]
+fn gru_cell_is_bit_identical_to_the_per_row_formula() {
+    for hidden in 1..=40 {
+        for input in 1..=40 {
+            let seed = (hidden * 64 + input) as u64;
+            let scaled = |n: usize, s: u64, by: f32| -> Vec<f32> {
+                unit_values(n, s).iter().map(|v| v * by).collect()
+            };
+            let x = scaled(input, seed, 3.0);
+            let h = unit_values(hidden, seed ^ 1);
+            let w_ih = scaled(3 * hidden * input, seed ^ 2, 2.0);
+            let w_hh = scaled(3 * hidden * hidden, seed ^ 3, 2.0);
+            let b_ih = unit_values(3 * hidden, seed ^ 4);
+            let b_hh = unit_values(3 * hidden, seed ^ 5);
+            let mut got = vec![0.0f32; hidden];
+            let mut scratch = vec![0.0f32; kernels::GRU_SCRATCH_PER_UNIT * hidden];
+            kernels::gru_cell(
+                &x,
+                &h,
+                &w_ih,
+                &w_hh,
+                &b_ih,
+                &b_hh,
+                &mut got,
+                hidden,
+                input,
+                &mut scratch,
+            );
+            let mut want = vec![0.0f32; hidden];
+            gru_cell_per_row_reference(
+                &x, &h, &w_ih, &w_hh, &b_ih, &b_hh, &mut want, hidden, input,
+            );
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "hidden={hidden} input={input}");
+        }
+    }
+}
+
 /// Fused top-k with degenerate shapes: empty catalog, single row, k
 /// larger than the catalog.
 #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full verification gate, one sequence: the tier-1 command (release
 # build, then every test in the workspace — the root's default-members
-# cover all of it), the SIMD-equivalence suite again on the
-# forced-scalar backend (the one configuration that run cannot cover),
+# cover all of it), the SIMD-equivalence suite and the model suite with
+# its golden fixtures again on the forced-scalar backend (the one
+# configuration that run cannot cover),
 # every bench binary's --smoke mode, doc warnings, formatting, lints;
 # it ends by printing the knob census and the non-test line count.
 # Smoke runs write under target/tmp/, never over the tracked full-mode
@@ -30,9 +31,12 @@ cargo test -q
 echo "==> SIMD equivalence property suite (forced scalar backend)"
 ETUDE_SIMD=scalar cargo test -q --release -p etude-tensor --test simd_equivalence
 
+echo "==> model suite and golden fixtures (forced scalar backend)"
+ETUDE_SIMD=scalar cargo test -q --release -p etude-models --test suite
+
 if [ "$QUICK" = "0" ]; then
     for bin in ablation_faults fleet_timeline autoscale_timeline \
-        scatter_gather overload_brownout futurework_tradeoffs; do
+        scatter_gather overload_brownout futurework_tradeoffs encoder_ops; do
         echo "==> $bin --smoke"
         cargo run --release -q -p etude-bench --bin "$bin" -- --smoke
     done
