@@ -26,8 +26,7 @@
 //! Besides the usual console report, a machine-readable summary is
 //! written to `results/BENCH_parallel_mips.json` with the active SIMD
 //! backend and pool width in the header. Pass `-- --smoke` for a quick
-//! run that skips the full sweep and writes no artifact: it enforces
-//! the always-on profiler's ≤ 2 % budget on the fused kernel, checks the
+//! run that skips the full sweep and writes no artifact: it checks the
 //! fused scan bit for bit against the scalar reference, and asserts
 //! that the fused scan is not slower than the autovectorised
 //! scan-then-select at any (C, d) up to 10^5.
@@ -348,80 +347,12 @@ fn write_summary() {
     etude_bench::write_result("parallel_mips", false, &json);
 }
 
-/// A/B measurement of the always-on profiler's cost on the hot kernel
-/// it tags: interleaved rounds of the fused score+top-k scan with
-/// scope recording + sampling on vs off, compared by median round
-/// ratio (the median cancels one-off scheduler noise that a mean of
-/// wall times would not).
-fn profiler_overhead_check() {
-    const C: usize = 20_000;
-    const D: usize = 64;
-    const K: usize = 50;
-    const REPS: usize = 50;
-    const ROUNDS: usize = 7;
-
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let table: Vec<f32> = (0..C * D)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
-        })
-        .collect();
-    let query: Vec<f32> = table[..D].to_vec();
-    let mut scratch = TopkScratch::default();
-    let mut ids = Vec::new();
-    let mut scores = Vec::new();
-
-    // The ticker is part of the cost under test: it is what production
-    // servers run. `set_enabled(false)` parks both it and the scopes.
-    etude_obs::profile::start_ticker(etude_obs::profile::DEFAULT_TICK);
-    let mut rep = |enabled: bool| {
-        etude_obs::profile::set_enabled(enabled);
-        let start = std::time::Instant::now();
-        score_topk_into(&table, &query, C, K, &mut scratch, &mut ids, &mut scores);
-        start.elapsed().as_secs_f64()
-    };
-    // Warm both paths (page the table in, intern the sites).
-    for _ in 0..16 {
-        rep(false);
-        rep(true);
-    }
-    // Strictly interleaved per-rep samples: every "on" rep has an
-    // adjacent "off" rep, so frequency drift and scheduler hiccups land
-    // on both sides equally and the per-side medians stay comparable.
-    let mut on = Vec::with_capacity(ROUNDS * REPS);
-    let mut off = Vec::with_capacity(ROUNDS * REPS);
-    for _ in 0..ROUNDS * REPS {
-        off.push(rep(false));
-        on.push(rep(true));
-    }
-    etude_obs::profile::set_enabled(true);
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    let ratio = median(&mut on) / median(&mut off);
-    let overhead_pct = (ratio - 1.0) * 100.0;
-    println!(
-        "profiler overhead on score_topk: {overhead_pct:+.2}% \
-         (median of {} interleaved reps per side)\n",
-        ROUNDS * REPS
-    );
-    assert!(
-        ratio <= 1.02,
-        "always-on profiler costs {overhead_pct:.2}% on the hot kernel (budget 2%)"
-    );
-}
-
-/// `--smoke`: the profiler-overhead gate, the fused scan's bit-for-bit
-/// cross-check against the unfused scalar reference, and ROADMAP item
-/// 3's exit criterion — at no swept (C, d) is the fused SIMD scan slower
-/// than the autovectorised scan-then-select it replaced. No JSON
-/// artifact. Used by `scripts/verify.sh`.
+/// `--smoke`: the fused scan's bit-for-bit cross-check against the
+/// unfused scalar reference, and ROADMAP item 3's exit criterion — at
+/// no swept (C, d) is the fused SIMD scan slower than the
+/// autovectorised scan-then-select it replaced. No JSON artifact. Used
+/// by `scripts/verify.sh`.
 fn smoke() {
-    profiler_overhead_check();
     for &catalog in &CATALOGS[..3] {
         let fx = Fixture::new(catalog);
         let (d, query) = (fx.d, &fx.queries[..fx.d]);

@@ -2,23 +2,20 @@
 //! store.
 //!
 //! Quantiles say *that* the p99.9 is slow; an exemplar says *why*. The
-//! serving layer brackets each request with [`ExemplarStore::begin`] /
-//! [`ExemplarStore::offer`]: offers carry the request's complete stage
-//! span set (the PR 4 trace shape) plus the delta of the profiler's
-//! per-tag leaf counts across the request — what the process's CPU
-//! attention was doing while this request was in flight. The store keeps
-//! only the slowest [`SLOTS`] requests of the current time window
-//! (older windows age out), so a post-hoc `/debug/slow` scrape shows
-//! the freshest outliers with queue/poll/compute/write-stall
-//! attribution, in Chrome `trace_event` JSON.
+//! serving layer offers each finished request to
+//! [`ExemplarStore::offer`] with its complete stage span set (the
+//! trace shape): only what that request measured itself, so nothing a
+//! concurrent request did lands in its record. The store keeps only the
+//! slowest [`SLOTS`] requests of the current time window (older windows
+//! age out), so a post-hoc `/debug/slow` scrape shows the freshest
+//! outliers with parse/queue/compute/serialize attribution, in Chrome
+//! `trace_event` JSON.
 //!
-//! Budget: like the span rings and the profiler, **zero steady-state
-//! allocation** on the request path. Every slot is fixed-size and
-//! preallocated at construction; `begin`/`offer` copy bounded arrays
-//! under a mutex and never touch the heap. Rendering allocates freely —
-//! it is the scrape path.
+//! Budget: like the span rings, **zero steady-state allocation** on the
+//! request path. Every slot is fixed-size and preallocated at
+//! construction; `offer` copies bounded arrays under a mutex and never
+//! touches the heap. Rendering allocates freely — it is the scrape path.
 
-use crate::profile::{self, MAX_TAGS};
 use crate::span::Stage;
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
@@ -26,8 +23,8 @@ use std::time::{Duration, Instant};
 /// Exemplar slots kept per window — the "N" of slowest-N.
 pub const SLOTS: usize = 8;
 
-/// Stage spans one exemplar retains (the pipeline has 7 stages; one
-/// spare for forward compatibility).
+/// Stage spans one exemplar retains (the pipeline has 6 stages, see
+/// [`Stage`]; two spare for forward compatibility).
 pub const MAX_STAGES: usize = 8;
 
 /// Longest request-id prefix retained per exemplar.
@@ -52,8 +49,6 @@ struct Slot {
     stages_len: u8,
     /// `(stage as u8, duration_nanos)` in offer order.
     stages: [(u8, u64); MAX_STAGES],
-    /// Profiler leaf-sample deltas across the request, by `site id - 1`.
-    leaf_delta: [u64; MAX_TAGS],
 }
 
 const EMPTY_SLOT: Slot = Slot {
@@ -64,14 +59,7 @@ const EMPTY_SLOT: Slot = Slot {
     rid: [0; MAX_RID],
     stages_len: 0,
     stages: [(0, 0); MAX_STAGES],
-    leaf_delta: [0; MAX_TAGS],
 };
-
-/// Stack-allocated begin marker: the profiler's leaf counts when the
-/// request started, subtracted at offer time.
-pub struct ExemplarMark {
-    leaf: [u64; MAX_TAGS],
-}
 
 /// The bounded slowest-N-per-window store. One per [`crate::Recorder`].
 pub struct ExemplarStore {
@@ -111,24 +99,13 @@ impl ExemplarStore {
         !slot.used || slot.bucket + 1 < current
     }
 
-    /// Marks the start of a request: snapshots the profiler's leaf
-    /// counts. Allocation-free (one fixed array copy under the
-    /// profiler's fold lock).
-    pub fn begin(&self) -> ExemplarMark {
-        let mut mark = ExemplarMark {
-            leaf: [0; MAX_TAGS],
-        };
-        profile::leaf_snapshot(&mut mark.leaf);
-        mark
-    }
-
     /// Offers a finished request. It is retained iff it ranks among the
     /// slowest of the current window: free/aged slots are claimed first,
     /// then the window's current minimum is displaced when
     /// `total_nanos` beats it. Allocation-free: bounded copies only
     /// (`rid` truncates to [`MAX_RID`] bytes, stages to
     /// [`MAX_STAGES`]).
-    pub fn offer(&self, rid: &str, stages: &[(Stage, u64)], total_nanos: u64, mark: &ExemplarMark) {
+    pub fn offer(&self, rid: &str, stages: &[(Stage, u64)], total_nanos: u64) {
         let current = self.bucket_now();
         let mut slots = self.slots.lock();
         // Claim order: an expired slot, else the cheapest displaceable
@@ -164,11 +141,6 @@ impl ExemplarStore {
             *dst = (stage as u8, nanos);
         }
         slot.stages_len = m as u8;
-        let mut now = [0u64; MAX_TAGS];
-        profile::leaf_snapshot(&mut now);
-        for ((delta, &at_end), &at_start) in slot.leaf_delta.iter_mut().zip(&now).zip(&mark.leaf) {
-            *delta = at_end.saturating_sub(at_start);
-        }
     }
 
     /// Live (non-aged) exemplars, slowest first, as
@@ -195,8 +167,7 @@ impl ExemplarStore {
     /// Renders the live exemplars as Chrome `trace_event` JSON (same
     /// dialect as [`crate::trace::TraceCollector::to_chrome_json`]):
     /// one process row per exemplar, the `total` span enclosing the
-    /// component stages tiled cumulatively, and the profiler leaf deltas
-    /// as args on the total span.
+    /// component stages tiled cumulatively.
     pub fn render_chrome_json(&self) -> String {
         let us = |nanos: u64| nanos as f64 / 1_000.0;
         let current = self.bucket_now();
@@ -226,26 +197,12 @@ impl ExemplarStore {
                     slot.total_nanos / 1_000
                 ),
             );
-            let mut profile_args = String::new();
-            for (i, &delta) in slot.leaf_delta.iter().enumerate() {
-                if delta == 0 {
-                    continue;
-                }
-                let Some(name) = profile::leaf_name(i) else {
-                    continue;
-                };
-                if !profile_args.is_empty() {
-                    profile_args.push_str(", ");
-                }
-                profile_args.push_str(&format!("\"{}\": {delta}", name.replace('"', "_")));
-            }
             push(
                 &mut out,
                 format!(
                     "{{\"ph\": \"X\", \"name\": \"total\", \"cat\": \"exemplar\", \
                      \"pid\": {row}, \"tid\": 0, \"ts\": 0.000, \"dur\": {:.3}, \
-                     \"args\": {{\"rid\": \"{rid}\", \"window\": {}, \
-                     \"profile_leaf_samples\": {{{profile_args}}}}}}}",
+                     \"args\": {{\"rid\": \"{rid}\", \"window\": {}}}}}",
                     us(slot.total_nanos),
                     slot.bucket,
                 ),
@@ -296,14 +253,8 @@ mod tests {
     fn slowest_requests_displace_faster_ones() {
         let store = ExemplarStore::new();
         for i in 0..SLOTS as u64 + 4 {
-            let mark = store.begin();
             let total = 1_000 * (i + 1);
-            store.offer(
-                &format!("req-{i}"),
-                &stages(100, 200, total - 300),
-                total,
-                &mark,
-            );
+            store.offer(&format!("req-{i}"), &stages(100, 200, total - 300), total);
         }
         let rows = store.snapshot();
         assert_eq!(rows.len(), SLOTS, "store is bounded");
@@ -318,26 +269,22 @@ mod tests {
     fn fast_requests_do_not_displace_slow_ones() {
         let store = ExemplarStore::new();
         for i in 0..SLOTS as u64 {
-            let mark = store.begin();
-            store.offer("slow", &stages(0, 0, 9_000_000), 9_000_000 + i, &mark);
+            store.offer("slow", &stages(0, 0, 9_000_000), 9_000_000 + i);
         }
-        let mark = store.begin();
-        store.offer("fast", &stages(0, 0, 10), 10, &mark);
+        store.offer("fast", &stages(0, 0, 10), 10);
         assert!(store.snapshot().iter().all(|r| r.0 == "slow"));
     }
 
     #[test]
     fn old_windows_age_out() {
         let store = ExemplarStore::with_window(Duration::from_millis(5));
-        let mark = store.begin();
-        store.offer("early", &stages(1, 1, 1), 1_000_000_000, &mark);
+        store.offer("early", &stages(1, 1, 1), 1_000_000_000);
         assert_eq!(store.snapshot().len(), 1);
         // Two windows later the exemplar is gone and its slot reusable
         // by an arbitrarily fast request.
         std::thread::sleep(Duration::from_millis(12));
         assert!(store.snapshot().is_empty(), "aged exemplar still served");
-        let mark = store.begin();
-        store.offer("late", &stages(1, 1, 1), 3, &mark);
+        store.offer("late", &stages(1, 1, 1), 3);
         let rows = store.snapshot();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, "late");
@@ -346,8 +293,7 @@ mod tests {
     #[test]
     fn stage_spans_round_trip() {
         let store = ExemplarStore::new();
-        let mark = store.begin();
-        store.offer("rt", &stages(100, 2_000, 30_000), 32_100, &mark);
+        store.offer("rt", &stages(100, 2_000, 30_000), 32_100);
         let rows = store.snapshot();
         assert_eq!(rows[0].2.len(), 4);
         assert_eq!(rows[0].2[1], (Stage::Queue, 2_000));
@@ -356,8 +302,7 @@ mod tests {
     #[test]
     fn chrome_export_is_wellformed_and_tiled() {
         let store = ExemplarStore::new();
-        let mark = store.begin();
-        store.offer("chrome-test", &stages(1_000, 2_000, 3_000), 6_000, &mark);
+        store.offer("chrome-test", &stages(1_000, 2_000, 3_000), 6_000);
         let json = store.render_chrome_json();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"chrome-test\""));
@@ -374,9 +319,8 @@ mod tests {
     #[test]
     fn long_rids_truncate_instead_of_allocating() {
         let store = ExemplarStore::new();
-        let mark = store.begin();
         let long = "x".repeat(500);
-        store.offer(&long, &stages(1, 1, 1), 100, &mark);
+        store.offer(&long, &stages(1, 1, 1), 100);
         let rows = store.snapshot();
         assert_eq!(rows[0].0.len(), MAX_RID);
     }

@@ -45,12 +45,9 @@
 //!
 //! PR 9 adds the third layer — seeing *why* a tail is slow:
 //!
-//! * [`profile`] — an always-on cooperative sampling profiler: scoped
-//!   tags on per-thread seqlock stacks, folded into flamegraph-
-//!   compatible counts by a ticker thread (`/debug/profile`),
 //! * [`exemplar`] — a bounded slowest-N-per-window store retaining each
-//!   outlier's complete stage span tree plus profiler leaf deltas,
-//!   exported as Chrome trace JSON (`/debug/slow`),
+//!   outlier's complete stage span tree, exactly as that request
+//!   measured it, exported as Chrome trace JSON (`/debug/slow`),
 //! * [`stats::ReactorTelemetry`] — event-loop busy/wait utilization,
 //!   poll batch, wake-to-dequeue and dispatch queue-wait histograms
 //!   from the reactor tier, merged order-independently into `/fleet`.
@@ -58,7 +55,6 @@
 pub mod exemplar;
 pub mod fleet;
 pub mod metric;
-pub mod profile;
 pub mod recorder;
 pub mod ring;
 pub mod slo;
@@ -67,12 +63,11 @@ pub mod stats;
 pub mod trace;
 pub mod window;
 
-pub use exemplar::{ExemplarMark, ExemplarStore};
+pub use exemplar::ExemplarStore;
 pub use fleet::{
     parse_fleet_health, parse_fleet_shards, FleetSnapshot, ShardGroupHealth, StageSkew,
 };
 pub use metric::Metric;
-pub use profile::{ProfileStats, ScopeGuard, Site};
 pub use recorder::{Recorder, SpanGuard};
 pub use ring::SpanRing;
 pub use slo::{SloCause, SloMonitor, SloPolicy, SloReport, SloViolation, TickAttribution};

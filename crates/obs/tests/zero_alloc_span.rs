@@ -1,14 +1,14 @@
-//! Proves the overhead budget of the span hot path: after the first span
-//! registers a thread's ring, recording performs **zero** heap
-//! allocations. A counting global allocator makes the claim checkable
-//! rather than aspirational (same technique as the models crate's
-//! `zero_alloc` retrieval test).
+//! Proves the overhead budget of the request-path telemetry: after the
+//! first span registers a thread's ring, recording spans and offering
+//! slow-request exemplars perform **zero** heap allocations. A counting
+//! global allocator makes the claim checkable rather than aspirational
+//! (same technique as the models crate's `zero_alloc` retrieval test).
 //!
 //! Allocations are counted **per thread** — a process-wide count would
 //! also bill allocations made concurrently by the libtest harness thread
 //! to the hot path and flake under load.
 
-use etude_obs::{Recorder, Stage, WindowConfig};
+use etude_obs::{ExemplarStore, Recorder, Stage, WindowConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -92,4 +92,41 @@ fn steady_state_span_recording_does_not_allocate() {
     let snap = recorder.snapshot();
     let counted: u64 = snap.stages.iter().map(|s| s.count).sum();
     assert_eq!(counted + snap.dropped, 60_006, "60,000 + 6 warm-up spans");
+}
+
+const STAGES: [(Stage, u64); 6] = [
+    (Stage::Parse, 10_000),
+    (Stage::Queue, 50_000),
+    (Stage::Inference, 400_000),
+    (Stage::TopK, 90_000),
+    (Stage::Serialize, 8_000),
+    (Stage::Total, 560_000),
+];
+
+#[test]
+fn steady_state_exemplar_offers_do_not_allocate() {
+    let store = ExemplarStore::with_window(Duration::from_secs(10));
+
+    // Warm-up: fills every exemplar slot, so the measured loop exercises
+    // only the steady-state displacement path.
+    for i in 0..32u64 {
+        store.offer("req-0123456789abcdef", &STAGES, 1_000 + i);
+    }
+
+    let before = thread_allocations();
+    for i in 32..10_032u64 {
+        // Monotonically slower requests keep winning slots, so every
+        // offer takes the full displacement + copy path.
+        store.offer("req-0123456789abcdef", &STAGES, 1_000 + i);
+    }
+    let after = thread_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state exemplar offers allocated {} times over 10,000 offers",
+        after - before
+    );
+
+    // The offers above must actually have been retained, not elided.
+    assert!(!store.snapshot().is_empty(), "exemplars were retained");
 }

@@ -234,7 +234,10 @@ enum Obs {
 /// — the signature of a pod restart window, when nothing is listening on
 /// the port yet — is retried on a short pace bounded only by the request
 /// deadline, not the retry budget, so a client riding out a rolling
-/// restart reconnects the moment the replacement pod binds. Backoff
+/// restart reconnects the moment the replacement pod binds; a client
+/// built on [`RetryPolicy::none`] asked for one attempt and gets one,
+/// refusals included (a router leg over a lost group fails at once
+/// instead of spending its budget). Backoff
 /// jitter is drawn from a per-request RNG seeded by `client seed ^
 /// request-id hash`, so a rerun with the same seed and ids retries on a
 /// bit-identical schedule.
@@ -494,7 +497,7 @@ impl ResilientClient {
                         &e,
                         ClientError::Io(io) if io.kind() == ErrorKind::ConnectionRefused
                     );
-                    if refused && !deadline.expired() {
+                    if refused && self.policy.max_retries > 0 && !deadline.expired() {
                         // Restart window: nothing is listening on the port
                         // yet. Pace by the deadline, not the retry budget —
                         // refused connects return instantly, so a rolling
@@ -1061,6 +1064,25 @@ mod tests {
             out.retries
         );
         replacement.join().unwrap().shutdown();
+    }
+
+    #[test]
+    fn no_retry_policy_fails_a_refused_connect_at_once() {
+        // One attempt means one attempt: a refused connect is not
+        // ridden out to the deadline when the policy retries nothing.
+        let mut client = ResilientClient::new(vacant_addr(), RetryPolicy::none(), 23);
+        let started = std::time::Instant::now();
+        let out = client.request_within(&Request::get("/gone"), Duration::from_secs(5));
+        match out {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), ErrorKind::ConnectionRefused),
+            other => panic!("expected a refused connect, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_millis(100),
+            "refusal took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(client.total_retries(), 0);
     }
 
     #[test]

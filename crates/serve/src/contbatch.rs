@@ -370,13 +370,8 @@ pub fn model_routes_continuous(
     let fallback = policy.map(|_| popularity_fallback(catalog_size, model.config().top_k));
     let default_deadline = config.default_deadline;
     let infer = deploy(model, device, jit);
-    // The continuous path is the production-shaped server, so it owns
-    // starting the always-on sampling profiler (idempotent; feeds
-    // `/debug/profile` and the exemplar leaf deltas on `/debug/slow`).
-    etude_obs::profile::start_ticker(etude_obs::profile::DEFAULT_TICK);
     let slot_recorder = Arc::clone(&recorder);
     let batcher = Arc::new(ContinuousBatcher::spawn_batched(config, move |sessions| {
-        etude_obs::profile_scope!("contbatch::slot");
         let replies = infer(sessions);
         slot_recorder.bump(Metric::Batches);
         slot_recorder.add(Metric::BatchedRequests, replies.len() as u64);

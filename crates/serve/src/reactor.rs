@@ -31,7 +31,7 @@ use crate::rustserver::{Handler, RESET_MARKER};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use etude_metrics::hdr::Histogram;
-use etude_obs::{profile_scope, ReactorTelemetry, Recorder};
+use etude_obs::{ReactorTelemetry, Recorder};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -1058,10 +1058,7 @@ fn dispatch_worker(
             .dispatch_wait_us
             .lock()
             .record(duration_micros(job.enqueued.elapsed()));
-        let resp = {
-            profile_scope!("reactor::handler");
-            handler(&job.req)
-        };
+        let resp = handler(&job.req);
         served.fetch_add(1, Ordering::Relaxed);
         job.mailbox.push(LoopMsg::Done {
             slot: job.slot,

@@ -16,8 +16,8 @@
 //!   summaries (parse → queue → inference → top-k → serialize),
 //! * `GET /stats` — the same aggregation as JSON, scraped by the load
 //!   generator at end of run,
-//! * `GET /debug/profile`, `GET /debug/slow` — folded profiler stacks
-//!   and the slowest-request exemplars.
+//! * `GET /debug/slow` — the slowest-request exemplars, each with the
+//!   stage spans that request measured itself.
 //!
 //! `prediction_routes` owns everything that is the same on every tier
 //! (correlation id, parse, deadline, stage recording, tracing, and the
@@ -125,16 +125,6 @@ fn shared_routes(req: &Request, recorder: &Recorder) -> Option<Response> {
             Response::ok(recorder.snapshot().render_json())
                 .with_header("content-type", "application/json".to_string()),
         ),
-        (Method::Get, "/debug/profile") => {
-            // Folded flamegraph lines, rooted at the process tag plus
-            // the active SIMD ISA so captures from different hosts stay
-            // distinguishable.
-            let root = format!("etude[{}]", etude_tensor::simd::isa_name());
-            Some(
-                Response::ok(etude_obs::profile::render_folded(&root))
-                    .with_header("content-type", "text/plain".to_string()),
-            )
-        }
         (Method::Get, "/debug/slow") => Some(
             Response::ok(recorder.exemplars().render_chrome_json())
                 .with_header("content-type", "application/json".to_string()),
@@ -337,10 +327,6 @@ where
         }
         let t_entry = Instant::now();
         let (rid, echo) = correlation_id(req);
-        // Forensics: snapshot the profiler's leaf counts so a retained
-        // slow exemplar can say where CPU went *during this request*
-        // (delta at offer time).
-        let mark = recorder.exemplars().begin();
         let t_parse = Instant::now();
         let items = match parse_prediction(&req.body, catalog_size) {
             Ok(items) => items,
@@ -405,10 +391,10 @@ where
         // Offer the complete span tree to the slowest-N store; only
         // tail outliers are retained.
         match echo {
-            Some(id) => recorder.exemplars().offer(id, stages, nanos(total), &mark),
+            Some(id) => recorder.exemplars().offer(id, stages, nanos(total)),
             None => recorder
                 .exemplars()
-                .offer(&format!("{rid:016x}"), stages, nanos(total), &mark),
+                .offer(&format!("{rid:016x}"), stages, nanos(total)),
         }
         note_trace(&recorder, ctx.trace, resp, stages)
     })

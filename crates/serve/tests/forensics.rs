@@ -6,16 +6,15 @@
 //! requests are grouped: the four members of one batch each report
 //! stages that tile their own total.
 //!
-//! Three trails are asserted over real sockets:
+//! Two trails are asserted over real sockets, and the exemplar store
+//! behind the second one directly:
 //!
-//! * `/debug/profile` — the always-on sampling profiler's folded
-//!   stacks, rooted at the host ISA tag, naming the fused
-//!   score+top-k kernel as a leaf,
 //! * `/stats` — the reactor's own telemetry block (loop utilization in
 //!   `(0, 1]`, dispatch-wait samples for every served request),
 //! * `/debug/slow` — the slowest-of-window exemplar store serving a
 //!   complete span tree whose component stages tile the total, as
-//!   Chrome `trace_event` JSON.
+//!   Chrome `trace_event` JSON. Every span in it is one the request
+//!   measured itself.
 
 use etude_models::{ModelConfig, ModelKind, SbrModel};
 use etude_obs::{parse_stats_json, request_id_hash, Metric, Recorder, Stage};
@@ -43,9 +42,9 @@ fn slow_requests_leave_a_complete_forensic_trail() {
     let cfg = ModelConfig::new(CATALOG)
         .with_max_session_len(8)
         .with_seed(11);
-    // SASRec decodes through the fused score+top-k node — the kernel
-    // the profiler must catch in the act (CORE's tempered decode takes
-    // the unfused catalog-scores path instead).
+    // SASRec decodes through the fused score+top-k node, so every
+    // exemplar carries a top-k span (CORE's tempered decode takes the
+    // unfused catalog-scores path instead).
     let model: Arc<dyn SbrModel> = Arc::from(ModelKind::SasRec.build(&cfg));
     let recorder = Arc::new(Recorder::new());
     // One inference slot: the concurrent burst below *must* queue, so
@@ -70,8 +69,7 @@ fn slow_requests_leave_a_complete_forensic_trail() {
     let server =
         reactor::start_observed(ReactorConfig::default(), handler, Arc::clone(&recorder)).unwrap();
 
-    // Catalog-scan load: concurrent sessions keep the fused kernel hot
-    // long enough for the 1ms sampler to catch it in the act.
+    // Catalog-scan load: concurrent sessions queue behind the one slot.
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let addr = server.addr();
@@ -92,23 +90,7 @@ fn slow_requests_leave_a_complete_forensic_trail() {
 
     let mut client = HttpClient::connect(server.addr()).unwrap();
 
-    // (a) The profiler names the kernel. Every folded line is rooted at
-    // the ISA tag, and the fused score+top-k path appears by name.
-    let resp = client.request(&Request::get("/debug/profile")).unwrap();
-    assert_eq!(resp.status, 200);
-    let folded = String::from_utf8(resp.body.to_vec()).unwrap();
-    assert!(!folded.trim().is_empty(), "folded stacks must not be empty");
-    let root = format!("etude[{}]", etude_tensor::simd::isa_name());
-    assert!(
-        folded.lines().all(|l| l.starts_with(&root)),
-        "every stack is rooted at the ISA tag:\n{folded}"
-    );
-    assert!(
-        folded.contains("tensor::score_topk"),
-        "the fused kernel must appear in the folded stacks:\n{folded}"
-    );
-
-    // (b) Reactor telemetry reaches /stats: the loops did real work but
+    // (a) Reactor telemetry reaches /stats: the loops did real work but
     // mostly waited, and every served request left a dispatch-wait
     // sample.
     let resp = client.request(&Request::get("/stats")).unwrap();
@@ -125,7 +107,7 @@ fn slow_requests_leave_a_complete_forensic_trail() {
         "every served request leaves a dispatch-wait sample"
     );
 
-    // (c) The exemplar store kept the slowest requests with complete,
+    // (b) The exemplar store kept the slowest requests with complete,
     // tiling span trees: every component stage present, components
     // summing to within 10% of the recorded total, and the slowest
     // exemplar's queue span visibly non-zero (the deliberate delay).
@@ -166,7 +148,7 @@ fn slow_requests_leave_a_complete_forensic_trail() {
         "the slowest exemplar ({slowest_total}ns) queued behind the single slot"
     );
 
-    // (d) /debug/slow serves the same store as well-formed Chrome
+    // (c) /debug/slow serves the same store as well-formed Chrome
     // trace JSON: a span tree per exemplar, component events included.
     let resp = client.request(&Request::get("/debug/slow")).unwrap();
     assert_eq!(resp.status, 200);

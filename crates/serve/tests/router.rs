@@ -17,7 +17,7 @@ use etude_serve::rustserver::{ServerHandle, DEGRADED_HEADER};
 use etude_serve::{router_routes, shard_backend_routes, HttpClient, RouterConfig, ShardTopology};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const C: usize = 600;
 const D: usize = 8;
@@ -166,8 +166,33 @@ fn full_health_router_matches_unsharded_reference_byte_for_byte() {
     }
 }
 
+/// The paper's latency SLO: a degraded answer must still arrive inside it.
+const SLO: Duration = Duration::from_millis(100);
+
+/// The `scatter_gather` bench's router shape: default retries, and a
+/// one-strike breaker so a lost group fails fast instead of spending
+/// its (deliberately generous) leg budget.
+fn one_strike_config() -> RouterConfig {
+    RouterConfig {
+        k: K,
+        leg_budget: Duration::from_secs(2),
+        breakers: Some(etude_control::BreakerConfig {
+            failure_threshold: 1,
+            open_for: Duration::from_secs(600),
+            half_open_successes: 1,
+        }),
+        ..RouterConfig::default()
+    }
+}
+
 #[test]
 fn losing_a_shard_group_degrades_without_failing() {
+    for config in [quick_config(), one_strike_config()] {
+        degrade_one_group_of_two(config);
+    }
+}
+
+fn degrade_one_group_of_two(config: RouterConfig) {
     let table = table();
     let mut topo = ShardTopology::partition(C, D, QUERY_SEED, 2);
 
@@ -180,17 +205,23 @@ fn losing_a_shard_group_degrades_without_failing() {
     let router_recorder = Arc::new(Recorder::new());
     let router = start(
         ReactorConfig::default(),
-        router_routes(topo, quick_config(), Arc::clone(&router_recorder)),
+        router_routes(topo, config, Arc::clone(&router_recorder)),
     )
     .unwrap();
 
     let mut client = HttpClient::connect(router.addr()).unwrap();
     let batch = sessions();
     for session in &batch {
+        let sent = Instant::now();
         let resp = client
             .request(&Request::post("/predictions", session.clone()))
             .unwrap();
+        let took = sent.elapsed();
         assert_eq!(resp.status, 200, "degraded requests still succeed");
+        assert!(
+            took <= SLO,
+            "a degraded request took {took:?}, past the {SLO:?} SLO"
+        );
         assert_eq!(
             resp.headers.get(DEGRADED_HEADER).map(String::as_str),
             Some("1"),

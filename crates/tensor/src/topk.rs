@@ -425,7 +425,6 @@ pub fn score_topk_multi_into(
     scratch: &mut TopkScratch,
     out: &mut [Ranked],
 ) {
-    etude_obs::profile_scope!("tensor::score_topk");
     let shards = if nq > 1 {
         1
     } else {
@@ -486,7 +485,6 @@ pub fn score_topk_q8_into(
     out_indices: &mut Vec<u32>,
     out_scores: &mut Vec<f32>,
 ) {
-    etude_obs::profile_scope!("tensor::score_topk_q8");
     let shards = crate::pool::auto_shards(c);
     score_topk_q8_sharded_into(
         data,

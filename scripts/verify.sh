@@ -25,6 +25,16 @@ done
 echo "==> cargo build --release"
 cargo build --release
 
+# Layering: the kernel crate depends on no other workspace crate, so
+# observability (or anything else) can never become a cost of a scan.
+echo "==> etude-tensor depends on no other etude-* crate"
+tensor_tree=$(cargo tree --offline --locked -p etude-tensor -e normal --prefix none)
+tensor_deps=$(echo "$tensor_tree" | awk '/^etude-/ && $1 != "etude-tensor" {print $1}' | sort -u)
+if [ -n "$tensor_deps" ]; then
+    echo "etude-tensor must not depend on: $tensor_deps" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -40,7 +50,7 @@ if [ "$QUICK" = "0" ]; then
         echo "==> $bin --smoke"
         cargo run --release -q -p etude-bench --bin "$bin" -- --smoke
     done
-    echo "==> parallel_mips --smoke (profiler-overhead gate + fused-scan cross-check)"
+    echo "==> parallel_mips --smoke (fused-scan cross-check + not slower than autovectorised)"
     cargo bench -q -p etude-bench --bench parallel_mips -- --smoke
 fi
 
