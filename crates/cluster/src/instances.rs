@@ -3,7 +3,7 @@
 //! an instance with an additional T4 GPU costs $268.09 per month and the
 //! instance with the A100 GPU has a hefty price tag of $2,008.80."
 
-use etude_tensor::{Device, DeviceProfile};
+use etude_tensor::Device;
 
 /// A deployable cloud machine type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,11 +59,6 @@ impl InstanceType {
             InstanceType::GpuT4 => Device::t4(),
             InstanceType::GpuA100 => Device::a100(),
         }
-    }
-
-    /// The device profile (roofline constants).
-    pub fn device_profile(&self) -> DeviceProfile {
-        self.device().profile().clone()
     }
 
     /// vCPUs available to the serving process.

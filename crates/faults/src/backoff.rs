@@ -56,12 +56,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Overrides the jitter fraction (clamped to `[0, 1]`).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.clamp(0.0, 1.0);
-        self
-    }
-
     /// The nominal (un-jittered) delay before retry `attempt` (0-based):
     /// `min(base * 2^attempt, cap)`, saturating.
     pub fn nominal_delay(&self, attempt: u32) -> Duration {

@@ -43,19 +43,9 @@ pub struct LoadConfig {
 }
 
 impl LoadConfig {
-    /// The paper's standard setup: ramp to `target` over ten minutes.
-    pub fn paper_rampup(target_rps: u64) -> LoadConfig {
-        LoadConfig {
-            target_rps,
-            ramp: Duration::from_secs(600),
-            duration: Duration::from_secs(600),
-            backpressure: true,
-            seed: 7,
-        }
-    }
-
-    /// A scaled-down ramp for fast experiment iterations: identical shape,
-    /// shorter wall time.
+    /// The paper's ramp-up (the rate climbs linearly to `target_rps`
+    /// over the whole run), compressed from its ten minutes to
+    /// `seconds` for fast experiment iterations.
     pub fn scaled_rampup(target_rps: u64, seconds: u64) -> LoadConfig {
         LoadConfig {
             target_rps,

@@ -167,7 +167,8 @@ impl Histogram {
     }
 
     /// Iterates the non-empty buckets as `(bucket index, count)` pairs —
-    /// the sparse wire representation used by the fleet aggregator.
+    /// the sparse wire representation of the reactor histograms on
+    /// `/stats`.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.counts
             .iter()
@@ -196,8 +197,7 @@ impl Histogram {
     ///
     /// Min/max/sum are reconstructed from bucket nominal values, so two
     /// histograms built from the same pairs are identical regardless of
-    /// where the pairs came from — the property the fleet merge's
-    /// bit-identity check rests on.
+    /// where the pairs came from.
     pub fn from_sparse(pairs: &[(u32, u64)]) -> Histogram {
         let mut h = Histogram::new();
         for &(index, count) in pairs {

@@ -3,24 +3,21 @@
 //! [`TABLE`] has one row per scalar a server reports, and everything
 //! that touches a scalar loops over it: the recorder's atomics
 //! ([`crate::Recorder::bump`]/`set`/`get`), the `/stats` JSON renderer
-//! and its parser, the `/metrics` exposition, the `/fleet` sums and
-//! per-pod rows, `/fleet/metrics`, and the rolling-window deltas.
-//! Adding a counter is one row here plus a `bump` at its call site.
-//! Two short lists below, `REACTOR_SCALARS` and `REACTOR_HISTS`, do the
-//! same for the reactor telemetry block.
+//! and its parser, and the `/metrics` exposition. Adding a counter is
+//! one row here plus a `bump` at its call site. Two short lists below,
+//! `REACTOR_SCALARS` and `REACTOR_HISTS`, do the same for the reactor
+//! telemetry block.
 //!
 //! The wire is frozen — every surface stays byte-identical to the
-//! goldens in `tests/golden/` — and three columns fix an emission order
+//! goldens in `tests/golden/` — and two columns fix an emission order
 //! besides what they say about the metric; change one and a wire moves:
 //!
-//! * the row's position in [`TABLE`]: `/stats` and the `/fleet` head.
-//! * [`MetricDef::since`]: `/metrics` and `/fleet/metrics` run oldest
-//!   format version first, then table order (the exposition grew by
-//!   appending, so a new row takes the newest version and lands last).
-//! * [`MetricDef::per_pod`]: the column's position in a `/fleet`
-//!   `per_pod` row, written out.
+//! * the row's position in [`TABLE`]: `/stats`.
+//! * [`MetricDef::since`]: `/metrics` runs oldest format version first,
+//!   then table order (the exposition grew by appending, so a new row
+//!   takes the newest version and lands last).
 //!
-//! The pod id is no metric (it is optional and never summed), so
+//! The pod id is no metric (it is optional), so
 //! `StatsSnapshot::render_json` names the one row it precedes. The
 //! reactor Prometheus block runs gauges, counters, summaries.
 
@@ -95,33 +92,13 @@ impl Kind {
     }
 }
 
-/// A metric's Prometheus family: the name stem (`etude_`, `etude_fleet_`
-/// or `etude_pod_` is prefixed to it) and one help text per surface it
-/// is exposed on.
+/// A metric's Prometheus family on `/metrics`.
 #[derive(Debug, Clone, Copy)]
 pub struct Prom {
     /// Family name without the `etude_` prefix.
     pub stem: &'static str,
-    /// `# HELP` text on `/metrics`.
+    /// `# HELP` text.
     pub help: &'static str,
-    /// `# HELP` text of the summed `etude_fleet_` series on
-    /// `/fleet/metrics`; `None` keeps the sum off that surface.
-    pub fleet_help: Option<&'static str>,
-    /// `# HELP` text of the `pod`-labelled `etude_pod_` series on
-    /// `/fleet/metrics`; `None` for no per-pod series.
-    pub pod_help: Option<&'static str>,
-}
-
-impl Prom {
-    /// A family exposed on `/metrics` only.
-    const fn plain(stem: &'static str, help: &'static str) -> Prom {
-        Prom {
-            stem,
-            help,
-            fleet_help: None,
-            pod_help: None,
-        }
-    }
 }
 
 /// A read and a write accessor for one `u64` field of `S`.
@@ -138,7 +115,7 @@ macro_rules! field {
 pub struct MetricDef {
     /// The row's key; equals its position in the table.
     pub metric: Metric,
-    /// Key in the `/stats` and `/fleet` JSON documents.
+    /// Key in the `/stats` JSON document.
     pub json: &'static str,
     /// Counter or gauge.
     pub kind: Kind,
@@ -152,13 +129,6 @@ pub struct MetricDef {
     /// `level` label on the row's samples: the brownout family was born
     /// with one and the wire keeps it.
     pub level: Option<&'static str>,
-    /// Whether the `/fleet` head carries the sum over pods.
-    pub summed: bool,
-    /// Position of the pod's own value in each `/fleet` `per_pod` row;
-    /// `None` keeps the metric out of those rows.
-    pub per_pod: Option<u8>,
-    /// Whether per-fold deltas are attributed to rolling-window buckets.
-    pub windowed: bool,
     field: ScalarField<StatsSnapshot>,
 }
 
@@ -168,93 +138,78 @@ pub struct MetricDef {
 pub static TABLE: [MetricDef; Metric::COUNT] = [
     MetricDef {
         metric: Metric::Requests, json: "requests", kind: Kind::Counter, since: 1, level: None,
-        summed: true, per_pod: Some(0), windowed: true, field: field!(requests),
-        prom: Prom {
-            stem: "requests_total",
-            help: "Requests with a recorded total span.",
-            fleet_help: Some("Requests served across the fleet."),
-            pod_help: Some("Requests served per pod."),
-        },
+        field: field!(requests),
+        prom: Prom { stem: "requests_total", help: "Requests with a recorded total span." },
     },
     MetricDef {
         metric: Metric::Dropped, json: "dropped", kind: Kind::Counter, since: 1, level: None,
-        summed: false, per_pod: None, windowed: false, field: field!(dropped),
-        prom: Prom::plain("spans_dropped_total", "Span records overwritten before aggregation."),
+        field: field!(dropped),
+        prom: Prom {
+            stem: "spans_dropped_total",
+            help: "Span records overwritten before aggregation.",
+        },
     },
     MetricDef {
         metric: Metric::Shed, json: "shed", kind: Kind::Counter, since: 2, level: None,
-        summed: true, per_pod: Some(2), windowed: true, field: field!(shed),
-        prom: Prom::plain("requests_shed_total", "Requests shed with a 503 under overload."),
+        field: field!(shed),
+        prom: Prom {
+            stem: "requests_shed_total",
+            help: "Requests shed with a 503 under overload.",
+        },
     },
     MetricDef {
         metric: Metric::Degraded, json: "degraded", kind: Kind::Counter, since: 2, level: None,
-        summed: true, per_pod: Some(3), windowed: true, field: field!(degraded),
-        prom: Prom::plain(
-            "requests_degraded_total",
-            "Requests answered from the degraded fallback path.",
-        ),
+        field: field!(degraded),
+        prom: Prom {
+            stem: "requests_degraded_total",
+            help: "Requests answered from the degraded fallback path.",
+        },
     },
     MetricDef {
         metric: Metric::Faults, json: "faults", kind: Kind::Counter, since: 2, level: None,
-        summed: true, per_pod: Some(4), windowed: true, field: field!(faults),
-        prom: Prom::plain("faults_injected_total", "Server-side injected faults fired."),
+        field: field!(faults),
+        prom: Prom { stem: "faults_injected_total", help: "Server-side injected faults fired." },
     },
     MetricDef {
         metric: Metric::Refused, json: "refused", kind: Kind::Counter, since: 4, level: None,
-        summed: true, per_pod: Some(5), windowed: false, field: field!(refused),
+        field: field!(refused),
         prom: Prom {
             stem: "requests_refused_total",
             help: "Requests refused with a 429 by admission control.",
-            fleet_help: Some("Admission refusals (429) across the fleet."),
-            pod_help: None,
         },
     },
     MetricDef {
         metric: Metric::BrownoutFallback, json: "brownout_fallback", kind: Kind::Counter,
-        since: 4, level: Some("fallback"), summed: true, per_pod: None, windowed: false,
-        field: field!(brownout_fallback),
+        since: 4, level: Some("fallback"), field: field!(brownout_fallback),
         prom: Prom {
             stem: "brownout_responses_total",
             help: "Browned-out 200s per ladder level.",
-            fleet_help: Some("Browned-out 200s across the fleet per ladder level."),
-            pod_help: None,
         },
     },
     MetricDef {
         metric: Metric::AdmissionLimitMilli, json: "admission_limit_milli", kind: Kind::MilliGauge,
-        since: 4, level: None, summed: false, per_pod: None, windowed: false,
-        field: field!(admission_limit_milli),
-        prom: Prom::plain("admission_limit", "Learned admission concurrency limit."),
+        since: 4, level: None, field: field!(admission_limit_milli),
+        prom: Prom { stem: "admission_limit", help: "Learned admission concurrency limit." },
     },
     MetricDef {
         metric: Metric::QueueDepth, json: "queue_depth", kind: Kind::Gauge, since: 3, level: None,
-        summed: false, per_pod: Some(1), windowed: false, field: field!(queue_depth),
-        prom: Prom {
-            stem: "queue_depth",
-            help: "Batcher queue depth at scrape time.",
-            fleet_help: None,
-            pod_help: Some("Batcher queue depth per pod."),
-        },
+        field: field!(queue_depth),
+        prom: Prom { stem: "queue_depth", help: "Batcher queue depth at scrape time." },
     },
     MetricDef {
         metric: Metric::Batches, json: "batches", kind: Kind::Counter, since: 5, level: None,
-        summed: true, per_pod: None, windowed: false, field: field!(batches),
+        field: field!(batches),
         prom: Prom {
             stem: "batches_total",
             help: "Batches run by the batcher slots (one catalog scan each).",
-            fleet_help: Some("Batches run across the fleet."),
-            pod_help: None,
         },
     },
     MetricDef {
         metric: Metric::BatchedRequests, json: "batched_requests", kind: Kind::Counter, since: 5,
-        level: None, summed: true, per_pod: None, windowed: false,
-        field: field!(batched_requests),
+        level: None, field: field!(batched_requests),
         prom: Prom {
             stem: "batched_requests_total",
             help: "Requests served through those batches; over batches_total, the mean batch size.",
-            fleet_help: Some("Requests served through batches across the fleet."),
-            pod_help: None,
         },
     },
 ];
@@ -269,40 +224,24 @@ impl MetricDef {
     }
 }
 
-/// The table in Prometheus emission order.
-pub(crate) fn prom_order() -> Vec<&'static MetricDef> {
-    let mut rows: Vec<_> = TABLE.iter().collect();
-    rows.sort_by_key(|def| def.since);
-    rows
-}
-
-/// The metrics of a `/fleet` `per_pod` row, in emission order.
-pub(crate) fn per_pod_order() -> Vec<&'static MetricDef> {
-    let mut rows: Vec<_> = TABLE.iter().filter(|def| def.per_pod.is_some()).collect();
-    rows.sort_by_key(|def| def.per_pod);
-    rows
-}
-
 /// Appends the `# HELP`/`# TYPE` header of one Prometheus family.
 pub(crate) fn prom_header(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// Appends `(row, help, value)` samples as `etude_{prefix}` families:
-/// per row the header, then its sample line.
-pub(crate) fn render_families<'a>(
-    out: &mut String,
-    prefix: &str,
-    rows: impl Iterator<Item = (&'a MetricDef, &'a str, u64)>,
-) {
-    for (def, help, value) in rows {
-        let name = format!("etude_{prefix}{}", def.prom.stem);
-        prom_header(out, &name, def.kind.prom_type(), help);
+/// Appends every row of the table as an `etude_` family, header then
+/// sample, in Prometheus emission order.
+pub(crate) fn render_families(out: &mut String, snap: &StatsSnapshot) {
+    let mut rows: Vec<_> = TABLE.iter().collect();
+    rows.sort_by_key(|def| def.since);
+    for def in rows {
+        let name = format!("etude_{}", def.prom.stem);
+        prom_header(out, &name, def.kind.prom_type(), def.prom.help);
         let labels = def
             .level
             .map(|level| format!("{{level=\"{level}\"}}"))
             .unwrap_or_default();
-        let value = def.kind.prom_value(value);
+        let value = def.kind.prom_value(def.get(snap));
         out.push_str(&format!("{name}{labels} {value}\n"));
     }
 }
@@ -317,9 +256,8 @@ type PairsField = (
     fn(&mut ReactorTelemetry) -> &mut Pairs,
 );
 
-/// One scalar of the reactor telemetry block. Every scalar sums on
-/// merge; those without a Prometheus family only feed the derived
-/// utilization gauge.
+/// One scalar of the reactor telemetry block. Those without a
+/// Prometheus family only feed the derived utilization gauge.
 pub(crate) struct ReactorScalar {
     pub(crate) json: &'static str,
     /// `(stem, kind, help)` on `/metrics`.
@@ -328,7 +266,7 @@ pub(crate) struct ReactorScalar {
 }
 
 /// One histogram of the reactor telemetry block: quoted sparse pairs on
-/// `/stats`, a quantile summary on `/metrics`, merged on exact buckets.
+/// `/stats`, a quantile summary on `/metrics`.
 pub(crate) struct ReactorHist {
     pub(crate) json: &'static str,
     pub(crate) stem: &'static str,

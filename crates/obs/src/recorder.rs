@@ -5,9 +5,8 @@ use crate::exemplar::ExemplarStore;
 use crate::metric::{Metric, TABLE};
 use crate::ring::{SpanRing, DEFAULT_CAPACITY};
 use crate::span::{SpanRecord, Stage};
-use crate::stats::{ReactorTelemetry, StageCounts, StageStats, StatsSnapshot};
+use crate::stats::{ReactorTelemetry, StageStats, StatsSnapshot};
 use crate::trace::{span_hash, PodSpanRecord, TraceCtx};
-use crate::window::{StageWindows, WindowConfig};
 use etude_metrics::hdr::Histogram;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -29,11 +28,6 @@ struct Aggregate {
     /// Raw records retained for per-request joins (tests). Only
     /// populated while retention is on.
     retained: Vec<SpanRecord>,
-    /// Rolling time-window view fed by the same fold pass.
-    windows: StageWindows,
-    /// Metric values at the last fold, so the windowed ones' deltas can
-    /// be attributed to the bucket they happened in.
-    last: [u64; Metric::COUNT],
 }
 
 /// Records server-side stage spans into per-thread rings and aggregates
@@ -52,12 +46,10 @@ pub struct Recorder {
     retain: AtomicBool,
     /// One cheap atomic per row of the metric table, bumped or set by
     /// the serving layer and copied into every snapshot (and from there
-    /// onto `/stats`, `/metrics` and `/fleet`).
+    /// onto `/stats` and `/metrics`).
     scalars: [AtomicU64; Metric::COUNT],
-    /// Pod identity in a fleet; `None` on standalone servers.
+    /// This pod's id, for trace spans; `None` on standalone servers.
     pod: Option<u32>,
-    /// Construction time: window buckets are numbered from here.
-    epoch: Instant,
     /// While on, traced requests also append [`PodSpanRecord`]s for the
     /// post-run trace collector. Off (and allocation-free) by default.
     trace_retain: AtomicBool,
@@ -90,13 +82,10 @@ impl Recorder {
             agg: Mutex::new(Aggregate {
                 stages: std::array::from_fn(|_| Histogram::new()),
                 retained: Vec::new(),
-                windows: StageWindows::new(WindowConfig::default()),
-                last: [0; Metric::COUNT],
             }),
             retain: AtomicBool::new(false),
             scalars: std::array::from_fn(|_| AtomicU64::new(0)),
             pod: None,
-            epoch: Instant::now(),
             trace_retain: AtomicBool::new(false),
             traces: Mutex::new(Vec::new()),
             exemplars: ExemplarStore::new(),
@@ -104,19 +93,12 @@ impl Recorder {
         }
     }
 
-    /// Creates a recorder carrying a fleet pod id (stamped into every
+    /// Creates a recorder carrying a pod id (stamped into every
     /// snapshot and every retained trace span).
     pub fn with_pod(pod: u32) -> Recorder {
         let mut r = Recorder::new();
         r.pod = Some(pod);
         r
-    }
-
-    /// Replaces the rolling-window shape (default: 8 × 1 s buckets).
-    /// Builder-style; call before the recorder starts receiving spans.
-    pub fn with_window_config(self, config: WindowConfig) -> Recorder {
-        self.agg.lock().windows = StageWindows::new(config);
-        self
     }
 
     /// This recorder's pod id, when it has one.
@@ -240,27 +222,20 @@ impl Recorder {
         })
     }
 
-    /// Folds all ring contents into the cumulative aggregate and the
-    /// rolling window.
+    /// Folds all ring contents into the cumulative aggregate.
     ///
-    /// Samples are attributed to the window bucket of *fold* time, not
-    /// of span completion — an acceptable skew of at most one fold
-    /// interval, bought deliberately: attributing at completion would
-    /// need a timestamp in every 24-byte span record. Allocation-free
-    /// while retention is off: the rings are iterated under their lock
-    /// (no registry clone) and both histogram layers record in place.
+    /// Allocation-free while retention is off: the rings are iterated
+    /// under their lock (no registry clone) and the histograms record in
+    /// place.
     fn fold(&self) {
         let rings = self.rings.lock();
         let mut agg = self.agg.lock();
         let retain = self.retain.load(Ordering::Relaxed);
-        let bucket = agg.windows.bucket_index(self.epoch.elapsed());
         let agg = &mut *agg;
         let mut dropped = 0;
         for ring in rings.iter() {
             dropped += ring.drain(|record| {
-                let micros = record.duration_micros();
-                agg.stages[record.stage as u8 as usize].record(micros);
-                agg.windows.record(bucket, record.stage, micros);
+                agg.stages[record.stage as u8 as usize].record(record.duration_micros());
                 if retain {
                     agg.retained.push(record);
                 }
@@ -272,19 +247,11 @@ impl Recorder {
             Metric::Requests,
             agg.stages[Stage::Total as u8 as usize].count(),
         );
-        // Attribute what each windowed metric grew by since the last
-        // fold to the current bucket.
-        for def in TABLE.iter().filter(|def| def.windowed) {
-            let (now, last) = (self.get(def.metric), &mut agg.last[def.metric as usize]);
-            agg.windows.add(bucket, def.metric, now - *last);
-            *last = now;
-        }
     }
 
-    /// Drains the rings into the aggregate and window now, without
-    /// building a snapshot. Allocation-free; callable from the serving
-    /// layer's idle moments so window buckets stay current between
-    /// scrapes.
+    /// Drains the rings into the aggregate now, without building a
+    /// snapshot. Allocation-free; callable from the serving layer's idle
+    /// moments so the rings are drained before they lap.
     pub fn sync(&self) {
         self.fold();
     }
@@ -293,21 +260,15 @@ impl Recorder {
     pub fn snapshot(&self) -> StatsSnapshot {
         self.fold();
         let agg = self.agg.lock();
-        let current = agg.windows.bucket_index(self.epoch.elapsed());
         let mut snap = StatsSnapshot {
             pod: self.pod,
             reactor: self.reactor_probe.lock().as_ref().map(|probe| probe()),
-            window: Some(agg.windows.snapshot(current)),
             ..StatsSnapshot::default()
         };
         for (stage, h) in Stage::ALL.iter().zip(&agg.stages) {
             if h.is_empty() {
                 continue;
             }
-            snap.hist.push(StageCounts {
-                stage: stage.name().to_string(),
-                counts: h.nonzero_buckets().collect(),
-            });
             snap.stages.push(StageStats {
                 stage: stage.name().to_string(),
                 count: h.count(),
@@ -466,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_carry_pod_queue_window_and_hist() {
+    fn snapshots_carry_pod_and_queue() {
         let r = Recorder::with_pod(3);
         r.set(Metric::QueueDepth, 17);
         r.record(1, Stage::Inference, 2_000_000);
@@ -474,36 +435,7 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.pod, Some(3));
         assert_eq!(snap.queue_depth, 17);
-        let window = snap.window.as_ref().expect("window always present");
-        assert_eq!(window.buckets.len(), 1, "everything in the first bucket");
-        assert_eq!(window.buckets[0].count(Metric::Requests), 1);
-        assert_eq!(window.buckets[0].lat.len(), 2);
-        // The sparse buckets reconstruct the cumulative histogram up to
-        // bucket resolution (exact extremes are not on the wire).
-        let total = snap.hist.iter().find(|h| h.stage == "total").unwrap();
-        let rebuilt = total.to_histogram();
-        assert_eq!(rebuilt.count(), 1);
-        let p50 = snap.stage("total").unwrap().p50_us;
-        assert!(
-            p50.abs_diff(rebuilt.p50()) * 32 <= p50,
-            "bucket-resolution agreement: {p50} vs {}",
-            rebuilt.p50()
-        );
-    }
-
-    #[test]
-    fn counter_deltas_land_in_window_buckets() {
-        let r = Recorder::new();
-        r.bump(Metric::Shed);
-        r.bump(Metric::Faults);
-        r.sync();
-        r.bump(Metric::Shed);
-        let snap = r.snapshot();
-        let window = snap.window.unwrap();
-        let sum = |m| window.buckets.iter().map(|b| b.count(m)).sum::<u64>();
-        let (shed, faults) = (sum(Metric::Shed), sum(Metric::Faults));
-        assert_eq!(shed, 2, "both folds attribute their delta");
-        assert_eq!(faults, 1);
+        assert_eq!(snap.stage("total").unwrap().count, 1);
     }
 
     #[test]

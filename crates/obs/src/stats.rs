@@ -10,10 +10,8 @@
 //! loop over [`crate::metric::TABLE`].
 
 use crate::metric::{
-    prom_header, prom_order, render_families, Kind, Metric, Pairs, REACTOR_HISTS, REACTOR_SCALARS,
-    TABLE,
+    prom_header, render_families, Kind, Metric, Pairs, REACTOR_HISTS, REACTOR_SCALARS, TABLE,
 };
-use crate::window::{WindowBucket, WindowSnapshot};
 use etude_metrics::hdr::Histogram;
 
 /// Aggregated latency statistics of one pipeline stage (microseconds).
@@ -35,40 +33,9 @@ pub struct StageStats {
     pub max_us: u64,
 }
 
-/// Exact sparse per-stage histogram contents: the nonzero HDR bucket
-/// `(index, count)` pairs. Carrying raw buckets over the wire is what
-/// makes fleet aggregation *bit-identical* to merging local histograms
-/// — quantiles reconstructed from the pairs are exactly those the pod
-/// itself would compute.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StageCounts {
-    /// Stage label.
-    pub stage: String,
-    /// Nonzero bucket pairs, ascending index.
-    pub counts: Vec<(u32, u64)>,
-}
-
-impl StageCounts {
-    /// Decodes `index:count` tokens (bad tokens skipped).
-    pub fn decode_counts(encoded: &str) -> Vec<(u32, u64)> {
-        encoded
-            .split_whitespace()
-            .filter_map(|token| {
-                let (i, c) = token.split_once(':')?;
-                Some((i.parse().ok()?, c.parse().ok()?))
-            })
-            .collect()
-    }
-
-    /// Reconstructs the full histogram from the sparse pairs.
-    pub fn to_histogram(&self) -> Histogram {
-        Histogram::from_sparse(&self.counts)
-    }
-}
-
 /// Encodes sparse `(index, count)` pairs as `index:count` tokens — a
 /// flat string keeps the JSON nesting-free for the hand-rolled parser.
-pub(crate) fn encode_pairs(pairs: &[(u32, u64)]) -> String {
+fn encode_pairs(pairs: &[(u32, u64)]) -> String {
     pairs
         .iter()
         .map(|(i, c)| format!("{i}:{c}"))
@@ -76,13 +43,20 @@ pub(crate) fn encode_pairs(pairs: &[(u32, u64)]) -> String {
         .join(" ")
 }
 
+/// Decodes `index:count` tokens (bad tokens skipped): the inverse of
+/// [`encode_pairs`].
+fn decode_pairs(encoded: &str) -> Pairs {
+    encoded
+        .split_whitespace()
+        .filter_map(|token| {
+            let (i, c) = token.split_once(':')?;
+            Some((i.parse().ok()?, c.parse().ok()?))
+        })
+        .collect()
+}
+
 /// Appends the `quantile`-labelled sample lines of one summary.
-pub(crate) fn push_quantiles(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    [p50, p90, p99]: [u64; 3],
-) {
+fn push_quantiles(out: &mut String, name: &str, labels: &str, [p50, p90, p99]: [u64; 3]) {
     for (q, v) in [("0.5", p50), ("0.9", p90), ("0.99", p99)] {
         out.push_str(&format!("{name}{{{labels}quantile=\"{q}\"}} {v}\n"));
     }
@@ -92,12 +66,11 @@ pub(crate) fn push_quantiles(
 /// where the serving tier's own time goes, as opposed to where the
 /// request pipeline's time goes (the stage histograms).
 ///
-/// Histograms travel as exact sparse HDR bucket pairs like the stage
-/// histograms, so the fleet merge is bit-identical and
-/// order-independent. Counters are cumulative since server start; the
-/// busy/wait nanos are summed over every event loop, so
-/// [`ReactorTelemetry::utilization`] is the loop-average busy fraction.
-/// Wire names, Prometheus families and the merge are driven by the
+/// Histograms travel as exact sparse HDR bucket pairs, from which
+/// `/metrics` computes its quantiles. Counters are cumulative since
+/// server start; the busy/wait nanos are summed over every event loop,
+/// so [`ReactorTelemetry::utilization`] is the loop-average busy
+/// fraction. Wire names and Prometheus families are driven by the
 /// `REACTOR_SCALARS` and `REACTOR_HISTS` lists in [`crate::metric`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReactorTelemetry {
@@ -140,26 +113,10 @@ impl ReactorTelemetry {
         Histogram::from_sparse(&self.dispatch_wait_us)
     }
 
-    /// Folds another pod's telemetry into this one: counters sum,
-    /// histograms merge on exact buckets. Order-independent — merging
-    /// A into B equals merging B into A, which the fleet tier asserts.
-    pub fn merge(&mut self, other: &ReactorTelemetry) {
-        for scalar in &REACTOR_SCALARS {
-            *(scalar.field.1)(self) += (scalar.field.0)(other);
-        }
-        for hist in &REACTOR_HISTS {
-            let mut h = Histogram::from_sparse((hist.field.0)(self));
-            for &(index, count) in (hist.field.0)(other) {
-                h.add_bucket(index, count);
-            }
-            *(hist.field.1)(self) = h.nonzero_buckets().collect();
-        }
-    }
-
-    /// Renders the flat key block `/stats` and `/fleet` carry. The keys
-    /// stay top-level (and the histograms are quoted pair strings), so
-    /// the block sits safely in the pre-array head of either document.
-    pub(crate) fn render_json_block(&self) -> String {
+    /// Renders the flat key block `/stats` carries. The keys stay
+    /// top-level (and the histograms are quoted pair strings), so the
+    /// block sits safely in the document's pre-array head.
+    fn render_json_block(&self) -> String {
         let mut out = String::with_capacity(512);
         for scalar in &REACTOR_SCALARS {
             let value = (scalar.field.0)(self);
@@ -173,10 +130,10 @@ impl ReactorTelemetry {
     }
 
     /// Parses [`ReactorTelemetry::render_json_block`] output out of a
-    /// `/stats` or `/fleet` document. Keyed on the first scalar:
+    /// `/stats` document. Keyed on the first scalar:
     /// servers without a reactor (and pre-reactor documents) simply
     /// omit the block.
-    pub(crate) fn parse_json_block(body: &str) -> Option<ReactorTelemetry> {
+    fn parse_json_block(body: &str) -> Option<ReactorTelemetry> {
         num_field::<u64>(body, REACTOR_SCALARS[0].json)?;
         let mut r = ReactorTelemetry::default();
         for scalar in &REACTOR_SCALARS {
@@ -184,24 +141,22 @@ impl ReactorTelemetry {
         }
         for hist in &REACTOR_HISTS {
             let encoded = str_field(body, hist.json).unwrap_or_default();
-            *(hist.field.1)(&mut r) = StageCounts::decode_counts(&encoded);
+            *(hist.field.1)(&mut r) = decode_pairs(&encoded);
         }
         Some(r)
     }
 
-    /// Renders the Prometheus exposition block. `prefix` distinguishes
-    /// the fleet-merged series (`fleet_`) from a single pod's (empty)
-    /// so both can be scraped by one collector.
-    pub(crate) fn render_prometheus(&self, prefix: &str) -> String {
+    /// Renders the Prometheus exposition block.
+    fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(1024);
-        let name = format!("etude_{prefix}reactor_loop_utilization");
+        let name = "etude_reactor_loop_utilization";
         let help = "Busy fraction of reactor event-loop wall time.";
-        prom_header(&mut out, &name, "gauge", help);
+        prom_header(&mut out, name, "gauge", help);
         out.push_str(&format!("{name} {:.6}\n", self.utilization()));
         for kind in [Kind::Gauge, Kind::Counter] {
             for scalar in &REACTOR_SCALARS {
                 if let Some((stem, k, help)) = scalar.prom.filter(|(_, k, _)| *k == kind) {
-                    let name = format!("etude_{prefix}{stem}");
+                    let name = format!("etude_{stem}");
                     prom_header(&mut out, &name, k.prom_type(), help);
                     out.push_str(&format!("{name} {}\n", (scalar.field.0)(self)));
                 }
@@ -209,7 +164,7 @@ impl ReactorTelemetry {
         }
         for hist in &REACTOR_HISTS {
             let h = Histogram::from_sparse((hist.field.0)(self));
-            let name = format!("etude_{prefix}{}", hist.stem);
+            let name = format!("etude_{}", hist.stem);
             prom_header(&mut out, &name, "summary", hist.help);
             push_quantiles(&mut out, &name, "", [h.p50(), h.p90(), h.p99()]);
             out.push_str(&format!("{name}_count {}\n", h.count()));
@@ -242,7 +197,7 @@ pub struct StatsSnapshot {
     /// Admission controller's learned concurrency limit, milli-units
     /// (0 when no admission control is installed).
     pub admission_limit_milli: u64,
-    /// Pod identity in a fleet (absent on standalone servers).
+    /// This pod's id, for trace spans (absent on standalone servers).
     pub pod: Option<u32>,
     /// Batcher queue depth at snapshot time (0 on unbatched servers).
     pub queue_depth: u64,
@@ -254,10 +209,6 @@ pub struct StatsSnapshot {
     pub batched_requests: u64,
     /// Reactor/event-loop telemetry (absent on thread-pool servers).
     pub reactor: Option<ReactorTelemetry>,
-    /// Rolling time-window view (absent on pre-window servers).
-    pub window: Option<WindowSnapshot>,
-    /// Exact sparse histogram buckets per non-empty stage.
-    pub hist: Vec<StageCounts>,
     /// Stats per stage that recorded at least one span, pipeline order.
     pub stages: Vec<StageStats>,
 }
@@ -296,11 +247,9 @@ impl StatsSnapshot {
             out.push_str(&format!("{name}_sum{{{stage}}} {sum:.0}\n"));
             out.push_str(&format!("{name}_count{{{stage}}} {}\n", s.count));
         }
-        let rows = prom_order();
-        let samples = rows.iter().map(|&def| (def, def.prom.help, def.get(self)));
-        render_families(&mut out, "", samples);
+        render_families(&mut out, self);
         if let Some(r) = &self.reactor {
-            out.push_str(&r.render_prometheus(""));
+            out.push_str(&r.render_prometheus());
         }
         out
     }
@@ -330,9 +279,8 @@ impl StatsSnapshot {
     ///
     /// Field order matters to the hand-rolled parser: top-level scalars
     /// come first (the parser takes the *first* occurrence of each
-    /// key), then the nested `window`/`hist` sections, and `stages`
-    /// last (the parser scans every `{...}` after the `"stages"` key as
-    /// a stage object).
+    /// key), and `stages` last (the parser scans every `{...}` after
+    /// the `"stages"` key as a stage object).
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
@@ -347,34 +295,7 @@ impl StatsSnapshot {
         if let Some(r) = &self.reactor {
             out.push_str(&r.render_json_block());
         }
-        if let Some(w) = &self.window {
-            let millis = w.bucket_millis;
-            out.push_str(&format!(
-                "  \"window\": {{\"bucket_millis\": {millis}, \"buckets\": "
-            ));
-            push_objects(
-                &mut out,
-                w.buckets.iter().map(|b| {
-                    let counters: String = TABLE
-                        .iter()
-                        .filter(|def| def.windowed)
-                        .map(|def| format!(", \"{}\": {}", def.json, b.count(def.metric)))
-                        .collect();
-                    let lat = b.encode_lat();
-                    format!("{{\"index\": {}{counters}, \"lat\": \"{lat}\"}}", b.index)
-                }),
-            );
-            out.push_str("},\n");
-        }
-        out.push_str("  \"hist\": ");
-        push_objects(
-            &mut out,
-            self.hist.iter().map(|h| {
-                let counts = encode_pairs(&h.counts);
-                format!("{{\"stage\": \"{}\", \"counts\": \"{counts}\"}}", h.stage)
-            }),
-        );
-        out.push_str(",\n  \"stages\": ");
+        out.push_str("  \"stages\": ");
         push_objects(
             &mut out,
             self.stages.iter().map(|s| {
@@ -392,7 +313,7 @@ impl StatsSnapshot {
 
 /// Appends a JSON array of flat objects, one per line: the rendering
 /// twin of [`flat_objects`].
-pub(crate) fn push_objects(out: &mut String, objects: impl IntoIterator<Item = String>) {
+fn push_objects(out: &mut String, objects: impl IntoIterator<Item = String>) {
     out.push('[');
     for (i, object) in objects.into_iter().enumerate() {
         if i > 0 {
@@ -405,7 +326,7 @@ pub(crate) fn push_objects(out: &mut String, objects: impl IntoIterator<Item = S
 }
 
 /// Extracts `"key": <value>` from a flat JSON object fragment.
-pub(crate) fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
+fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let at = obj.find(&needle)? + needle.len();
     let rest = obj[at..].trim_start();
@@ -413,30 +334,18 @@ pub(crate) fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim())
 }
 
-pub(crate) fn num_field<T: std::str::FromStr>(obj: &str, key: &str) -> Option<T> {
+fn num_field<T: std::str::FromStr>(obj: &str, key: &str) -> Option<T> {
     field(obj, key)?.parse().ok()
 }
 
-pub(crate) fn str_field(obj: &str, key: &str) -> Option<String> {
+fn str_field(obj: &str, key: &str) -> Option<String> {
     Some(field(obj, key)?.trim_matches('"').to_string())
-}
-
-/// The text of the array that follows `"key"`, from the key up to the
-/// first `]` — which closes the array, since every array in `/stats`
-/// and `/fleet` holds flat objects only (nested lists travel as encoded
-/// strings). `None` when the key or the bracket is missing.
-pub(crate) fn array_after<'a>(body: &'a str, key: &str) -> Option<&'a str> {
-    let rest = &body[body.find(&format!("\"{key}\""))?..];
-    Some(&rest[..rest.find(']')?])
 }
 
 /// Parses every flat `{...}` object in `region` with `parse`. `None`
 /// when an object is unclosed or `parse` rejects one: a truncated
 /// scrape must fail, not yield a short list.
-pub(crate) fn flat_objects<T>(
-    mut region: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Option<Vec<T>> {
+fn flat_objects<T>(mut region: &str, parse: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
     let mut items = Vec::new();
     while let Some(open) = region.find('{') {
         let close = region[open..].find('}')? + open;
@@ -456,7 +365,8 @@ pub fn parse_stats_json(body: &str) -> Option<StatsSnapshot> {
     for def in &TABLE {
         let value = num_field(body, def.json);
         // Keys added after the v1 format default to 0 so documents from
-        // older servers still parse; `pod`/`window` stay absent.
+        // older servers still parse; `pod` stays absent. Sections
+        // retired since (`window`, `hist`) are skipped.
         *def.slot(&mut snap) = if def.since == 1 {
             value?
         } else {
@@ -465,26 +375,6 @@ pub fn parse_stats_json(body: &str) -> Option<StatsSnapshot> {
     }
     snap.pod = num_field(body, "pod");
     snap.reactor = ReactorTelemetry::parse_json_block(body);
-    if let Some(at) = body.find("\"window\"") {
-        let rest = &body[at..];
-        snap.window = Some(WindowSnapshot {
-            bucket_millis: num_field(rest, "bucket_millis")?,
-            buckets: flat_objects(array_after(rest, "buckets")?, |obj| {
-                let mut bucket = WindowBucket {
-                    index: num_field(obj, "index")?,
-                    lat: WindowBucket::decode_lat(&str_field(obj, "lat")?),
-                    ..WindowBucket::default()
-                };
-                for def in TABLE.iter().filter(|def| def.windowed) {
-                    bucket.counters[def.metric as usize] = num_field(obj, def.json)?;
-                }
-                Some(bucket)
-            })?,
-        });
-    }
-    if body.contains("\"hist\"") {
-        snap.hist = flat_objects(array_after(body, "hist")?, parse_stage_counts)?;
-    }
     // Every `{...}` after the key is a stage object: `stages` is last.
     snap.stages = flat_objects(&body[body.find("\"stages\"")?..], |obj| {
         Some(StageStats {
@@ -500,33 +390,9 @@ pub fn parse_stats_json(body: &str) -> Option<StatsSnapshot> {
     Some(snap)
 }
 
-/// Parses one `{"stage": …, "counts": "…"}` object (`/stats` `hist`
-/// entries and `/fleet` `merged` entries share the shape).
-pub(crate) fn parse_stage_counts(obj: &str) -> Option<StageCounts> {
-    Some(StageCounts {
-        stage: str_field(obj, "stage")?,
-        counts: StageCounts::decode_counts(&str_field(obj, "counts")?),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A window bucket whose `requests`/`shed`/`degraded`/`faults`
-    /// deltas are `counts`.
-    fn bucket(index: u64, counts: [u64; 4], lat: &str) -> WindowBucket {
-        let mut bucket = WindowBucket {
-            index,
-            lat: WindowBucket::decode_lat(lat),
-            ..WindowBucket::default()
-        };
-        let windowed = TABLE.iter().filter(|def| def.windowed);
-        for (def, count) in windowed.zip(counts) {
-            bucket.counters[def.metric as usize] = count;
-        }
-        bucket
-    }
 
     fn sample() -> StatsSnapshot {
         StatsSnapshot {
@@ -554,23 +420,6 @@ mod tests {
                 wake_us: vec![(12, 30)],
                 dispatch_wait_us: vec![(80, 25), (200, 5)],
             }),
-            window: Some(WindowSnapshot {
-                bucket_millis: 1_000,
-                buckets: vec![
-                    bucket(10, [20, 1, 0, 0], "parse:20:3:9 total:20:200:310"),
-                    bucket(11, [22, 0, 2, 1], "total:22:190:320"),
-                ],
-            }),
-            hist: vec![
-                StageCounts {
-                    stage: "parse".into(),
-                    counts: vec![(3, 30), (5, 12)],
-                },
-                StageCounts {
-                    stage: "total".into(),
-                    counts: vec![(200, 40), (210, 2)],
-                },
-            ],
             stages: vec![
                 StageStats {
                     stage: "parse".into(),
@@ -609,18 +458,11 @@ mod tests {
         assert_eq!(parsed.stage("total").unwrap().max_us, 333);
         assert_eq!(parsed.pod, Some(4));
         assert_eq!(parsed.queue_depth, 6);
-        let window = parsed.window.as_ref().unwrap();
-        assert_eq!(window.bucket_millis, 1_000);
-        assert_eq!(window.buckets.len(), 2);
-        assert_eq!(window.buckets[0].lat[0].stage, "parse");
-        assert_eq!(window.buckets[1].count(Metric::Faults), 1);
-        assert_eq!(parsed.hist.len(), 2);
-        assert_eq!(parsed.hist[0].counts, vec![(3, 30), (5, 12)]);
     }
 
     /// The satellite round-trip requirement: render → parse → render is
     /// a fixpoint, byte for byte, covering the resilience counters and
-    /// every windowed field.
+    /// the reactor block.
     #[test]
     fn render_parse_render_is_a_fixpoint() {
         for snap in [sample(), StatsSnapshot::default()] {
@@ -629,38 +471,6 @@ mod tests {
             assert_eq!(parsed, snap);
             assert_eq!(parsed.render_json(), first);
         }
-    }
-
-    #[test]
-    fn hist_counts_reconstruct_the_exact_histogram() {
-        let mut h = Histogram::new();
-        for v in [10, 10, 300, 50_000] {
-            h.record(v);
-        }
-        let counts = StageCounts {
-            stage: "total".into(),
-            counts: h.nonzero_buckets().collect(),
-        };
-        let back = parse_stats_json(
-            &StatsSnapshot {
-                hist: vec![counts],
-                ..Default::default()
-            }
-            .render_json(),
-        )
-        .unwrap();
-        // The wire carries bucket counts, not exact extremes: the
-        // reconstruction must be bit-identical to any other
-        // sparse-built histogram over the same pairs (which is what
-        // fleet merging compares).
-        let pairs: Vec<(u32, u64)> = h.nonzero_buckets().collect();
-        let canon = Histogram::from_sparse(&pairs);
-        let rebuilt = back.hist[0].to_histogram();
-        assert_eq!(rebuilt.count(), canon.count());
-        assert_eq!(rebuilt.p50(), canon.p50());
-        assert_eq!(rebuilt.p99(), canon.p99());
-        assert_eq!(rebuilt.max(), canon.max());
-        assert_eq!(rebuilt.count(), h.count());
     }
 
     #[test]
@@ -726,26 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn reactor_telemetry_roundtrips_and_merges_order_independently() {
+    fn reactor_telemetry_roundtrips() {
         let snap = sample();
         let r = snap.reactor.as_ref().unwrap();
         assert!((r.utilization() - 0.25).abs() < 1e-9);
         let parsed = parse_stats_json(&snap.render_json()).unwrap();
         assert_eq!(parsed.reactor.as_ref(), Some(r));
-        // Merge is order-independent on the exact sparse buckets.
-        let mut other = r.clone();
-        other.busy_nanos = 10;
-        other.dispatch_wait_us = vec![(80, 5), (300, 2)];
-        let mut ab = r.clone();
-        ab.merge(&other);
-        let mut ba = other.clone();
-        ba.merge(r);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.dispatch_wait_us[0], (80, 30), "bucket counts summed");
-        assert_eq!(
-            ab.dispatch_wait_histogram().count(),
-            r.dispatch_wait_histogram().count() + other.dispatch_wait_histogram().count()
-        );
+        assert_eq!(r.dispatch_wait_histogram().count(), 30);
     }
 
     #[test]

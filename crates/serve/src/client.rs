@@ -324,11 +324,6 @@ impl ResilientClient {
         self.reconnects
     }
 
-    /// Number of configured backends.
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
-
     /// The breaker state of backend `idx`, when breakers are configured.
     pub fn breaker_state(&self, idx: usize) -> Option<BreakerState> {
         self.backends[idx].breaker.as_ref().map(|b| b.state())

@@ -102,20 +102,6 @@ impl Default for ContinuousConfig {
     }
 }
 
-impl ContinuousConfig {
-    /// Sets the admission-queue bound.
-    pub fn with_max_queue(mut self, max_queue: usize) -> Self {
-        self.max_queue = max_queue;
-        self
-    }
-
-    /// Sets the default per-request deadline budget.
-    pub fn with_default_deadline(mut self, budget: Duration) -> Self {
-        self.default_deadline = budget;
-        self
-    }
-}
-
 /// Why an admission failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitError {
@@ -397,8 +383,8 @@ pub(crate) fn continuous_routes(
         catalog_size,
         default_deadline,
         move |ctx, items| {
-            // Export the batcher backlog as a gauge: the fleet view
-            // reads it off `/stats` to spot queueing pods.
+            // Export the batcher backlog as a gauge: `/stats` and
+            // `/metrics` show a queueing pod.
             ctx.recorder
                 .set(Metric::QueueDepth, batcher.queue_depth() as u64);
             match batcher.try_call(items, ctx.deadline) {

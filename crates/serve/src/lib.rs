@@ -25,9 +25,6 @@
 //!   an inference slot frees, together with its share of what is already
 //!   queued (one catalog scan for the lot), with deadline-aware
 //!   admission (blown budgets shed before compute, per member),
-//! * [`fleet`] — the fleet aggregation endpoint: scrape every pod's
-//!   `/stats`, merge bit-identically, serve `/fleet` (JSON) and
-//!   `/fleet/metrics` (Prometheus),
 //! * [`overload`] — criticality-aware overload control: an AIMD
 //!   admission limiter in front of a two-rung brownout ladder (exact →
 //!   popularity fallback), so flash crowds degrade quality before
@@ -47,7 +44,6 @@
 
 pub mod client;
 pub mod contbatch;
-pub mod fleet;
 pub mod http;
 pub mod overload;
 pub mod reactor;
@@ -60,15 +56,13 @@ pub use client::{ClientError, HttpClient, ResilientClient, ResilientResponse};
 pub use contbatch::{
     model_routes_continuous, ContinuousBatcher, ContinuousConfig, DEADLINE_HEADER,
 };
-pub use fleet::{fleet_routes, scrape_fleet, FleetScraper};
 pub use overload::{
     overload_routes_with_state, BrownoutLevel, LadderConfig, OverloadConfig, OverloadState,
     BROWNOUT_HEADER,
 };
 pub use reactor::{new_poller, raise_nofile_limit, Interest, Poller, ReactorConfig};
 pub use router::{
-    router_routes, scrape_shard_fleet, shard_backend_routes, RouterConfig, ShardGroupSpec,
-    ShardTopology,
+    router_routes, shard_backend_routes, RouterConfig, ShardGroupSpec, ShardTopology,
 };
 pub use rustserver::{inject_faults, DegradationPolicy, DEGRADED_HEADER, RESET_MARKER};
 pub use service::{ServiceProfile, TorchServeProfile};

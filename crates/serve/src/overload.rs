@@ -182,11 +182,6 @@ impl OverloadState {
     pub fn admission(&self) -> Option<&AdmissionController> {
         self.admission.as_ref()
     }
-
-    /// Current queue-delay EWMA.
-    pub fn ewma_wait(&self) -> Duration {
-        Duration::from_micros(self.ewma_wait_us.load(Ordering::Relaxed))
-    }
 }
 
 /// What a ladder worker computes per request.

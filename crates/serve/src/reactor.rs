@@ -139,16 +139,6 @@ impl Interest {
         read: true,
         write: false,
     };
-    /// Write-only interest.
-    pub const WRITE: Interest = Interest {
-        read: false,
-        write: true,
-    };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        read: true,
-        write: true,
-    };
     /// Registered but dormant (parked connection).
     pub const NONE: Interest = Interest {
         read: false,
@@ -493,7 +483,7 @@ impl Default for ReactorConfig {
 
 /// Shared reactor telemetry: counters bumped by the event loops and
 /// dispatch workers, scraped into [`ReactorTelemetry`] by the recorder
-/// probe (`/stats`, `/metrics`, `/fleet`). Counters are relaxed atomics
+/// probe (`/stats`, `/metrics`). Counters are relaxed atomics
 /// (per-event cost: one `fetch_add`); the three histograms are
 /// preallocated at construction and recorded under short mutexes held
 /// only by loop/worker threads, never by request handlers.
@@ -527,7 +517,7 @@ impl ReactorMetrics {
     }
 
     /// Snapshots the counters and the histograms' sparse buckets into
-    /// the wire form `/stats` and `/fleet` carry.
+    /// the wire form `/stats` carries.
     pub fn telemetry(&self) -> ReactorTelemetry {
         ReactorTelemetry {
             loops: self.loops,
@@ -1119,7 +1109,7 @@ pub fn start(config: ReactorConfig, handler: Handler) -> std::io::Result<ServerH
 /// Starts a reactor server whose event-loop telemetry feeds `recorder`:
 /// a probe installed on the recorder snapshots the loops' busy/wait
 /// split, poll batches, wake and dispatch-wait histograms into every
-/// `/stats`, `/metrics` and `/fleet` scrape.
+/// `/stats` and `/metrics` scrape.
 pub fn start_observed(
     config: ReactorConfig,
     handler: Handler,

@@ -37,7 +37,7 @@
 
 use crate::client::ResilientClient;
 use crate::contbatch::{DEADLINE_HEADER, MAX_BUDGET};
-use crate::http::{self, Method, Request, Response};
+use crate::http::{self, Request};
 use crate::overload::{BrownoutLevel, LadderConfig};
 use crate::rustserver::{
     popularity_fallback, prediction_routes, shed_or_fallback, Handler, Refused, Served,
@@ -220,9 +220,6 @@ struct GroupClient {
 /// * `POST /predictions` — validate, scatter to one healthy replica per
 ///   group (concurrently), gather, merge, answer. Partial gathers are
 ///   degraded `200`s; an empty gather is a `503`.
-/// * `GET /fleet`, `GET /fleet/metrics` — the shard-aware fleet view:
-///   per-group health and resident bytes on top of the merged per-pod
-///   snapshot.
 /// * `/ping`, `/static`, `/stats`, `/metrics` — the shared routes, over
 ///   the router's own recorder (degraded counts land here).
 pub fn router_routes(
@@ -260,7 +257,6 @@ pub fn router_routes(
         })
         .collect();
     let clients = Arc::new(clients);
-    let topology = Arc::new(topology);
     let k = config.k;
     let leg_budget = config.leg_budget;
     let ladder = config.ladder.clone();
@@ -273,7 +269,7 @@ pub fn router_routes(
     // Reject at the edge (shards never see bad input), then scatter,
     // gather, merge: the scatter is this tier's Inference stage, the
     // merge its TopK.
-    let predict = prediction_routes(
+    prediction_routes(
         recorder,
         topology.catalog_size,
         config.default_deadline,
@@ -364,40 +360,7 @@ pub fn router_routes(
                 ..Served::new(items, scores, scatter)
             })
         },
-    );
-
-    Arc::new(move |req: &Request| match (req.method, req.path.as_str()) {
-        (Method::Get, "/fleet") => Response::ok(scrape_shard_fleet(&topology).render_json())
-            .with_header("content-type", "application/json".to_string()),
-        (Method::Get, "/fleet/metrics") => {
-            Response::ok(scrape_shard_fleet(&topology).render_prometheus())
-                .with_header("content-type", "text/plain; version=0.0.4".to_string())
-        }
-        _ => predict(req),
-    })
-}
-
-/// Scrapes every replica of every group and assembles the shard-aware
-/// fleet snapshot: the usual merged per-pod view plus one
-/// [`etude_obs::ShardGroupHealth`] row per group.
-pub fn scrape_shard_fleet(topology: &ShardTopology) -> etude_obs::FleetSnapshot {
-    let mut pods = Vec::new();
-    let mut unreachable = 0;
-    let mut shards = Vec::with_capacity(topology.groups.len());
-    for g in &topology.groups {
-        let snap = crate::fleet::scrape_fleet(&g.replicas);
-        shards.push(etude_obs::ShardGroupHealth {
-            group: g.id,
-            base: u64::from(g.base),
-            rows: g.rows as u64,
-            resident_bytes: g.resident_bytes,
-            replicas: g.replicas.len(),
-            healthy: snap.pods.len(),
-        });
-        unreachable += snap.unreachable;
-        pods.extend(snap.pods);
-    }
-    etude_obs::FleetSnapshot::new(pods, unreachable).with_shards(shards)
+    )
 }
 
 #[cfg(test)]

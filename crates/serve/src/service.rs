@@ -111,11 +111,6 @@ impl ServiceProfile {
     pub fn cost(&self) -> CostSpec {
         self.cost
     }
-
-    /// Whether the deployed model's embedding tables fit on the device.
-    pub fn fits_device(&self, table_bytes: u64) -> bool {
-        self.device.profile().fits(table_bytes)
-    }
 }
 
 /// Reclassifies the fraction of constant-weight traffic that the device

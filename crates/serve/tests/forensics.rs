@@ -172,6 +172,11 @@ fn slow_requests_leave_a_complete_forensic_trail() {
     // the slowest-N store stayed bounded under a 100-request burst.
     assert!(rows.len() <= 8, "slowest-N store stays bounded");
 
+    // `/stats`, `/metrics` and `/debug/slow` are the whole account a
+    // server gives of itself: there is no fleet view.
+    let resp = client.request(&Request::get("/fleet")).unwrap();
+    assert_eq!(resp.status, 404);
+
     server.shutdown();
 }
 

@@ -8,9 +8,7 @@
 use etude_faults::RetryPolicy;
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
 use etude_obs::trace::span_hash;
-use etude_obs::{
-    parse_fleet_shards, parse_stats_json, request_id_hash, Metric, Recorder, TraceCtx, TRACE_HEADER,
-};
+use etude_obs::{parse_stats_json, request_id_hash, Metric, Recorder, TraceCtx, TRACE_HEADER};
 use etude_serve::http::{encode_recommendations, Request};
 use etude_serve::reactor::{start, ReactorConfig};
 use etude_serve::rustserver::{ServerHandle, DEGRADED_HEADER};
@@ -243,6 +241,9 @@ fn degrade_one_group_of_two(config: RouterConfig) {
     let stats = client.request(&Request::get("/stats")).unwrap();
     let snap = parse_stats_json(std::str::from_utf8(&stats.body).unwrap()).unwrap();
     assert_eq!(snap.degraded, batch.len() as u64);
+    // The router has no fleet view of its shard groups.
+    let resp = client.request(&Request::get("/fleet")).unwrap();
+    assert_eq!(resp.status, 404);
 
     // Only losing *every* group turns requests into errors.
     alive.shutdown();
@@ -256,51 +257,6 @@ fn degrade_one_group_of_two(config: RouterConfig) {
     );
 
     router.shutdown();
-}
-
-#[test]
-fn fleet_view_reports_per_group_health_and_resident_bytes() {
-    let table = table();
-    let mut topo = ShardTopology::partition(C, D, QUERY_SEED, 2);
-
-    // Group 0: both replicas live. Group 1: one of two replicas dead.
-    let (a, _) = backend(topo.shard_of(&table, 0), 0);
-    let (b, _) = backend(topo.shard_of(&table, 0), 0);
-    topo.groups[0].replicas.extend([a.addr(), b.addr()]);
-    let (c, _) = backend(topo.shard_of(&table, 1), 1);
-    topo.groups[1].replicas.extend([c.addr(), dead_addr()]);
-    let expected_bytes: Vec<u64> = topo.groups.iter().map(|g| g.resident_bytes).collect();
-
-    let router = start(
-        ReactorConfig::default(),
-        router_routes(topo, quick_config(), Arc::new(Recorder::new())),
-    )
-    .unwrap();
-    let mut client = HttpClient::connect(router.addr()).unwrap();
-
-    let resp = client.request(&Request::get("/fleet")).unwrap();
-    assert_eq!(resp.status, 200);
-    let body = std::str::from_utf8(&resp.body).unwrap();
-    let shards = parse_fleet_shards(body).unwrap();
-    assert_eq!(shards.len(), 2);
-    assert_eq!((shards[0].replicas, shards[0].healthy), (2, 2));
-    assert_eq!((shards[1].replicas, shards[1].healthy), (2, 1));
-    assert_eq!(shards[0].base, 0);
-    assert_eq!(shards[0].rows + shards[1].rows, C as u64);
-    for (row, bytes) in shards.iter().zip(expected_bytes) {
-        assert_eq!(row.resident_bytes, bytes);
-    }
-
-    // The Prometheus rendering carries the same per-group gauges.
-    let metrics = client.request(&Request::get("/fleet/metrics")).unwrap();
-    let text = std::str::from_utf8(&metrics.body).unwrap();
-    assert!(text.contains("etude_shard_healthy_replicas{group=\"0\"} 2"));
-    assert!(text.contains("etude_shard_healthy_replicas{group=\"1\"} 1"));
-
-    router.shutdown();
-    for s in [a, b, c] {
-        s.shutdown();
-    }
 }
 
 #[test]

@@ -116,11 +116,6 @@ impl Exec {
         &self.tracker
     }
 
-    /// Resets accumulated cost without discarding tensors.
-    pub fn reset_cost(&mut self) {
-        self.tracker.reset();
-    }
-
     /// Borrows a tensor from the arena.
     pub fn tensor(&self, r: TRef) -> Result<&Tensor, TensorError> {
         self.arena

@@ -979,11 +979,6 @@ impl Graph {
         total
     }
 
-    /// Number of non-trivial (launch-bearing) operations.
-    pub fn launch_count(&self) -> u64 {
-        self.nodes.iter().map(|n| n.cost.launches).sum()
-    }
-
     /// Executes the graph on dense (or phantom) inputs, one freshly
     /// allocated tensor per op: the eager reference a compiled plan is
     /// held to bit for bit.

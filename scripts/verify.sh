@@ -5,7 +5,8 @@
 # its golden fixtures again on the forced-scalar backend (the one
 # configuration that run cannot cover),
 # every bench binary's --smoke mode, doc warnings, formatting, lints;
-# it ends by printing the knob census and the non-test line count.
+# it ends by printing the knob census, the non-test line count and the
+# unread-item census.
 # Smoke runs write under target/tmp/, never over the tracked full-mode
 # results/, so the tree is clean afterwards; performance regressions are
 # judged by the ledger in benchmark/ against its own bounds.
@@ -72,8 +73,9 @@ else
 fi
 
 # Report only, not a gate: the census every simplicity change quotes.
-echo "==> knob census (scripts/knobs.sh) and non-test lines (scripts/loc.sh)"
+echo "==> knob census (scripts/knobs.sh), non-test lines (scripts/loc.sh), unread items (scripts/unread.sh)"
 echo "knobs: $(scripts/knobs.sh | tail -1)"
 echo "lines: $(scripts/loc.sh | tail -1)"
+echo "unread: $(scripts/unread.sh | tail -1)"
 
 echo "verify: OK"
