@@ -10,18 +10,18 @@
 //! * the whole run on the compiled plan against `Graph::run` of the same
 //!   graph: wall time, time inside ops, and the rest — the per-node
 //!   overhead of the executor itself;
-//! * two measurements of what is still left on the encoder:
-//!   (a) every `MatMul`/`MatMulBT` with subnormal operands timed again
-//!   with those operands flushed to zero — the cost of the denormal
-//!   attention weights softmax leaves behind — and
-//!   (b) every `MatMul`/`MatMulBT` with more than one output column
-//!   computed on the catalog scan's tile kernel (`simd::score_tiles`,
-//!   the left rows as queries against the right operand's transposed
-//!   rows), checked bit for bit against the op.
+//! * what is still left on the encoder: every `MatMul`/`MatMulBT` with
+//!   more than one output column computed on the catalog scan's tile
+//!   kernel (`simd::score_tiles`, the left rows as queries against the
+//!   right operand's transposed rows), checked bit for bit against the
+//!   op.
 //!
 //! `--smoke` replays 20 requests instead of 200 and writes under
-//! `target/tmp/`. Bit-identity of the plan and of (b) is asserted; the
-//! timings are printed, never gated.
+//! `target/tmp/`. Bit-identity of the plan and of the tile kernel is
+//! asserted, and the run exits non-zero if any op sees a subnormal
+//! operand: every multiply by a denormal takes the slow microcode path,
+//! so one that creeps back into the encoder (a masked softmax weight,
+//! say) is a performance defect. The timings are printed, never gated.
 
 use etude_bench::HarnessOptions;
 use etude_metrics::report::Table;
@@ -46,16 +46,9 @@ struct OpStat {
     subnormal: u64,
 }
 
-/// The (a) and (b) measurements of one model, summed over requests.
-#[derive(Default)]
-struct MatMulStudy {
-    /// (a): ops with subnormal operands, as they are and flushed.
-    denormal_calls: u64,
-    denormal_as_is: Duration,
-    denormal_flushed: Duration,
-    /// (b): per `[m,k]·[k,n]` shape: calls, the op, the tile kernel.
-    tiles: BTreeMap<String, (u64, Duration, Duration)>,
-}
+/// The tile-kernel measurement of one model, summed over requests: per
+/// `[m,k]·[k,n]` shape, calls, time as the op, time on the tile kernel.
+type TileStudy = BTreeMap<String, (u64, Duration, Duration)>;
 
 /// Deterministic sessions of 1..=len clicks over the catalog.
 fn sessions(catalog: usize, len: usize, n: usize) -> Vec<Vec<u32>> {
@@ -113,7 +106,7 @@ fn profile_request(
     graph: &Graph,
     inputs: &[Tensor],
     ops: &mut BTreeMap<&'static str, OpStat>,
-    study: &mut MatMulStudy,
+    study: &mut TileStudy,
 ) {
     let mut values: Vec<Cow<[f32]>> = Vec::with_capacity(graph.output + 1);
     for (id, node) in graph.nodes[..=graph.output].iter().enumerate() {
@@ -146,7 +139,7 @@ fn profile_request(
                 stat.time += elapsed;
                 stat.subnormal += subnormal as u64;
                 if matches!(kind, OpKind::MatMul | OpKind::MatMulBT) {
-                    study_matmul(kind, &operands, &out, elapsed, subnormal > 0, study);
+                    study_matmul(kind, &operands, &out, elapsed, study);
                 }
                 Cow::Owned(out)
             }
@@ -160,35 +153,10 @@ fn study_matmul(
     operands: &[View],
     out: &[f32],
     elapsed: Duration,
-    has_subnormal: bool,
-    study: &mut MatMulStudy,
+    study: &mut TileStudy,
 ) {
     let (a, b) = (operands[0], operands[1]);
     let mut scratch_out = vec![0.0f32; out.len()];
-    if has_subnormal {
-        let flush = |v: &View| -> Vec<f32> {
-            v.data
-                .iter()
-                .map(|&x| if x.is_subnormal() { 0.0 } else { x })
-                .collect()
-        };
-        let (fa, fb) = (flush(&a), flush(&b));
-        let flushed = [
-            View {
-                data: &fa,
-                shape: a.shape,
-            },
-            View {
-                data: &fb,
-                shape: b.shape,
-            },
-        ];
-        let start = Instant::now();
-        graph::eval_into(kind, &flushed, &mut scratch_out, &mut []).expect("op runs");
-        study.denormal_flushed += start.elapsed();
-        study.denormal_as_is += elapsed;
-        study.denormal_calls += 1;
-    }
     let (m, k) = (a.shape[0], a.shape[1]);
     let n = out.len() / m.max(1);
     if n < 2 {
@@ -210,11 +178,10 @@ fn study_matmul(
             .iter()
             .zip(out)
             .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "(b): the tile kernel must reproduce {} [{m},{k}]·[{k},{n}] bit for bit",
+        "the tile kernel must reproduce {} [{m},{k}]·[{k},{n}] bit for bit",
         kind.name()
     );
     let cell = study
-        .tiles
         .entry(format!("{} [{m},{k}]·[{k},{n}]", kind.name()))
         .or_default();
     cell.0 += 1;
@@ -260,6 +227,7 @@ fn main() {
         "in_ops_us/req",
         "outside_ops_us/req",
     ]);
+    let mut subnormal_ops = Vec::new();
     for (name, kind, catalog, len) in SHAPES {
         let cfg = ModelConfig::new(catalog)
             .with_max_session_len(len)
@@ -272,7 +240,7 @@ fn main() {
         let graph = compiled.graph();
         let replay = sessions(catalog, len, requests);
         let mut ops = BTreeMap::new();
-        let mut study = MatMulStudy::default();
+        let mut study = TileStudy::new();
         let (mut plan_wall, mut plan_ops, mut eager_wall, mut eager_ops) = (
             Duration::ZERO,
             Duration::ZERO,
@@ -307,6 +275,9 @@ fn main() {
         let mut rows: Vec<_> = ops.into_iter().collect();
         rows.sort_by_key(|(_, stat)| std::cmp::Reverse(stat.time));
         for (op, stat) in &rows {
+            if stat.subnormal > 0 {
+                subnormal_ops.push(format!("{name} {op}: {} floats", stat.subnormal));
+            }
             table.row([
                 name.to_string(),
                 op.to_string(),
@@ -328,15 +299,9 @@ fn main() {
             ]);
         }
         println!("-- {name}: {} (C = {catalog}, L = {len}) --", kind.name());
-        println!(
-            "(a) {:.1} matmuls/req with subnormal operands: {} µs/req as they are, {} µs/req flushed to zero",
-            study.denormal_calls as f64 / n as f64,
-            us(study.denormal_as_is, n),
-            us(study.denormal_flushed, n)
-        );
-        for (shape, (calls, op, tiles)) in &study.tiles {
+        for (shape, (calls, op, tiles)) in &study {
             println!(
-                "(b) {shape}: {:.1}/req, {} µs/req as the op, {} µs/req on score_tiles (bit-identical)",
+                "{shape}: {:.1}/req, {} µs/req as the op, {} µs/req on score_tiles (bit-identical)",
                 *calls as f64 / n as f64,
                 us(*op, n),
                 us(*tiles, n)
@@ -346,4 +311,11 @@ fn main() {
     }
     opts.emit("encoder_ops", &table);
     opts.emit("encoder_ops_executors", &executors);
+    if !subnormal_ops.is_empty() {
+        eprintln!(
+            "encoder_ops: subnormal operands over {requests} requests: {}",
+            subnormal_ops.join("; ")
+        );
+        std::process::exit(1);
+    }
 }

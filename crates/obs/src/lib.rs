@@ -14,11 +14,12 @@
 //!   server-observed total),
 //! * [`ring::SpanRing`] — a fixed-capacity, lock-free (atomic-cursor)
 //!   ring buffer of POD [`span::SpanRecord`]s with per-slot seqlocks;
-//!   one ring per writing thread, so the hot path takes no locks and
-//!   performs no allocation,
+//!   one 16 KiB ring per writing thread, so the hot path performs no
+//!   allocation and takes no locks but to drain its own ring,
 //! * [`recorder::Recorder`] — the per-server registry of thread rings,
 //!   hands out RAII [`recorder::SpanGuard`]s and aggregates ring
-//!   contents into per-stage [`etude_metrics::hdr::Histogram`]s,
+//!   contents into per-stage [`etude_metrics::hdr::Histogram`]s, drained
+//!   by each writer once its ring is half full and by every scrape,
 //! * [`metric`] — the one table that defines every scalar metric: its
 //!   recorder slot, JSON key and Prometheus family,
 //! * [`stats`] — snapshot aggregation plus rendering to the Prometheus
@@ -29,7 +30,8 @@
 //! The overhead budget is enforced by tests: recording a span in steady
 //! state performs zero heap allocations (a counting global allocator
 //! proves it) and costs two `Instant::now()` calls plus a handful of
-//! relaxed atomic stores.
+//! relaxed atomic stores, and one span in 256 pays for folding the 256
+//! into the histograms.
 
 //! Two more layers sit beside it:
 //!

@@ -3,7 +3,7 @@
 
 use crate::exemplar::ExemplarStore;
 use crate::metric::{Metric, TABLE};
-use crate::ring::{SpanRing, DEFAULT_CAPACITY};
+use crate::ring::SpanRing;
 use crate::span::{SpanRecord, Stage};
 use crate::stats::{ReactorTelemetry, StageStats, StatsSnapshot};
 use crate::trace::{span_hash, PodSpanRecord, TraceCtx};
@@ -22,7 +22,8 @@ thread_local! {
     static THREAD_RINGS: RefCell<Vec<(u64, Arc<SpanRing>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Cumulative aggregation state, folded from the rings on demand.
+/// Cumulative aggregation state, folded from the rings by scrapes and by
+/// each writer whose ring is half full.
 struct Aggregate {
     stages: [Histogram; Stage::ALL.len()],
     /// Raw records retained for per-request joins (tests). Only
@@ -33,14 +34,15 @@ struct Aggregate {
 /// Records server-side stage spans into per-thread rings and aggregates
 /// them into per-stage HDR histograms.
 ///
-/// One recorder per server. Recording is lock-free and allocation-free
-/// in steady state (the first span a thread records registers its ring,
-/// which allocates once); aggregation ([`Recorder::snapshot`]) takes a
-/// lock but runs off the request path, driven by `/metrics`, `/stats`
-/// or an end-of-run scrape.
+/// One recorder per server. Recording is allocation-free in steady
+/// state (the first span a thread records registers its ring, which
+/// allocates once) and lock-free but for one span in every half ring:
+/// that one drains the writer's own ring into the aggregate when the
+/// aggregation lock is free (see [`Recorder::record`]). Scrapes
+/// ([`Recorder::snapshot`], driven by `/metrics`, `/stats` or an
+/// end-of-run scrape) drain every ring under the same lock.
 pub struct Recorder {
     id: u64,
-    ring_capacity: usize,
     rings: Mutex<Vec<Arc<SpanRing>>>,
     agg: Mutex<Aggregate>,
     retain: AtomicBool,
@@ -68,16 +70,10 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// Creates a recorder with the default per-thread ring capacity.
+    /// Creates a recorder with no rings yet.
     pub fn new() -> Recorder {
-        Recorder::with_ring_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// Creates a recorder with an explicit per-thread ring capacity.
-    pub fn with_ring_capacity(ring_capacity: usize) -> Recorder {
         Recorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            ring_capacity,
             rings: Mutex::new(Vec::new()),
             agg: Mutex::new(Aggregate {
                 stages: std::array::from_fn(|_| Histogram::new()),
@@ -122,7 +118,7 @@ impl Recorder {
     }
 
     /// A metric's current value ([`Metric::Requests`] and
-    /// [`Metric::Dropped`]: as of the last fold).
+    /// [`Metric::Dropped`]: as of the last drain).
     pub fn get(&self, metric: Metric) -> u64 {
         self.scalars[metric as usize].load(Ordering::Relaxed)
     }
@@ -184,14 +180,36 @@ impl Recorder {
     }
 
     /// Records one finished span.
+    ///
+    /// Once half of this thread's ring is undrained, the writer drains it
+    /// into the aggregate itself if the aggregation lock is free, and
+    /// retries on its next span if a scrape holds it. Only a full ring
+    /// waits for the lock: the next span would overwrite an undrained
+    /// one, and a short wait behind a scrape is cheaper than a lost span.
     pub fn record(&self, request_id: u64, stage: Stage, duration_nanos: u64) {
         self.with_ring(|ring| {
-            ring.push(SpanRecord {
+            let backlog = ring.push(SpanRecord {
                 request_id,
                 stage,
                 duration_nanos,
-            })
+            });
+            if backlog >= ring.capacity() as u64 / 2 {
+                self.drain_own(ring, backlog);
+            }
         });
+    }
+
+    /// The writer-side drain of [`Recorder::record`].
+    #[cold]
+    fn drain_own(&self, ring: &SpanRing, backlog: u64) {
+        let agg = if backlog >= ring.capacity() as u64 {
+            Some(self.agg.lock())
+        } else {
+            self.agg.try_lock()
+        };
+        if let Some(mut agg) = agg {
+            self.absorb(&mut agg, [ring]);
+        }
     }
 
     /// Starts a span; the guard records it when dropped (or finished).
@@ -215,7 +233,7 @@ impl Recorder {
             // Cold path: first span from this thread. Drop rings of dead
             // recorders (we hold their last Arc), then register.
             rings.retain(|(_, ring)| Arc::strong_count(ring) > 1);
-            let ring = Arc::new(SpanRing::new(self.ring_capacity));
+            let ring = Arc::new(SpanRing::new());
             self.rings.lock().push(Arc::clone(&ring));
             rings.push((self.id, Arc::clone(&ring)));
             f(&ring)
@@ -229,11 +247,15 @@ impl Recorder {
     /// place.
     fn fold(&self) {
         let rings = self.rings.lock();
-        let mut agg = self.agg.lock();
+        self.absorb(&mut self.agg.lock(), rings.iter().map(|ring| &**ring));
+    }
+
+    /// Drains `rings` into `agg`; holding `agg`'s lock is what serialises
+    /// the drains of scrapes and writers.
+    fn absorb<'r>(&self, agg: &mut Aggregate, rings: impl IntoIterator<Item = &'r SpanRing>) {
         let retain = self.retain.load(Ordering::Relaxed);
-        let agg = &mut *agg;
         let mut dropped = 0;
-        for ring in rings.iter() {
+        for ring in rings {
             dropped += ring.drain(|record| {
                 agg.stages[record.stage as u8 as usize].record(record.duration_micros());
                 if retain {
@@ -241,17 +263,19 @@ impl Recorder {
                 }
             });
         }
-        // The two derived metrics: nobody bumps them, the fold does.
-        self.scalars[Metric::Dropped as usize].fetch_add(dropped, Ordering::Relaxed);
+        // The two derived metrics: nobody bumps them, the drains do.
+        self.add(Metric::Dropped, dropped);
         self.set(
             Metric::Requests,
             agg.stages[Stage::Total as u8 as usize].count(),
         );
     }
 
-    /// Drains the rings into the aggregate now, without building a
-    /// snapshot. Allocation-free; callable from the serving layer's idle
-    /// moments so the rings are drained before they lap.
+    /// Drains every thread's ring into the aggregate now, without
+    /// building a snapshot, so [`Recorder::get`] sees everything recorded
+    /// so far. Allocation-free while retention is off. Nothing needs it
+    /// to keep rings from lapping: writers drain their own (see
+    /// [`Recorder::record`]).
     pub fn sync(&self) {
         self.fold();
     }
@@ -259,12 +283,12 @@ impl Recorder {
     /// Aggregates everything recorded so far into per-stage statistics.
     pub fn snapshot(&self) -> StatsSnapshot {
         self.fold();
-        let agg = self.agg.lock();
         let mut snap = StatsSnapshot {
             pod: self.pod,
             reactor: self.reactor_probe.lock().as_ref().map(|probe| probe()),
             ..StatsSnapshot::default()
         };
+        let agg = self.agg.lock();
         for (stage, h) in Stage::ALL.iter().zip(&agg.stages) {
             if h.is_empty() {
                 continue;

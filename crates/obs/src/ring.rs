@@ -5,7 +5,8 @@
 //! write side is single-producer: a relaxed atomic cursor claims the next
 //! slot and a per-slot sequence word makes concurrent reads safe. The
 //! hot path performs no allocation and takes no locks — pushing a record
-//! is one `fetch_add` plus five plain atomic stores.
+//! is one `fetch_add` plus five plain atomic stores, and one load of the
+//! read cursor to report the backlog the recorder drains by.
 //!
 //! The sequence word doubles as a generation tag: slot `n & mask` holds
 //! `2n + 2` once push `n` has completed (and `2n + 1` while it is in
@@ -16,10 +17,11 @@
 use crate::span::{SpanRecord, Stage};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-/// Default ring capacity per thread (records). At 32 bytes per slot this
-/// is 256 KiB per writing thread — roomy enough that a scrape every few
-/// seconds never laps, small enough to forget about.
-pub const DEFAULT_CAPACITY: usize = 8_192;
+/// Ring capacity per writing thread (records): 16 KiB at 32 bytes per
+/// slot. The recorder drains a writer's ring from the writer itself once
+/// half of it is undrained (see `Recorder::record`), so the ring only
+/// has to absorb the spans recorded while a scrape holds the lock.
+const CAPACITY: usize = 512;
 
 struct Slot {
     /// `2n + 2` after push `n` completed, `2n + 1` while it is written.
@@ -43,9 +45,14 @@ pub struct SpanRing {
 }
 
 impl SpanRing {
+    /// Creates a ring of `CAPACITY` slots.
+    pub(crate) fn new() -> SpanRing {
+        SpanRing::with_capacity(CAPACITY)
+    }
+
     /// Creates a ring with `capacity` slots (rounded up to a power of
     /// two, minimum 64).
-    pub fn new(capacity: usize) -> SpanRing {
+    fn with_capacity(capacity: usize) -> SpanRing {
         let cap = capacity.max(64).next_power_of_two();
         let slots = (0..cap)
             .map(|_| Slot {
@@ -74,9 +81,10 @@ impl SpanRing {
         self.pushed.load(Ordering::Relaxed)
     }
 
-    /// Records one span. Lock-free and allocation-free; must only be
+    /// Records one span and returns the ring's undrained backlog,
+    /// this record included. Lock-free and allocation-free; must only be
     /// called from the thread that owns this ring.
-    pub fn push(&self, record: SpanRecord) {
+    pub fn push(&self, record: SpanRecord) -> u64 {
         let n = self.pushed.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(n & self.mask) as usize];
         slot.seq.store(2 * n + 1, Ordering::Relaxed);
@@ -87,6 +95,7 @@ impl SpanRing {
         slot.duration_nanos
             .store(record.duration_nanos, Ordering::Relaxed);
         slot.seq.store(2 * n + 2, Ordering::Release);
+        (n + 1).saturating_sub(self.consumed.load(Ordering::Relaxed))
     }
 
     /// Folds every record pushed since the previous drain into `f`,
@@ -95,8 +104,9 @@ impl SpanRing {
     /// lap mid-read).
     ///
     /// Intended to be called by one aggregating reader at a time (the
-    /// recorder serialises drains behind its aggregation lock); the
-    /// writer may keep pushing concurrently.
+    /// recorder serialises drains behind its aggregation lock, whether a
+    /// scrape or the writer itself drains); the writer may keep pushing
+    /// concurrently.
     pub fn drain(&self, mut f: impl FnMut(SpanRecord)) -> u64 {
         let to = self.pushed.load(Ordering::Acquire);
         let from = self.consumed.load(Ordering::Relaxed);
@@ -158,7 +168,7 @@ mod tests {
 
     #[test]
     fn push_then_drain_roundtrips_in_order() {
-        let ring = SpanRing::new(64);
+        let ring = SpanRing::with_capacity(64);
         for i in 0..10 {
             ring.push(rec(i, i * 100));
         }
@@ -170,7 +180,7 @@ mod tests {
 
     #[test]
     fn drain_is_incremental() {
-        let ring = SpanRing::new(64);
+        let ring = SpanRing::with_capacity(64);
         ring.push(rec(1, 10));
         let mut count = 0;
         ring.drain(|_| count += 1);
@@ -183,8 +193,18 @@ mod tests {
     }
 
     #[test]
+    fn push_reports_the_undrained_backlog() {
+        let ring = SpanRing::new();
+        assert_eq!(ring.capacity(), CAPACITY);
+        assert_eq!(ring.push(rec(1, 10)), 1);
+        assert_eq!(ring.push(rec(2, 20)), 2);
+        ring.drain(|_| {});
+        assert_eq!(ring.push(rec(3, 30)), 1);
+    }
+
+    #[test]
     fn lapping_drops_oldest_records() {
-        let ring = SpanRing::new(64); // rounds to 64 slots
+        let ring = SpanRing::with_capacity(64); // rounds to 64 slots
         for i in 0..100 {
             ring.push(rec(i, 0));
         }
@@ -198,14 +218,14 @@ mod tests {
 
     #[test]
     fn capacity_rounds_to_power_of_two() {
-        assert_eq!(SpanRing::new(100).capacity(), 128);
-        assert_eq!(SpanRing::new(1).capacity(), 64);
+        assert_eq!(SpanRing::with_capacity(100).capacity(), 128);
+        assert_eq!(SpanRing::with_capacity(1).capacity(), 64);
     }
 
     #[test]
     fn concurrent_drain_never_yields_torn_or_duplicate_records() {
         use std::sync::Arc;
-        let ring = Arc::new(SpanRing::new(256));
+        let ring = Arc::new(SpanRing::with_capacity(256));
         let writer = {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {

@@ -390,15 +390,19 @@ fn matmul_strided_impl(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 
 /// Branch-free Cephes-style `expf` (~2 ulp), used by every backend and
 /// by `UnOp::apply`, so eager, vectorized and JIT-fused paths agree
-/// bitwise. Inputs are clamped to `[-87, 88]` (results saturate at
-/// ~1.6e-38 / ~1.65e38 instead of producing denormals / `inf`).
+/// bitwise. Inputs are clamped to `[-87, 88]` for the polynomial; the
+/// high end saturates at ~1.65e38 instead of `inf`, and below `-87`
+/// (`-inf` included) the result is an exact `+0.0`, picked by a select
+/// after the polynomial rather than a branch, so it vectorizes like the
+/// rest. Every non-zero result is therefore a *normal* float.
 ///
-/// The saturated low end is itself the smallest *normal* float, so
-/// arithmetic downstream of it can still go subnormal: a masked logit
-/// (`-1e9`) leaves softmax as 1.6e-38, which divided by its row sum is
-/// a denormal weight, and every later multiply by it takes the slow
-/// microcode path. SASRec's attention hits this on most padded
-/// positions (ROADMAP item 2; `encoder_ops` counts the operands).
+/// The exact zero is what keeps arithmetic downstream normal too: a
+/// masked logit (`-1e9`) leaves softmax as a zero weight instead of a
+/// denormal one, which every later multiply would take through the slow
+/// microcode path (SASRec's attention; `encoder_ops` fails if any op of
+/// the gated models still sees a subnormal operand). `sigmoid` and
+/// `tanh` round to 1 / −1 there either way, and dropping a weight below
+/// 1.6e-38 cannot move a sum of O(1) terms.
 #[inline(always)]
 pub fn exp_f32(x: f32) -> f32 {
     const LOG2EF: f32 = std::f32::consts::LOG2_E;
@@ -411,6 +415,7 @@ pub fn exp_f32(x: f32) -> f32 {
     // (ties-to-even) without a rounding instruction, so the sequence
     // vectorizes on every backend.
     const ROUND_MAGIC: f32 = 12_582_912.0;
+    let underflows = x < -87.0;
     let x = x.clamp(-87.0, 88.0);
     let n = (x * LOG2EF + ROUND_MAGIC) - ROUND_MAGIC;
     let r = n.mul_add(-LN2_HI, x);
@@ -423,7 +428,11 @@ pub fn exp_f32(x: f32) -> f32 {
     p = p.mul_add(r, 0.5);
     let y = p.mul_add(r * r, r) + 1.0;
     let scale = f32::from_bits((((n as i32) + 127) as u32) << 23);
-    y * scale
+    if underflows {
+        0.0
+    } else {
+        y * scale
+    }
 }
 
 /// Logistic sigmoid on the shared [`exp_f32`].

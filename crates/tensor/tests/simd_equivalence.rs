@@ -6,6 +6,8 @@
 //!   kernel built on the shared block/reduction layout must return the
 //!   exact same bits on every backend, because top-k *ordering* (and
 //!   therefore recommendation output) must not depend on the host ISA;
+//!   the elementwise transcendentals (the dispatched kernel against the
+//!   scalar `UnOp::apply`) are pinned the same way, underflow included;
 //! * **ULP-bounded** — `softmax_rows` goes through the shared polynomial
 //!   `exp_f32` instead of libm's `exp`, so its outputs are allowed to
 //!   drift by at most [`MAX_SOFTMAX_ULP`] ULPs from the same summation
@@ -15,6 +17,7 @@
 //! Edge cases (length 0, 1, `LANES±1`) and NaN handling are pinned
 //! explicitly alongside the randomized sweeps.
 
+use etude_tensor::kernels::UnOp;
 use etude_tensor::topk::{
     score_topk, score_topk_multi_sharded_into, score_topk_q8_sharded_into, score_topk_sharded,
     topk, TopkScratch,
@@ -286,6 +289,25 @@ proptest! {
         }
     }
 
+    /// The dispatched elementwise `exp`, `sigmoid` and `tanh` return the
+    /// exact bits of the scalar functions `UnOp::apply` runs, over a range
+    /// reaching well below `exp`'s underflow point (`-87`) and above its
+    /// saturation point (`88`), padded with `-inf` and a masked logit.
+    #[test]
+    fn transcendentals_are_bit_identical_across_backends(
+        xs in proptest::collection::vec(-200.0f32..100.0, 0..70),
+    ) {
+        let mut xs = xs;
+        xs.extend([f32::NEG_INFINITY, -1e9, -87.0, -87.01]);
+        for op in [UnOp::Exp, UnOp::Sigmoid, UnOp::Tanh] {
+            let mut got = vec![0.0f32; xs.len()];
+            simd::unary(op, &xs, &mut got);
+            for (&x, &g) in xs.iter().zip(&got) {
+                prop_assert_eq!(g.to_bits(), op.apply(x).to_bits(), "{}({})", op.name(), x);
+            }
+        }
+    }
+
     /// Vectorized layer norm is bit-identical to the textbook reference:
     /// mean/variance folds are sequential in both, and the affine pass
     /// performs the same per-element expression.
@@ -311,6 +333,47 @@ proptest! {
             prop_assert_eq!(g.to_bits(), w.to_bits());
         }
     }
+}
+
+/// `exp` underflows to an exact `+0.0` below `-87` and is a normal float
+/// everywhere on `[-87, 88]`, through the scalar function and through the
+/// dispatched kernel (the wide backend on AVX2 hosts, the scalar one
+/// under `ETUDE_SIMD=scalar`).
+#[test]
+fn exp_underflows_to_exact_zero_and_is_never_subnormal() {
+    let under = [-87.01f32, -100.0, -1e9, f32::NEG_INFINITY];
+    // 17 copies: two full blocks and a masked tail.
+    let under_wide: Vec<f32> = under.iter().flat_map(|&x| [x; 17]).collect();
+    let mut got = vec![1.0f32; under_wide.len()];
+    simd::unary(UnOp::Exp, &under_wide, &mut got);
+    for (&x, &g) in under_wide.iter().zip(&got) {
+        assert_eq!(simd::exp_f32(x).to_bits(), 0, "scalar exp({x})");
+        assert_eq!(g.to_bits(), 0, "dispatched exp({x})");
+    }
+    let normal: Vec<f32> = (0..=17_500).map(|i| -87.0 + i as f32 * 0.01).collect();
+    let mut got = vec![0.0f32; normal.len()];
+    simd::unary(UnOp::Exp, &normal, &mut got);
+    for (&x, &g) in normal.iter().zip(&got) {
+        assert!(simd::exp_f32(x).is_normal(), "scalar exp({x})");
+        assert!(g.is_normal(), "dispatched exp({x}) = {g:e}");
+    }
+}
+
+/// A row with masked (`-1e9`) logits gives those positions an exact zero
+/// weight, not a denormal one, and the rest still sums to one.
+#[test]
+fn softmax_gives_masked_logits_exact_zeros() {
+    let row = [0.5f32, -1e9, 1.5, -1e9, -1e9, 0.25, -1e9, -1e9, -1e9, 2.0];
+    let mut out = [1.0f32; 10];
+    kernels::softmax_rows(&row, &mut out, row.len());
+    for (&x, &w) in row.iter().zip(&out) {
+        if x == -1e9 {
+            assert_eq!(w.to_bits(), 0, "masked weight {w:e}");
+        } else {
+            assert!(w.is_normal(), "unmasked weight {w:e}");
+        }
+    }
+    assert!((out.iter().sum::<f32>() - 1.0).abs() < 1e-6);
 }
 
 /// Lengths around the block width are where masked epilogues go wrong;
