@@ -11,7 +11,7 @@
 //!
 //! The admission story is the point: a full-catalog spec that the node
 //! budget rejects becomes deployable once the plan has enough groups
-//! that `max_shard_bytes() <= budget`. [`ShardPlan::min_groups`]
+//! that its largest slice fits the budget. [`ShardPlan::min_groups`]
 //! computes that count.
 
 use crate::deployment::{DeployError, Deployment, DeploymentSpec};
@@ -83,16 +83,6 @@ impl ShardPlan {
             .collect()
     }
 
-    /// Bytes of the largest slice — what admission checks against the
-    /// node budget.
-    pub fn max_shard_bytes(&self) -> u64 {
-        self.slices()
-            .iter()
-            .map(|s| s.model_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Fewest groups that bring every slice under `node_budget` bytes.
     /// Returns `None` when even one row per group would not fit (the
     /// budget is smaller than a single embedding row).
@@ -103,11 +93,6 @@ impl ShardPlan {
         }
         let rows_per_group = (node_budget / row_bytes) as usize;
         Some(catalog_size.div_ceil(rows_per_group))
-    }
-
-    /// Total pods the plan deploys.
-    pub fn total_pods(&self) -> usize {
-        self.groups * self.replicas_per_group
     }
 }
 
@@ -219,11 +204,10 @@ mod tests {
         assert!(full.full_table_bytes() > budget);
         let groups = ShardPlan::min_groups(C, D, budget).unwrap();
         assert_eq!(groups, 3, "2.28 GB over 1 GiB nodes needs 3 slices");
-        let plan = ShardPlan::new(C, D, groups, 2);
-        assert!(plan.max_shard_bytes() <= budget);
+        let largest = |plan: ShardPlan| plan.slices().iter().map(|s| s.model_bytes).max();
+        assert!(largest(ShardPlan::new(C, D, groups, 2)).unwrap() <= budget);
         // One fewer group would not fit.
-        let tight = ShardPlan::new(C, D, groups - 1, 2);
-        assert!(tight.max_shard_bytes() > budget);
+        assert!(largest(ShardPlan::new(C, D, groups - 1, 2)).unwrap() > budget);
         // Degenerate budgets are refused rather than looping forever.
         assert_eq!(ShardPlan::min_groups(C, D, 8), None);
     }
@@ -268,7 +252,8 @@ mod tests {
             assert!(group.service().all_ready());
         }
         // Cost scales with total pods.
-        let expected = InstanceType::CpuE2.monthly_cost() * sharded.plan().total_pods() as f64;
+        let pods = sharded.plan().groups * sharded.plan().replicas_per_group;
+        let expected = InstanceType::CpuE2.monthly_cost() * pods as f64;
         assert!((sharded.monthly_cost() - expected).abs() < 1e-9);
     }
 }

@@ -75,7 +75,6 @@ pub struct CircuitBreaker {
     open_until: Duration,
     probes_in_flight: u32,
     probe_successes: u32,
-    opened: u64,
 }
 
 impl CircuitBreaker {
@@ -88,7 +87,6 @@ impl CircuitBreaker {
             open_until: Duration::ZERO,
             probes_in_flight: 0,
             probe_successes: 0,
-            opened: 0,
         }
     }
 
@@ -96,11 +94,6 @@ impl CircuitBreaker {
     /// so observers see the state as of the last decision).
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Times the breaker has tripped open over its lifetime.
-    pub fn times_opened(&self) -> u64 {
-        self.opened
     }
 
     /// Whether an attempt may be made at `now`. Open breakers reject
@@ -179,7 +172,6 @@ impl CircuitBreaker {
         self.open_until = now + pause;
         self.consecutive_failures = 0;
         self.probe_successes = 0;
-        self.opened += 1;
     }
 }
 
@@ -210,7 +202,6 @@ mod tests {
         b.record_failure(ms(0), None);
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.allow(ms(50)), "open breakers reject");
-        assert_eq!(b.times_opened(), 1);
     }
 
     #[test]

@@ -58,18 +58,6 @@ impl ExperimentResult {
     pub fn throughput(&self) -> f64 {
         self.steady.throughput
     }
-
-    /// One CSV row: label, cost, p90(us), throughput, errors, feasible.
-    pub fn csv_row(&self) -> Vec<String> {
-        vec![
-            self.spec_label.clone(),
-            format!("{:.2}", self.monthly_cost),
-            self.steady.p90.as_micros().to_string(),
-            format!("{:.1}", self.steady.throughput),
-            self.load.errors.to_string(),
-            self.feasible.to_string(),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -124,11 +112,5 @@ mod tests {
         // Meets latency but only delivers half the target rate.
         let result = ExperimentResult::evaluate(&spec(), 108.09, fake_load(5, 50, 10), 5);
         assert!(!result.feasible);
-    }
-
-    #[test]
-    fn csv_row_has_six_fields() {
-        let result = ExperimentResult::evaluate(&spec(), 108.09, fake_load(10, 100, 10), 5);
-        assert_eq!(result.csv_row().len(), 6);
     }
 }

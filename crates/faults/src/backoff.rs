@@ -50,12 +50,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Overrides the retry count.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
     /// The nominal (un-jittered) delay before retry `attempt` (0-based):
     /// `min(base * 2^attempt, cap)`, saturating.
     pub fn nominal_delay(&self, attempt: u32) -> Duration {
@@ -145,7 +139,11 @@ mod tests {
 
     #[test]
     fn retry_budget_is_enforced() {
-        let mut b = Backoff::new(RetryPolicy::default_chaos().with_max_retries(3), 1);
+        let policy = RetryPolicy {
+            max_retries: 3,
+            ..RetryPolicy::default_chaos()
+        };
+        let mut b = Backoff::new(policy, 1);
         assert!(b.next_delay().is_some());
         assert!(b.next_delay().is_some());
         assert!(b.next_delay().is_some());

@@ -30,11 +30,6 @@ impl Deadline {
         Deadline { at }
     }
 
-    /// The absolute instant of the deadline.
-    pub fn instant(&self) -> Instant {
-        self.at
-    }
-
     /// Whether the deadline has passed. The boundary itself counts as
     /// expired: a wait with a zero budget never spins.
     pub fn expired(&self) -> bool {

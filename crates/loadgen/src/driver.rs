@@ -14,7 +14,6 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use etude_faults::RetryPolicy;
 use etude_metrics::hdr::Histogram;
 use etude_metrics::TimeSeries;
-use etude_obs::ClientSpan;
 use etude_serve::client::{ClientError, HttpClient, ResilientClient};
 use etude_serve::http::{self, Request};
 use parking_lot::Mutex;
@@ -41,7 +40,6 @@ struct Outcome {
     ok: bool,
     retries: u64,
     degraded: bool,
-    span: Option<ClientSpan>,
 }
 
 struct SharedState {
@@ -53,7 +51,6 @@ struct SharedState {
     degraded: AtomicU64,
     series: Mutex<TimeSeries>,
     corrected: Mutex<Histogram>,
-    spans: Mutex<Vec<ClientSpan>>,
     start: Instant,
 }
 
@@ -69,7 +66,7 @@ impl RealLoadGen {
         config: LoadConfig,
         connections: usize,
     ) -> std::io::Result<LoadTestResult> {
-        Ok(Self::run_inner(addr, log, config, connections, None, false)?.0)
+        Self::run_inner(addr, log, config, connections, None)
     }
 
     /// Like [`RealLoadGen::run`], but each sender thread drives a
@@ -83,23 +80,7 @@ impl RealLoadGen {
         connections: usize,
         policy: RetryPolicy,
     ) -> std::io::Result<LoadTestResult> {
-        Ok(Self::run_inner(addr, log, config, connections, Some(policy), false)?.0)
-    }
-
-    /// [`RealLoadGen::run_resilient`] with distributed tracing: every
-    /// request carries an `x-trace-ctx` header (retries as sibling
-    /// attempt spans), and the returned [`ClientSpan`]s — one per
-    /// request, timed against a shared epoch — feed
-    /// [`etude_obs::TraceCollector`] together with the pods' retained
-    /// span records to reassemble full request trees.
-    pub fn run_traced(
-        addr: SocketAddr,
-        log: &etude_workload::SessionLog,
-        config: LoadConfig,
-        connections: usize,
-        policy: RetryPolicy,
-    ) -> std::io::Result<(LoadTestResult, Vec<ClientSpan>)> {
-        Self::run_inner(addr, log, config, connections, Some(policy), true)
+        Self::run_inner(addr, log, config, connections, Some(policy))
     }
 
     fn run_inner(
@@ -108,8 +89,7 @@ impl RealLoadGen {
         config: LoadConfig,
         connections: usize,
         policy: Option<RetryPolicy>,
-        traced: bool,
-    ) -> std::io::Result<(LoadTestResult, Vec<ClientSpan>)> {
+    ) -> std::io::Result<LoadTestResult> {
         let state = Arc::new(SharedState {
             pending: AtomicU64::new(0),
             sent: AtomicU64::new(0),
@@ -119,7 +99,6 @@ impl RealLoadGen {
             degraded: AtomicU64::new(0),
             series: Mutex::new(TimeSeries::new()),
             corrected: Mutex::new(Histogram::new()),
-            spans: Mutex::new(Vec::new()),
             start: Instant::now(),
         });
         let (job_tx, job_rx): (Sender<Job>, Receiver<Job>) = bounded(connections.max(1) * 4);
@@ -127,9 +106,6 @@ impl RealLoadGen {
 
         // Sender threads: each owns one connection — a plain keep-alive
         // client, or a retrying resilient client when a policy is given.
-        // In traced mode every thread times its spans against the same
-        // epoch (the run start), so spans from different threads nest.
-        let epoch = traced.then_some(state.start);
         let mut senders = Vec::new();
         for _ in 0..connections.max(1) {
             let rx = job_rx.clone();
@@ -137,7 +113,7 @@ impl RealLoadGen {
             let policy = policy.clone();
             let seed = config.seed;
             senders.push(std::thread::spawn(move || match policy {
-                Some(policy) => sender_resilient(addr, rx, done, policy, seed, epoch),
+                Some(policy) => sender_resilient(addr, rx, done, policy, seed),
                 None => sender_plain(addr, rx, done),
             }));
         }
@@ -227,7 +203,7 @@ impl RealLoadGen {
             attribution: Vec::new(),
             slo: None,
         };
-        Ok((result, state.spans.into_inner()))
+        Ok(result)
     }
 }
 
@@ -266,21 +242,18 @@ fn sender_plain(addr: SocketAddr, rx: Receiver<Job>, done: Sender<Outcome>) {
             ok,
             retries: 0,
             degraded: false,
-            span: None,
         });
     }
 }
 
 /// The resilient sender loop: retries under the policy, within
-/// [`REQUEST_BUDGET`] per request. With an `epoch`, every request is
-/// traced and its [`ClientSpan`] rides back on the outcome.
+/// [`REQUEST_BUDGET`] per request.
 fn sender_resilient(
     addr: SocketAddr,
     rx: Receiver<Job>,
     done: Sender<Outcome>,
     policy: RetryPolicy,
     seed: u64,
-    epoch: Option<Instant>,
 ) {
     // Every thread shares the client seed: a request's retry schedule is
     // keyed by `seed ^ hash(request id)`, so it does not depend on which
@@ -295,14 +268,7 @@ fn sender_resilient(
         req.headers
             .insert("x-request-id".into(), format!("{session}-{}", items.len()));
         let before = client.total_retries();
-        let (result, span) = match epoch {
-            Some(epoch) => {
-                let (r, s) = client.request_traced(&req, REQUEST_BUDGET, epoch);
-                (r, Some(s))
-            }
-            None => (client.request_within(&req, REQUEST_BUDGET), None),
-        };
-        let (ok, degraded) = match result {
+        let (ok, degraded) = match client.request_within(&req, REQUEST_BUDGET) {
             Ok(out) => (out.response.status == 200, out.degraded),
             Err(_) => (false, false),
         };
@@ -313,7 +279,6 @@ fn sender_resilient(
             ok,
             retries: client.total_retries() - before,
             degraded,
-            span,
         });
     }
 }
@@ -368,9 +333,6 @@ fn record_outcome(
         series.record_error(tick);
     }
     drop(series);
-    if let Some(span) = outcome.span {
-        state.spans.lock().push(span);
-    }
     if let Some(released) = replayer.acknowledge(outcome.session) {
         ready.push_back(released);
     }

@@ -305,22 +305,8 @@ impl SimLoadGen {
         handle.collect()
     }
 
-    /// [`SimLoadGen::run`] with a fault injector on the network path.
-    pub fn run_with_faults(
-        service: Rc<dyn SimService>,
-        log: &SessionLog,
-        config: LoadConfig,
-        injector: FaultInjector,
-    ) -> LoadTestResult {
-        let mut sim = Sim::new();
-        let handle =
-            Self::schedule_with_faults(&mut sim, service, log, config, SimTime::ZERO, injector);
-        sim.run_to_completion();
-        handle.collect()
-    }
-
-    /// [`SimLoadGen::run_with_faults`] with client-side retries, in a
-    /// fresh simulation.
+    /// [`SimLoadGen::run`] with a fault injector on the network path
+    /// and client-side retries, in a fresh simulation.
     pub fn run_resilient(
         service: Rc<dyn SimService>,
         log: &SessionLog,
@@ -743,13 +729,17 @@ mod tests {
                 FaultKind::Drop { prob: 0.5 },
             );
             let injector = FaultInjector::new(plan);
-            let result = SimLoadGen::run_with_faults(
+            let mut sim = Sim::new();
+            let handle = SimLoadGen::schedule_with_faults(
+                &mut sim,
                 server,
                 &workload(20_000),
                 LoadConfig::scaled_rampup(200, 6),
+                SimTime::ZERO,
                 injector.clone(),
             );
-            (result, injector)
+            sim.run_to_completion();
+            (handle.collect(), injector)
         };
         let (a, ia) = run();
         let (b, ib) = run();

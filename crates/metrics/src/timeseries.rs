@@ -83,11 +83,6 @@ impl TimeSeries {
         self.ticks.iter().map(|t| t.errors).sum()
     }
 
-    /// Total success count.
-    pub fn total_ok(&self) -> u64 {
-        self.ticks.iter().map(|t| t.ok).sum()
-    }
-
     /// Merges all ticks into one histogram.
     pub fn merged_histogram(&self) -> Histogram {
         let mut h = Histogram::new();
@@ -166,7 +161,6 @@ mod tests {
         ts.record_sent(0);
         ts.record_ok(0, Duration::from_millis(1));
         ts.record_error(1);
-        assert_eq!(ts.total_ok(), 1);
         assert_eq!(ts.total_errors(), 1);
         assert_eq!(ts.ticks()[0].sent, 2);
     }

@@ -164,9 +164,8 @@ impl ExemplarStore {
         rows
     }
 
-    /// Renders the live exemplars as Chrome `trace_event` JSON (same
-    /// dialect as [`crate::trace::TraceCollector::to_chrome_json`]):
-    /// one process row per exemplar, the `total` span enclosing the
+    /// Renders the live exemplars as Chrome `trace_event` JSON: one
+    /// process row per exemplar, the `total` span enclosing the
     /// component stages tiled cumulatively.
     pub fn render_chrome_json(&self) -> String {
         let us = |nanos: u64| nanos as f64 / 1_000.0;

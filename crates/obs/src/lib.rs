@@ -33,10 +33,8 @@
 //! relaxed atomic stores, and one span in 256 pays for folding the 256
 //! into the histograms.
 
-//! Two more layers sit beside it:
+//! One more layer sits beside it:
 //!
-//! * [`trace`] — `x-trace-ctx` propagation, pod span retention and the
-//!   post-run collector that exports Chrome `trace_event` JSON,
 //! * [`slo`] — a multi-window multi-burn-rate SLO evaluator reporting
 //!   when an SLO first fell over and why.
 //!
@@ -56,7 +54,6 @@ pub mod ring;
 pub mod slo;
 pub mod span;
 pub mod stats;
-pub mod trace;
 
 pub use exemplar::ExemplarStore;
 pub use metric::Metric;
@@ -65,4 +62,3 @@ pub use ring::SpanRing;
 pub use slo::{SloCause, SloMonitor, SloPolicy, SloReport, SloViolation, TickAttribution};
 pub use span::{request_id_hash, SpanRecord, Stage};
 pub use stats::{parse_stats_json, ReactorTelemetry, StageStats, StatsSnapshot};
-pub use trace::{ClientAttempt, ClientSpan, PodSpanRecord, TraceCollector, TraceCtx, TRACE_HEADER};

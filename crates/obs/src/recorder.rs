@@ -6,7 +6,6 @@ use crate::metric::{Metric, TABLE};
 use crate::ring::SpanRing;
 use crate::span::{SpanRecord, Stage};
 use crate::stats::{ReactorTelemetry, StageStats, StatsSnapshot};
-use crate::trace::{span_hash, PodSpanRecord, TraceCtx};
 use etude_metrics::hdr::Histogram;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -50,12 +49,9 @@ pub struct Recorder {
     /// the serving layer and copied into every snapshot (and from there
     /// onto `/stats` and `/metrics`).
     scalars: [AtomicU64; Metric::COUNT],
-    /// This pod's id, for trace spans; `None` on standalone servers.
+    /// This pod's id, stamped into snapshots; `None` on standalone
+    /// servers.
     pod: Option<u32>,
-    /// While on, traced requests also append [`PodSpanRecord`]s for the
-    /// post-run trace collector. Off (and allocation-free) by default.
-    trace_retain: AtomicBool,
-    traces: Mutex<Vec<PodSpanRecord>>,
     /// Slowest-requests-per-window forensics store (`/debug/slow`).
     exemplars: ExemplarStore,
     /// Optional probe filling [`StatsSnapshot::reactor`]; installed by
@@ -82,15 +78,13 @@ impl Recorder {
             retain: AtomicBool::new(false),
             scalars: std::array::from_fn(|_| AtomicU64::new(0)),
             pod: None,
-            trace_retain: AtomicBool::new(false),
-            traces: Mutex::new(Vec::new()),
             exemplars: ExemplarStore::new(),
             reactor_probe: Mutex::new(None),
         }
     }
 
     /// Creates a recorder carrying a pod id (stamped into every
-    /// snapshot and every retained trace span).
+    /// snapshot).
     pub fn with_pod(pod: u32) -> Recorder {
         let mut r = Recorder::new();
         r.pod = Some(pod);
@@ -143,42 +137,6 @@ impl Recorder {
         self.retain.store(on, Ordering::Relaxed);
     }
 
-    /// Turns trace-span retention on or off. While on, the serving
-    /// layer appends a [`PodSpanRecord`] per traced stage via
-    /// [`Recorder::note_pod_stage`]; off (the default), traced requests
-    /// cost one relaxed load and nothing else.
-    pub fn set_trace_retention(&self, on: bool) {
-        self.trace_retain.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether trace-span retention is currently on.
-    pub fn trace_retention_on(&self) -> bool {
-        self.trace_retain.load(Ordering::Relaxed)
-    }
-
-    /// Retains one pod-side stage span under the propagated context
-    /// `ctx` (no-op unless trace retention is on). The span's own id is
-    /// derived deterministically from `(trace, parent, stage)`, so
-    /// collectors can re-derive it.
-    pub fn note_pod_stage(&self, ctx: &TraceCtx, stage: Stage, duration_nanos: u64) {
-        if !self.trace_retention_on() {
-            return;
-        }
-        self.traces.lock().push(PodSpanRecord {
-            trace_id: ctx.trace_id,
-            parent_span: ctx.span_id,
-            span_id: span_hash(ctx.trace_id, ctx.span_id, stage as u8 as u64),
-            pod: self.pod.unwrap_or(0),
-            stage,
-            duration_nanos,
-        });
-    }
-
-    /// Drains the retained trace spans for post-run assembly.
-    pub fn take_traces(&self) -> Vec<PodSpanRecord> {
-        std::mem::take(&mut *self.traces.lock())
-    }
-
     /// Records one finished span.
     ///
     /// Once half of this thread's ring is undrained, the writer drains it
@@ -219,7 +177,6 @@ impl Recorder {
             request_id,
             stage,
             start: Instant::now(),
-            armed: true,
         }
     }
 
@@ -323,32 +280,19 @@ pub struct SpanGuard<'a> {
     request_id: u64,
     stage: Stage,
     start: Instant,
-    armed: bool,
 }
 
 impl SpanGuard<'_> {
     /// Ends the span now (instead of at scope exit).
-    pub fn finish(mut self) {
-        self.record_now();
-    }
-
-    /// Abandons the span without recording it.
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
-
-    fn record_now(&mut self) {
-        if self.armed {
-            self.armed = false;
-            let nanos = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            self.recorder.record(self.request_id, self.stage, nanos);
-        }
+    pub fn finish(self) {
+        drop(self);
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.record_now();
+        let nanos = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.recorder.record(self.request_id, self.stage, nanos);
     }
 }
 
@@ -391,13 +335,6 @@ mod tests {
         let snap = r.snapshot();
         let inf = snap.stage("inference").unwrap();
         assert!(inf.max_us >= 1_000, "slept 2ms, saw {}us", inf.max_us);
-    }
-
-    #[test]
-    fn cancelled_guards_record_nothing() {
-        let r = Recorder::new();
-        r.span(1, Stage::Parse).cancel();
-        assert!(r.snapshot().stages.is_empty());
     }
 
     #[test]
@@ -460,24 +397,6 @@ mod tests {
         assert_eq!(snap.pod, Some(3));
         assert_eq!(snap.queue_depth, 17);
         assert_eq!(snap.stage("total").unwrap().count, 1);
-    }
-
-    #[test]
-    fn trace_retention_keeps_pod_spans() {
-        use crate::trace::TraceCtx;
-        let r = Recorder::with_pod(5);
-        let ctx = TraceCtx::root(99).child(1234);
-        r.note_pod_stage(&ctx, Stage::Inference, 1_000);
-        assert!(r.take_traces().is_empty(), "retention off by default");
-        r.set_trace_retention(true);
-        r.note_pod_stage(&ctx, Stage::Inference, 1_000);
-        r.note_pod_stage(&ctx, Stage::Total, 1_500);
-        let traces = r.take_traces();
-        assert_eq!(traces.len(), 2);
-        assert!(traces.iter().all(|t| t.pod == 5 && t.trace_id == 99));
-        assert!(traces.iter().all(|t| t.parent_span == ctx.span_id));
-        assert_ne!(traces[0].span_id, traces[1].span_id);
-        assert!(r.take_traces().is_empty(), "take drains");
     }
 
     #[test]

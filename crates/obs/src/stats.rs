@@ -197,7 +197,7 @@ pub struct StatsSnapshot {
     /// Admission controller's learned concurrency limit, milli-units
     /// (0 when no admission control is installed).
     pub admission_limit_milli: u64,
-    /// This pod's id, for trace spans (absent on standalone servers).
+    /// This pod's id (absent on standalone servers).
     pub pod: Option<u32>,
     /// Batcher queue depth at snapshot time (0 on unbatched servers).
     pub queue_depth: u64,
@@ -252,27 +252,6 @@ impl StatsSnapshot {
             out.push_str(&r.render_prometheus());
         }
         out
-    }
-
-    /// Renders an aligned text table of the stage breakdown, for
-    /// end-of-run reports (the load generator prints this when it has
-    /// scraped a server's `/stats`).
-    pub fn render_table(&self) -> String {
-        let mut table = etude_metrics::report::Table::new([
-            "stage", "count", "mean_us", "p50_us", "p90_us", "p99_us", "max_us",
-        ]);
-        for s in &self.stages {
-            table.row([
-                s.stage.clone(),
-                s.count.to_string(),
-                format!("{:.1}", s.mean_us),
-                s.p50_us.to_string(),
-                s.p90_us.to_string(),
-                s.p99_us.to_string(),
-                s.max_us.to_string(),
-            ]);
-        }
-        table.render()
     }
 
     /// Renders the JSON document served at `/stats`.
@@ -492,15 +471,6 @@ mod tests {
         assert!(text.contains("etude_spans_dropped_total 1"));
         // sum = mean * count (136.5 here), rendered as an integer
         assert!(text.contains("etude_stage_latency_microseconds_sum{stage=\"parse\"} 136"));
-    }
-
-    #[test]
-    fn table_lists_every_stage() {
-        let text = sample().render_table();
-        assert!(text.contains("stage"));
-        assert!(text.contains("parse"));
-        assert!(text.contains("total"));
-        assert_eq!(text.lines().count(), 4, "header, rule, two stages");
     }
 
     #[test]

@@ -9,8 +9,7 @@ use crate::http::{self, Request, Response};
 use bytes::BytesMut;
 use etude_control::{BreakerConfig, BreakerState, CircuitBreaker};
 use etude_faults::{Backoff, Deadline, RetryPolicy};
-use etude_obs::trace::span_hash;
-use etude_obs::{request_id_hash, ClientAttempt, ClientSpan, TraceCtx, TRACE_HEADER};
+use etude_obs::request_id_hash;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,10 +41,6 @@ fn parse_retry_after(value: &str) -> Option<Duration> {
     }
     let secs: u64 = trimmed.parse().ok()?;
     Some(Duration::from_secs(secs.min(MAX_RETRY_AFTER_SECS)))
-}
-
-fn nanos_since(epoch: Instant) -> u64 {
-    epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Client-side failures.
@@ -366,32 +361,6 @@ impl ResilientClient {
         req: &Request,
         budget: Duration,
     ) -> Result<ResilientResponse, ClientError> {
-        self.request_impl(req, budget, None).0
-    }
-
-    /// [`Self::request_within`] with distributed tracing: every attempt
-    /// carries an [`TRACE_HEADER`] context (trace id = the request-id
-    /// hash; each retry is a fresh child span, so retries show up as
-    /// sibling attempts in the assembled trace tree), and the returned
-    /// [`ClientSpan`] records the whole retry loop with per-attempt
-    /// timings relative to `epoch` (the run's start instant — all spans
-    /// of one run must share it).
-    pub fn request_traced(
-        &mut self,
-        req: &Request,
-        budget: Duration,
-        epoch: Instant,
-    ) -> (Result<ResilientResponse, ClientError>, ClientSpan) {
-        let (out, span) = self.request_impl(req, budget, Some(epoch));
-        (out, span.expect("tracing was requested"))
-    }
-
-    fn request_impl(
-        &mut self,
-        req: &Request,
-        budget: Duration,
-        epoch: Option<Instant>,
-    ) -> (Result<ResilientResponse, ClientError>, Option<ClientSpan>) {
         let mut tagged;
         let req = if req.headers.contains_key("x-request-id") {
             req
@@ -404,21 +373,10 @@ impl ResilientClient {
             &tagged
         };
         let rid = req.headers.get("x-request-id").expect("tagged above");
-        let trace_id = request_id_hash(rid);
-        let root = TraceCtx::root(trace_id);
-        let mut span = epoch.map(|e| ClientSpan {
-            trace_id,
-            span_id: root.span_id,
-            start_nanos: nanos_since(e),
-            duration_nanos: 0,
-            ok: false,
-            attempts: Vec::new(),
-        });
         let deadline = Deadline::after(budget);
-        let mut backoff = Backoff::new(self.policy.clone(), self.seed ^ trace_id);
+        let mut backoff = Backoff::new(self.policy.clone(), self.seed ^ request_id_hash(rid));
         let mut retries = 0u32;
-        let mut attempt_index = 0u64;
-        let result = loop {
+        loop {
             let Some(idx) = self.pick(self.started.elapsed()) else {
                 // Every breaker is open: dialling a backend they all just
                 // condemned would only ride out refusals to the deadline.
@@ -427,38 +385,7 @@ impl ResilientClient {
                     "every backend's circuit breaker is open",
                 )));
             };
-            let outcome = match epoch {
-                Some(e) => {
-                    // Each attempt is its own span: the pod's stage
-                    // records parent to it, so retries reassemble as
-                    // sibling subtrees rather than one merged blob.
-                    let attempt_span = span_hash(trace_id, root.span_id, attempt_index);
-                    let ctx = TraceCtx {
-                        trace_id,
-                        span_id: attempt_span,
-                        hop: 1,
-                    };
-                    let mut traced = req.clone();
-                    traced.headers.insert(TRACE_HEADER.into(), ctx.encode());
-                    let start = nanos_since(e);
-                    let out = self.attempt_on(idx, &traced, &deadline);
-                    let status = match &out {
-                        Ok(resp) => Some(resp.status),
-                        Err(_) => None,
-                    };
-                    if let Some(s) = span.as_mut() {
-                        s.attempts.push(ClientAttempt {
-                            span_id: attempt_span,
-                            start_nanos: start,
-                            duration_nanos: nanos_since(e).saturating_sub(start),
-                            status,
-                        });
-                    }
-                    out
-                }
-                None => self.attempt_on(idx, req, &deadline),
-            };
-            attempt_index += 1;
+            let outcome = self.attempt_on(idx, req, &deadline);
             let (retry_after, last_err) = match outcome {
                 Ok(resp) if resp.status < 500 && resp.status != 429 => {
                     self.observe(idx, Obs::Success);
@@ -523,12 +450,7 @@ impl ResilientClient {
             std::thread::sleep(delay);
             retries += 1;
             self.total_retries += 1;
-        };
-        if let (Some(e), Some(s)) = (epoch, span.as_mut()) {
-            s.duration_nanos = nanos_since(e).saturating_sub(s.start_nanos);
-            s.ok = matches!(&result, Ok(r) if r.response.status < 500);
         }
-        (result, span)
     }
 
     /// One attempt against backend `idx`: (re)connect if needed and
@@ -727,6 +649,54 @@ mod tests {
     }
 
     #[test]
+    fn traced_requests_record_retries_as_sibling_attempts() {
+        use parking_lot::Mutex;
+        use std::sync::atomic::AtomicU64;
+
+        // 500 twice, then succeed, while capturing the request ids that
+        // actually crossed the wire: every attempt of one request carries
+        // the same id, whether the caller chose it or the client did.
+        let calls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&calls);
+        let wire_ids: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+        let wire = Arc::clone(&wire_ids);
+        let handler: Handler = Arc::new(move |req| {
+            wire.lock()
+                .push(req.headers.get("x-request-id").cloned().unwrap_or_default());
+            if seen.fetch_add(1, Ordering::SeqCst) % 3 < 2 {
+                crate::http::Response::error(500, "transient")
+            } else {
+                crate::http::Response::ok("finally")
+            }
+        });
+        let server = start(ReactorConfig::default(), handler).unwrap();
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            max_retries: 5,
+            jitter: 0.5,
+        };
+        let mut client = ResilientClient::new(server.addr(), policy, 7);
+        let mut named = Request::get("/flaky");
+        named
+            .headers
+            .insert("x-request-id".into(), "traced-1".into());
+        for (k, req) in [named, Request::get("/flaky")].iter().enumerate() {
+            let out = client.request_within(req, Duration::from_secs(5)).unwrap();
+            assert_eq!(out.response.status, 200);
+            assert_eq!(out.retries, 2, "two 500s before the 200");
+            assert_eq!(client.total_retries(), 2 * (k as u64 + 1));
+        }
+        let on_wire = wire_ids.lock();
+        assert_eq!(on_wire.len(), 6, "three attempts per request");
+        assert!(on_wire[..3].iter().all(|id| id == "traced-1"));
+        let generated = &on_wire[3];
+        assert!(!generated.is_empty() && generated != "traced-1");
+        assert!(on_wire[3..].iter().all(|id| id == generated));
+        server.shutdown();
+    }
+
+    #[test]
     fn resilient_client_gives_up_inside_the_budget() {
         let handler: Handler = Arc::new(|_| crate::http::Response::error(500, "always"));
         let server = start(ReactorConfig::default(), handler).unwrap();
@@ -784,6 +754,51 @@ mod tests {
             "initial connect plus one reopen per reset, got {}",
             client.reconnects()
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn traced_transport_failures_have_status_none() {
+        use crate::rustserver::RESET_MARKER;
+        use std::sync::atomic::AtomicU64;
+
+        // A reset mid-response is a transport failure with no status:
+        // with no retries it surfaces as an I/O error, never as a
+        // response; with retries it costs exactly one before the 200.
+        let reset_once = || -> Handler {
+            let calls = Arc::new(AtomicU64::new(0));
+            Arc::new(move |_| {
+                let resp = crate::http::Response::ok("payload");
+                if calls.fetch_add(1, Ordering::SeqCst) < 1 {
+                    resp.with_header(RESET_MARKER, "1".to_string())
+                } else {
+                    resp
+                }
+            })
+        };
+        let server = start(ReactorConfig::default(), reset_once()).unwrap();
+        let mut client = ResilientClient::new(server.addr(), RetryPolicy::none(), 13)
+            .with_attempt_timeout(Duration::from_millis(200));
+        match client.request_within(&Request::get("/reset"), Duration::from_secs(5)) {
+            Err(ClientError::Io(_)) => {}
+            other => panic!("reset mid-response surfaced as {other:?}"),
+        }
+        server.shutdown();
+
+        let server = start(ReactorConfig::default(), reset_once()).unwrap();
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(4),
+            max_retries: 4,
+            jitter: 0.0,
+        };
+        let mut client = ResilientClient::new(server.addr(), policy, 13)
+            .with_attempt_timeout(Duration::from_millis(200));
+        let out = client
+            .request_within(&Request::get("/reset"), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(out.response.status, 200);
+        assert_eq!(out.retries, 1, "one reset, one retry");
         server.shutdown();
     }
 
@@ -899,110 +914,6 @@ mod tests {
             Err(ClientError::Timeout) => {}
             Err(other) => panic!("unexpected terminal error: {other}"),
         }
-        server.shutdown();
-    }
-
-    #[test]
-    fn traced_requests_record_retries_as_sibling_attempts() {
-        use parking_lot::Mutex;
-        use std::sync::atomic::AtomicU64;
-
-        // 500 twice, then succeed — while capturing the trace contexts
-        // that actually crossed the wire.
-        let calls = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&calls);
-        let wire_ctxs: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let wire = Arc::clone(&wire_ctxs);
-        let handler: Handler = Arc::new(move |req| {
-            if let Some(ctx) = req.headers.get(TRACE_HEADER) {
-                wire.lock().push(ctx.clone());
-            }
-            if seen.fetch_add(1, Ordering::SeqCst) < 2 {
-                crate::http::Response::error(500, "transient")
-            } else {
-                crate::http::Response::ok("finally")
-            }
-        });
-        let server = start(ReactorConfig::default(), handler).unwrap();
-        let policy = RetryPolicy {
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(4),
-            max_retries: 5,
-            jitter: 0.5,
-        };
-        let mut client = ResilientClient::new(server.addr(), policy, 7);
-        let epoch = Instant::now();
-        let mut req = Request::get("/flaky");
-        req.headers.insert("x-request-id".into(), "traced-1".into());
-        let (out, span) = client.request_traced(&req, Duration::from_secs(5), epoch);
-        let out = out.unwrap();
-        assert_eq!(out.response.status, 200);
-        assert_eq!(out.retries, 2);
-
-        // The span reconstructs the whole retry loop.
-        assert_eq!(span.trace_id, request_id_hash("traced-1"));
-        assert!(span.ok);
-        assert_eq!(span.attempts.len(), 3, "two failures + the success");
-        assert_eq!(span.attempts[0].status, Some(500));
-        assert_eq!(span.attempts[1].status, Some(500));
-        assert_eq!(span.attempts[2].status, Some(200));
-        // Attempts are distinct sibling spans of the request root...
-        let root = TraceCtx::root(span.trace_id);
-        assert_eq!(span.span_id, root.span_id);
-        for (k, a) in span.attempts.iter().enumerate() {
-            assert_eq!(a.span_id, span_hash(span.trace_id, root.span_id, k as u64));
-            assert!(a.start_nanos >= span.start_nanos);
-            assert!(
-                a.start_nanos + a.duration_nanos <= span.start_nanos + span.duration_nanos,
-                "attempt {k} exceeds the enclosing span"
-            );
-        }
-        // ...and exactly those contexts crossed the wire, in order.
-        let on_wire = wire_ctxs.lock();
-        assert_eq!(on_wire.len(), 3);
-        for (k, enc) in on_wire.iter().enumerate() {
-            let ctx = TraceCtx::parse(enc).expect("well-formed header");
-            assert_eq!(ctx.trace_id, span.trace_id);
-            assert_eq!(ctx.span_id, span.attempts[k].span_id);
-            assert_eq!(ctx.hop, 1);
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn traced_transport_failures_have_status_none() {
-        use crate::rustserver::RESET_MARKER;
-        use std::sync::atomic::AtomicU64;
-
-        let calls = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&calls);
-        let handler: Handler = Arc::new(move |_| {
-            let resp = crate::http::Response::ok("payload");
-            if seen.fetch_add(1, Ordering::SeqCst) < 1 {
-                resp.with_header(RESET_MARKER, "1".to_string())
-            } else {
-                resp
-            }
-        });
-        let server = start(ReactorConfig::default(), handler).unwrap();
-        let policy = RetryPolicy {
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(4),
-            max_retries: 4,
-            jitter: 0.0,
-        };
-        let mut client = ResilientClient::new(server.addr(), policy, 13)
-            .with_attempt_timeout(Duration::from_millis(200));
-        let (out, span) = client.request_traced(
-            &Request::get("/reset"),
-            Duration::from_secs(5),
-            Instant::now(),
-        );
-        assert_eq!(out.unwrap().response.status, 200);
-        assert_eq!(span.attempts.len(), 2);
-        assert_eq!(span.attempts[0].status, None, "reset mid-response");
-        assert_eq!(span.attempts[1].status, Some(200));
-        assert!(span.ok);
         server.shutdown();
     }
 

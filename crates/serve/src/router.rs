@@ -32,8 +32,8 @@
 //! circuit breakers and bounded retries are scoped to that group's
 //! replica set, and a group whose every breaker is open fails its leg
 //! at once instead of spending the leg budget. Scatter legs run concurrently (scoped
-//! threads) and each leg carries its own child trace context, so traces
-//! show the legs as sibling child spans under the router span.
+//! threads); leg `i` carries the request id `{id}-s{i}`, so a shard's
+//! spans and slow exemplars correlate with the routed request.
 
 use crate::client::ResilientClient;
 use crate::contbatch::{DEADLINE_HEADER, MAX_BUDGET};
@@ -45,16 +45,11 @@ use crate::rustserver::{
 use etude_control::{BreakerConfig, Criticality};
 use etude_faults::RetryPolicy;
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
-use etude_obs::{Recorder, TRACE_HEADER};
+use etude_obs::Recorder;
 use etude_tensor::topk::merge_shard_topk;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Salt domain for scatter-leg span ids: leg `i` of a routed request
-/// gets `span_hash(trace_id, router_span, SCATTER_SPAN_SALT + i)`, so
-/// sibling legs are distinct, deterministic children of the router span.
-pub const SCATTER_SPAN_SALT: u64 = 0x5ca7_7e50;
 
 /// One shard group: a contiguous catalog slice and the replica set
 /// serving it.
@@ -120,16 +115,6 @@ impl ShardTopology {
     pub fn shard_of(&self, table: &[f32], i: usize) -> CatalogShard {
         let g = &self.groups[i];
         CatalogShard::from_table(table, self.dim, g.base as usize..g.base as usize + g.rows)
-    }
-
-    /// Bytes of embedding table resident on the *largest* single pod —
-    /// what a node memory budget must fit.
-    pub fn max_resident_bytes(&self) -> u64 {
-        self.groups
-            .iter()
-            .map(|g| g.resident_bytes)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -295,9 +280,7 @@ pub fn router_routes(
             let leg_budget = leg_budget.min(remaining);
 
             // Scatter: one leg per shard group, concurrently. Each leg
-            // forwards the session body untouched and carries a
-            // distinct child trace context, so pod spans attach as
-            // sibling children of the router span.
+            // forwards the session body untouched.
             let t_scatter = Instant::now();
             let mut partials: Vec<Option<(Vec<u32>, Vec<f32>)>> = Vec::with_capacity(clients.len());
             partials.resize_with(clients.len(), || None);
@@ -321,14 +304,6 @@ pub fn router_routes(
                     if crit != Criticality::Normal {
                         leg.headers
                             .insert(Criticality::HEADER.into(), crit.name().to_string());
-                    }
-                    if let Some(trace) = &ctx.trace {
-                        let child = trace.child(etude_obs::trace::span_hash(
-                            trace.trace_id,
-                            trace.span_id,
-                            SCATTER_SPAN_SALT + i as u64,
-                        ));
-                        leg.headers.insert(TRACE_HEADER.into(), child.encode());
                     }
                     scope.spawn(move || {
                         let mut client = gc.client.lock();
@@ -381,7 +356,6 @@ mod tests {
             total += g.rows;
         }
         assert_eq!(total, 1_000);
-        assert_eq!(topo.max_resident_bytes(), 4 * 250 * 18);
         // One group = the whole catalog.
         let one = ShardTopology::partition(100, 4, 0, 1);
         assert_eq!(one.groups.len(), 1);

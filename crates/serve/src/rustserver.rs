@@ -20,12 +20,12 @@
 //!   stage spans that request measured itself.
 //!
 //! `prediction_routes` owns everything that is the same on every tier
-//! (correlation id, parse, deadline, stage recording, tracing, and the
+//! (correlation id, parse, deadline, stage recording, and the
 //! whole refusal vocabulary); a tier contributes only its executor — the
 //! inline model here ([`model_routes`]), the continuous batcher
 //! ([`crate::contbatch`]), admission and the brownout ladder
 //! ([`crate::overload`]), the slice scan and the scatter/gather
-//! ([`crate::router`]). Every prediction is traced into an
+//! ([`crate::router`]). Every prediction's stages are recorded into an
 //! [`etude_obs::Recorder`] keyed by the client's `X-Request-Id` (echoed
 //! back on responses; hashed to a compact correlation id for the span
 //! records).
@@ -37,7 +37,7 @@ use etude_control::Criticality;
 use etude_faults::{Deadline, FaultInjector};
 use etude_models::traits::{self, Recommendation, StageTimings};
 use etude_models::SbrModel;
-use etude_obs::{request_id_hash, Metric, Recorder, Stage, TraceCtx, TRACE_HEADER};
+use etude_obs::{request_id_hash, Metric, Recorder, Stage};
 use etude_tensor::{Device, JitOptions, TensorError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,35 +80,6 @@ fn echo_request_id(resp: Response, id: Option<&str>) -> Response {
 
 fn nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
-/// The propagated trace context, when the client sent one (malformed
-/// headers are treated as absent — tracing must never fail a request).
-fn trace_ctx(req: &Request) -> Option<TraceCtx> {
-    req.headers
-        .get(TRACE_HEADER)
-        .and_then(|v| TraceCtx::parse(v))
-}
-
-/// Retains the request's stage durations as pod-side trace spans (a
-/// no-op unless the recorder has trace retention on) and echoes the
-/// context back one hop deeper so clients can confirm propagation.
-fn note_trace(
-    recorder: &Recorder,
-    ctx: Option<TraceCtx>,
-    resp: Response,
-    stages: &[(Stage, u64)],
-) -> Response {
-    let Some(ctx) = ctx else { return resp };
-    for &(stage, nanos) in stages {
-        recorder.note_pod_stage(&ctx, stage, nanos);
-    }
-    let echo = ctx.child(etude_obs::trace::span_hash(
-        ctx.trace_id,
-        ctx.span_id,
-        Stage::Total as u8 as u64,
-    ));
-    resp.with_header(TRACE_HEADER, echo.encode())
 }
 
 /// Routes every tier shares: readiness, the static infrastructure test
@@ -161,8 +132,6 @@ pub(crate) struct PredictCtx<'a> {
     pub(crate) rid: u64,
     /// The client's `x-request-id`, when it sent one.
     pub(crate) echo: Option<&'a str>,
-    /// The propagated trace context, when the client sent one.
-    pub(crate) trace: Option<TraceCtx>,
     /// The latency budget: `x-deadline-ms`, else the tier's default.
     pub(crate) budget: Duration,
     /// `budget` anchored at the instant the request was parsed off the
@@ -301,7 +270,7 @@ fn refuse(recorder: &Recorder, refused: Refused) -> Response {
 
 /// The one `POST /predictions` sequence, around a tier's executor:
 /// shared routes → correlation id → timed parse → deadline → `exec` →
-/// serialize, stamp, record, trace — or the refusal. This is the place
+/// serialize, stamp, record — or the refusal. This is the place
 /// to add a stage, a header or a counter.
 ///
 /// Ids validate against `catalog_size`; requests without
@@ -339,7 +308,6 @@ where
             req,
             rid,
             echo,
-            trace: trace_ctx(req),
             budget,
             deadline: Deadline::at(req.arrival + budget),
             dispatch_wait: t_entry.saturating_duration_since(req.arrival),
@@ -396,7 +364,7 @@ where
                 .exemplars()
                 .offer(&format!("{rid:016x}"), stages, nanos(total)),
         }
-        note_trace(&recorder, ctx.trace, resp, stages)
+        resp
     })
 }
 
@@ -1222,53 +1190,6 @@ mod tests {
         let resp = handler(&Request::post("/predictions", "7"));
         assert_eq!(resp.status, 200);
         assert!(resp.headers.contains_key(RESET_MARKER));
-    }
-
-    /// Trace propagation over real sockets: a request carrying
-    /// `x-trace-ctx` leaves pod-side stage spans parented to the
-    /// client's attempt span, and the response echoes the context one
-    /// hop deeper.
-    #[test]
-    fn trace_contexts_leave_pod_spans_and_echo_back() {
-        let cfg = ModelConfig::new(300).with_max_session_len(8).with_seed(9);
-        let model: Arc<dyn SbrModel> = Arc::from(ModelKind::Stamp.build(&cfg));
-        let recorder = Arc::new(Recorder::with_pod(7));
-        recorder.set_trace_retention(true);
-        let handler = model_routes_observed(model, Device::cpu(), false, Arc::clone(&recorder));
-        let server = start(ReactorConfig::default(), handler).unwrap();
-        let mut client = HttpClient::connect(server.addr()).unwrap();
-
-        let ctx = TraceCtx::root(request_id_hash("traced-req")).child(0xfeed);
-        let mut req = Request::post("/predictions", "1,2,3");
-        req.headers.insert(TRACE_HEADER.into(), ctx.encode());
-        let resp = client.request(&req).unwrap();
-        assert_eq!(resp.status, 200);
-
-        // The response carries the context one hop deeper.
-        let echoed = TraceCtx::parse(resp.headers.get(TRACE_HEADER).unwrap()).unwrap();
-        assert_eq!(echoed.trace_id, ctx.trace_id);
-        assert_eq!(echoed.hop, ctx.hop + 1);
-
-        // The pod retained one span per recorded stage, all parented to
-        // the client's attempt span and tagged with the pod id.
-        let spans = recorder.take_traces();
-        assert_eq!(spans.len(), 6, "parse/queue/inference/topk/serialize/total");
-        for s in &spans {
-            assert_eq!(s.trace_id, ctx.trace_id);
-            assert_eq!(s.parent_span, ctx.span_id);
-            assert_eq!(s.pod, 7);
-        }
-        assert!(spans.iter().any(|s| s.stage == Stage::Total));
-        assert!(spans.iter().any(|s| s.stage == Stage::Inference));
-
-        // Untraced requests leave no trace records behind.
-        let resp = client
-            .request(&Request::post("/predictions", "4,5"))
-            .unwrap();
-        assert_eq!(resp.status, 200);
-        assert!(!resp.headers.contains_key(TRACE_HEADER));
-        assert!(recorder.take_traces().is_empty());
-        server.shutdown();
     }
 
     #[test]

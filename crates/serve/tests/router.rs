@@ -7,8 +7,7 @@
 
 use etude_faults::RetryPolicy;
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
-use etude_obs::trace::span_hash;
-use etude_obs::{parse_stats_json, request_id_hash, Metric, Recorder, TraceCtx, TRACE_HEADER};
+use etude_obs::{parse_stats_json, request_id_hash, Metric, Recorder};
 use etude_serve::http::{encode_recommendations, Request};
 use etude_serve::reactor::{start, ReactorConfig};
 use etude_serve::rustserver::{ServerHandle, DEGRADED_HEADER};
@@ -257,63 +256,6 @@ fn degrade_one_group_of_two(config: RouterConfig) {
     );
 
     router.shutdown();
-}
-
-#[test]
-fn scatter_legs_trace_as_sibling_child_spans() {
-    let table = table();
-    let mut topo = ShardTopology::partition(C, D, QUERY_SEED, 3);
-
-    let mut servers = Vec::new();
-    let mut recorders = Vec::new();
-    for i in 0..topo.groups.len() {
-        let (server, recorder) = backend(topo.shard_of(&table, i), i as u32);
-        recorder.set_trace_retention(true);
-        topo.groups[i].replicas.push(server.addr());
-        servers.push(server);
-        recorders.push(recorder);
-    }
-    let router = start(
-        ReactorConfig::default(),
-        router_routes(topo, quick_config(), Arc::new(Recorder::new())),
-    )
-    .unwrap();
-
-    let root = TraceCtx::root(7);
-    let mut req = Request::post("/predictions", "1,2,3".to_string());
-    req.headers.insert(TRACE_HEADER.into(), root.encode());
-    let mut client = HttpClient::connect(router.addr()).unwrap();
-    let resp = client.request(&req).unwrap();
-    assert_eq!(resp.status, 200);
-
-    // Leg i's pod spans are parented to a *distinct* child span of the
-    // router's span — sibling legs, deterministic ids.
-    let mut leg_parents = Vec::new();
-    for (i, recorder) in recorders.iter().enumerate() {
-        let spans = recorder.take_traces();
-        assert!(!spans.is_empty(), "backend {i} retained no spans");
-        let expected = span_hash(
-            root.trace_id,
-            root.span_id,
-            etude_serve::router::SCATTER_SPAN_SALT + i as u64,
-        );
-        for span in &spans {
-            assert_eq!(span.trace_id, root.trace_id);
-            assert_eq!(
-                span.parent_span, expected,
-                "backend {i} span not parented to its scatter leg"
-            );
-        }
-        leg_parents.push(expected);
-    }
-    leg_parents.sort_unstable();
-    leg_parents.dedup();
-    assert_eq!(leg_parents.len(), recorders.len(), "legs must be siblings");
-
-    router.shutdown();
-    for s in servers {
-        s.shutdown();
-    }
 }
 
 #[test]

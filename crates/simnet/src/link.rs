@@ -5,7 +5,7 @@
 //! request and response each cross the pod network. A [`Link`] models that
 //! hop as a base latency plus light log-normal-ish jitter.
 
-use crate::{Sim, SimTime};
+use crate::SimTime;
 use etude_faults::FaultInjector;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -68,21 +68,6 @@ impl Link {
     /// injector counts its own spikes).
     pub fn total_delay(&self) -> Duration {
         self.total_delay
-    }
-
-    /// Mean sampled delay, zero before the first sample.
-    pub fn mean_delay(&self) -> Duration {
-        if self.samples == 0 {
-            Duration::ZERO
-        } else {
-            self.total_delay / self.samples as u32
-        }
-    }
-
-    /// Schedules `event` for delivery across the link.
-    pub fn deliver<F: FnOnce(&mut Sim) + 'static>(&mut self, sim: &mut Sim, event: F) {
-        let delay = self.sample();
-        sim.schedule_in(delay, event);
     }
 
     /// Delivery time for an event sent now.
@@ -161,36 +146,20 @@ mod tests {
     }
 
     #[test]
-    fn deliver_schedules_after_latency() {
-        let mut sim = Sim::new();
-        let mut link = Link::new(Duration::from_millis(1), Duration::ZERO, 3);
-        let arrived = crate::shared(None::<Duration>);
-        let a = std::rc::Rc::clone(&arrived);
-        link.deliver(&mut sim, move |s| {
-            *a.borrow_mut() = Some(s.now().as_duration());
-        });
-        sim.run_to_completion();
-        assert_eq!(*arrived.borrow(), Some(Duration::from_millis(1)));
-    }
-
-    #[test]
     fn links_tally_their_cumulative_delay() {
         let mut link = Link::new(Duration::from_micros(200), Duration::ZERO, 7);
         assert_eq!(link.samples(), 0);
-        assert_eq!(link.mean_delay(), Duration::ZERO);
         for _ in 0..5 {
             link.sample();
         }
         assert_eq!(link.samples(), 5);
         assert_eq!(link.total_delay(), Duration::from_micros(1_000));
-        assert_eq!(link.mean_delay(), Duration::from_micros(200));
 
         // With jitter the tally equals the sum of what sample() returned.
         let mut jittered = Link::cluster(11);
         let sum: Duration = (0..40).map(|_| jittered.sample()).sum();
         assert_eq!(jittered.total_delay(), sum);
         assert_eq!(jittered.samples(), 40);
-        assert!(jittered.mean_delay() >= Duration::from_micros(150));
 
         // Dropped messages never sampled a delay, so they don't tally;
         // the faulty wrapper exposes the inner link's counters.

@@ -112,18 +112,6 @@ impl CostSpec {
         }
     }
 
-    /// A spec for one launch that additionally streams `shared` bytes once.
-    pub fn with_shared(flops: f64, per_item: f64, shared: f64) -> CostSpec {
-        CostSpec {
-            flops_per_item: flops,
-            per_item_bytes: per_item,
-            shared_bytes: shared,
-            launches: 1,
-            transfers_per_item: 0,
-            transfer_bytes_per_item: 0.0,
-        }
-    }
-
     /// Realises the cost at batch size `batch`.
     pub fn at_batch(&self, batch: usize) -> Cost {
         let b = batch as f64;
@@ -250,7 +238,10 @@ mod tests {
     #[test]
     fn shared_bytes_amortise_across_batch() {
         // A GEMV streaming a 1 MB matrix with 1 KB of per-request traffic.
-        let spec = CostSpec::with_shared(1000.0, 1024.0, 1_048_576.0);
+        let spec = CostSpec {
+            shared_bytes: 1_048_576.0,
+            ..CostSpec::per_item(1000.0, 1024.0)
+        };
         let one = spec.at_batch(1);
         let many = spec.at_batch(64);
         assert_eq!(one.bytes, 1_048_576.0 + 1024.0);
@@ -265,7 +256,10 @@ mod tests {
     fn tracker_accumulates_specs_and_totals() {
         let mut t = CostTracker::new();
         t.record(CostSpec::per_item(5.0, 8.0));
-        t.record(CostSpec::with_shared(2.0, 1.0, 100.0));
+        t.record(CostSpec {
+            shared_bytes: 100.0,
+            ..CostSpec::per_item(2.0, 1.0)
+        });
         assert_eq!(t.ops(), 2);
         assert_eq!(t.total().flops, 7.0);
         assert_eq!(t.total().bytes, 8.0 + 101.0);

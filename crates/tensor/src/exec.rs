@@ -341,13 +341,6 @@ impl Exec {
         self.apply(OpKind::SumRows, &[a])
     }
 
-    /// Mean over rows of a matrix.
-    pub fn mean_rows(&mut self, a: TRef) -> Result<TRef, TensorError> {
-        let rows = self.tensor(a)?.shape()[0] as f32;
-        let s = self.sum_rows(a)?;
-        self.scalar(BinOp::Div, s, rows)
-    }
-
     /// One GRU cell step.
     pub fn gru_cell(
         &mut self,
@@ -547,16 +540,6 @@ mod tests {
         assert_eq!(eager_cost.flops, graph_cost.flops);
         assert_eq!(eager_cost.launches, graph_cost.launches);
         assert_eq!(eager_cost.bytes, graph_cost.bytes);
-    }
-
-    #[test]
-    fn mean_rows_divides_by_row_count() {
-        let mut e = ctx(ExecMode::Real);
-        let a = e
-            .input(Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[2, 2]).unwrap())
-            .unwrap();
-        let m = e.mean_rows(a).unwrap();
-        assert_eq!(e.tensor(m).unwrap().as_slice().unwrap(), &[3.0, 5.0]);
     }
 
     #[test]

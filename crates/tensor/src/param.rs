@@ -51,11 +51,6 @@ impl Param {
     pub fn shape(&self) -> &[usize] {
         self.value.shape()
     }
-
-    /// Size of the parameter in bytes (f32 storage).
-    pub fn size_bytes(&self) -> u64 {
-        4 * self.value.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -75,11 +70,5 @@ mod tests {
         let b = a.clone();
         assert_eq!(a.id(), b.id());
         assert!(Arc::ptr_eq(&a.shared(), &b.shared()));
-    }
-
-    #[test]
-    fn size_bytes_counts_f32_storage() {
-        let p = Param::new(Tensor::zeros(&[10, 3]));
-        assert_eq!(p.size_bytes(), 120);
     }
 }

@@ -70,15 +70,6 @@ impl Ecdf {
         }
         lo.min(self.cumulative.len() - 1) as u32
     }
-
-    /// Probability mass of item `i`.
-    pub fn mass(&self, i: usize) -> f64 {
-        if self.total == 0.0 {
-            return 0.0;
-        }
-        let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
-        (self.cumulative[i] - prev) / self.total
-    }
 }
 
 #[cfg(test)]
@@ -98,14 +89,6 @@ mod tests {
         assert_eq!(counts[1], 0, "zero-weight item sampled");
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    fn mass_sums_to_one() {
-        let cdf = Ecdf::from_weights([2.0, 5.0, 3.0]);
-        let total: f64 = (0..3).map(|i| cdf.mass(i)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((cdf.mass(1) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate, one sequence: the tier-1 command (release
+# Full verification gate, one sequence: the unread-item census checked
+# against scripts/unread.allow, the tier-1 command (release
 # build, then every test in the workspace — the root's default-members
 # cover all of it), the SIMD-equivalence suite and the model suite with
 # its golden fixtures again on the forced-scalar backend (the one
@@ -33,6 +34,22 @@ tensor_tree=$(cargo tree --offline --locked -p etude-tensor -e normal --prefix n
 tensor_deps=$(echo "$tensor_tree" | awk '/^etude-/ && $1 != "etude-tensor" {print $1}' | sort -u)
 if [ -n "$tensor_deps" ]; then
     echo "etude-tensor must not depend on: $tensor_deps" >&2
+    exit 1
+fi
+
+# Census gate: every pub item no non-test code names is allowlisted
+# with a reason, and every allowlisted item is still unread. Keys are
+# `<file> <name>`; unread.sh's line numbers and its total are dropped.
+echo "==> unread pub items match scripts/unread.allow"
+unread_keys=$(scripts/unread.sh | sed '$d' | sed -E 's/:[0-9]+ / /' | sort)
+allow_keys=$(grep -vE '^[[:space:]]*(#|$)' scripts/unread.allow | awk 'NF >= 3 {print $1, $2}' | sort)
+no_reason=$(grep -vE '^[[:space:]]*(#|$)' scripts/unread.allow | awk 'NF < 3')
+unlisted=$(comm -23 <(echo "$unread_keys") <(echo "$allow_keys"))
+stale=$(comm -13 <(echo "$unread_keys") <(echo "$allow_keys"))
+if [ -n "$unlisted$stale$no_reason" ]; then
+    [ -z "$unlisted" ] || printf 'unread, not allowlisted (delete it, or allowlist it with a reason):\n%s\n' "$unlisted" >&2
+    [ -z "$stale" ] || printf 'allowlisted, no longer unread (drop the line):\n%s\n' "$stale" >&2
+    [ -z "$no_reason" ] || printf 'allowlisted without a reason:\n%s\n' "$no_reason" >&2
     exit 1
 fi
 
