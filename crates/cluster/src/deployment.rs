@@ -4,20 +4,19 @@
 //! sets up: one inference-server pod per instance, a ClusterIP service in
 //! front, readiness gating, and the monthly cost of the whole setup.
 //!
-//! Beyond static creation the deployment is now *reconciled*:
+//! Beyond static creation the deployment is *reconciled*:
 //! [`Deployment::scale_to`] grows or shrinks the replica set (scale-down
-//! drains before it terminates), and [`Deployment::rolling_update`]
-//! replaces every pod under surge/unavailability budgets — the two
-//! actuators the control plane's autoscaler and restart machinery drive.
+//! drains before it terminates) — the actuator the control plane's
+//! autoscaler drives.
 
 use crate::instances::InstanceType;
 use crate::pod::Pod;
-use crate::rollout::{run_rollout, RolloutBudget, RolloutHandle};
 use crate::service::ClusterIpService;
-use etude_control::{ControlAction, DecisionJournal, EjectionConfig};
+use etude_control::{ControlAction, DecisionJournal};
 use etude_serve::simserver::{RustServerConfig, SimRustServer};
 use etude_serve::ServiceProfile;
 use etude_simnet::{shared, Shared, Sim, SimTime};
+use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
@@ -108,12 +107,6 @@ impl DeploymentSpec {
         }
     }
 
-    /// Caps every replica's resident model at `bytes`.
-    pub fn with_node_budget(mut self, bytes: u64) -> DeploymentSpec {
-        self.node_budget = Some(bytes);
-        self
-    }
-
     /// Monthly cost of the deployment.
     pub fn monthly_cost(&self) -> f64 {
         self.instance.monthly_cost() * self.replicas as f64
@@ -154,7 +147,7 @@ pub struct Deployment {
     profile: ServiceProfile,
     service: Rc<ClusterIpService>,
     ready_at: SimTime,
-    next_id: Shared<u32>,
+    next_id: Cell<u32>,
     journal: Shared<DecisionJournal>,
 }
 
@@ -172,29 +165,6 @@ impl Deployment {
         spec: DeploymentSpec,
         profile: &ServiceProfile,
     ) -> Result<Deployment, DeployError> {
-        Deployment::build(sim, spec, profile, None, shared(DecisionJournal::new()))
-    }
-
-    /// Like [`Deployment::create`], but the service runs the control
-    /// plane's outlier-ejection loop and every control decision lands
-    /// in `journal`.
-    pub fn create_managed(
-        sim: &mut Sim,
-        spec: DeploymentSpec,
-        profile: &ServiceProfile,
-        ejection: EjectionConfig,
-        journal: Shared<DecisionJournal>,
-    ) -> Result<Deployment, DeployError> {
-        Deployment::build(sim, spec, profile, Some(ejection), journal)
-    }
-
-    fn build(
-        sim: &mut Sim,
-        spec: DeploymentSpec,
-        profile: &ServiceProfile,
-        ejection: Option<EjectionConfig>,
-        journal: Shared<DecisionJournal>,
-    ) -> Result<Deployment, DeployError> {
         spec.admit()?;
         let mut pods = Vec::with_capacity(spec.replicas);
         let mut ready_at = sim.now();
@@ -203,17 +173,13 @@ impl Deployment {
             ready_at = ready_at.max(sim.now().after(pod.startup_duration()));
             pods.push(pod);
         }
-        let service = match ejection {
-            Some(config) => ClusterIpService::with_ejection(pods, config, Rc::clone(&journal)),
-            None => ClusterIpService::new(pods),
-        };
         Ok(Deployment {
-            next_id: shared(spec.replicas as u32),
+            next_id: Cell::new(spec.replicas as u32),
             spec,
             profile: profile.clone(),
-            service,
+            service: ClusterIpService::new(pods),
             ready_at,
-            journal,
+            journal: shared(DecisionJournal::new()),
         })
     }
 
@@ -257,13 +223,9 @@ impl Deployment {
         let current = self.service.backends();
         if n > current {
             for _ in current..n {
-                let id = {
-                    let mut next = self.next_id.borrow_mut();
-                    let id = *next;
-                    *next += 1;
-                    id
-                };
-                let pod = make_pod_with_id(sim, &self.spec, &self.profile, id);
+                let id = self.next_id.get();
+                self.next_id.set(id + 1);
+                let pod = make_pod(sim, &self.spec, &self.profile, id);
                 self.journal.borrow_mut().push(
                     sim.now().as_duration(),
                     ControlAction::SurgeCreate,
@@ -295,50 +257,17 @@ impl Deployment {
             }
         }
     }
-
-    /// Starts a rolling restart of every current pod under `budget`,
-    /// journaling each surge/drain/terminate step. Replacement pods run
-    /// the same profile and instance config and start cold.
-    pub fn rolling_update(&self, sim: &mut Sim, budget: RolloutBudget) -> RolloutHandle {
-        let spec = self.spec.clone();
-        let profile = self.profile.clone();
-        let next_id = Rc::clone(&self.next_id);
-        run_rollout(
-            sim,
-            self.service(),
-            self.journal(),
-            budget,
-            Box::new(move |sim| {
-                let id = {
-                    let mut next = next_id.borrow_mut();
-                    let id = *next;
-                    *next += 1;
-                    id
-                };
-                make_pod_with_id(sim, &spec, &profile, id)
-            }),
-        )
-    }
 }
 
 /// Builds and starts one pod for the deployment's instance class.
 fn make_pod(sim: &mut Sim, spec: &DeploymentSpec, profile: &ServiceProfile, id: u32) -> Rc<Pod> {
-    make_pod_with_id(sim, spec, profile, id)
-}
-
-fn make_pod_with_id(
-    sim: &mut Sim,
-    spec: &DeploymentSpec,
-    profile: &ServiceProfile,
-    id: u32,
-) -> Rc<Pod> {
     let server_config = if spec.instance.has_gpu() {
         RustServerConfig::gpu()
     } else {
         RustServerConfig::cpu(spec.instance.vcpus())
     };
     let server = SimRustServer::new(profile.clone(), server_config);
-    let pod = Pod::new_with_id(server, spec.model_bytes, id);
+    let pod = Pod::new(server, spec.model_bytes, id);
     pod.start(sim);
     pod
 }
@@ -438,9 +367,8 @@ mod tests {
             instance: InstanceType::CpuE2,
             replicas: 4,
             model_bytes: table,
-            node_budget: None,
-        }
-        .with_node_budget(1 << 30);
+            node_budget: Some(1 << 30),
+        };
         let err = spec.admit().unwrap_err();
         assert_eq!(
             err,
@@ -589,51 +517,5 @@ mod tests {
         assert_eq!(journal.borrow().of(ControlAction::DrainBegin).len(), 1);
         assert_eq!(journal.borrow().of(ControlAction::Terminate).len(), 1);
         assert_eq!(journal.borrow().of(ControlAction::DrainBegin)[0].a, 2);
-    }
-
-    #[test]
-    fn rolling_update_replaces_every_pod_with_zero_downtime() {
-        let mut sim = Sim::new();
-        let profile = ServiceProfile::static_response(&Device::cpu());
-        let d = Deployment::create(
-            &mut sim,
-            DeploymentSpec {
-                instance: InstanceType::CpuE2,
-                replicas: 3,
-                model_bytes: 0,
-                node_budget: None,
-            },
-            &profile,
-        )
-        .unwrap();
-        sim.run_until(d.ready_at());
-        let old_ids: Vec<u32> = d.pods().iter().map(|p| p.id()).collect();
-        let handle = d.rolling_update(&mut sim, RolloutBudget::zero_downtime());
-
-        // Watch the invariant while the rollout runs: never fewer than
-        // 3 ready pods, never more than 4 total.
-        let horizon = sim.now().after(Duration::from_secs(120));
-        while !handle.is_done() && sim.now() < horizon {
-            sim.run_until(sim.now().after(Duration::from_millis(500)));
-            assert!(
-                d.service().ready_backends() >= 3,
-                "ready set dipped below target mid-rollout"
-            );
-            assert!(d.replicas() <= 4, "surge budget exceeded");
-        }
-        assert!(handle.is_done(), "rollout completed");
-        assert_eq!(handle.replaced(), 3);
-        let new_ids: Vec<u32> = d.pods().iter().map(|p| p.id()).collect();
-        assert!(
-            new_ids.iter().all(|id| !old_ids.contains(id)),
-            "{new_ids:?}"
-        );
-        assert_eq!(d.replicas(), 3);
-        assert!(d.service().all_ready());
-        let journal = d.journal();
-        assert_eq!(journal.borrow().of(ControlAction::SurgeCreate).len(), 3);
-        assert_eq!(journal.borrow().of(ControlAction::DrainBegin).len(), 3);
-        assert_eq!(journal.borrow().of(ControlAction::Terminate).len(), 3);
-        assert_eq!(journal.borrow().of(ControlAction::RolloutDone).len(), 1);
     }
 }

@@ -11,9 +11,7 @@
 //!   replicas, with optional control-plane outlier ejection,
 //! * [`deployment`] — ties a model + instance type + replica count into a
 //!   deployable, routable unit with a monthly cost, reconciled at runtime
-//!   via `scale_to` and `rolling_update`,
-//! * [`rollout`] — the rolling-restart reconciler: replaces pods under
-//!   maxSurge/maxUnavailable budgets with drain-before-terminate,
+//!   via `scale_to`,
 //! * [`shard`] — catalog partitioning: a [`shard::ShardPlan`] splits the
 //!   embedding table into contiguous slices and deploys one replica set
 //!   per slice, admitting catalogs whose full table the per-node memory
@@ -22,13 +20,11 @@
 pub mod deployment;
 pub mod instances;
 pub mod pod;
-pub mod rollout;
 pub mod service;
 pub mod shard;
 
 pub use deployment::{DeployError, Deployment, DeploymentSpec};
 pub use instances::InstanceType;
 pub use pod::{Pod, PodLoadStats, PodPhase};
-pub use rollout::{RolloutBudget, RolloutHandle};
 pub use service::ClusterIpService;
 pub use shard::{ShardPlan, ShardSlice, ShardedDeployment};

@@ -74,15 +74,10 @@ const DOWNLOAD_BANDWIDTH: f64 = 2.5e8;
 const BASE_STARTUP: Duration = Duration::from_secs(8);
 
 impl Pod {
-    /// Creates a pod around a server; `model_bytes` drives the
-    /// download/load portion of startup time.
-    pub fn new(server: Rc<dyn SimService>, model_bytes: u64) -> Rc<Pod> {
-        Pod::new_with_id(server, model_bytes, 0)
-    }
-
-    /// Creates a pod carrying its replica index, so fleet views can
-    /// attribute load to the right backend.
-    pub fn new_with_id(server: Rc<dyn SimService>, model_bytes: u64, id: u32) -> Rc<Pod> {
+    /// Creates a pod around a server, carrying its replica index so
+    /// fleet views can attribute load to the right backend;
+    /// `model_bytes` drives the download/load portion of startup time.
+    pub fn new(server: Rc<dyn SimService>, model_bytes: u64, id: u32) -> Rc<Pod> {
         let download = Duration::from_secs_f64(model_bytes as f64 / DOWNLOAD_BANDWIDTH);
         Rc::new(Pod {
             id,
@@ -277,7 +272,7 @@ mod tests {
             ServiceProfile::static_response(&Device::cpu()),
             RustServerConfig::cpu(1),
         );
-        Pod::new(server, bytes)
+        Pod::new(server, bytes, 0)
     }
 
     #[test]

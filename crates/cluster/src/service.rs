@@ -92,8 +92,8 @@ impl ClusterIpService {
         self.pods.borrow().clone()
     }
 
-    /// Adds a backend (a surge pod during a rolling update, or a
-    /// scale-up replica). The detector's pool grows with it.
+    /// Adds a backend (a scale-up replica). The detector's pool grows
+    /// with it.
     pub fn add_pod(&self, pod: Rc<Pod>) {
         self.pods.borrow_mut().push(pod);
         if let Some(outlier) = &self.outlier {
@@ -273,7 +273,7 @@ mod tests {
                 RustServerConfig::cpu(1),
             );
             servers.push(Rc::clone(&server));
-            pods.push(Pod::new_with_id(server, 0, id as u32));
+            pods.push(Pod::new(server, 0, id as u32));
         }
         (pods, servers)
     }

@@ -1,11 +1,11 @@
 //! The byte-stable control-plane decision journal.
 //!
 //! Every reaction the control plane takes — a scale decision, an
-//! ejection, a rolling-update step — appends one [`JournalEntry`].
-//! The journal is the determinism contract made visible: the chaos
-//! acceptance test runs the same seeded experiment twice and compares
-//! the rendered journals *byte for byte*. To make that comparison
-//! meaningful the format is integers-only (virtual milliseconds and
+//! ejection, a scale-up or scale-down pod step, an admission limit
+//! change — appends one [`JournalEntry`]. The journal is the
+//! determinism contract made visible: the replay tests run the same
+//! seeded experiment twice and compare the rendered journals *byte for
+//! byte*. To make that comparison meaningful the format is integers-only (virtual milliseconds and
 //! the two action operands) with a fixed field order — no floats, no
 //! hash-ordered maps, no timestamps from a wall clock.
 
@@ -23,14 +23,12 @@ pub enum ControlAction {
     Eject,
     /// An ejected backend rejoined rotation (`a` = backend).
     Readmit,
-    /// Rolling update created a surge pod (`a` = pod id).
+    /// Scale-up created a pod (`a` = pod id).
     SurgeCreate,
-    /// Rolling update began draining an old pod (`a` = pod id).
+    /// Scale-down began draining a pod (`a` = pod id).
     DrainBegin,
-    /// Rolling update terminated a drained pod (`a` = pod id).
+    /// Scale-down terminated a drained pod (`a` = pod id).
     Terminate,
-    /// Rolling update finished (`a` = pods replaced).
-    RolloutDone,
     /// Admission controller widened its concurrency window
     /// (`a` = old limit, `b` = new limit, milli-units).
     LimitRaise,
@@ -50,26 +48,9 @@ impl ControlAction {
             ControlAction::SurgeCreate => "surge-create",
             ControlAction::DrainBegin => "drain-begin",
             ControlAction::Terminate => "terminate",
-            ControlAction::RolloutDone => "rollout-done",
             ControlAction::LimitRaise => "limit-raise",
             ControlAction::LimitCut => "limit-cut",
         }
-    }
-
-    fn from_name(name: &str) -> Option<ControlAction> {
-        Some(match name {
-            "scale-up" => ControlAction::ScaleUp,
-            "scale-down" => ControlAction::ScaleDown,
-            "eject" => ControlAction::Eject,
-            "readmit" => ControlAction::Readmit,
-            "surge-create" => ControlAction::SurgeCreate,
-            "drain-begin" => ControlAction::DrainBegin,
-            "terminate" => ControlAction::Terminate,
-            "rollout-done" => ControlAction::RolloutDone,
-            "limit-raise" => ControlAction::LimitRaise,
-            "limit-cut" => ControlAction::LimitCut,
-            _ => return None,
-        })
     }
 }
 
@@ -110,16 +91,6 @@ impl DecisionJournal {
         });
     }
 
-    /// Number of journaled decisions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been journaled.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Entries of one action kind.
     pub fn of(&self, action: ControlAction) -> Vec<&JournalEntry> {
         self.entries.iter().filter(|e| e.action == action).collect()
@@ -146,43 +117,6 @@ impl DecisionJournal {
     }
 }
 
-/// Parses a journal rendered by [`DecisionJournal::render_json`].
-/// Hand-rolled like the rest of the workspace's JSON plumbing — the
-/// format is rigid enough that field order can be relied on.
-pub fn parse_journal(json: &str) -> Option<DecisionJournal> {
-    let body = json.trim().strip_prefix('[')?.strip_suffix(']')?;
-    let mut journal = DecisionJournal::new();
-    if body.trim().is_empty() {
-        return Some(journal);
-    }
-    for obj in body.split('}') {
-        let obj = obj.trim().trim_start_matches(',').trim();
-        if obj.is_empty() {
-            continue;
-        }
-        let obj = obj.strip_prefix('{')?;
-        let at_ms: u64 = field(obj, "at_ms")?.parse().ok()?;
-        let action = ControlAction::from_name(field(obj, "action")?.trim_matches('"'))?;
-        let a: i64 = field(obj, "a")?.parse().ok()?;
-        let b: i64 = field(obj, "b")?.parse().ok()?;
-        journal.entries.push(JournalEntry {
-            at_ms,
-            action,
-            a,
-            b,
-        });
-    }
-    Some(journal)
-}
-
-/// Extracts the raw value after `"key": ` up to the next comma.
-fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let rest = &obj[obj.find(&tag)? + tag.len()..];
-    let end = rest.find(',').unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,24 +137,13 @@ mod tests {
     }
 
     #[test]
-    fn render_roundtrips() {
-        let j = sample();
-        let json = j.render_json();
-        let parsed = parse_journal(&json).expect("parse");
-        assert_eq!(parsed, j);
-        assert_eq!(parsed.render_json(), json, "byte-stable");
+    fn equal_journals_render_to_equal_bytes() {
+        assert_eq!(sample().render_json(), sample().render_json());
     }
 
     #[test]
     fn empty_journal_roundtrips() {
-        let j = DecisionJournal::new();
-        assert_eq!(j.render_json(), "[]");
-        assert_eq!(parse_journal("[]"), Some(j));
-    }
-
-    #[test]
-    fn equal_journals_render_to_equal_bytes() {
-        assert_eq!(sample().render_json(), sample().render_json());
+        assert_eq!(DecisionJournal::new().render_json(), "[]");
     }
 
     #[test]
@@ -228,15 +151,6 @@ mod tests {
         let j = sample();
         assert_eq!(j.of(ControlAction::ScaleUp).len(), 1);
         assert_eq!(j.of(ControlAction::Eject)[0].b, 12_500);
-        assert_eq!(j.of(ControlAction::RolloutDone).len(), 0);
-    }
-
-    #[test]
-    fn garbage_does_not_parse() {
-        assert_eq!(parse_journal("not json"), None);
-        assert_eq!(
-            parse_journal("[{\"at_ms\": 1, \"action\": \"warp\", \"a\": 0, \"b\": 0}]"),
-            None
-        );
+        assert_eq!(j.of(ControlAction::LimitCut).len(), 0);
     }
 }

@@ -27,8 +27,8 @@
 //!   flap,
 //! * [`journal`] — the byte-stable decision journal every mechanism
 //!   writes into; replaying a seeded run must reproduce the journal
-//!   byte-for-byte, which is exactly what the chaos acceptance test
-//!   asserts.
+//!   byte-for-byte, which the autoscaler and overload replay tests
+//!   assert.
 
 pub mod admission;
 pub mod autoscaler;
@@ -40,4 +40,4 @@ pub use admission::{AdmissionConfig, AdmissionController, Criticality};
 pub use autoscaler::{Autoscaler, AutoscalerConfig, FleetObs, ScaleDecision};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use health::{EjectionConfig, HealthEvent, OutlierDetector};
-pub use journal::{parse_journal, ControlAction, DecisionJournal, JournalEntry};
+pub use journal::{ControlAction, DecisionJournal, JournalEntry};

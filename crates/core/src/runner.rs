@@ -496,7 +496,7 @@ mod tests {
         assert_eq!(a.journal.render_json(), b.journal.render_json());
 
         // Unmanaged runs keep an empty journal (and a fixed fleet).
-        assert!(run_experiment(&fast_spec()).journal.is_empty());
+        assert!(run_experiment(&fast_spec()).journal.entries.is_empty());
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn drop_window_fires_the_slo_and_attributes_to_faults() {
     let v = report
         .violation
         .expect("half the window dropping must page");
-    assert_eq!(v.cause, SloCause::Faults, "{}", v.describe());
+    assert_eq!(v.cause, SloCause::Faults, "{v:?}");
 
     // The alert fires inside the error window, not at end of run: the
     // violating tick must itself have seen (or sit right on top of)
@@ -76,7 +76,7 @@ fn latency_spike_attributes_to_the_network() {
     let result = run_experiment(&spec().with_faults(plan));
     let report = result.load.slo.expect("runner attaches an SLO report");
     let v = report.violation.expect("sustained slow window must page");
-    assert_eq!(v.cause, SloCause::Network, "{}", v.describe());
+    assert_eq!(v.cause, SloCause::Network, "{v:?}");
     assert!(v.bad > 0);
 }
 

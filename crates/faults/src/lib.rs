@@ -33,4 +33,4 @@ pub mod plan;
 pub use backoff::{Backoff, RetryPolicy};
 pub use deadline::Deadline;
 pub use injector::{FaultCounters, FaultInjector};
-pub use plan::{parse_plan, FaultKind, FaultPlan, FaultWindow};
+pub use plan::{FaultKind, FaultPlan, FaultWindow};

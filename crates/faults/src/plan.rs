@@ -1,11 +1,9 @@
 //! Declarative, scenario-level fault schedules.
 //!
 //! A [`FaultPlan`] is what an experiment spec carries: a master seed plus
-//! a list of time windows, each activating one fault kind. Plans have a
-//! JSON wire format (hand-rolled like the `/stats` document — this
-//! workspace vendors no serde) so benches and tests can persist and
-//! replay *identical* chaos runs; [`parse_plan`] is the exact inverse of
-//! [`FaultPlan::render_json`], property-tested for round-tripping.
+//! a list of time windows, each activating one fault kind. Equal plans
+//! drive identical chaos runs: every probabilistic draw derives from
+//! the seed.
 
 use std::time::Duration;
 
@@ -44,21 +42,6 @@ pub enum FaultKind {
     /// A pod crash: the instance is down for the window and restarts at
     /// its end.
     Crash,
-}
-
-impl FaultKind {
-    /// Stable lowercase label used on the wire.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultKind::LatencySpike { .. } => "latency_spike",
-            FaultKind::Drop { .. } => "drop",
-            FaultKind::Partition => "partition",
-            FaultKind::SlowDown { .. } => "slow_down",
-            FaultKind::ErrorResponse { .. } => "error_response",
-            FaultKind::ConnReset { .. } => "conn_reset",
-            FaultKind::Crash => "crash",
-        }
-    }
 }
 
 /// A fault kind active during `[from, until)` of a run.
@@ -117,118 +100,10 @@ impl FaultPlan {
         self
     }
 
-    /// A shard-loss chaos plan: one [`FaultKind::Crash`] window over
-    /// `[from, until)`. Applied to *every* pod of a single shard group
-    /// it takes the whole catalog slice offline at once — no replica
-    /// failover can mask it — which is exactly the scenario the
-    /// scatter/gather router must degrade through rather than fail.
-    pub fn shard_loss(seed: u64, from: Duration, until: Duration) -> FaultPlan {
-        FaultPlan::seeded(seed).with_window(from, until, FaultKind::Crash)
-    }
-
-    /// Whether the plan schedules no faults at all.
-    pub fn is_calm(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// The windows active at elapsed time `t`.
     pub fn active_at(&self, t: Duration) -> impl Iterator<Item = &FaultWindow> {
         self.windows.iter().filter(move |w| w.active_at(t))
     }
-
-    /// Renders the JSON wire format (inverse of [`parse_plan`]).
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str(&format!("{{\n  \"seed\": {},\n  \"windows\": [", self.seed));
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let extras = match w.kind {
-                FaultKind::LatencySpike { extra_us } | FaultKind::SlowDown { extra_us } => {
-                    format!(", \"extra_us\": {extra_us}")
-                }
-                FaultKind::Drop { prob } | FaultKind::ConnReset { prob } => {
-                    format!(", \"prob\": {prob}")
-                }
-                FaultKind::ErrorResponse { prob, status } => {
-                    format!(", \"prob\": {prob}, \"status\": {status}")
-                }
-                FaultKind::Partition | FaultKind::Crash => String::new(),
-            };
-            out.push_str(&format!(
-                "\n    {{\"kind\": \"{}\", \"from_us\": {}, \"until_us\": {}{extras}}}",
-                w.kind.name(),
-                w.from.as_micros(),
-                w.until.as_micros()
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// Extracts `"key": <value>` from a flat JSON object fragment.
-fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj[at..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn num_field<T: std::str::FromStr>(obj: &str, key: &str) -> Option<T> {
-    field(obj, key)?.parse().ok()
-}
-
-fn str_field(obj: &str, key: &str) -> Option<String> {
-    Some(field(obj, key)?.trim_matches('"').to_string())
-}
-
-fn parse_kind(obj: &str) -> Option<FaultKind> {
-    match str_field(obj, "kind")?.as_str() {
-        "latency_spike" => Some(FaultKind::LatencySpike {
-            extra_us: num_field(obj, "extra_us")?,
-        }),
-        "drop" => Some(FaultKind::Drop {
-            prob: num_field(obj, "prob")?,
-        }),
-        "partition" => Some(FaultKind::Partition),
-        "slow_down" => Some(FaultKind::SlowDown {
-            extra_us: num_field(obj, "extra_us")?,
-        }),
-        "error_response" => Some(FaultKind::ErrorResponse {
-            prob: num_field(obj, "prob")?,
-            status: num_field(obj, "status")?,
-        }),
-        "conn_reset" => Some(FaultKind::ConnReset {
-            prob: num_field(obj, "prob")?,
-        }),
-        "crash" => Some(FaultKind::Crash),
-        _ => None,
-    }
-}
-
-/// Parses a document produced by [`FaultPlan::render_json`].
-///
-/// Not a general JSON parser — the exact inverse of our own renderer,
-/// tolerant of whitespace. Returns `None` for anything else.
-pub fn parse_plan(body: &str) -> Option<FaultPlan> {
-    let seed = num_field(body, "seed")?;
-    let windows_at = body.find("\"windows\"")?;
-    let mut windows = Vec::new();
-    let mut rest = &body[windows_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..].find('}')? + open;
-        let obj = &rest[open..=close];
-        windows.push(FaultWindow {
-            from: Duration::from_micros(num_field(obj, "from_us")?),
-            until: Duration::from_micros(num_field(obj, "until_us")?),
-            kind: parse_kind(obj)?,
-        });
-        rest = &rest[close + 1..];
-    }
-    Some(FaultPlan { seed, windows })
 }
 
 #[cfg(test)]
@@ -263,20 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrips_exactly() {
-        let plan = sample();
-        let parsed = parse_plan(&plan.render_json()).unwrap();
-        assert_eq!(parsed, plan);
-    }
-
-    #[test]
-    fn calm_plan_roundtrips() {
-        let plan = FaultPlan::calm();
-        assert!(plan.is_calm());
-        assert_eq!(parse_plan(&plan.render_json()).unwrap(), plan);
-    }
-
-    #[test]
     fn windows_are_half_open() {
         let w = FaultWindow {
             from: Duration::from_secs(1),
@@ -295,31 +156,5 @@ mod tests {
         assert_eq!(plan.active_at(Duration::from_millis(50)).count(), 1);
         assert_eq!(plan.active_at(Duration::from_millis(200)).count(), 2);
         assert_eq!(plan.active_at(Duration::from_secs(10)).count(), 0);
-    }
-
-    #[test]
-    fn garbage_does_not_parse() {
-        assert!(parse_plan("hello").is_none());
-        assert!(parse_plan("{}").is_none());
-        assert!(parse_plan("{\"seed\": 1}").is_none());
-    }
-
-    #[test]
-    fn shard_loss_is_a_total_crash_window() {
-        let plan = FaultPlan::shard_loss(7, Duration::from_secs(1), Duration::from_secs(3));
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.windows.len(), 1);
-        assert_eq!(plan.windows[0].kind, FaultKind::Crash);
-        assert_eq!(plan.active_at(Duration::from_secs(2)).count(), 1);
-        assert_eq!(plan.active_at(Duration::from_secs(3)).count(), 0);
-        // Chaos plans persist and replay like any other.
-        assert_eq!(parse_plan(&plan.render_json()).unwrap(), plan);
-    }
-
-    #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(FaultKind::Partition.name(), "partition");
-        assert_eq!(FaultKind::Drop { prob: 0.5 }.name(), "drop");
-        assert_eq!(FaultKind::Crash.name(), "crash");
     }
 }

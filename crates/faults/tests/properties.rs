@@ -1,12 +1,12 @@
 //! Property tests for the fault layer: the retry-schedule invariants the
-//! resilient client depends on, and the `FaultPlan` wire format.
+//! resilient client depends on.
 //!
 //! These are the claims the chaos tests build on — if any of them broke,
 //! "deterministic replay" and "never exceed the deadline budget" would be
 //! silently false, so they are checked over randomized policies rather
 //! than a handful of examples.
 
-use etude_faults::{parse_plan, Backoff, Deadline, FaultKind, FaultPlan, RetryPolicy};
+use etude_faults::{Backoff, Deadline, RetryPolicy};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -158,45 +158,5 @@ proptest! {
             total <= budget,
             "slept {total:?} against a budget of {budget:?}"
         );
-    }
-}
-
-fn kind_strategy() -> impl Strategy<Value = FaultKind> {
-    prop_oneof![
-        (0u64..1_000_000).prop_map(|extra_us| FaultKind::LatencySpike { extra_us }),
-        (0.0f64..=1.0).prop_map(|prob| FaultKind::Drop { prob }),
-        Just(FaultKind::Partition),
-        (0u64..1_000_000).prop_map(|extra_us| FaultKind::SlowDown { extra_us }),
-        ((0.0f64..=1.0), 100u16..600)
-            .prop_map(|(prob, status)| FaultKind::ErrorResponse { prob, status }),
-        (0.0f64..=1.0).prop_map(|prob| FaultKind::ConnReset { prob }),
-        Just(FaultKind::Crash),
-    ]
-}
-
-proptest! {
-    /// `parse_plan` is the exact inverse of `render_json` for every plan
-    /// the builder can construct — seeds, window bounds, every fault kind
-    /// and its parameters (float probabilities included: `f64::Display`
-    /// is round-trip precise).
-    #[test]
-    fn fault_plans_roundtrip_through_json(
-        seed in any::<u64>(),
-        windows in proptest::collection::vec(
-            (0u64..10_000_000, 0u64..10_000_000, kind_strategy()),
-            0..6,
-        ),
-    ) {
-        let plan = windows
-            .into_iter()
-            .fold(FaultPlan::seeded(seed), |plan, (from, until, kind)| {
-                plan.with_window(
-                    Duration::from_micros(from),
-                    Duration::from_micros(until),
-                    kind,
-                )
-            });
-        let parsed = parse_plan(&plan.render_json());
-        prop_assert_eq!(parsed, Some(plan));
     }
 }

@@ -21,13 +21,11 @@
 //! in integration tests and examples).
 
 pub mod driver;
-pub mod openconn;
 pub mod rampup;
 pub mod sessions;
 pub mod simdriver;
 
 pub use driver::RealLoadGen;
-pub use openconn::{run_open_conn, OpenConnConfig, OpenConnResult};
 pub use rampup::timeprop_rampup;
 pub use sessions::SessionReplayer;
 pub use simdriver::{LoadConfig, LoadTestResult, SimLoadGen};

@@ -229,8 +229,7 @@ impl SimLoadGen {
     /// (`base * 2^attempt`, capped) until `max_retries` is spent, and
     /// only the final failure counts as an error. Each re-attempt is a
     /// fresh message with fresh fault draws, so a retry can escape a
-    /// drop window that ate the original — the mechanism behind the
-    /// zero-client-visible-failure rolling-restart acceptance test.
+    /// drop window that ate the original.
     pub fn schedule_resilient(
         sim: &mut Sim,
         service: Rc<dyn SimService>,

@@ -200,7 +200,7 @@ fn flash_crowd_keeps_critical_goodput_and_sheds_in_priority_order() {
     assert!(snap.refused > 0, "no admission refusals under a 5x crowd");
     let admission = state.admission().expect("admission enabled");
     assert!(
-        admission.journal_len() > 0,
+        admission.render_journal() != "[]",
         "the AIMD controller never adjusted its limit"
     );
 

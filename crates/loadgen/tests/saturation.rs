@@ -7,16 +7,15 @@
 //! any compute is spent on them. Consequences asserted here, end-to-end
 //! through the reactor server at smoke scale:
 //!
-//! 1. the run sheds (503s observed by the load generator) instead of
-//!    serving stale results,
+//! 1. the run sheds (503s observed by the clients) instead of serving
+//!    stale results,
 //! 2. the server's own `/stats` shed counter agrees exactly with the
-//!    503s the load generator counted — the overload signal operators
-//!    alert on is the same one clients experience,
+//!    503s the clients counted — the overload signal operators alert on
+//!    is the same one clients experience,
 //! 3. the p99 of the `queue` span (recorded only for *served* requests)
 //!    stays within the configured deadline budget: nothing that waited
 //!    past its budget ever reached inference.
 
-use etude_loadgen::openconn::{run_open_conn, OpenConnConfig};
 use etude_models::{ModelConfig, ModelKind};
 use etude_obs::Recorder;
 use etude_serve::client::HttpClient;
@@ -25,8 +24,58 @@ use etude_serve::http::Request;
 use etude_serve::model_routes_continuous;
 use etude_serve::reactor::{self, ReactorConfig};
 use etude_tensor::Device;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// What a burst of clients saw.
+#[derive(Debug, Default)]
+struct Burst {
+    sent: u64,
+    /// 200 responses.
+    ok: u64,
+    /// 503 responses — load the server chose to shed.
+    shed: u64,
+    /// Transport failures and any other status.
+    errors: u64,
+}
+
+/// Fires `rps × duration` predictions at `addr`, request `i` at
+/// `start + i / rps`, each from its own connection opened before the
+/// first send, so a slow answer never delays a later send. Every
+/// request may wait up to `grace` for its answer.
+fn burst(addr: SocketAddr, rps: f64, duration: Duration, grace: Duration) -> Burst {
+    let n = (rps * duration.as_secs_f64()).round() as u32;
+    let clients: Vec<HttpClient> = (0..n)
+        .map(|_| HttpClient::connect_with_timeout(addr, grace).unwrap())
+        .collect();
+    let start = Instant::now();
+    let statuses: Vec<Option<u16>> = std::thread::scope(|scope| {
+        let calls: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut client)| {
+                scope.spawn(move || {
+                    let at = start + Duration::from_secs_f64(i as f64 / rps);
+                    std::thread::sleep(at.saturating_duration_since(Instant::now()));
+                    let req = Request::post("/predictions", "1,2,3");
+                    client.request(&req).ok().map(|resp| resp.status)
+                })
+            })
+            .collect();
+        calls.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    let mut seen = Burst::default();
+    for status in statuses {
+        seen.sent += 1;
+        match status {
+            Some(200) => seen.ok += 1,
+            Some(503) => seen.shed += 1,
+            _ => seen.errors += 1,
+        }
+    }
+    seen
+}
 
 #[test]
 fn reactor_sheds_under_smoke_overload_instead_of_blowing_deadlines() {
@@ -62,23 +111,20 @@ fn reactor_sheds_under_smoke_overload_instead_of_blowing_deadlines() {
     // in contended debug builds (each scan ~20x slower, sibling test
     // binaries sharing the core). 30 requests at 3.3 ms spacing still
     // overdrives two multi-ms slots on any host.
-    let load = OpenConnConfig {
-        connections: 32,
-        rps: 300.0,
-        duration: Duration::from_millis(100),
-        body: "1,2,3".to_string(),
-        drain_grace: Duration::from_secs(60),
-        ..OpenConnConfig::default()
-    };
-    let result = run_open_conn(server.addr(), &load).unwrap();
+    let rps = 300.0;
+    let result = burst(
+        server.addr(),
+        rps,
+        Duration::from_millis(100),
+        Duration::from_secs(60),
+    );
 
     assert_eq!(result.errors, 0, "overload must shed cleanly, not error");
     assert_eq!(result.ok + result.shed, result.sent);
     // (1) The server chose to shed rather than serve late.
     assert!(
         result.shed > 0,
-        "no sheds at {}x-capacity offered load: deadline admission inert",
-        load.rps
+        "no sheds at {rps} rps offered load: deadline admission inert"
     );
     // Some requests still get served: shedding is selective, not outage.
     assert!(result.ok > 0, "server served nothing under overload");
@@ -91,7 +137,7 @@ fn reactor_sheds_under_smoke_overload_instead_of_blowing_deadlines() {
         .expect("unparseable /stats body");
     assert_eq!(
         snap.shed, result.shed,
-        "server shed counter diverged from the 503s the client observed"
+        "server shed counter diverged from the 503s the clients observed"
     );
 
     // (3) Served requests never waited past their budget: queue p99 is

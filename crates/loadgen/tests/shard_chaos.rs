@@ -15,12 +15,13 @@
 //!   crash schedule → the same `(status, degraded, body)` sequence.
 //!
 //! Determinism strategy: one synchronous client issues requests
-//! back-to-back, so request *index* is the run's clock. The
-//! [`FaultPlan::shard_loss`] window is expressed on that clock (one
-//! virtual millisecond per request) and the test crashes/restarts the
-//! group's pods exactly at the window edges — no wall-clock races.
+//! back-to-back, so request *index* is the run's clock. The shard-loss
+//! window — one [`FaultKind::Crash`] for every pod of the group — is
+//! expressed on that clock (one virtual millisecond per request) and
+//! the test crashes/restarts the group's pods exactly at the window
+//! edges — no wall-clock races.
 
-use etude_faults::{FaultPlan, RetryPolicy};
+use etude_faults::{FaultKind, FaultPlan, RetryPolicy};
 use etude_models::retrieval::{encode_session_query, CatalogShard, MipsIndex};
 use etude_obs::{Metric, Recorder};
 use etude_serve::http::{decode_recommendations, encode_recommendations, Request};
@@ -102,10 +103,10 @@ fn chaos_run(seed: u64) -> (Vec<Observed>, u64) {
     let group1_addrs = topo.groups[1].replicas.clone();
     let group1_shard = || topo.shard_of(&table, 1);
 
-    let plan = FaultPlan::shard_loss(
-        seed,
+    let plan = FaultPlan::seeded(seed).with_window(
         Duration::from_millis(LOSS_FROM),
         Duration::from_millis(LOSS_UNTIL),
+        FaultKind::Crash,
     );
 
     let recorder = Arc::new(Recorder::new());

@@ -87,19 +87,6 @@ impl ModelConfig {
         self
     }
 
-    /// Overrides the number of stacked layers.
-    pub fn with_num_layers(mut self, n: usize) -> Self {
-        self.num_layers = n.max(1);
-        self
-    }
-
-    /// Overrides the number of attention heads. Must divide the embedding
-    /// dimension to take effect; callers should pick compatible values.
-    pub fn with_num_heads(mut self, n: usize) -> Self {
-        self.num_heads = n.max(1);
-        self
-    }
-
     /// Switches to phantom (cost-only) weights.
     pub fn without_weights(mut self) -> Self {
         self.materialize_weights = false;

@@ -99,12 +99,10 @@ mod tests {
     #[test]
     fn stacked_layers_increase_cost() {
         let base = model();
-        let deep = Gru4Rec::new(
-            ModelConfig::new(50)
-                .with_max_session_len(5)
-                .with_num_layers(2)
-                .with_seed(1),
-        );
+        let deep = Gru4Rec::new(ModelConfig {
+            num_layers: 2,
+            ..ModelConfig::new(50).with_max_session_len(5).with_seed(1)
+        });
         let c1 =
             crate::traits::forward_cost(&base, &Device::cpu(), etude_tensor::ExecMode::Real, 3)
                 .unwrap();

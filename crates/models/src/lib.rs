@@ -42,7 +42,6 @@ pub mod narm;
 pub mod repeatnet;
 pub mod retrieval;
 pub mod sasrec;
-pub mod serdes;
 pub mod sine;
 pub mod srgnn;
 pub mod stamp;

@@ -71,13 +71,13 @@ mod tests {
     use etude_tensor::Device;
 
     fn model() -> SasRec {
-        SasRec::new(
-            ModelConfig::new(64)
+        SasRec::new(ModelConfig {
+            num_heads: 2,
+            ..ModelConfig::new(64)
                 .with_max_session_len(6)
                 .with_embedding_dim(8)
-                .with_num_heads(2)
-                .with_seed(6),
-        )
+                .with_seed(6)
+        })
     }
 
     #[test]
@@ -108,12 +108,12 @@ mod tests {
 
     #[test]
     fn multi_layer_variant_builds() {
-        let m = SasRec::new(
-            ModelConfig::new(64)
+        let m = SasRec::new(ModelConfig {
+            num_layers: 2,
+            ..ModelConfig::new(64)
                 .with_max_session_len(4)
                 .with_embedding_dim(8)
-                .with_num_layers(2),
-        );
+        });
         let r = recommend_eager(&m, &Device::cpu(), &[2, 3]).unwrap();
         assert_eq!(r.items.len(), m.cfg.top_k);
     }

@@ -16,10 +16,11 @@
 //!   ring buffer of POD [`span::SpanRecord`]s with per-slot seqlocks;
 //!   one 16 KiB ring per writing thread, so the hot path performs no
 //!   allocation and takes no locks but to drain its own ring,
-//! * [`recorder::Recorder`] — the per-server registry of thread rings,
-//!   hands out RAII [`recorder::SpanGuard`]s and aggregates ring
-//!   contents into per-stage [`etude_metrics::hdr::Histogram`]s, drained
-//!   by each writer once its ring is half full and by every scrape,
+//! * [`recorder::Recorder`] — the per-server registry of thread rings:
+//!   [`Recorder::record`] takes a stage duration the serving path timed
+//!   itself, and ring contents are aggregated into per-stage
+//!   [`etude_metrics::hdr::Histogram`]s, drained by each writer once its
+//!   ring is half full and by every scrape,
 //! * [`metric`] — the one table that defines every scalar metric: its
 //!   recorder slot, JSON key and Prometheus family,
 //! * [`stats`] — snapshot aggregation plus rendering to the Prometheus
@@ -29,9 +30,8 @@
 //!
 //! The overhead budget is enforced by tests: recording a span in steady
 //! state performs zero heap allocations (a counting global allocator
-//! proves it) and costs two `Instant::now()` calls plus a handful of
-//! relaxed atomic stores, and one span in 256 pays for folding the 256
-//! into the histograms.
+//! proves it) and costs a handful of relaxed atomic stores, and one span
+//! in 256 pays for folding the 256 into the histograms.
 
 //! One more layer sits beside it:
 //!
@@ -57,7 +57,7 @@ pub mod stats;
 
 pub use exemplar::ExemplarStore;
 pub use metric::Metric;
-pub use recorder::{Recorder, SpanGuard};
+pub use recorder::Recorder;
 pub use ring::SpanRing;
 pub use slo::{SloCause, SloMonitor, SloPolicy, SloReport, SloViolation, TickAttribution};
 pub use span::{request_id_hash, SpanRecord, Stage};

@@ -1,5 +1,5 @@
-//! The per-server span recorder: thread-ring registry, RAII span guards
-//! and aggregation into per-stage histograms.
+//! The per-server span recorder: thread-ring registry and aggregation
+//! into per-stage histograms.
 
 use crate::exemplar::ExemplarStore;
 use crate::metric::{Metric, TABLE};
@@ -11,7 +11,6 @@ use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -170,16 +169,6 @@ impl Recorder {
         }
     }
 
-    /// Starts a span; the guard records it when dropped (or finished).
-    pub fn span(&self, request_id: u64, stage: Stage) -> SpanGuard<'_> {
-        SpanGuard {
-            recorder: self,
-            request_id,
-            stage,
-            start: Instant::now(),
-        }
-    }
-
     /// Runs `f` with this thread's ring, registering one on first use.
     fn with_ring<R>(&self, f: impl FnOnce(&SpanRing) -> R) -> R {
         THREAD_RINGS.with(|cell| {
@@ -274,32 +263,9 @@ impl Recorder {
     }
 }
 
-/// RAII guard measuring one stage; records on drop.
-pub struct SpanGuard<'a> {
-    recorder: &'a Recorder,
-    request_id: u64,
-    stage: Stage,
-    start: Instant,
-}
-
-impl SpanGuard<'_> {
-    /// Ends the span now (instead of at scope exit).
-    pub fn finish(self) {
-        drop(self);
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.recorder.record(self.request_id, self.stage, nanos);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn recorded_spans_show_up_in_the_snapshot() {
@@ -323,18 +289,6 @@ mod tests {
         assert_eq!(r.snapshot().requests, 1);
         r.record(2, Stage::Total, 1_000);
         assert_eq!(r.snapshot().requests, 2);
-    }
-
-    #[test]
-    fn guards_record_elapsed_time() {
-        let r = Recorder::new();
-        {
-            let _g = r.span(7, Stage::Inference);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let snap = r.snapshot();
-        let inf = snap.stage("inference").unwrap();
-        assert!(inf.max_us >= 1_000, "slept 2ms, saw {}us", inf.max_us);
     }
 
     #[test]

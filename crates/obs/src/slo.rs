@@ -110,22 +110,6 @@ pub struct SloViolation {
     pub cause: SloCause,
 }
 
-impl SloViolation {
-    /// One-line human description for planner/runner reports.
-    pub fn describe(&self) -> String {
-        format!(
-            "SLO violated at t={}s: {}/{} bad in the short window \
-             (burn {:.1}x short / {:.1}x long), dominated by {}",
-            self.tick,
-            self.bad,
-            self.total,
-            self.short_burn,
-            self.long_burn,
-            self.cause.name()
-        )
-    }
-}
-
 /// Outcome of evaluating a policy against a whole run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloReport {
@@ -304,7 +288,7 @@ mod tests {
         assert_eq!(v.tick, 8, "fires on the first bad tick, not after");
         assert_eq!(v.cause, SloCause::Faults);
         assert!(v.short_burn > 10.0, "short burn {}", v.short_burn);
-        assert!(v.describe().contains("faults"));
+        assert_eq!(v.cause.name(), "faults");
     }
 
     #[test]

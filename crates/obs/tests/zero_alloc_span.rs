@@ -1,5 +1,6 @@
 //! Proves the overhead budget of the request-path telemetry: after the
-//! first span registers a thread's ring, recording spans and offering
+//! first span registers a thread's ring, recording spans with
+//! `Recorder::record` (what the serving path calls) and offering
 //! slow-request exemplars perform **zero** heap allocations. A counting
 //! global allocator makes the claim checkable rather than aspirational
 //! (same technique as the models crate's `zero_alloc` retrieval test).
@@ -53,8 +54,7 @@ fn steady_state_span_recording_does_not_allocate() {
     // allocation, off the steady-state path by design).
     for i in 0..3 {
         recorder.record(i, Stage::Parse, 100);
-        let guard = recorder.span(i, Stage::Inference);
-        guard.finish();
+        recorder.record(i, Stage::Inference, 400);
     }
     recorder.sync();
 
@@ -62,8 +62,7 @@ fn steady_state_span_recording_does_not_allocate() {
     for i in 0..10_000u64 {
         recorder.record(i, Stage::Parse, 120);
         recorder.record(i, Stage::Queue, 2_000);
-        let g = recorder.span(i, Stage::Inference);
-        g.finish();
+        recorder.record(i, Stage::Inference, 400);
         recorder.record(i, Stage::TopK, 800);
         recorder.record(i, Stage::Serialize, 60);
         recorder.record(i, Stage::Total, 3_500);

@@ -48,10 +48,12 @@
 //! member's alone.
 //!
 //! What a member reports: `queue_wait` runs from enqueue to the start
-//! of its batch, and the handler attributes the batch's whole encode
-//! phase and its one shared scan to every member — each of them waited
-//! for all of it — so queue + inference + top-k still tile a request's
-//! time in the slot at any batch size.
+//! of its batch, `handback` from the end of its batch to the instant
+//! its caller resumed with the answer (the reply hop between the slot's
+//! thread and the caller's), and the handler attributes the batch's
+//! whole encode phase and its one shared scan to every member — each of
+//! them waited for all of it — so queue + inference + top-k + hand-back
+//! tile a request's time in the batcher at any batch size.
 
 use crate::http::Request;
 use crate::rustserver::{
@@ -118,17 +120,25 @@ pub enum AdmitError {
 /// A successfully served request: the result plus the measured
 /// admission wait (enqueue → start of the batch that served it), which
 /// for served requests is bounded by the deadline budget by
-/// construction.
+/// construction, and the reply hop back to the caller.
 #[derive(Debug)]
 pub struct Admitted<R> {
     /// The inference result.
     pub result: R,
     /// Time spent queued before a slot started the request's batch.
     pub queue_wait: Duration,
+    /// Time from the slot finishing the request's batch to the caller
+    /// resuming with the answer.
+    pub(crate) handback: Duration,
 }
 
 enum Outcome<R> {
-    Served(Admitted<R>),
+    Served {
+        result: R,
+        queue_wait: Duration,
+        /// When the slot finished the batch.
+        finished: Instant,
+    },
     Expired,
 }
 
@@ -239,6 +249,7 @@ impl<T: Send + 'static, R: Send + 'static> ContinuousBatcher<T, R> {
                                 expired_sheds: &expired_sheds,
                                 in_flight: &in_flight,
                             });
+                            let finished = Instant::now();
                             in_flight.fetch_sub(admitted.len(), Ordering::Relaxed);
                             // A job the handler did not pull, or returned
                             // no result for, loses its responder below:
@@ -246,9 +257,11 @@ impl<T: Send + 'static, R: Send + 'static> ContinuousBatcher<T, R> {
                             for (index, result) in admitted.drain(..).zip(results) {
                                 let job = &jobs[index];
                                 let queue_wait = started.saturating_duration_since(job.enqueued);
-                                let _ = job
-                                    .respond
-                                    .send(Outcome::Served(Admitted { result, queue_wait }));
+                                let _ = job.respond.send(Outcome::Served {
+                                    result,
+                                    queue_wait,
+                                    finished,
+                                });
                             }
                             jobs.clear();
                         }
@@ -281,7 +294,15 @@ impl<T: Send + 'static, R: Send + 'static> ContinuousBatcher<T, R> {
         };
         match self.submit.try_send(job) {
             Ok(()) => match rx.recv() {
-                Ok(Outcome::Served(admitted)) => Ok(admitted),
+                Ok(Outcome::Served {
+                    result,
+                    queue_wait,
+                    finished,
+                }) => Ok(Admitted {
+                    result,
+                    queue_wait,
+                    handback: finished.elapsed(),
+                }),
                 Ok(Outcome::Expired) => Err(AdmitError::Expired),
                 Err(_) => Err(AdmitError::Closed),
             },
@@ -388,7 +409,14 @@ pub(crate) fn continuous_routes(
             ctx.recorder
                 .set(Metric::QueueDepth, batcher.queue_depth() as u64);
             match batcher.try_call(items, ctx.deadline) {
-                Ok(Admitted { result, queue_wait }) => Served::by_model(result, queue_wait),
+                Ok(Admitted {
+                    result,
+                    queue_wait,
+                    handback,
+                }) => Ok(Served {
+                    handback,
+                    ..Served::by_model(result, queue_wait)?
+                }),
                 // The budget died in (or before) the queue; 503 so the
                 // client retries against a server that can still make
                 // the deadline.

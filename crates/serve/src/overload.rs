@@ -298,6 +298,7 @@ pub(crate) fn overload_routes(
                 Ok(Admitted {
                     result: reply,
                     queue_wait,
+                    handback,
                 }) => {
                     if let Some(a) = admission {
                         a.release(route_state.now(), admission_t0.elapsed());
@@ -307,6 +308,7 @@ pub(crate) fn overload_routes(
                     route_state.observe_wait(ctx.dispatch_wait + queue_wait);
                     Ok(Served {
                         queue_wait,
+                        handback,
                         on_ladder: true,
                         ..Served::new(reply.ids, reply.scores, reply.inference)
                     })
@@ -460,6 +462,10 @@ mod tests {
             state.admission().unwrap().refused(Criticality::ShedFirst),
             1
         );
-        assert_eq!(state.admission().unwrap().refused_total(), 3);
+        let refused: u64 = Criticality::ALL
+            .iter()
+            .map(|&c| state.admission().unwrap().refused(c))
+            .sum();
+        assert_eq!(refused, 3);
     }
 }

@@ -165,9 +165,15 @@ pub(crate) struct Served {
     pub(crate) scores: Vec<f32>,
     /// Wait for an inference slot; zero on tiers that run inline. The
     /// pipeline adds the dispatch wait and records the sum as the Queue
-    /// stage on every tier, so the components tile `Total` everywhere
-    /// and, for served requests, the span is bounded by the budget.
+    /// stage on every tier, so, for served requests, the span is bounded
+    /// by the budget.
     pub(crate) queue_wait: Duration,
+    /// The batcher's reply hop: slot finished → this thread resumed
+    /// ([`crate::contbatch::Admitted::handback`]); zero on tiers that run
+    /// inline. The pipeline records it in the Serialize stage, which
+    /// therefore runs from the end of the compute to the encoded
+    /// response, so the components tile `Total` everywhere.
+    pub(crate) handback: Duration,
     pub(crate) inference: Duration,
     /// `None` where the top-k is fused into the scan timed as
     /// `inference` (no TopK stage).
@@ -195,6 +201,7 @@ impl Served {
             items,
             scores,
             queue_wait: Duration::ZERO,
+            handback: Duration::ZERO,
             inference,
             topk: None,
             on_ladder: false,
@@ -350,7 +357,7 @@ where
         if let Some(topk) = served.topk {
             push(Stage::TopK, topk);
         }
-        push(Stage::Serialize, serialize);
+        push(Stage::Serialize, served.handback + serialize);
         push(Stage::Total, total);
         let stages = &stages[..n];
         for &(stage, ns) in stages {

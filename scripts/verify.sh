@@ -4,7 +4,8 @@
 # build, then every test in the workspace — the root's default-members
 # cover all of it), the SIMD-equivalence suite and the model suite with
 # its golden fixtures again on the forced-scalar backend (the one
-# configuration that run cannot cover),
+# configuration that run cannot cover), the deterministic paper
+# figures regenerated and compared byte for byte with results/,
 # every bench binary's --smoke mode, doc warnings, formatting, lints;
 # it ends by printing the knob census, the non-test line count and the
 # unread-item census.
@@ -61,6 +62,27 @@ ETUDE_SIMD=scalar cargo test -q --release -p etude-tensor --test simd_equivalenc
 
 echo "==> model suite and golden fixtures (forced scalar backend)"
 ETUDE_SIMD=scalar cargo test -q --release -p etude-models --test suite
+
+# The paper figures that run in virtual time regenerate to what is
+# committed: a change that moves one fails here until it rewrites the
+# file under results/ and says why. Their committed CSVs are --quick
+# runs. table1_cost, fig4_e2e and the ablations do not regenerate to
+# their committed files yet (ROADMAP 12), so they are not compared.
+echo "==> paper outputs regenerate byte for byte (fig2_infra, fig3_micro --quick)"
+paper_out=target/tmp/paper
+rm -rf "$paper_out"
+mkdir -p "$paper_out"
+for bin in fig2_infra fig3_micro; do
+    cargo run --release -q -p etude-bench --bin "$bin" -- --quick --out "$paper_out" >/dev/null
+done
+moved=""
+for csv in fig2_infra_series.csv fig2_infra_summary.csv fig3_micro.csv; do
+    cmp -s "$paper_out/$csv" "results/$csv" || moved="$moved $csv"
+done
+if [ -n "$moved" ]; then
+    echo "paper outputs differ from results/ (rewrite them deliberately and say why):$moved" >&2
+    exit 1
+fi
 
 if [ "$QUICK" = "0" ]; then
     for bin in ablation_faults fleet_timeline autoscale_timeline \
