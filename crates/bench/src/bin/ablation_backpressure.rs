@@ -5,7 +5,7 @@
 //! and the failure threshold stays measurable. This ablation overloads a
 //! CPU deployment with a million-item catalog and compares the two modes.
 
-use etude_bench::HarnessOptions;
+use etude_bench::{HarnessOptions, ShapeChecks};
 use etude_loadgen::{LoadConfig, SimLoadGen};
 use etude_metrics::report::{fmt_duration, Table};
 use etude_models::{ModelConfig, ModelKind};
@@ -73,25 +73,28 @@ fn main() {
     let bp = &results[0];
     let ol = &results[1];
     println!("paper shape checks:");
-    println!(
-        "  [{}] backpressure suppresses load on a collapsing server ({} slots skipped)",
-        if bp.1.suppressed > 0 { "ok" } else { "!!" },
-        bp.1.suppressed
+    let mut checks = ShapeChecks::default();
+    checks.check(
+        format!(
+            "backpressure suppresses load on a collapsing server ({} slots skipped)",
+            bp.1.suppressed
+        ),
+        bp.1.suppressed > 0,
     );
-    println!(
-        "  [{}] open loop floods the server with more requests ({} vs {})",
-        if ol.1.sent as f64 > 1.2 * bp.1.sent as f64 {
-            "ok"
-        } else {
-            "!!"
-        },
-        ol.1.sent,
-        bp.1.sent
+    checks.check(
+        format!(
+            "open loop floods the server with more requests ({} vs {})",
+            ol.1.sent, bp.1.sent
+        ),
+        ol.1.sent as f64 > 1.2 * bp.1.sent as f64,
     );
-    println!(
-        "  [{}] graceful degradation: bounded latency under backpressure ({} vs {})",
-        if bp.2 < ol.2 { "ok" } else { "!!" },
-        fmt_duration(bp.2),
-        fmt_duration(ol.2)
+    checks.check(
+        format!(
+            "graceful degradation: bounded latency under backpressure ({} vs {})",
+            fmt_duration(bp.2),
+            fmt_duration(ol.2)
+        ),
+        bp.2 < ol.2,
     );
+    checks.finish();
 }

@@ -5,7 +5,7 @@
 //! sweeps the target throughput against a T4 deployment with and without
 //! the batcher, showing where unbatched GPU serving collapses.
 
-use etude_bench::HarnessOptions;
+use etude_bench::{HarnessOptions, ShapeChecks};
 use etude_loadgen::{LoadConfig, SimLoadGen};
 use etude_metrics::report::{fmt_duration, Table};
 use etude_models::{ModelConfig, ModelKind};
@@ -78,8 +78,10 @@ fn main() {
     opts.emit("ablation_batching", &table);
 
     println!("paper shape checks:");
-    println!(
-        "  [{}] batching extends the feasible throughput range of a single GPU",
-        if crossover_seen { "ok" } else { "!!" }
+    let mut checks = ShapeChecks::default();
+    checks.check(
+        "batching extends the feasible throughput range of a single GPU",
+        crossover_seen,
     );
+    checks.finish();
 }

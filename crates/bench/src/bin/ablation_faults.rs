@@ -18,6 +18,7 @@
 //! same `/stats` surface operators would scrape. Run with `--smoke` for
 //! a seconds-long pass (used by `scripts/verify.sh`).
 
+use etude_bench::ShapeChecks;
 use etude_faults::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 use etude_loadgen::{LoadConfig, RealLoadGen};
 use etude_models::{ModelConfig, ModelKind, SbrModel};
@@ -97,8 +98,9 @@ fn main() {
         }
     }
     println!();
-    report_claims(&cells);
+    let checks = report_claims(&cells);
     write_summary(&cells, smoke);
+    checks.finish();
 }
 
 fn workload(plan: &BenchPlan) -> SessionLog {
@@ -195,14 +197,16 @@ fn stage_tiling(stats: &StatsSnapshot) -> Option<(f64, f64, bool)> {
 }
 
 /// Prints the ablation's headline claims against the collected grid.
-fn report_claims(cells: &[Cell]) {
+fn report_claims(cells: &[Cell]) -> ShapeChecks {
+    let mut checks = ShapeChecks::default();
     for cell in cells {
         match stage_tiling(&cell.stats) {
-            Some((sum, total, consistent)) => println!(
-                "  [{}] rate {:.2}/{}: stage means sum to {sum:.1}us vs total {total:.1}us",
-                if consistent { "ok" } else { "!!" },
-                cell.rate,
-                cell.policy,
+            Some((sum, total, consistent)) => checks.check(
+                format!(
+                    "rate {:.2}/{}: stage means sum to {sum:.1}us vs total {total:.1}us",
+                    cell.rate, cell.policy,
+                ),
+                consistent,
             ),
             None => println!(
                 "  [--] rate {:.2}/{}: no completed requests to account for",
@@ -214,10 +218,11 @@ fn report_claims(cells: &[Cell]) {
         .iter()
         .filter(|c| c.rate > 0.0 && c.policy == "chaos")
         .all(|c| c.errors * 10 < c.injected.max(1));
-    println!(
-        "  [{}] bounded backoff absorbs injected faults (errors << injected)",
-        if absorbed { "ok" } else { "!!" }
+    checks.check(
+        "bounded backoff absorbs injected faults (errors << injected)",
+        absorbed,
     );
+    checks
 }
 
 /// Writes the JSON artifact the results pipeline consumes.

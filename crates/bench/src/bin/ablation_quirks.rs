@@ -9,7 +9,7 @@
 //! measured) and repaired (what the filed bug reports would achieve),
 //! reporting serial latency and sustainable capacity.
 
-use etude_bench::HarnessOptions;
+use etude_bench::{HarnessOptions, ShapeChecks};
 use etude_cluster::InstanceType;
 use etude_core::analysis::estimate_capacity;
 use etude_core::{run_serial_microbenchmark, ExperimentSpec};
@@ -63,7 +63,7 @@ fn main() {
     opts.emit("ablation_quirks", &table);
 
     println!("paper shape checks:");
-    let check = |name: &str, ok: bool| println!("  [{}] {name}", if ok { "ok" } else { "!!" });
+    let mut checks = ShapeChecks::default();
 
     // RepeatNet: dense-sparse decoding slows every device down; the
     // penalty is brutal on CPUs (the dense [l, C] product is pure memory
@@ -75,7 +75,7 @@ fn main() {
             let factor = if *i == InstanceType::CpuE2 { 2.0 } else { 1.2 };
             q.as_secs_f64() > factor * f.as_secs_f64()
         });
-    check(
+    checks.check(
         "RepeatNet's dense-sparse decode costs >2x (CPU) / >1.2x (GPU) serial latency",
         repeatnet_penalty,
     );
@@ -87,7 +87,7 @@ fn main() {
             matches!(m, ModelKind::SrGnn | ModelKind::GcSan) && *i == InstanceType::GpuT4
         })
         .all(|(.., qc, fc)| *fc > 1.2 * *qc);
-    check(
+    checks.check(
         "fixing SR-GNN/GC-SAN host ops raises GPU capacity by >20%",
         gnn_gpu_penalty,
     );
@@ -97,7 +97,7 @@ fn main() {
             matches!(m, ModelKind::SrGnn | ModelKind::GcSan) && *i == InstanceType::CpuE2
         })
         .all(|(_, _, q, f, ..)| (q.as_secs_f64() - f.as_secs_f64()).abs() < 0.05 * q.as_secs_f64());
-    check(
+    checks.check(
         "the same fix is a no-op on CPUs (data already lives on the host)",
         gnn_cpu_unaffected,
     );
@@ -121,8 +121,9 @@ fn main() {
         Default::default(),
     )
     .is_ok();
-    check(
+    checks.check(
         "LightSANs refuses JIT compilation until its dynamic paths are fixed",
         !quirky_jitable && fixed_jitable,
     );
+    checks.finish();
 }

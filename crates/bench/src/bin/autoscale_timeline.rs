@@ -13,6 +13,7 @@
 //! in `results/BENCH_autoscale.json`; `--smoke` is the seconds-long pass
 //! `scripts/verify.sh` uses.
 
+use etude_bench::ShapeChecks;
 use etude_cluster::InstanceType;
 use etude_control::{AutoscalerConfig, ControlAction};
 use etude_core::results::ExperimentResult;
@@ -85,8 +86,9 @@ fn main() {
         }
     }
     println!();
-    report_claims(&plan, &cells);
+    let checks = report_claims(&plan, &cells);
     write_summary(&cells, smoke);
+    checks.finish();
 }
 
 /// One cell: the Section III-C under-provisioned spec, with or without
@@ -118,22 +120,23 @@ fn drive(plan: &BenchPlan, rps: u64, autoscaled: bool) -> Cell {
 }
 
 /// Prints the bench's headline claims against the collected cells.
-fn report_claims(plan: &BenchPlan, cells: &[Cell]) {
+fn report_claims(plan: &BenchPlan, cells: &[Cell]) -> ShapeChecks {
+    let mut checks = ShapeChecks::default();
     let fixed_drowns = cells
         .iter()
         .filter(|c| !c.autoscaled)
         .all(|c| !c.result.feasible);
-    println!(
-        "  [{}] one fixed CPU replica misses the SLO at every rate",
-        if fixed_drowns { "ok" } else { "!!" }
+    checks.check(
+        "one fixed CPU replica misses the SLO at every rate",
+        fixed_drowns,
     );
     let scaled_up = cells
         .iter()
         .filter(|c| c.autoscaled)
         .all(|c| !c.result.journal.of(ControlAction::ScaleUp).is_empty() && c.final_replicas > 1);
-    println!(
-        "  [{}] pressure scales every autoscaled cell past one replica",
-        if scaled_up { "ok" } else { "!!" }
+    checks.check(
+        "pressure scales every autoscaled cell past one replica",
+        scaled_up,
     );
     let relieved = cells.iter().filter(|c| c.autoscaled).all(|c| {
         let fixed = cells
@@ -142,9 +145,9 @@ fn report_claims(plan: &BenchPlan, cells: &[Cell]) {
             .expect("paired fixed cell");
         c.result.p90() < fixed.result.p90()
     });
-    println!(
-        "  [{}] the grown fleet beats the fixed fleet's steady p90",
-        if relieved { "ok" } else { "!!" }
+    checks.check(
+        "the grown fleet beats the fixed fleet's steady p90",
+        relieved,
     );
     // Determinism: re-running the first autoscaled cell reproduces its
     // decision journal byte-for-byte.
@@ -154,10 +157,8 @@ fn report_claims(plan: &BenchPlan, cells: &[Cell]) {
         .expect("an autoscaled cell exists");
     let replay = drive(plan, first.target_rps, true);
     let identical = replay.result.journal.render_json() == first.result.journal.render_json();
-    println!(
-        "  [{}] the decision journal replays byte-for-byte",
-        if identical { "ok" } else { "!!" }
-    );
+    checks.check("the decision journal replays byte-for-byte", identical);
+    checks
 }
 
 /// Writes the JSON artifact the results pipeline consumes.

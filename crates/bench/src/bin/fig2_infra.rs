@@ -8,7 +8,7 @@
 //! timeout) and serves survivors at 100–200 ms p90, while the Actix-based
 //! Rust server handles the full ramp at ~1 ms p90 with zero errors.
 
-use etude_bench::HarnessOptions;
+use etude_bench::{HarnessOptions, ShapeChecks};
 use etude_loadgen::{LoadConfig, SimLoadGen};
 use etude_metrics::report::{fmt_duration, Table};
 use etude_serve::simserver::{RustServerConfig, SimRustServer, SimTorchServe};
@@ -85,32 +85,31 @@ fn main() {
     let ts = ts_result.summary();
     let rs = rust_result.summary();
     println!("paper shape checks:");
-    println!(
-        "  [{}] torchserve returns a large number of HTTP errors ({})",
-        if ts.errors > opts.ramp_secs * 5 {
-            "ok"
-        } else {
-            "!!"
-        },
-        ts.errors
+    let mut checks = ShapeChecks::default();
+    checks.check(
+        format!(
+            "torchserve returns a large number of HTTP errors ({})",
+            ts.errors
+        ),
+        ts.errors > opts.ramp_secs * 5,
     );
-    println!(
-        "  [{}] torchserve p90 in the 100-200ms band ({})",
-        if ts.p90.as_millis() >= 50 && ts.p90.as_millis() <= 400 {
-            "ok"
-        } else {
-            "!!"
-        },
-        fmt_duration(ts.p90)
+    checks.check(
+        format!(
+            "torchserve p90 in the 100-200ms band ({})",
+            fmt_duration(ts.p90)
+        ),
+        ts.p90.as_millis() >= 50 && ts.p90.as_millis() <= 400,
     );
-    println!(
-        "  [{}] rust server p90 around one millisecond ({})",
-        if rs.p90.as_millis() <= 2 { "ok" } else { "!!" },
-        fmt_duration(rs.p90)
+    checks.check(
+        format!(
+            "rust server p90 around one millisecond ({})",
+            fmt_duration(rs.p90)
+        ),
+        rs.p90.as_millis() <= 2,
     );
-    println!(
-        "  [{}] rust server throws no errors ({})",
-        if rs.errors == 0 { "ok" } else { "!!" },
-        rs.errors
+    checks.check(
+        format!("rust server throws no errors ({})", rs.errors),
+        rs.errors == 0,
     );
+    checks.finish();
 }

@@ -8,7 +8,7 @@
 //! CPU already needs >50 ms); CPU competitive at C = 10^4; JIT always
 //! beneficial; LightSANs not JIT-able (it silently runs eager).
 
-use etude_bench::HarnessOptions;
+use etude_bench::{HarnessOptions, ShapeChecks};
 use etude_cluster::InstanceType;
 use etude_core::{run_serial_microbenchmark, ExecutionMode, ExperimentSpec};
 use etude_metrics::report::{fmt_duration, Table};
@@ -68,6 +68,7 @@ fn main() {
     opts.emit("fig3_micro", &table);
 
     println!("paper shape checks:");
+    let mut checks = ShapeChecks::default();
     // Linear scaling in C (JIT CPU cells, per model): 10x catalog -> ~10x
     // (plus the embedding-dim growth of the C^{1/4} heuristic). The very
     // smallest catalog is encoder-dominated, so the check starts at 1e5 —
@@ -85,19 +86,16 @@ fn main() {
             }
         }
     }
-    println!(
-        "  [{}] CPU latency scales ~linearly with catalog size",
-        ok(linear_ok)
-    );
+    checks.check("CPU latency scales ~linearly with catalog size", linear_ok);
 
     // GPU >= 10x faster at C >= 1e6.
     let gpu_wins = jit_cells
         .iter()
         .filter(|c| c.1 >= 1_000_000)
         .all(|c| c.2.as_secs_f64() > 10.0 * c.3.as_secs_f64());
-    println!(
-        "  [{}] GPU an order of magnitude faster from one million items",
-        ok(gpu_wins)
+    checks.check(
+        "GPU an order of magnitude faster from one million items",
+        gpu_wins,
     );
 
     // CPU over 50 ms at C = 1e6.
@@ -105,9 +103,9 @@ fn main() {
         .iter()
         .filter(|c| c.1 == 1_000_000)
         .all(|c| c.2 > Duration::from_millis(45));
-    println!(
-        "  [{}] CPU needs >50ms per prediction at one million items",
-        ok(cpu_slow)
+    checks.check(
+        "CPU needs >50ms per prediction at one million items",
+        cpu_slow,
     );
 
     // CPU on par with or better than GPU at C = 1e4 for several models.
@@ -116,19 +114,14 @@ fn main() {
         .filter(|c| c.1 == 10_000)
         .filter(|c| c.2 <= c.3 + Duration::from_micros(200))
         .count();
-    println!(
-        "  [{}] CPU competitive with GPU at ten thousand items ({} of 10 models)",
-        ok(competitive >= 4),
-        competitive
+    checks.check(
+        format!(
+            "CPU competitive with GPU at ten thousand items ({} of 10 models)",
+            competitive
+        ),
+        competitive >= 4,
     );
 
-    println!("  [{}] JIT optimisation never hurts", ok(jit_never_hurts));
-}
-
-fn ok(b: bool) -> &'static str {
-    if b {
-        "ok"
-    } else {
-        "!!"
-    }
+    checks.check("JIT optimisation never hurts", jit_never_hurts);
+    checks.finish();
 }

@@ -8,7 +8,7 @@
 //! sustains >700 req/s under 50 ms; at 10^7 only GPUs keep up; at
 //! 2*10^7 only A100s.
 
-use etude_bench::{median_of, HarnessOptions};
+use etude_bench::{median_of, HarnessOptions, ShapeChecks};
 use etude_cluster::InstanceType;
 use etude_core::{run_experiment, ExperimentResult, ExperimentSpec, Scenario};
 use etude_metrics::report::{fmt_duration, Table};
@@ -90,7 +90,7 @@ fn main() {
     opts.emit("fig4_e2e_series", &series);
 
     println!("paper shape checks:");
-    let check = |name: &str, ok: bool| println!("  [{}] {name}", if ok { "ok" } else { "!!" });
+    let mut checks = ShapeChecks::default();
 
     let feasible = |s: Scenario, i: InstanceType, m: ModelKind| {
         cells
@@ -100,35 +100,36 @@ fn main() {
             .unwrap_or(false)
     };
 
-    check(
+    checks.check(
         "groceries (large) handled by CPU instances for all Table-I models",
         ModelKind::TABLE1
             .iter()
             .all(|&m| feasible(Scenario::GROCERIES_LARGE, InstanceType::CpuE2, m)),
     );
-    check(
+    checks.check(
         "fashion infeasible on a single CPU instance",
         ModelKind::TABLE1
             .iter()
             .all(|&m| !feasible(Scenario::FASHION, InstanceType::CpuE2, m)),
     );
-    check(
+    checks.check(
         "fashion easily handled by a single T4",
         ModelKind::TABLE1
             .iter()
             .all(|&m| feasible(Scenario::FASHION, InstanceType::GpuT4, m)),
     );
-    check(
+    checks.check(
         "platform (20M items) infeasible on one T4, feasible cells only on A100s",
         ModelKind::TABLE1
             .iter()
             .all(|&m| !feasible(Scenario::PLATFORM, InstanceType::GpuT4, m)),
     );
-    check(
+    checks.check(
         "quirky models (SR-GNN, GC-SAN, RepeatNet) fail scenarios the fixed set handles",
         ModelKind::WITH_IMPLEMENTATION_ERRORS
             .iter()
             .filter(|&&m| m != ModelKind::LightSans)
             .any(|&m| !feasible(Scenario::ECOMMERCE, InstanceType::GpuT4, m)),
     );
+    checks.finish();
 }

@@ -14,6 +14,7 @@
 //! `--smoke` for the seconds-long pass `scripts/verify.sh`
 //! uses.
 
+use etude_bench::ShapeChecks;
 use etude_cluster::{Deployment, DeploymentSpec, PodLoadStats};
 use etude_core::runner::service_profile;
 use etude_core::spec::ExperimentSpec;
@@ -92,8 +93,9 @@ fn main() {
         }
     }
     println!();
-    report_claims(&cells);
+    let checks = report_claims(&cells);
     write_summary(&cells, smoke);
+    checks.finish();
 }
 
 /// One cell: deploy, crash replica 0 mid-ramp, drop packets during the
@@ -177,23 +179,18 @@ fn drive(plan: &BenchPlan, replicas: usize, faulted: bool) -> Cell {
 }
 
 /// Prints the bench's headline claims against the collected cells.
-fn report_claims(cells: &[Cell]) {
+fn report_claims(cells: &[Cell]) -> ShapeChecks {
+    let mut checks = ShapeChecks::default();
     let calm_quiet = cells
         .iter()
         .filter(|c| !c.faulted)
         .all(|c| c.report.violation.is_none());
-    println!(
-        "  [{}] calm baselines never page",
-        if calm_quiet { "ok" } else { "!!" }
-    );
+    checks.check("calm baselines never page", calm_quiet);
     let chaos_pages = cells
         .iter()
         .filter(|c| c.faulted)
         .all(|c| c.report.violation.is_some());
-    println!(
-        "  [{}] every chaos cell fires its SLO alert",
-        if chaos_pages { "ok" } else { "!!" }
-    );
+    checks.check("every chaos cell fires its SLO alert", chaos_pages);
     let skewed = cells
         .iter()
         .filter(|c| c.faulted && c.replicas >= 2)
@@ -204,10 +201,11 @@ fn report_claims(cells: &[Cell]) {
                 .filter(|p| p.id != 0)
                 .all(|p| p.served > crashed)
         });
-    println!(
-        "  [{}] survivors out-serve the crashed replica (serving skew)",
-        if skewed { "ok" } else { "!!" }
+    checks.check(
+        "survivors out-serve the crashed replica (serving skew)",
+        skewed,
     );
+    checks
 }
 
 /// Writes the JSON artifact the results pipeline consumes.

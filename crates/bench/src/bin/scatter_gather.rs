@@ -19,6 +19,7 @@
 //! `results/BENCH_scatter_gather.json`. Run with `--smoke` for the
 //! C = 10^5 cell only (used by `scripts/verify.sh`).
 
+use etude_bench::ShapeChecks;
 use etude_cluster::{DeploymentSpec, InstanceType, ShardPlan};
 use etude_models::retrieval::CatalogShard;
 use etude_obs::Recorder;
@@ -132,7 +133,7 @@ fn spawn_backend(shard: CatalogShard, catalog: usize, pod: u32) -> ServerHandle 
     start(ReactorConfig::default(), handler).unwrap()
 }
 
-fn run_cell(plan: &CellPlan, smoke: bool) -> Cell {
+fn run_cell(plan: &CellPlan, smoke: bool, checks: &mut ShapeChecks) -> Cell {
     let c = plan.catalog;
     let d = dim_for(c);
     println!("-- C = {c}, d = {d} --");
@@ -211,9 +212,9 @@ fn run_cell(plan: &CellPlan, smoke: bool) -> Cell {
     let (mut shard_times, shard_bodies) = drive(router.addr(), plan, plan.requests);
     let sharded = summarize(&mut shard_times);
     let bit_identical = ref_bodies == shard_bodies;
-    println!(
-        "  [{}] full-health routed answers byte-identical to the unsharded reference",
-        if bit_identical { "ok" } else { "!!" }
+    checks.check(
+        "full-health routed answers byte-identical to the unsharded reference",
+        bit_identical,
     );
 
     // Degraded pass: kill every pod of group 0, keep serving.
@@ -233,15 +234,12 @@ fn run_cell(plan: &CellPlan, smoke: bool) -> Cell {
         }
     }
     let degraded = summarize(&mut degraded_times);
-    println!(
-        "  [{}] one-group loss: {}/{} responses served degraded\n",
-        if degraded_tagged == plan.degraded_requests {
-            "ok"
-        } else {
-            "!!"
-        },
-        degraded_tagged,
-        plan.degraded_requests
+    checks.check(
+        format!(
+            "one-group loss: {}/{} responses served degraded\n",
+            degraded_tagged, plan.degraded_requests
+        ),
+        degraded_tagged == plan.degraded_requests,
     );
 
     router.shutdown();
@@ -311,6 +309,7 @@ fn main() {
         "== scatter_gather: replicated vs sharded catalog serving ({} mode) ==\n",
         if smoke { "smoke" } else { "full" }
     );
+    let mut checks = ShapeChecks::default();
     let plans: Vec<CellPlan> = if smoke {
         vec![CellPlan {
             catalog: 100_000,
@@ -336,7 +335,10 @@ fn main() {
             },
         ]
     };
-    let cells: Vec<Cell> = plans.iter().map(|p| run_cell(p, smoke)).collect();
+    let cells: Vec<Cell> = plans
+        .iter()
+        .map(|p| run_cell(p, smoke, &mut checks))
+        .collect();
 
     println!("catalog      replicated p90   sharded p90   degraded p90   shards");
     for cell in &cells {
@@ -353,15 +355,13 @@ fn main() {
 
     if smoke {
         let p90 = cells[0].degraded.p90_us;
-        println!(
-            "  [{}] one-group loss: degraded p90 {p90} us within the {} ms SLO",
-            if p90 <= SLO_US { "ok" } else { "!!" },
-            SLO_US / 1000
+        checks.check(
+            format!(
+                "one-group loss: degraded p90 {p90} us within the {} ms SLO",
+                SLO_US / 1000
+            ),
+            p90 <= SLO_US,
         );
-        assert!(p90 <= SLO_US, "a lost shard group must fail fast");
     }
-    assert!(
-        cells.iter().all(|c| c.bit_identical),
-        "sharded serving must be byte-identical to the reference at full health"
-    );
+    checks.finish();
 }

@@ -8,7 +8,7 @@
 //! option. The four models with RecBole implementation errors are
 //! excluded, exactly as in the paper.
 
-use etude_bench::HarnessOptions;
+use etude_bench::{HarnessOptions, ShapeChecks};
 use etude_core::analysis::{cheapest_deployment, scan_deployments, FeasibilityVerdict};
 use etude_core::Scenario;
 use etude_metrics::report::{fmt_cost, Table};
@@ -104,14 +104,12 @@ fn main() {
     opts.emit("table1_cost", &table);
 
     println!("paper shape checks:");
-    shape_checks(&opts);
+    shape_checks(&opts).finish();
 }
 
-fn shape_checks(opts: &HarnessOptions) {
+fn shape_checks(opts: &HarnessOptions) -> ShapeChecks {
     use etude_cluster::InstanceType;
-    let check = |name: &str, ok: bool| {
-        println!("  [{}] {name}", if ok { "ok" } else { "!!" });
-    };
+    let mut checks = ShapeChecks::default();
 
     // (i) Groceries runs on one $108 CPU machine.
     let groceries = scan_deployments(
@@ -121,7 +119,7 @@ fn shape_checks(opts: &HarnessOptions) {
         true,
     );
     let best = cheapest_deployment(&groceries);
-    check(
+    checks.check(
         "groceries (small) served by a single CPU machine for $108",
         matches!(best, Some(v) if v.instance == InstanceType::CpuE2 && v.replicas == 1),
     );
@@ -129,7 +127,7 @@ fn shape_checks(opts: &HarnessOptions) {
     // (ii) Fashion: one GPU-T4 is the cheapest option.
     let fashion = scan_deployments(&Scenario::FASHION, ModelKind::SasRec, opts.ramp(), true);
     let best = cheapest_deployment(&fashion);
-    check(
+    checks.check(
         "fashion served cheapest by a single GPU-T4 ($268)",
         matches!(best, Some(v) if v.instance == InstanceType::GpuT4 && v.replicas == 1),
     );
@@ -142,7 +140,7 @@ fn shape_checks(opts: &HarnessOptions) {
     let a100 = ecommerce
         .iter()
         .find(|v| v.instance == InstanceType::GpuA100 && v.feasible);
-    check(
+    checks.check(
         "e-Commerce: several T4s are cheaper than fewer A100s",
         matches!((t4, a100), (Some(t), Some(a)) if t.replicas > a.replicas
             && t.monthly_cost < a.monthly_cost),
@@ -156,8 +154,9 @@ fn shape_checks(opts: &HarnessOptions) {
     let a100_works = platform
         .iter()
         .any(|v| v.feasible && v.instance == InstanceType::GpuA100);
-    check(
+    checks.check(
         "platform (20M items) requires GPU-A100s",
         only_a100 && a100_works,
     );
+    checks
 }

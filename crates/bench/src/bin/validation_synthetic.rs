@@ -12,7 +12,7 @@
 //! scientist would — and fed to Algorithm 1. Both workloads replay
 //! against the same deployment.
 
-use etude_bench::HarnessOptions;
+use etude_bench::{HarnessOptions, ShapeChecks};
 use etude_loadgen::{LoadConfig, SimLoadGen};
 use etude_metrics::report::{fmt_duration, Table};
 use etude_metrics::LatencySummary;
@@ -98,14 +98,20 @@ fn main() {
         synth_summary.mean.as_secs_f64(),
     );
     println!("paper shape checks:");
-    println!(
-        "  [{}] p90 latencies resemble each other closely ({:.1}% apart)",
-        if p90_gap < 0.15 { "ok" } else { "!!" },
-        100.0 * p90_gap
+    let mut checks = ShapeChecks::default();
+    checks.check(
+        format!(
+            "p90 latencies resemble each other closely ({:.1}% apart)",
+            100.0 * p90_gap
+        ),
+        p90_gap < 0.15,
     );
-    println!(
-        "  [{}] mean latencies resemble each other closely ({:.1}% apart)",
-        if mean_gap < 0.15 { "ok" } else { "!!" },
-        100.0 * mean_gap
+    checks.check(
+        format!(
+            "mean latencies resemble each other closely ({:.1}% apart)",
+            100.0 * mean_gap
+        ),
+        mean_gap < 0.15,
     );
+    checks.finish();
 }

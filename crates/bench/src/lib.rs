@@ -21,9 +21,12 @@
 //!
 //! Every binary accepts `--quick` (scaled-down ramps, fewer cells) and
 //! `--full` (the paper's original 600-second ramps). Results print as
-//! aligned tables and are also written as CSV under `results/`.
+//! aligned tables and are also written as CSV under `results/`. Each
+//! binary ends with its paper shape checks ([`ShapeChecks`]) and exits
+//! with status 1 when one fails.
 
 use etude_metrics::report::Table;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
 /// Harness-wide execution options parsed from the command line.
@@ -140,6 +143,46 @@ pub fn write_result(name: &str, smoke: bool, json: &str) {
     }
 }
 
+/// A binary's paper shape checks. Each [`ShapeChecks::check`] prints
+/// its verdict as `  [ok] <claim>` or `  [!!] <claim>`;
+/// [`ShapeChecks::finish`], called once the binary has written its
+/// outputs, exits with status 1 if any check failed, so a script that
+/// runs the binary fails on a broken claim.
+#[derive(Debug, Default)]
+pub struct ShapeChecks {
+    failed: Vec<String>,
+}
+
+impl ShapeChecks {
+    /// Prints one check's verdict and remembers a failure.
+    pub fn check(&mut self, claim: impl Display, ok: bool) {
+        self.report_ungated(&claim, ok);
+        if !ok {
+            self.failed.push(claim.to_string());
+        }
+    }
+
+    /// Prints a verdict that does not gate the run: for a claim known to
+    /// fail for a tracked reason, which its `claim` text names.
+    pub fn report_ungated(&self, claim: impl Display, ok: bool) {
+        println!("  [{}] {claim}", if ok { "ok" } else { "!!" });
+    }
+
+    /// Exits the process with status 1, naming every failed claim on
+    /// stderr, if any check failed; returns otherwise.
+    pub fn finish(self) {
+        if self.failed.is_empty() {
+            return;
+        }
+        let bin = std::env::args().next().unwrap_or_default();
+        eprintln!("{bin}: {} paper shape check(s) failed:", self.failed.len());
+        for claim in &self.failed {
+            eprintln!("  [!!] {claim}");
+        }
+        std::process::exit(1);
+    }
+}
+
 /// Runs `f` `repetitions` times and returns the median result by `key`.
 ///
 /// The paper executes "each configuration three times and ignore\[s\] the
@@ -174,6 +217,16 @@ mod tests {
     fn median_of_one_is_identity() {
         let m = median_of(1, |_| 7.0, |v| *v);
         assert_eq!(m, 7.0);
+    }
+
+    #[test]
+    fn shape_checks_remember_only_failures() {
+        let mut checks = ShapeChecks::default();
+        checks.check("holds", true);
+        checks.report_ungated("fails, not gated", false);
+        assert!(checks.failed.is_empty());
+        checks.check(format!("fails at {}", 3), false);
+        assert_eq!(checks.failed, ["fails at 3"]);
     }
 
     #[test]

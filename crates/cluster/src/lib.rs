@@ -8,7 +8,7 @@
 //!   Kubernetes-style readiness probes ("Once the model deployment is
 //!   finished (determined via Kubernetes's readiness probes) ..."),
 //! * [`service`] — a ClusterIP service: round-robin routing over ready
-//!   replicas, with optional control-plane outlier ejection,
+//!   replicas,
 //! * [`deployment`] — ties a model + instance type + replica count into a
 //!   deployable, routable unit with a monthly cost, reconciled at runtime
 //!   via `scale_to`,

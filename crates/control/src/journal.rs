@@ -1,13 +1,13 @@
 //! The byte-stable control-plane decision journal.
 //!
-//! Every reaction the control plane takes — a scale decision, an
-//! ejection, a scale-up or scale-down pod step, an admission limit
-//! change — appends one [`JournalEntry`]. The journal is the
-//! determinism contract made visible: the replay tests run the same
-//! seeded experiment twice and compare the rendered journals *byte for
-//! byte*. To make that comparison meaningful the format is integers-only (virtual milliseconds and
-//! the two action operands) with a fixed field order — no floats, no
-//! hash-ordered maps, no timestamps from a wall clock.
+//! Every reaction the control plane takes — a scale decision, a
+//! scale-up or scale-down pod step, an admission limit change — appends
+//! one [`JournalEntry`]. The journal is the determinism contract made
+//! visible: the replay tests run the same seeded experiment twice and
+//! compare the rendered journals *byte for byte*. To make that
+//! comparison meaningful the format is integers-only (virtual
+//! milliseconds and the two action operands) with a fixed field order —
+//! no floats, no hash-ordered maps, no timestamps from a wall clock.
 
 use std::time::Duration;
 
@@ -18,11 +18,6 @@ pub enum ControlAction {
     ScaleUp,
     /// Autoscaler released a replica (`a` = from, `b` = to).
     ScaleDown,
-    /// Outlier detector ejected a backend (`a` = backend,
-    /// `b` = probation end in virtual ms).
-    Eject,
-    /// An ejected backend rejoined rotation (`a` = backend).
-    Readmit,
     /// Scale-up created a pod (`a` = pod id).
     SurgeCreate,
     /// Scale-down began draining a pod (`a` = pod id).
@@ -43,8 +38,6 @@ impl ControlAction {
         match self {
             ControlAction::ScaleUp => "scale-up",
             ControlAction::ScaleDown => "scale-down",
-            ControlAction::Eject => "eject",
-            ControlAction::Readmit => "readmit",
             ControlAction::SurgeCreate => "surge-create",
             ControlAction::DrainBegin => "drain-begin",
             ControlAction::Terminate => "terminate",
@@ -128,8 +121,8 @@ mod tests {
     fn sample() -> DecisionJournal {
         let mut j = DecisionJournal::new();
         j.push(ms(1_000), ControlAction::ScaleUp, 2, 4);
-        j.push(ms(2_500), ControlAction::Eject, 1, 12_500);
-        j.push(ms(12_500), ControlAction::Readmit, 1, 0);
+        j.push(ms(2_500), ControlAction::SurgeCreate, 4, 0);
+        j.push(ms(12_500), ControlAction::LimitCut, 20_000, 14_000);
         j.push(ms(20_000), ControlAction::DrainBegin, 0, 0);
         j.push(ms(21_000), ControlAction::Terminate, 0, 0);
         j.push(ms(30_000), ControlAction::ScaleDown, 4, 3);
@@ -150,7 +143,8 @@ mod tests {
     fn of_filters_by_action() {
         let j = sample();
         assert_eq!(j.of(ControlAction::ScaleUp).len(), 1);
-        assert_eq!(j.of(ControlAction::Eject)[0].b, 12_500);
-        assert_eq!(j.of(ControlAction::LimitCut).len(), 0);
+        assert_eq!(j.of(ControlAction::SurgeCreate)[0].a, 4);
+        assert_eq!(j.of(ControlAction::LimitCut)[0].b, 14_000);
+        assert_eq!(j.of(ControlAction::LimitRaise).len(), 0);
     }
 }

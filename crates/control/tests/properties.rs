@@ -1,77 +1,15 @@
 //! Property tests for the control-plane state machines.
 //!
-//! Two invariants the ISSUE calls out by name:
-//!
-//! * outlier ejection + probation re-admission never drops the healthy
-//!   set below the configured floor, for any outcome sequence;
-//! * circuit-breaker transitions are well-formed — the observed state
-//!   sequence only ever walks legal edges (in particular, never
-//!   closed → half-open without passing through open).
+//! Circuit-breaker transitions are well-formed — the observed state
+//! sequence only ever walks legal edges (in particular, never
+//! closed → half-open without passing through open) — and an open
+//! breaker admits exactly one probe once its interval elapses.
 
-use etude_control::{BreakerConfig, BreakerState, CircuitBreaker, EjectionConfig, OutlierDetector};
+use etude_control::{BreakerConfig, BreakerState, CircuitBreaker};
 use proptest::prelude::*;
 use std::time::Duration;
 
 proptest! {
-    /// Drive a random outcome stream at a random pool and watch the
-    /// available count: it must never dip below the floor, at any
-    /// intermediate time.
-    #[test]
-    fn ejection_never_breaches_the_floor(
-        n in 1usize..10,
-        floor_fraction in 0.1f64..1.0,
-        seed in 0u64..1_000,
-        ops in proptest::collection::vec((0usize..10, any::<bool>()), 0..300),
-    ) {
-        let config = EjectionConfig {
-            consecutive_failures: 2,
-            failure_ratio: 0.3,
-            min_samples: 5,
-            floor_fraction,
-            base_probation: Duration::from_secs(5),
-            max_probation: Duration::from_secs(60),
-            seed,
-        };
-        let mut detector = OutlierDetector::new(n, config);
-        let floor = detector.floor();
-        prop_assert!(floor >= 1, "floor is at least one backend");
-        prop_assert!(floor <= n);
-        for (step, (idx, ok)) in ops.into_iter().enumerate() {
-            let now = Duration::from_millis(step as u64 * 100);
-            detector.record(idx % n, ok, now);
-            prop_assert!(
-                detector.available_count(now) >= floor,
-                "floor breached at step {step}: {} < {floor}",
-                detector.available_count(now),
-            );
-        }
-    }
-
-    /// Probation always ends: however often a backend offends, it is
-    /// re-admitted once its (capped) sentence elapses.
-    #[test]
-    fn probation_always_readmits(
-        seed in 0u64..1_000,
-        offences in 1usize..8,
-    ) {
-        let config = EjectionConfig {
-            consecutive_failures: 1,
-            max_probation: Duration::from_secs(30),
-            seed,
-            ..EjectionConfig::default()
-        };
-        let mut detector = OutlierDetector::new(4, config);
-        let mut now = Duration::ZERO;
-        for _ in 0..offences {
-            detector.record(0, false, now);
-            prop_assert!(detector.is_ejected(0, now));
-            // The cap times max jitter bounds every sentence.
-            let horizon = now + Duration::from_secs(38);
-            prop_assert!(detector.admit(0, horizon), "sentence outlasted the cap");
-            now = horizon;
-        }
-    }
-
     /// Replay a random op stream against the breaker and check every
     /// observed transition is a legal edge of the state machine:
     /// closed→open, open→half-open, half-open→{closed, open}.

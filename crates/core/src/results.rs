@@ -19,10 +19,11 @@ pub struct ExperimentResult {
     pub steady: LatencySummary,
     /// Whether the deployment met the latency SLO at the target rate.
     pub feasible: bool,
-    /// Every control-plane decision the run took (scale events, drains,
-    /// ejections), in decision order. Empty for unmanaged runs. The
-    /// journal's [`DecisionJournal::render_json`] is byte-stable, so two
-    /// seeded runs of the same spec can be compared byte-for-byte.
+    /// Every control-plane decision the run took (scale events, pod
+    /// surges, drains and terminations), in decision order. Empty for
+    /// unmanaged runs. The journal's [`DecisionJournal::render_json`] is
+    /// byte-stable, so two seeded runs of the same spec can be compared
+    /// byte-for-byte.
     pub journal: DecisionJournal,
 }
 

@@ -85,7 +85,7 @@ fn splitmix64(x: u64) -> u64 {
 /// A uniform draw in `[0, 1)` as a pure function of its inputs — the
 /// same `(seed, id, salt)` triple always draws the same value, on any
 /// thread, in any order.
-pub fn unit_draw(seed: u64, id: u64, salt: u64) -> f64 {
+fn unit_draw(seed: u64, id: u64, salt: u64) -> f64 {
     let h = splitmix64(seed ^ splitmix64(id ^ splitmix64(salt)));
     // 53 mantissa bits -> exact double in [0, 1).
     (h >> 11) as f64 / (1u64 << 53) as f64

@@ -8,7 +8,7 @@
 
 use crate::rampup::timeprop_rampup;
 use crate::sessions::{ReplayRequest, SessionReplayer};
-use etude_faults::{FaultInjector, RetryPolicy};
+use etude_faults::FaultInjector;
 use etude_metrics::hdr::Histogram;
 use etude_metrics::{LatencySummary, TimeSeries};
 use etude_obs::{SloReport, TickAttribution};
@@ -70,9 +70,9 @@ pub struct LoadTestResult {
     pub errors: u64,
     /// Send slots skipped by backpressure (never sent).
     pub suppressed: u64,
-    /// Retries spent by the resilient client (0 when retries are off).
-    /// In virtual-time runs this counts the deterministic-backoff
-    /// re-attempts of [`SimLoadGen::run_resilient`].
+    /// Retries spent by the resilient real-time client
+    /// (`RealLoadGen::run_resilient`); 0 when retries are off, and in
+    /// virtual-time runs, whose client never retries.
     pub retries: u64,
     /// Responses served from the server's degraded fallback path.
     pub degraded: u64,
@@ -124,14 +124,8 @@ struct GenState {
     config: LoadConfig,
     start: SimTime,
     /// Correlation ids for fault draws: one per message, monotonically
-    /// assigned so a seeded fault schedule replays identically. Each
-    /// retry attempt is a fresh message with fresh fault draws.
+    /// assigned so a seeded fault schedule replays identically.
     next_msg_id: u64,
-    /// Client-side retry policy; `None` reproduces the plain driver
-    /// (every failure is final).
-    retry: Option<RetryPolicy>,
-    /// Re-attempts spent across the run.
-    retries: u64,
 }
 
 impl GenState {
@@ -181,7 +175,7 @@ impl LoadGenHandle {
             ok: state.ok,
             errors: state.errors,
             suppressed: state.suppressed,
-            retries: state.retries,
+            retries: 0,
             degraded: 0,
             server_stages: None,
             corrected: state.corrected,
@@ -220,38 +214,6 @@ impl SimLoadGen {
         start: SimTime,
         injector: FaultInjector,
     ) -> LoadGenHandle {
-        Self::schedule_inner(sim, service, log, config, start, injector, None)
-    }
-
-    /// [`SimLoadGen::schedule_with_faults`] with a client-side retry
-    /// policy: a failed request (lost message, server error) is
-    /// re-attempted after a deterministic exponential backoff
-    /// (`base * 2^attempt`, capped) until `max_retries` is spent, and
-    /// only the final failure counts as an error. Each re-attempt is a
-    /// fresh message with fresh fault draws, so a retry can escape a
-    /// drop window that ate the original.
-    pub fn schedule_resilient(
-        sim: &mut Sim,
-        service: Rc<dyn SimService>,
-        log: &SessionLog,
-        config: LoadConfig,
-        start: SimTime,
-        injector: FaultInjector,
-        policy: RetryPolicy,
-    ) -> LoadGenHandle {
-        Self::schedule_inner(sim, service, log, config, start, injector, Some(policy))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_inner(
-        sim: &mut Sim,
-        service: Rc<dyn SimService>,
-        log: &SessionLog,
-        config: LoadConfig,
-        start: SimTime,
-        injector: FaultInjector,
-        retry: Option<RetryPolicy>,
-    ) -> LoadGenHandle {
         let state = shared(GenState {
             replayer: SessionReplayer::new(log),
             ready: VecDeque::new(),
@@ -267,8 +229,6 @@ impl SimLoadGen {
             config: config.clone(),
             start,
             next_msg_id: 0,
-            retry,
-            retries: 0,
         });
 
         // Schedule the tick loop (Algorithm 2, line 3).
@@ -300,29 +260,6 @@ impl SimLoadGen {
     ) -> LoadTestResult {
         let mut sim = Sim::new();
         let handle = Self::schedule(&mut sim, service, log, config, SimTime::ZERO);
-        sim.run_to_completion();
-        handle.collect()
-    }
-
-    /// [`SimLoadGen::run`] with a fault injector on the network path
-    /// and client-side retries, in a fresh simulation.
-    pub fn run_resilient(
-        service: Rc<dyn SimService>,
-        log: &SessionLog,
-        config: LoadConfig,
-        injector: FaultInjector,
-        policy: RetryPolicy,
-    ) -> LoadTestResult {
-        let mut sim = Sim::new();
-        let handle = Self::schedule_resilient(
-            &mut sim,
-            service,
-            log,
-            config,
-            SimTime::ZERO,
-            injector,
-            policy,
-        );
         sim.run_to_completion();
         handle.collect()
     }
@@ -401,35 +338,16 @@ fn dispatch_one(
     service: &Rc<dyn SimService>,
     intended: SimTime,
 ) {
-    let session = {
+    let sent_at = sim.now();
+    let (session, legs) = {
         let mut st = state.borrow_mut();
         let Some(req) = st.next_request() else {
             return; // click log drained
         };
         st.pending += 1;
         st.sent += 1;
-        let tick = st.tick_of(sim.now());
+        let tick = st.tick_of(sent_at);
         st.series.record_sent(tick);
-        req.session
-    };
-    attempt_one(sim, state, service, intended, sim.now(), session, 0);
-}
-
-/// One attempt of one request. `first_sent` is the original dispatch
-/// time: latency is always measured from it, so a retried request pays
-/// for every failed attempt before it (coordinated-omission honest).
-fn attempt_one(
-    sim: &mut Sim,
-    state: &Shared<GenState>,
-    service: &Rc<dyn SimService>,
-    intended: SimTime,
-    first_sent: SimTime,
-    session: u64,
-    attempt: u32,
-) {
-    let sent_at = sim.now();
-    let legs = {
-        let mut st = state.borrow_mut();
         // Both legs' fault draws are keyed on the message id, so a
         // seeded schedule replays bit-identically; the response leg is
         // only drawn when the request leg survives (one drop per loss).
@@ -440,156 +358,90 @@ fn attempt_one(
             Some(_) => st.link.sample(sent_at, 2 * id + 1),
             None => None,
         };
-        out.map(|o| (o, back))
+        (req.session, out.map(|o| (o, back)))
     };
     let Some((out_delay, back_delay)) = legs else {
         // Request leg dropped: the server never hears it, the client
-        // holds its pending slot until the timeout, then retries (or
-        // counts an error once the retry budget is spent).
-        resolve_failure(
-            sim,
-            state,
-            service,
-            intended,
-            first_sent,
-            session,
-            attempt,
-            sent_at.after(SIM_CLIENT_TIMEOUT),
-            true,
-        );
+        // holds its pending slot until the timeout, then counts an error.
+        resolve_failure(sim, state, session, sent_at.after(SIM_CLIENT_TIMEOUT), true);
         return;
     };
-    let state2 = Rc::clone(state);
-    let service2 = Rc::clone(service);
+    let state = Rc::clone(state);
+    let service = Rc::clone(service);
     // Request crosses the pod network, is served, and the response
     // crosses back; only then does the pending counter decrease.
     sim.schedule_in(out_delay, move |s| {
-        let respond_service = Rc::clone(&service2);
         let respond: RespondFn = Box::new(move |s2, result| {
             let Some(back_delay) = back_delay else {
                 // Response leg dropped: the server did the work, but the
                 // client never sees the answer and times out.
-                resolve_failure(
-                    s2,
-                    &state2,
-                    &service2,
-                    intended,
-                    first_sent,
-                    session,
-                    attempt,
-                    sent_at.after(SIM_CLIENT_TIMEOUT),
-                    true,
-                );
+                resolve_failure(s2, &state, session, sent_at.after(SIM_CLIENT_TIMEOUT), true);
                 return;
             };
-            let state3 = Rc::clone(&state2);
-            let service3 = Rc::clone(&service2);
-            s2.schedule_in(back_delay, move |s3| {
-                match result {
-                    Ok(resp) => {
-                        let mut st = state3.borrow_mut();
-                        st.pending = st.pending.saturating_sub(1);
-                        let tick = st.tick_of(s3.now());
-                        st.ok += 1;
-                        let total = s3.now().since(first_sent);
-                        st.series.record_ok(tick, total);
-                        st.corrected
-                            .record(s3.now().since(intended).as_micros() as u64);
-                        // Attribute the round trip: wire time is the two
-                        // sampled legs, compute is what the server
-                        // reports, everything left over waited in a
-                        // queue somewhere (dispatch, batcher, worker).
-                        let network = out_delay + back_delay;
-                        let queue = total.saturating_sub(resp.inference + network);
-                        let attr = st.attr_mut(tick);
-                        attr.compute_us += resp.inference.as_micros() as u64;
-                        attr.network_us += network.as_micros() as u64;
-                        attr.queue_us += queue.as_micros() as u64;
-                        if let Some(released) = st.replayer.acknowledge(session) {
-                            st.ready.push_back(released);
-                        }
+            s2.schedule_in(back_delay, move |s3| match result {
+                Ok(resp) => {
+                    let mut st = state.borrow_mut();
+                    st.pending = st.pending.saturating_sub(1);
+                    let tick = st.tick_of(s3.now());
+                    st.ok += 1;
+                    let total = s3.now().since(sent_at);
+                    st.series.record_ok(tick, total);
+                    st.corrected
+                        .record(s3.now().since(intended).as_micros() as u64);
+                    // Attribute the round trip: wire time is the two
+                    // sampled legs, compute is what the server reports,
+                    // everything left over waited in a queue somewhere
+                    // (dispatch, batcher, worker).
+                    let network = out_delay + back_delay;
+                    let queue = total.saturating_sub(resp.inference + network);
+                    let attr = st.attr_mut(tick);
+                    attr.compute_us += resp.inference.as_micros() as u64;
+                    attr.network_us += network.as_micros() as u64;
+                    attr.queue_us += queue.as_micros() as u64;
+                    if let Some(released) = st.replayer.acknowledge(session) {
+                        st.ready.push_back(released);
                     }
-                    Err(_) => {
-                        // The server answered with an error: no timeout
-                        // wait, the failure resolves now.
-                        let now = s3.now();
-                        resolve_failure(
-                            s3, &state3, &service3, intended, first_sent, session, attempt, now,
-                            false,
-                        );
-                    }
+                }
+                Err(_) => {
+                    // The server answered with an error: no timeout
+                    // wait, the failure resolves now.
+                    let now = s3.now();
+                    resolve_failure(s3, &state, session, now, false);
                 }
             });
         });
-        respond_service.submit(s, respond);
+        service.submit(s, respond);
     });
 }
 
-/// Resolves a failed attempt at virtual time `at`: re-attempt after a
-/// deterministic exponential backoff while the retry budget lasts,
-/// otherwise record the final error and release the session. The
-/// pending slot stays occupied throughout (so backpressure sees the
-/// stuck request, as it would in real time). `fault` marks losses the
-/// network injector caused, for the SLO monitor's attribution.
-#[allow(clippy::too_many_arguments)]
+/// Resolves a failed request at virtual time `at`: records the error and
+/// releases the session. The pending slot stays occupied until then (so
+/// backpressure sees the stuck request, as it would in real time).
+/// `fault` marks losses the network injector caused, for the SLO
+/// monitor's attribution.
 fn resolve_failure(
     sim: &mut Sim,
     state: &Shared<GenState>,
-    service: &Rc<dyn SimService>,
-    intended: SimTime,
-    first_sent: SimTime,
     session: u64,
-    attempt: u32,
     at: SimTime,
     fault: bool,
 ) {
     let wait = at.max(sim.now()).since(sim.now());
     let state = Rc::clone(state);
-    let service = Rc::clone(service);
     sim.schedule_in(wait, move |s| {
-        let backoff = {
-            let mut st = state.borrow_mut();
-            match &st.retry {
-                Some(p) if attempt < p.max_retries => {
-                    let delay = p.base.saturating_mul(1 << attempt.min(16)).min(p.cap);
-                    st.retries += 1;
-                    Some(delay)
-                }
-                _ => None,
-            }
-        };
-        match backoff {
-            Some(delay) => {
-                let state2 = Rc::clone(&state);
-                let service2 = Rc::clone(&service);
-                s.schedule_in(delay, move |s2| {
-                    attempt_one(
-                        s2,
-                        &state2,
-                        &service2,
-                        intended,
-                        first_sent,
-                        session,
-                        attempt + 1,
-                    );
-                });
-            }
-            None => {
-                let mut st = state.borrow_mut();
-                st.pending = st.pending.saturating_sub(1);
-                let tick = st.tick_of(s.now());
-                st.errors += 1;
-                st.series.record_error(tick);
-                if fault {
-                    // Lost messages are the network fault injector's
-                    // doing — count them so the SLO monitor can
-                    // attribute a burn to faults.
-                    st.attr_mut(tick).fault_errors += 1;
-                }
-                if let Some(released) = st.replayer.acknowledge(session) {
-                    st.ready.push_back(released);
-                }
-            }
+        let mut st = state.borrow_mut();
+        st.pending = st.pending.saturating_sub(1);
+        let tick = st.tick_of(s.now());
+        st.errors += 1;
+        st.series.record_error(tick);
+        if fault {
+            // Lost messages are the network fault injector's doing —
+            // count them so the SLO monitor can attribute a burn to
+            // faults.
+            st.attr_mut(tick).fault_errors += 1;
+        }
+        if let Some(released) = st.replayer.acknowledge(session) {
+            st.ready.push_back(released);
         }
     });
 }
@@ -756,60 +608,6 @@ mod tests {
         assert_eq!(a.ok, b.ok);
         assert_eq!(a.errors, b.errors);
         assert_eq!(ia.counters().drops(), ib.counters().drops());
-    }
-
-    #[test]
-    fn resilient_retries_ride_out_a_drop_window() {
-        use etude_faults::{FaultKind, FaultPlan};
-
-        let run = || {
-            let profile = ServiceProfile::static_response(&Device::cpu());
-            let server = SimRustServer::new(profile, RustServerConfig::cpu(2));
-            let plan = FaultPlan::seeded(11).with_window(
-                Duration::from_secs(2),
-                Duration::from_secs(4),
-                FaultKind::Drop { prob: 0.5 },
-            );
-            let injector = FaultInjector::new(plan);
-            let policy = RetryPolicy {
-                base: Duration::from_millis(100),
-                cap: Duration::from_secs(1),
-                max_retries: 4,
-                jitter: 0.0,
-            };
-            SimLoadGen::run_resilient(
-                server,
-                &workload(20_000),
-                LoadConfig::scaled_rampup(200, 6),
-                injector,
-                policy,
-            )
-        };
-        let a = run();
-        // The same drop window that surfaces as errors for the naive
-        // client (see the test above) is absorbed by retries: losing
-        // five independent coin flips in a row is ~3% per request even
-        // inside the window, and every retry re-rolls the link.
-        assert!(
-            a.retries > 10,
-            "retries should absorb the drop window: {}",
-            a.retries
-        );
-        assert!(
-            a.errors < a.retries / 4,
-            "retries should convert most drops into successes: {} errors, {} retries",
-            a.errors,
-            a.retries
-        );
-        // Virtual-time retries stay bit-identical across runs: backoff
-        // is deterministic and each attempt draws faults from its own
-        // message id.
-        let b = run();
-        assert_eq!(a.sent, b.sent);
-        assert_eq!(a.ok, b.ok);
-        assert_eq!(a.errors, b.errors);
-        assert_eq!(a.retries, b.retries);
-        assert_eq!(a.corrected.p99(), b.corrected.p99());
     }
 
     #[test]
